@@ -112,13 +112,6 @@ class VectorSpan:
         return True
 
 
-def rank_of_rows(rows, char=0):
-    span = VectorSpan(char)
-    for r in rows:
-        span.add(r)
-    return span.rank
-
-
 def solve_exact(matrix, rhs):
     """Solve A x = b over Q exactly; A is a list of Fraction rows.
 
@@ -157,8 +150,3 @@ def solve_exact(matrix, rhs):
     for i, c in enumerate(pivots):
         x[c] = A[i][n]
     return x
-
-
-def kernel_dimension(rows, ncols, char=0):
-    """dim ker of the matrix whose rows are the given sparse dicts."""
-    return ncols - rank_of_rows(rows, char)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 
 def qpoly(*coeffs):
@@ -53,14 +54,7 @@ def binomial_in_x(shift, k):
     out = (Fraction(1),)
     for i in range(k):
         out = mul(out, (Fraction(shift - i), Fraction(1)))
-    return scale(out, Fraction(1, _factorial(k)))
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return scale(out, Fraction(1, factorial(k)))
 
 
 def interpolate(points, max_degree=None):
@@ -111,18 +105,6 @@ def to_binomial_basis(p, count):
     if rest:
         raise ValueError("nonzero remainder in binomial-basis conversion")
     return out
-
-
-def leading_binomial_coefficient(p, k):
-    """Coefficient of binom(x, k) in p when written in the falling binomial basis.
-
-    For deg p <= k this is k! times the degree-k coefficient.
-    """
-    if degree(p) > k:
-        raise ValueError("degree larger than k")
-    if degree(p) < k:
-        return Fraction(0)
-    return p[k] * _factorial(k)
 
 
 def format_poly(p, var="j"):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import _qpoly as qp
-from .hilbert import HilbertPolynomial, HilbertSeriesRational
+from .hilbert import HilbertPolynomial, HilbertSeriesRational, _t_slice
 
 
 class FitError(ValueError):
@@ -51,7 +51,7 @@ class PowerPolynomialFamily:
             # e_i has degree <= h + i; lambda index is h + i
             k = self.h + i
             padded = tuple(poly) + (Fraction(0),) * max(0, k + 1 - len(poly))
-            out[k] = padded[k] * _fact(k)
+            out[k] = padded[k] * factorial(k)
         return out
 
     def to_json(self):
@@ -62,13 +62,6 @@ class PowerPolynomialFamily:
             "threshold": self.threshold,
             "validated_on": list(self.validated_on),
         }
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def fit_hilbert_polynomials(samples, n, h, include_zero=True):
@@ -285,23 +278,8 @@ class SeriesRecurrence:
     n: int
 
     def predict(self, j):
-        # expand prod 1/(1 - s^{d_i} t) up to t^j and convolve with Q
-        slices = [dict() for _ in range(j + 1)]
-        slices[0][0] = 1
-        for a in self.degrees:
-            for jj in range(1, j + 1):
-                for deg, c in slices[jj - 1].items():
-                    slices[jj][deg + a] = slices[jj].get(deg + a, 0) + c
-        out = {}
-        for b, num in self.q_slices:
-            if b <= j:
-                for a, c in num.items():
-                    for deg, c2 in slices[j - b].items():
-                        key = a + deg
-                        out[key] = out.get(key, 0) + c * c2
-        return HilbertSeriesRational.make(
-            {(a, 0): c for a, c in out.items() if c}, [(1, 0)] * self.n
-        )
+        out = _t_slice(self.degrees, self.q_slices, j)
+        return HilbertSeriesRational.make({(a, 0): c for a, c in out.items()}, [(1, 0)] * self.n)
 
 
 def fit_hilbert_series_general(samples, degrees):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from ._linalg import VectorSpan
 from .groebner import groebner_basis, normal_form
@@ -59,64 +60,14 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# module piece adapters
-
-class _IdealPieces:
-    """Graded pieces of an ideal as subspaces spanned by GB multiples.
-
-    The basis of I_D is indexed by the monomials of in(I) in degree D;
-    coordinates of an element of I are its coefficients on those monomials
-    (the GB tails only involve standard monomials).
-    """
-
-    def __init__(self, I, order=None):
-        self.ring = I.ring
-        self.gb = groebner_basis(I, order)
-        keyfn = self.gb.order.key_function(self.ring.nvars)
-        self._by_lm = []
-        for g in self.gb.polys:
-            d = dict(g.terms)
-            self._by_lm.append((max(d, key=keyfn), g))
-        self._by_lm.sort(key=lambda pair: keyfn(pair[0]))
-        self._w_cache = {}
-
-    def basis(self, degree):
-        return [
-            m
-            for m in self.ring.monomials_of_degree(degree)
-            if self.gb.contains_monomial(m)
-        ]
-
-    def _witness(self, m):
-        w = self._w_cache.get(m)
-        if w is None:
-            from .rings import mono_div, mono_divides
-
-            for lm, g in self._by_lm:
-                if mono_divides(lm, m):
-                    w = g.mul_monomial(mono_div(m, lm))
-                    break
-            self._w_cache[m] = w
-        return w
-
-    def multiply(self, var_index, m):
-        """Coordinates of x_var * w_m as (integer dict, denominator)."""
-        mono = [0] * self.ring.nvars
-        mono[var_index] = 1
-        prod = self._witness(m).mul_monomial(tuple(mono))
-        out = {}
-        for mm, c in prod.terms:
-            if self.gb.contains_monomial(mm):
-                out[mm] = c
-        return _clear_denominators(out, self.ring.field.char)
-
+# Koszul homology of ring/I
 
 class _QuotientPieces:
     """Graded pieces of ring/I on the standard-monomial basis."""
 
-    def __init__(self, I, order=None):
+    def __init__(self, I):
         self.ring = I.ring
-        self.gb = groebner_basis(I, order) if not I.is_zero() else None
+        self.gb = groebner_basis(I) if not I.is_zero() else None
         self._nf_cache = {}
 
     def basis(self, degree):
@@ -126,11 +77,12 @@ class _QuotientPieces:
         return [m for m in monos if not self.gb.contains_monomial(m)]
 
     def multiply(self, var_index, m):
+        """Coordinates of x_var * m as (((monomial, integer), ...), denominator)."""
         mono = [0] * self.ring.nvars
         mono[var_index] = 1
         prod = mono_mul(m, tuple(mono))
         if self.gb is None or not self.gb.contains_monomial(prod):
-            return ({prod: 1}, 1)
+            return (((prod, 1),), 1)
         cached = self._nf_cache.get(prod)
         if cached is None:
             nf = normal_form(Polynomial(self.ring, {prod: self.ring.field.one}), self.gb)
@@ -140,36 +92,28 @@ class _QuotientPieces:
 
 
 def _clear_denominators(coeffs, char):
-    """(integer dict, denominator) representing coeffs as dict/den."""
+    """(integer pairs, denominator) representing coeffs as pairs/den.
+
+    Pairs take less memory than a dict, and the Koszul caches hold one per product.
+    """
     if char:
-        return ({m: int(c) % char for m, c in coeffs.items() if int(c) % char}, 1)
-    den = 1
-    for c in coeffs.values():
-        den = den * c.denominator // _gcd(den, c.denominator)
-    return ({m: int(c * den) for m, c in coeffs.items()}, den)
+        return (tuple((m, int(c) % char) for m, c in coeffs.items() if int(c) % char), 1)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return (tuple((m, int(c * den)) for m, c in coeffs.items()), den)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-# ---------------------------------------------------------------------------
-# Koszul homology
-
-def _degree_window(ring, caps):
+def _degree_window(caps):
     """All bidegrees (a, b) with a <= caps[0], b <= caps[1] in support order."""
     amax, bmax = caps
     return [(a, b) for b in range(bmax + 1) for a in range(amax + 1)]
 
 
 def _koszul_betti(pieces, caps, euler_numerator):
-    """Betti numbers in the window; returns (entries, complete)."""
+    """Sorted Betti entries in the window, each degree checked against the Euler numerator."""
     ring = pieces.ring
     n = ring.nvars
     var_degrees = ring.degrees
-    amax, bmax = caps
+    char = ring.field.char
 
     basis_cache = {}
 
@@ -188,15 +132,16 @@ def _koszul_betti(pieces, caps, euler_numerator):
             b += var_degrees[i][1]
         return (a, b)
 
-    subsets = {p: list(combinations(range(n), p)) for p in range(n + 1)}
-    sub_degrees = {p: [subset_degree(T) for T in subsets[p]] for p in range(n + 1)}
+    # (T, degree of x_T) for the p-subsets T of the variables
+    subsets = [[(T, subset_degree(T)) for T in combinations(range(n), p)] for p in range(n + 1)]
 
-    def chain_basis(p, deg):
-        out = []
-        for T, td in zip(subsets[p], sub_degrees[p]):
+    def chain_index(p, deg):
+        """Column index of the basis (T, key) of K_p in degree deg, in basis order."""
+        out = {}
+        for T, td in subsets[p]:
             rem = (deg[0] - td[0], deg[1] - td[1])
             for key in basis(rem):
-                out.append((T, key))
+                out[(T, key)] = len(out)
         return out
 
     mult_cache = {}
@@ -208,95 +153,91 @@ def _koszul_betti(pieces, caps, euler_numerator):
         return mult_cache[ck]
 
     entries = []
-    euler_ok = True
-    for deg in _degree_window(ring, caps):
-        dims = {}
-        ranks = {}
-        col_index = {}
-        for p in range(n + 2):
-            if p <= n:
-                cb = chain_basis(p, deg)
-                dims[p] = len(cb)
-                col_index[p] = {key: i for i, key in enumerate(cb)}
-            else:
-                dims[p] = 0
-                col_index[p] = {}
-        # rank of d_p : K_p -> K_{p-1} in this degree
-        char = ring.field.char
+    for deg in _degree_window(caps):
+        chains = [chain_index(p, deg) for p in range(n + 1)]
+        # ranks[p] is the rank of d_p : K_p -> K_{p-1} in this degree
+        ranks = [0] * (n + 2)
         for p in range(1, n + 1):
-            if dims[p] == 0 or dims[p - 1] == 0:
-                ranks[p] = 0
+            target = chains[p - 1]
+            if not chains[p] or not target:
                 continue
             span = VectorSpan(char)
-            target = col_index[p - 1]
             rows = []
-            for T in subsets[p]:
-                td = subset_degree(T)
-                rem = (deg[0] - td[0], deg[1] - td[1])
-                for key in basis(rem):
-                    # the blocks for distinct removed indices hit disjoint
-                    # columns, so one common denominator scales the row
-                    blocks = []
-                    den = 1
-                    for j, i in enumerate(T):
-                        vec, d = mult(i, key)
-                        blocks.append((T[:j] + T[j + 1:], 1 if j % 2 == 0 else -1, vec, d))
-                        den = den * d // _gcd(den, d)
-                    row = {}
-                    for Tm, sign, vec, d in blocks:
-                        fac = sign * (den // d)
-                        for key2, c in vec.items():
-                            col = target.get((Tm, key2))
-                            if col is not None:
-                                row[col] = fac * c
-                    if row:
-                        rows.append(row)
+            for T, key in chains[p]:
+                # the blocks for distinct removed indices hit disjoint
+                # columns, so one common denominator scales the row
+                blocks = []
+                den = 1
+                for j, i in enumerate(T):
+                    vec, d = mult(i, key)
+                    blocks.append((T[:j] + T[j + 1:], 1 if j % 2 == 0 else -1, vec, d))
+                    den = lcm(den, d)
+                row = {}
+                for Tm, sign, vec, d in blocks:
+                    fac = sign * (den // d)
+                    for key2, c in vec:
+                        col = target.get((Tm, key2))
+                        if col is not None:
+                            row[col] = fac * c
+                if row:
+                    rows.append(row)
             # short rows first keeps the elimination fill-in low
             rows.sort(key=len)
             for row in rows:
                 span.add(row)
             ranks[p] = span.rank
-        ranks[0] = 0
-        ranks[n + 1] = 0
-        expected = euler_numerator.get(deg, 0)
         total = 0
         for p in range(n + 1):
-            beta = dims[p] - ranks[p] - ranks.get(p + 1, 0)
+            beta = len(chains[p]) - ranks[p] - ranks[p + 1]
             if beta < 0:
                 raise BettiError("negative rank at p=%d degree=%s" % (p, (deg,)))
             if beta:
                 entries.append((p, deg, beta))
             total += beta if p % 2 == 0 else -beta
+        expected = euler_numerator.get(deg, 0)
         if total != expected:
-            euler_ok = False
             raise BettiError(
                 "Euler check failed at degree %s: %d != %d" % (deg, total, expected)
             )
+    entries.sort(key=lambda row: (row[0], row[1][1], row[1][0]))
+    return tuple(entries)
+
+
+def _betti_table(I, window, as_module, desc):
+    """Table of I or ring/I in the window, both read off the Koszul homology of ring/I.
+
+    Tor_p(k, I) = Tor_{p+1}(k, ring/I) for a proper ideal I; ring/I has no
+    beta_0 exactly when I is the unit ideal, which is free on one generator.
+    """
+    if as_module not in ("ideal", "quotient"):
+        raise BettiError("as_module must be 'ideal' or 'quotient'")
+    ring = I.ring
+    # numerator over the full variable denominator IS the Euler polynomial
+    euler = dict(hilbert_series_ideal(I).num)
+    entries = _koszul_betti(_QuotientPieces(I), window, euler)
+    if as_module == "ideal":
+        if entries and entries[0][0] == 0:
+            entries = tuple((p - 1, d, r) for p, d, r in entries if p)
+        else:
+            entries = ((0, (0, 0), 1),)
     # completeness: a zero band of width = nvars in total degree beyond the
     # last nonzero entry, with the window covering the whole band.
-    last = max((d[0] + d[1] for _, d, _ in entries), default=-1)
-    band_end = last + n
-    covered = amax >= band_end
-    if any(d[1] > 0 for d in var_degrees):
-        covered = covered and bmax >= band_end
-    complete = euler_ok and covered
-    entries.sort(key=lambda row: (row[0], row[1][1], row[1][0]))
-    return tuple(entries), complete
+    band_end = max((d[0] + d[1] for _, d, _ in entries), default=-1) + ring.nvars
+    complete = window[0] >= band_end
+    if any(d[1] > 0 for d in ring.degrees):
+        complete = complete and window[1] >= band_end
+    return BettiTable(ring, entries, complete, window, desc)
 
 
-def _euler_numerator_for(I, as_module):
-    ring = I.ring
-    series = hilbert_series_ideal(I, as_module)
-    # numerator over the full variable denominator IS the Euler polynomial
-    return {d: c for d, c in series.num}
+def graded_betti_table(I, degree_cap, as_module="ideal"):
+    """beta_{p,q} = dim Tor_p(k, M)_q for q <= cap, M = I or ring/I.
 
-
-def graded_betti_table(I, degree_cap, as_module="ideal", order=None):
-    """beta_{p,q} = dim Tor_p(k, M)_q for q <= cap, M = I or ring/I."""
+    The table of I is the table of ring/I shifted down one homological
+    degree (the unit ideal gives beta_{0,0} = 1).
+    """
     if not I.is_homogeneous():
         raise BettiError("module must be homogeneous")
-    ring = I.ring
-    if any(d != (1, 0) for d in ring.degrees):
+    if any(d != (1, 0) for d in I.ring.degrees):
         raise BettiError("graded tables need a standard graded ring; use bigraded_betti_table")
     if as_module == "ideal":
         if I.is_zero():
@@ -304,32 +245,20 @@ def graded_betti_table(I, degree_cap, as_module="ideal", order=None):
         gen_max = max(g.multidegree()[0] for g in I.gens)
         if degree_cap < gen_max:
             raise BettiError("cap %d below the largest generator degree %d" % (degree_cap, gen_max))
-        pieces = _IdealPieces(I, order)
-    elif as_module == "quotient":
-        pieces = _QuotientPieces(I, order)
-    else:
-        raise BettiError("as_module must be 'ideal' or 'quotient'")
-    euler = _euler_numerator_for(I, as_module)
-    entries, complete = _koszul_betti(pieces, (degree_cap, 0), euler)
     desc = "%s(%s)" % (as_module, ", ".join(repr(g) for g in I.gens))
-    return BettiTable(ring, entries, complete, (degree_cap, 0), desc)
+    return _betti_table(I, (degree_cap, 0), as_module, desc)
 
 
 def bigraded_betti_table(defining_ideal, window, as_module="quotient"):
-    """Bigraded Tor ranks over S of S/K (or of K) by Koszul homology in all variables."""
+    """Bigraded Tor ranks over S of S/K (or of K) by Koszul homology in all variables.
+
+    The table of K is the table of S/K shifted down one homological degree
+    (the unit ideal gives beta_{0,(0,0)} = 1).
+    """
     K = defining_ideal
     if not K.is_homogeneous():
         raise BettiError("module must be bihomogeneous")
-    if as_module == "quotient":
-        pieces = _QuotientPieces(K)
-    elif as_module == "ideal":
-        pieces = _IdealPieces(K)
-    else:
-        raise BettiError("as_module must be 'ideal' or 'quotient'")
-    euler = _euler_numerator_for(K, as_module)
-    entries, complete = _koszul_betti(pieces, tuple(window), euler)
-    desc = "%s over %r" % (as_module, K.ring)
-    return BettiTable(K.ring, entries, complete, tuple(window), desc)
+    return _betti_table(K, tuple(window), as_module, "%s over %r" % (as_module, K.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from . import _qpoly as qp
 from ._linalg import solve_exact
 from .groebner import groebner_basis
@@ -123,20 +124,7 @@ class HilbertSeriesRational:
                 raise SeriesError("denominator factor with t-degree > 1")
         if len(sfac) != n_standard:
             raise SeriesError("expected %d standard factors" % n_standard)
-        # expand 1/prod(1 - s^{a_i} t) up to t^j; slice jj is an s-polynomial
-        slices = [dict() for _ in range(j + 1)]
-        slices[0][0] = 1
-        for a in tfac:
-            for jj in range(1, j + 1):
-                for deg, c in slices[jj - 1].items():
-                    slices[jj][deg + a] = slices[jj].get(deg + a, 0) + c
-        out = {}
-        for (a, b), c in self.num:
-            if b <= j:
-                for deg, c2 in slices[j - b].items():
-                    key = a + deg
-                    out[key] = out.get(key, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
+        return _t_slice(tfac, ((b, {a: c}) for (a, b), c in self.num), j)
 
     def to_json(self):
         return {
@@ -148,6 +136,29 @@ class HilbertSeriesRational:
         num = " + ".join("%d*s^%d*t^%d" % (c, d[0], d[1]) for d, c in self.num) or "0"
         den = " ".join("(1-s^%d t^%d)^%d" % (d[0], d[1], m) for d, m in self.den)
         return "(%s) / %s" % (num, den)
+
+
+def _t_slice(t_degrees, num_slices, j):
+    """Coefficient of t^j in N(s, t) / prod_i (1 - s^{a_i} t) as a dict s-degree -> int.
+
+    ``t_degrees`` lists the a_i; ``num_slices`` yields (b, {s-degree: c})
+    pieces of N, each the t^b part of one or more terms.
+    """
+    # expand 1/prod(1 - s^{a_i} t) up to t^j; slice jj is an s-polynomial
+    slices = [dict() for _ in range(j + 1)]
+    slices[0][0] = 1
+    for a in t_degrees:
+        for jj in range(1, j + 1):
+            for deg, c in slices[jj - 1].items():
+                slices[jj][deg + a] = slices[jj].get(deg + a, 0) + c
+    out = {}
+    for b, num in num_slices:
+        if b <= j:
+            for a, c in num.items():
+                for deg, c2 in slices[j - b].items():
+                    key = a + deg
+                    out[key] = out.get(key, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
 
 
 def _den_difference(big, small):
@@ -410,14 +421,7 @@ def _binom_frac(x, k):
     out = Fraction(1)
     for t in range(k):
         out *= Fraction(x - t)
-    return out / Fraction(_fact(k))
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return out / factorial(k)
 
 
 def bigraded_hilbert_polynomial(series, shear=None, max_total_degree=None):

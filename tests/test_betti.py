@@ -1,7 +1,9 @@
 import pytest
 
 from reeslab import (
+    QQ,
     Ideal,
+    RingSpec,
     graded_ring,
     hilbert_series_ideal,
     ideal_power,
@@ -192,3 +194,25 @@ def test_quotient_table(twisted_cubic):
 def test_cap_below_generators_rejected(twisted_cubic):
     with pytest.raises(BettiError):
         graded_betti_table(twisted_cubic, 1, "ideal")
+
+
+def test_bigraded_ideal_table_of_monomial_complete_intersection():
+    B = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)))
+    I = Ideal(B, [parse_polynomial("X1^2", B), parse_polynomial("Y1^3", B)])
+    expected = ((0, (2, 0), 1), (0, (0, 3), 1), (1, (2, 3), 1))
+    table = bigraded_betti_table(I, (9, 9), as_module="ideal")
+    assert table.entries == expected
+    assert table.complete
+    truncated = bigraded_betti_table(I, (5, 5), as_module="ideal")
+    assert truncated.entries == expected
+    assert not truncated.complete
+
+
+def test_unit_ideal_table_is_free_of_rank_one():
+    A = graded_ring(["X", "Y"])
+    graded = graded_betti_table(Ideal(A, [parse_polynomial("1", A)]), 3, "ideal")
+    B = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)))
+    bigraded = bigraded_betti_table(Ideal(B, [parse_polynomial("1", B)]), (4, 4), as_module="ideal")
+    for table in (graded, bigraded):
+        assert table.entries == ((0, (0, 0), 1),)
+        assert table.complete

@@ -138,6 +138,18 @@ def test_prime_field_arithmetic():
         PrimeField(6)
 
 
+def test_prime_field_primality_is_fast_and_exact():
+    for p in (2, 3, 41, 32003, 2305843009213693951):
+        assert PrimeField(p).char == p
+    # 3215031751 is the smallest strong pseudoprime to bases 2, 3, 5 and 7;
+    # the last one passes every prime base up to 37
+    for n in (0, 1, 561, 1681, 2047, 3215031751, 318665857834031151167461):
+        with pytest.raises(RingError, match="not prime"):
+            PrimeField(n)
+    with pytest.raises(RingError, match="3317044064679887385961981"):
+        PrimeField(3317044064679887385961981)
+
+
 def test_ring_value_equality():
     a = graded_ring(["x", "y"])
     b = graded_ring(["x", "y"])
