@@ -9,7 +9,7 @@ from math import lcm
 from ._linalg import VectorSpan
 from .groebner import groebner_basis, normal_form
 from .hilbert import hilbert_series_ideal
-from .rings import Polynomial, mono_mul
+from .rings import Polynomial, mono_lcm, mono_mul
 
 
 class BettiError(ValueError):
@@ -108,8 +108,55 @@ def _degree_window(caps):
     return [(a, b) for b in range(bmax + 1) for a in range(amax + 1)]
 
 
+def _lcm_support(pieces, caps):
+    """Window bidegrees of the lcms of the leading monomials of the basis, plus (0, 0).
+
+    The leading monomials of the reduced basis minimally generate in(I).
+    Taylor's resolution of ring/in(I) has its multidegrees among their lcms,
+    and beta(ring/I) <= beta(ring/in(I)) degree by degree (upper
+    semicontinuity), so no other degree of the window carries a Betti number.
+    """
+    support = {(0, 0)}
+    if pieces.gb is None:
+        return support
+    degree = pieces.ring.monomial_degree
+    amax, bmax = caps
+
+    def inside(d):
+        return d[0] <= amax and d[1] <= bmax
+
+    gens = [m for m in pieces.gb.leading_monomials if inside(degree(m))]
+    if not gens:
+        return support
+    reached = {degree(m) for m in gens}
+    # every lcm lies at or above the componentwise minimum of the generator
+    # degrees, so once all window degrees there are reached nothing is missed
+    lo_a = min(d[0] for d in reached)
+    lo_b = min(d[1] for d in reached)
+    reachable = (amax - lo_a + 1) * (bmax - lo_b + 1)
+    seen = set(gens)
+    todo = list(gens)
+    while todo and len(reached) < reachable:
+        m = todo.pop()
+        for g in gens:
+            m2 = mono_lcm(m, g)
+            if m2 in seen:
+                continue
+            seen.add(m2)
+            d = degree(m2)
+            # lcms only grow, so one outside the window stays outside
+            if inside(d):
+                todo.append(m2)
+                reached.add(d)
+    return support | reached
+
+
 def _koszul_betti(pieces, caps, euler_numerator):
-    """Sorted Betti entries in the window, each degree checked against the Euler numerator."""
+    """Sorted Betti entries in the window, each degree checked against the Euler numerator.
+
+    Homology is computed only on the lcm support of in(I); at every other
+    window degree the Euler numerator must vanish.
+    """
     ring = pieces.ring
     n = ring.nvars
     var_degrees = ring.degrees
@@ -152,8 +199,8 @@ def _koszul_betti(pieces, caps, euler_numerator):
             mult_cache[ck] = pieces.multiply(i, key)
         return mult_cache[ck]
 
-    entries = []
-    for deg in _degree_window(caps):
+    def betti_numbers(deg):
+        """beta_p in degree deg for p = 0..n."""
         chains = [chain_index(p, deg) for p in range(n + 1)]
         # ranks[p] is the rank of d_p : K_p -> K_{p-1} in this degree
         ranks = [0] * (n + 2)
@@ -186,9 +233,14 @@ def _koszul_betti(pieces, caps, euler_numerator):
             for row in rows:
                 span.add(row)
             ranks[p] = span.rank
+        return [len(chains[p]) - ranks[p] - ranks[p + 1] for p in range(n + 1)]
+
+    support = _lcm_support(pieces, caps)
+    entries = []
+    for deg in _degree_window(caps):
+        betas = betti_numbers(deg) if deg in support else ()
         total = 0
-        for p in range(n + 1):
-            beta = len(chains[p]) - ranks[p] - ranks[p + 1]
+        for p, beta in enumerate(betas):
             if beta < 0:
                 raise BettiError("negative rank at p=%d degree=%s" % (p, (deg,)))
             if beta:

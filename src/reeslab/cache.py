@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,9 +17,26 @@ def cache_dir():
     return os.environ.get(ENV_VAR, DEFAULT_DIR)
 
 
-def cache_key(problem_hash, command, params, version):
+@functools.cache
+def source_digest():
+    """sha256 of the package's own *.py sources, read once per process in sorted name order.
+
+    Keying entries on it keeps results of older code from being served.
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                data = fh.read()
+            digest.update(b"%s\0%d\0" % (name.encode(), len(data)))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def cache_key(problem_hash, command, params, source):
     blob = json.dumps(
-        {"problem": problem_hash, "command": command, "params": params, "version": version},
+        {"problem": problem_hash, "command": command, "params": params, "source": source},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()

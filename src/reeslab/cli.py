@@ -16,7 +16,7 @@ from .asymptotics import (
     mixed_multiplicities,
 )
 from .betti import BettiError, graded_betti_table, invariants_from_shifts
-from .cache import cache_key, cache_lookup_store
+from .cache import cache_key, cache_lookup_store, source_digest
 from .diagonals import (
     DiagonalError,
     DiagonalSpec,
@@ -515,12 +515,14 @@ def main(argv=None):
             k: v for k, v in sorted(vars(args).items())
             if k not in ("problem", "format", "no_cache") and v is not None
         }
-        key = cache_key(
-            problem.content_hash if problem else "-",
-            args.command,
-            {k: str(v) for k, v in params.items()},
-            __version__,
-        )
+        key = None
+        if not args.no_cache:
+            key = cache_key(
+                problem.content_hash if problem else "-",
+                args.command,
+                {k: str(v) for k, v in params.items()},
+                source_digest(),
+            )
         value = cache_lookup_store(key, produce, enabled=not args.no_cache)
         code = value.get("code", 0)
         _emit(args, args.command, value["payload"], value["citations"], value["assumptions"])

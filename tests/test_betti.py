@@ -3,6 +3,7 @@ import pytest
 from reeslab import (
     QQ,
     Ideal,
+    PrimeField,
     RingSpec,
     graded_ring,
     hilbert_series_ideal,
@@ -11,6 +12,9 @@ from reeslab import (
 )
 from reeslab.betti import (
     BettiError,
+    _koszul_betti,
+    _lcm_support,
+    _QuotientPieces,
     bigraded_betti_table,
     graded_betti_table,
     invariants_from_shifts,
@@ -216,3 +220,68 @@ def test_unit_ideal_table_is_free_of_rank_one():
     for table in (graded, bigraded):
         assert table.entries == ((0, (0, 0), 1),)
         assert table.complete
+
+
+def _pure_powers():
+    A = graded_ring(["x", "y"])
+    return Ideal(A, [parse_polynomial("x^10", A), parse_polynomial("y^10", A)])
+
+
+def test_lcm_support_of_pure_powers():
+    pieces = _QuotientPieces(_pure_powers())
+    assert _lcm_support(pieces, (25, 0)) == {(0, 0), (10, 0), (20, 0)}
+    assert _lcm_support(pieces, (15, 0)) == {(0, 0), (10, 0)}
+
+
+def test_lcm_support_of_twisted_cubic_rees(twisted_cubic_rees, rees_table):
+    support = _lcm_support(_QuotientPieces(twisted_cubic_rees.defining_ideal), (15, 15))
+    assert len(support) == 5
+    assert {d for _, d, _ in rees_table.entries} <= support
+
+
+def test_euler_check_covers_skipped_degrees():
+    I = _pure_powers()
+    euler = dict(hilbert_series_ideal(I).num)
+    assert (5, 0) not in euler
+    euler[(5, 0)] = 1
+    with pytest.raises(BettiError, match=r"\(5, 0\)"):
+        _koszul_betti(_QuotientPieces(I), (25, 0), euler)
+
+
+def _unit_or_zero(gens):
+    B = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)))
+    return bigraded_betti_table(Ideal(B, [parse_polynomial(g, B) for g in gens]), (4, 4))
+
+
+def _quartic_square_mod_p():
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"], field=PrimeField(32003))
+    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
+    return graded_betti_table(ideal_power(I, 2), 10, "quotient")
+
+
+def _rees_table(ideal, window):
+    from reeslab.rees import rees_presentation
+
+    return bigraded_betti_table(rees_presentation(ideal).defining_ideal, window)
+
+
+@pytest.mark.parametrize("case", [
+    "twisted_cubic_rees", "planar_fat_rees", "quartic_square_mod_p", "pure_powers", "zero", "unit",
+])
+def test_lcm_support_skip_matches_full_window(case, request, monkeypatch):
+    # the Koszul homology at every window degree is the reference route
+    from reeslab import betti
+
+    build = {
+        "twisted_cubic_rees": lambda: _rees_table(request.getfixturevalue("twisted_cubic"), (15, 15)),
+        "planar_fat_rees": lambda: _rees_table(request.getfixturevalue("planar_fat_ideal"), (30, 30)),
+        "quartic_square_mod_p": _quartic_square_mod_p,
+        "pure_powers": lambda: graded_betti_table(_pure_powers(), 25, "quotient"),
+        "zero": lambda: _unit_or_zero([]),
+        "unit": lambda: _unit_or_zero(["1"]),
+    }[case]
+    skipped = build().to_json()
+    monkeypatch.setattr(betti, "_lcm_support", lambda pieces, caps: set(betti._degree_window(caps)))
+    assert build().to_json() == skipped

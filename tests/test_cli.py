@@ -133,6 +133,20 @@ def test_no_cache_gives_identical_output(capsys, cubic_file, isolated_cache):
     assert out1 == out2
 
 
+def test_cache_entries_are_keyed_on_the_sources(capsys, cubic_file, isolated_cache, monkeypatch):
+    from reeslab import cli
+
+    _, out1 = run_cli(capsys, "hs", cubic_file)
+    _, out2 = run_cli(capsys, "hs", cubic_file)
+    assert out1 == out2
+    assert len(list(isolated_cache.glob("*.json"))) == 1
+    # changed sources miss the cache: a hit would write no second entry
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    _, out3 = run_cli(capsys, "hs", cubic_file)
+    assert out3 == out1
+    assert len(list(isolated_cache.glob("*.json"))) == 2
+
+
 def test_corrupt_cache_entry_recomputed(capsys, cubic_file, isolated_cache):
     _, out1 = run_cli(capsys, "gb", cubic_file)
     entry = next(isolated_cache.glob("*.json"))
