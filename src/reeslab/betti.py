@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from ._linalg import VectorSpan
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis
 from .hilbert import hilbert_series_ideal
-from .rings import Polynomial, mono_lcm, mono_mul
+from .rings import mono_div, mono_divides, mono_lcm, mono_mul
 
 
 class BettiError(ValueError):
@@ -63,43 +63,139 @@ class BettiTable:
 # Koszul homology of ring/I
 
 class _QuotientPieces:
-    """Graded pieces of ring/I on the standard-monomial basis."""
+    """Graded pieces of ring/I on the standard-monomial basis.
+
+    The standard monomials form the order ideal outside in(I): a monomial is
+    standard iff it is not a leading monomial of the reduced basis and every
+    m/x_i is standard. They are filled degree by degree, each degree from the
+    ones a variable below it.
+
+    Products x_i * m that are not standard are reduced through a table of
+    monomial normal forms: with g the first basis element whose leading
+    monomial divides m = u * lm(g), NF(m) = -(1/lc) * sum of c_t * NF(u * t)
+    over the tail of g. Normal forms modulo a reduced basis are unique and
+    linear, so each entry is exact. The basis is bihomogeneous, so every
+    u * t has the degree of m.
+    """
 
     def __init__(self, I):
         self.ring = I.ring
         self.gb = groebner_basis(I) if not I.is_zero() else None
-        self._nf_cache = {}
+        lms = self.gb.leading_monomials if self.gb is not None else frozenset()
+        one = (0,) * self.ring.nvars
+        self._leading = lms
+        # the basis reducers over the integers: over Q each polynomial is
+        # scaled by the lcm of its denominators
+        self._reducers = []
+        for lm, lc, tail in self.gb._reducers if self.gb is not None else ():
+            den = 1 if self.ring.field.char else lcm(lc.denominator, *(c.denominator for c in tail.values()))
+            self._reducers.append((lm, int(lc * den), {t: int(c * den) for t, c in tail.items()}))
+        # degree -> its standard monomials, sorted; the only copy of each basis
+        self._bases = {(0, 0): [] if one in lms else [one]}
+        # standard monomials of the filled degrees: a monomial of a filled
+        # degree is standard iff it is in here
+        self._standard = set(self._bases[(0, 0)])
+        # non-standard monomial -> (((monomial, integer), ...), denominator)
+        self._nf = {}
 
     def basis(self, degree):
-        monos = self.ring.monomials_of_degree(degree)
-        if self.gb is None:
-            return monos
-        return [m for m in monos if not self.gb.contains_monomial(m)]
+        """Standard monomials of the degree, in the order of monomials_of_degree."""
+        if degree[0] < 0 or degree[1] < 0:
+            return []
+        if degree not in self._bases:
+            self._fill(degree)
+        return self._bases[degree]
+
+    def _fill(self, degree):
+        """Standard monomials of the degree and of every lower degree they rest on."""
+        bases = self._bases
+        var_degrees = self.ring.degrees
+        n = self.ring.nvars
+        need = set()
+        todo = [degree]
+        while todo:
+            d = todo.pop()
+            if d[0] < 0 or d[1] < 0 or d in bases or d in need:
+                continue
+            need.add(d)
+            todo.extend((d[0] - a, d[1] - b) for a, b in var_degrees)
+        # every variable has a nonzero degree in N^2, so m/x_i comes earlier
+        # in this order than m
+        for d in sorted(need, key=lambda d: (d[1], d[0])):
+            # a candidate is met once for each x_i with m/x_i standard
+            hits = {}
+            for i, (a, b) in enumerate(var_degrees):
+                for m in bases.get((d[0] - a, d[1] - b), ()):
+                    c = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    hits[c] = hits.get(c, 0) + 1
+            std = sorted(c for c, k in hits.items() if k == n - c.count(0) and c not in self._leading)
+            bases[d] = std
+            self._standard.update(std)
 
     def multiply(self, var_index, m):
         """Coordinates of x_var * m as (((monomial, integer), ...), denominator)."""
-        mono = [0] * self.ring.nvars
-        mono[var_index] = 1
-        prod = mono_mul(m, tuple(mono))
-        if self.gb is None or not self.gb.contains_monomial(prod):
+        prod = m[:var_index] + (m[var_index] + 1,) + m[var_index + 1:]
+        if prod in self._standard:
             return (((prod, 1),), 1)
-        cached = self._nf_cache.get(prod)
-        if cached is None:
-            nf = normal_form(Polynomial(self.ring, {prod: self.ring.field.one}), self.gb)
-            cached = _clear_denominators(dict(nf.terms), self.ring.field.char)
-            self._nf_cache[prod] = cached
-        return cached
+        cached = self._nf.get(prod)
+        if cached is not None:
+            return cached
+        # the degree of the product may not be filled yet
+        self.basis(self.ring.monomial_degree(prod))
+        if prod in self._standard:
+            return (((prod, 1),), 1)
+        return self._normal_form(prod)
 
+    def _normal_form(self, mono):
+        """Table entry of a non-standard monomial whose degree is filled.
 
-def _clear_denominators(coeffs, char):
-    """(integer pairs, denominator) representing coeffs as pairs/den.
+        An explicit stack drives the recursion: a chain of reductions can be
+        as long as the degree has monomials.
+        """
+        nf = self._nf
+        standard = self._standard
+        reducers = self._reducers
+        stack = [mono]
+        while stack:
+            top = stack[-1]
+            if top in nf:
+                stack.pop()
+                continue
+            lm, lc, tail = next(r for r in reducers if mono_divides(r[0], top))
+            u = mono_div(top, lm)
+            terms = [(mono_mul(u, t), c) for t, c in tail.items()]
+            pending = [v for v, _ in terms if v not in standard and v not in nf]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            nf[top] = self._combine(terms, lc)
+        return nf[mono]
 
-    Pairs take less memory than a dict, and the Koszul caches hold one per product.
-    """
-    if char:
-        return (tuple((m, int(c) % char) for m, c in coeffs.items() if int(c) % char), 1)
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return (tuple((m, int(c * den)) for m, c in coeffs.items()), den)
+    def _combine(self, terms, lc):
+        """-(1/lc) * sum of c * NF(v) over the (v, c) terms, as (pairs, denominator).
+
+        Over Q the result is in lowest terms: the denominator is positive and no
+        prime divides it and every numerator.
+        """
+        standard, nf, char = self._standard, self._nf, self.ring.field.char
+        entries = [(((v, 1),), 1) if v in standard else nf[v] for v, _ in terms]
+        acc = {}
+        if char:
+            for (_, c), (pairs, _) in zip(terms, entries):
+                for w, k in pairs:
+                    acc[w] = (acc.get(w, 0) + c * k) % char
+            fac = -pow(lc, -1, char)
+            return (tuple((w, k * fac % char) for w, k in acc.items() if k), 1)
+        den = lcm(*(d for _, d in entries))
+        for (_, c), (pairs, d) in zip(terms, entries):
+            fac = c * (den // d)
+            for w, k in pairs:
+                acc[w] = acc.get(w, 0) + fac * k
+        den *= lc
+        pairs = [(w, -k) for w, k in acc.items() if k]
+        g = gcd(den, *(k for _, k in pairs))
+        return (tuple((w, k // g) for w, k in pairs), den // g)
 
 
 def _degree_window(caps):
@@ -130,10 +226,15 @@ def _lcm_support(pieces, caps):
         return support
     reached = {degree(m) for m in gens}
     # every lcm lies at or above the componentwise minimum of the generator
-    # degrees, so once all window degrees there are reached nothing is missed
+    # degrees in a window degree that holds a monomial, so once all those
+    # degrees are reached nothing is missed
     lo_a = min(d[0] for d in reached)
     lo_b = min(d[1] for d in reached)
-    reachable = (amax - lo_a + 1) * (bmax - lo_b + 1)
+    holding = {(0, 0)}
+    for a, b in _degree_window(caps):
+        if any((a - p, b - q) in holding for p, q in pieces.ring.degrees):
+            holding.add((a, b))
+    reachable = sum(1 for a, b in holding if a >= lo_a and b >= lo_b)
     seen = set(gens)
     todo = list(gens)
     while todo and len(reached) < reachable:
@@ -162,16 +263,6 @@ def _koszul_betti(pieces, caps, euler_numerator):
     var_degrees = ring.degrees
     char = ring.field.char
 
-    basis_cache = {}
-
-    def basis(deg):
-        if deg not in basis_cache:
-            if deg[0] < 0 or deg[1] < 0:
-                basis_cache[deg] = []
-            else:
-                basis_cache[deg] = pieces.basis(deg)
-        return basis_cache[deg]
-
     def subset_degree(T):
         a = b = 0
         for i in T:
@@ -187,17 +278,9 @@ def _koszul_betti(pieces, caps, euler_numerator):
         out = {}
         for T, td in subsets[p]:
             rem = (deg[0] - td[0], deg[1] - td[1])
-            for key in basis(rem):
+            for key in pieces.basis(rem):
                 out[(T, key)] = len(out)
         return out
-
-    mult_cache = {}
-
-    def mult(i, key):
-        ck = (i, key)
-        if ck not in mult_cache:
-            mult_cache[ck] = pieces.multiply(i, key)
-        return mult_cache[ck]
 
     def betti_numbers(deg):
         """beta_p in degree deg for p = 0..n."""
@@ -216,7 +299,7 @@ def _koszul_betti(pieces, caps, euler_numerator):
                 blocks = []
                 den = 1
                 for j, i in enumerate(T):
-                    vec, d = mult(i, key)
+                    vec, d = pieces.multiply(i, key)
                     blocks.append((T[:j] + T[j + 1:], 1 if j % 2 == 0 else -1, vec, d))
                     den = lcm(den, d)
                 row = {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -314,6 +315,22 @@ class GroebnerBasis:
     def contains_monomial(self, mono):
         return any(mono_divides(lm, mono) for lm in self.leading_monomials)
 
+    @cached_property
+    def _reducers(self):
+        """(lm, lc, tail) of each polynomial, leading data taken in the basis order.
+
+        The tail is a dict monomial -> coefficient that callers only read.
+        Built once per basis; every reduction against the basis reads its
+        leading data here.
+        """
+        keyfn = self.order.key_function(self.ring.nvars)
+        out = []
+        for g in self.polys:
+            tail = dict(g.terms)
+            lm = max(tail, key=keyfn)
+            out.append((lm, tail.pop(lm), tail))
+        return tuple(out)
+
 
 class Ideal:
     """An ideal given by generators, with a per-order Groebner cache."""
@@ -384,20 +401,13 @@ def normal_form(f, G):
     char = G.ring.field.char
     work = dict(f.terms)
     rem = {}
-    # leading data is taken in the basis order, which may differ from the
-    # ring's display order
-    glist = []
-    for g in G.polys:
-        d = dict(g.terms)
-        lm = max(d, key=keyfn)
-        glist.append((lm, d[lm], [(m, c) for m, c in d.items() if m != lm]))
     while work:
         m = max(work, key=keyfn)
         c = work.pop(m)
         hit = None
-        for lm, lc, tail in glist:
-            if mono_divides(lm, m):
-                hit = (lm, lc, tail)
+        for reducer in G._reducers:
+            if mono_divides(reducer[0], m):
+                hit = reducer
                 break
         if hit is None:
             rem[m] = c
@@ -405,7 +415,7 @@ def normal_form(f, G):
         lm, lc, tail = hit
         u = mono_div(m, lm)
         fac = (c * pow(lc, -1, char)) % char if char else c / lc
-        for mt, ct in tail:
+        for mt, ct in tail.items():
             k = mono_mul(mt, u)
             v = work.get(k, 0) - fac * ct
             if char:
@@ -431,10 +441,8 @@ def spairs_reduce_to_zero(G):
     keyfn = G.order.key_function(G.ring.nvars)
     char = G.ring.field.char
     ds = [_to_int_poly(g) for g in G.polys]
-    reducers = []
-    for d in ds:
-        lm = max(d, key=keyfn)
-        reducers.append((lm, d[lm], {m: c for m, c in d.items() if m != lm}))
+    reducers = [(lm, d[lm], {m: c for m, c in d.items() if m != lm})
+                for (lm, _, _), d in zip(G._reducers, ds)]
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
             s = _spoly(ds[i], ds[j], keyfn, char)

@@ -285,3 +285,104 @@ def test_lcm_support_skip_matches_full_window(case, request, monkeypatch):
     skipped = build().to_json()
     monkeypatch.setattr(betti, "_lcm_support", lambda pieces, caps: set(betti._degree_window(caps)))
     assert build().to_json() == skipped
+
+
+def test_lcm_support_stops_early_on_rees_window(monkeypatch):
+    # the window cell (3, 2) holds no monomial (b = 2 needs a >= 4); once it
+    # is not waited for, the closure stops before its worklist runs dry
+    from functools import reduce
+    from itertools import combinations
+
+    from reeslab import betti
+    from reeslab.rees import rees_presentation
+    from reeslab.rings import mono_lcm
+
+    A = graded_ring(["x", "y", "z"])
+    I = Ideal(A, [parse_polynomial(g, A) for g in ("x^2", "y^2", "z^2", "x*y")])
+    pieces = _QuotientPieces(rees_presentation(I).defining_ideal)
+    degree = pieces.ring.monomial_degree
+    window = (5, 2)
+
+    def inside(m):
+        return degree(m)[0] <= window[0] and degree(m)[1] <= window[1]
+
+    gens = [m for m in pieces.gb.leading_monomials if inside(m)]
+    lcms = {reduce(mono_lcm, S) for r in range(1, len(gens) + 1) for S in combinations(gens, r)}
+    closure = {m for m in lcms if inside(m)}
+    calls = []
+
+    def counting_lcm(a, b):
+        calls.append((a, b))
+        return mono_lcm(a, b)
+
+    monkeypatch.setattr(betti, "mono_lcm", counting_lcm)
+    assert _lcm_support(pieces, window) == {(0, 0)} | {degree(m) for m in closure}
+    # running the closure to the end pairs every lcm in the window with every generator
+    assert len(calls) < len(gens) * len(closure)
+
+
+def _quartic_square(field):
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"], field=field)
+    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    return ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 2)
+
+
+def _rational_coefficients():
+    # the monic basis has denominators 2, 3, 57 and 4649
+    A = graded_ring(["x", "y", "z"])
+    gens = ("2*x^2 + 3*x*y - 5*y^2", "x*z - 7*y*z + 4*z^2", "3*y^3 - x*z^2")
+    return Ideal(A, [parse_polynomial(g, A) for g in gens])
+
+
+@pytest.mark.parametrize("case", [
+    "quartic_square", "quartic_square_mod_p", "twisted_cubic_cube", "twisted_cubic_rees", "planar_fat_rees",
+    "rational_coefficients",
+])
+def test_quotient_pieces_match_division(case, request):
+    # the order-ideal bases and the normal-form table against monomial
+    # membership and division by the basis, degree by degree
+    from math import lcm
+
+    from reeslab.groebner import normal_form
+    from reeslab.rees import rees_presentation
+    from reeslab.rings import Polynomial
+
+    I, window = {
+        "quartic_square": lambda: (_quartic_square(QQ), (9, 0)),
+        "quartic_square_mod_p": lambda: (_quartic_square(PrimeField(32003)), (9, 0)),
+        "twisted_cubic_cube": lambda: (ideal_power(request.getfixturevalue("twisted_cubic"), 3), (10, 0)),
+        "twisted_cubic_rees": lambda: (request.getfixturevalue("twisted_cubic_rees").defining_ideal, (9, 4)),
+        "planar_fat_rees": lambda: (
+            rees_presentation(request.getfixturevalue("planar_fat_ideal")).defining_ideal, (23, 3)),
+        "rational_coefficients": lambda: (_rational_coefficients(), (8, 0)),
+    }[case]()
+    pieces = _QuotientPieces(I)
+    ring, gb = I.ring, pieces.gb
+    char = ring.field.char
+    nonstandard = 0
+    for a in range(window[0] + 1):
+        for b in range(window[1] + 1):
+            monos = ring.monomials_of_degree((a, b))
+            basis = pieces.basis((a, b))
+            assert basis == [m for m in monos if not gb.contains_monomial(m)]
+            for m in basis:
+                for i in range(ring.nvars):
+                    prod = tuple(e + (j == i) for j, e in enumerate(m))
+                    nf = normal_form(Polynomial(ring, {prod: ring.field.one}), gb)
+                    pairs, den = pieces.multiply(i, m)
+                    # denominators cleared: the least common one, so the
+                    # coefficients share no factor with it
+                    d = 1 if char else lcm(*(c.denominator for _, c in nf.terms))
+                    expected = {w: int(c * d) % char if char else int(c * d) for w, c in nf.terms}
+                    assert (dict(pairs), den) == (expected, d)
+                    nonstandard += (prod, 1) not in pairs
+    assert nonstandard
+
+
+def test_deep_degree_quotient_table():
+    # standard bases of 1100 consecutive degrees, filled without recursion
+    A = graded_ring(["x", "y"])
+    I = Ideal(A, [parse_polynomial("x^1100", A), parse_polynomial("y", A)])
+    table = graded_betti_table(I, 1101, "quotient")
+    assert table.entries == ((0, (0, 0), 1), (1, (1, 0), 1), (1, (1100, 0), 1), (2, (1101, 0), 1))
