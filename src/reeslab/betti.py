@@ -84,12 +84,8 @@ class _QuotientPieces:
         lms = self.gb.leading_monomials if self.gb is not None else frozenset()
         one = (0,) * self.ring.nvars
         self._leading = lms
-        # the basis reducers over the integers: over Q each polynomial is
-        # scaled by the lcm of its denominators
-        self._reducers = []
-        for lm, lc, tail in self.gb._reducers if self.gb is not None else ():
-            den = 1 if self.ring.field.char else lcm(lc.denominator, *(c.denominator for c in tail.values()))
-            self._reducers.append((lm, int(lc * den), {t: int(c * den) for t, c in tail.items()}))
+        # the integer (lm, lc, tail) triples of the basis
+        self._reducers = self.gb._triples if self.gb is not None else ()
         # degree -> its standard monomials, sorted; the only copy of each basis
         self._bases = {(0, 0): [] if one in lms else [one]}
         # standard monomials of the filled degrees: a monomial of a filled

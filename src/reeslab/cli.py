@@ -87,14 +87,6 @@ def _print_text(report, indent=0):
         walk(k, report[k], 0)
 
 
-def _series_json(series):
-    return series.to_json()
-
-
-def _power_ideal(problem, j):
-    return ideal_power(problem.ideal, j)
-
-
 # ---------------------------------------------------------------------------
 # command payload producers (pure JSON out, cache-friendly)
 
@@ -111,17 +103,17 @@ def _cmd_gb(args, problem):
 
 
 def _cmd_hs(args, problem):
-    I = _power_ideal(problem, args.power)
+    I = ideal_power(problem.ideal, args.power)
     series = hilbert_series_ideal(I, args.module)
     return (
-        {"power": args.power, "module": args.module, "series": _series_json(series)},
+        {"power": args.power, "module": args.module, "series": series.to_json()},
         ["initial-ideal-series-invariance", "monomial-pivot-recursion"],
         [],
     )
 
 
 def _cmd_hp(args, problem):
-    I = _power_ideal(problem, args.power)
+    I = ideal_power(problem.ideal, args.power)
     series = hilbert_series_ideal(I, args.module)
     hp = hilbert_polynomial(series)
     return (
@@ -139,14 +131,14 @@ def _cmd_hp(args, problem):
 def _cmd_powers(args, problem):
     out = []
     for j in range(1, args.max_power + 1):
-        Ij = _power_ideal(problem, j)
+        Ij = ideal_power(problem.ideal, j)
         series = hilbert_series_ideal(Ij, "ideal")
         out.append(
             {
                 "power": j,
                 "minimal_generators": len(Ij.gens),
                 "generator_degrees": sorted(g.multidegree()[0] for g in Ij.gens),
-                "series": _series_json(series),
+                "series": series.to_json(),
             }
         )
     return ({"powers": out}, ["degreewise-minimal-generators"], [])
@@ -162,7 +154,7 @@ def _cmd_fit_hp(args, problem):
     h = _quotient_height(problem)
     samples = {}
     for j in range(1, args.max_power + 1):
-        samples[j] = hilbert_polynomial(hilbert_series_ideal(_power_ideal(problem, j), "quotient"))
+        samples[j] = hilbert_polynomial(hilbert_series_ideal(ideal_power(problem.ideal, j), "quotient"))
     family = fit_hilbert_polynomials(samples, n, h)
     payload = family.to_json()
     payload["height"] = h
@@ -194,7 +186,7 @@ def _cmd_fit_hs(args, problem):
     if args.predict:
         payload["predicted"] = {
             "power": args.predict,
-            "series": _series_json(template.predict(args.predict)),
+            "series": template.predict(args.predict).to_json(),
         }
     return (payload, [route], [])
 
@@ -210,7 +202,7 @@ def _cmd_mixed_mult(args, problem):
     l = fiber_cone(P).spread
     samples = {}
     for j in range(1, args.max_power + 1):
-        samples[j] = hilbert_polynomial(hilbert_series_ideal(_power_ideal(problem, j), "quotient"))
+        samples[j] = hilbert_polynomial(hilbert_series_ideal(ideal_power(problem.ideal, j), "quotient"))
     family = fit_hilbert_polynomials(samples, n, h)
     mm = mixed_multiplicities(family, d, l)
     payload = mm.to_json()
@@ -226,7 +218,7 @@ def _auto_cap(problem, I, requested):
 
 
 def _cmd_betti(args, problem):
-    I = _power_ideal(problem, args.power)
+    I = ideal_power(problem.ideal, args.power)
     cap = _auto_cap(problem, I if args.module == "ideal" else problem.ideal, args.degree_cap)
     for attempt in range(4):
         table = graded_betti_table(I, cap, args.module)
@@ -240,7 +232,7 @@ def _cmd_betti(args, problem):
 
 
 def _cmd_reg(args, problem):
-    I = _power_ideal(problem, args.power)
+    I = ideal_power(problem.ideal, args.power)
     cap = _auto_cap(problem, I, args.degree_cap)
     table = None
     for attempt in range(4):
@@ -259,7 +251,7 @@ def _cmd_reg(args, problem):
 def _cmd_rees(args, problem):
     P = rees_presentation(problem.ideal)
     payload = P.report()
-    payload["series"] = _series_json(bigraded_hilbert_series_rees(P))
+    payload["series"] = bigraded_hilbert_series_rees(P).to_json()
     return (payload, ["blowup-presentation-by-elimination"], [])
 
 

@@ -293,22 +293,11 @@ def _colon_piece_equal(J, gb, h, m, q):
     monos = ring.monomials_of_degree((m, q))
     if not monos:
         return True
-    dim_J = sum(1 for mono in monos if gb is not None and gb.contains_monomial(mono))
     # kernel of multiplication by h into (S/J)_(m+1, q)
     target = {}
-    span_rows = []
+    span = VectorSpan(0)
     for mono in monos:
         f = Polynomial(ring, {mono: ring.field.one}) * h
         nf = normal_form(f, gb) if gb is not None else f
-        row = {}
-        for mm, c in nf.terms:
-            col = target.setdefault(mm, len(target))
-            row[col] = c
-        span_rows.append(row)
-    span = VectorSpan(0)
-    rank = 0
-    for row in span_rows:
-        if span.add(row):
-            rank += 1
-    kernel = len(monos) - rank
-    return kernel == dim_J
+        span.add({target.setdefault(mm, len(target)): c for mm, c in nf.terms})
+    return len(monos) - span.rank == _piece_dimension(gb, ring, (m, q))

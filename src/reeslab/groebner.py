@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 from .rings import (
     DEGREVLEX,
@@ -24,7 +23,9 @@ from .rings import (
 # ---------------------------------------------------------------------------
 # internal integer polynomials: dict mono -> int.
 # Over Q the representative is primitive (content 1, positive lead);
-# over F_p coefficients live in [0, p).
+# over F_p coefficients live in [0, p). A polynomial that others are reduced
+# against is split once into its triple (lm, lc, tail): leading monomial,
+# leading coefficient and a dict of the other terms, which nobody mutates.
 
 _STRIP_BITS = 512
 
@@ -44,50 +45,37 @@ def _content_strip(d, char):
 
 
 def _to_int_poly(f):
-    """Clear denominators of a Polynomial; returns a primitive dict."""
+    """Integer dict of a Polynomial and the integer its coefficients were scaled by."""
     char = f.ring.field.char
     if char:
-        return {m: c % char for m, c in f.terms if c % char}
-    den = 1
-    for _, c in f.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    d = {m: int(c * den) for m, c in f.terms}
-    return _content_strip(d, 0)
-
-
-def _from_int_poly(ring, d, monic_key=None):
-    """Back to a Polynomial, monic when a key is supplied."""
-    char = ring.field.char
-    if not d:
-        return ring.zero()
-    if char:
-        if monic_key is not None:
-            lm = max(d, key=monic_key)
-            inv = pow(d[lm], -1, char)
-            return Polynomial(ring, {m: (c * inv) % char for m, c in d.items()})
-        return Polynomial(ring, dict(d))
-    if monic_key is not None:
-        lm = max(d, key=monic_key)
-        lc = d[lm]
-        return Polynomial(ring, {m: Fraction(c, lc) for m, c in d.items()})
-    return Polynomial(ring, {m: Fraction(c) for m, c in d.items()})
+        return {m: c % char for m, c in f.terms if c % char}, 1
+    den = lcm(*(c.denominator for _, c in f.terms))
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms}, den
 
 
 def _normal_form_int(f, reducers, keyfn, char):
-    """Full normal form of the dict-poly f against (lm, lc, tail) reducers."""
-    f = dict(f)
+    """Full normal form of the dict-poly f against (lm, lc, tail) reducers; f is consumed.
+
+    Returns (lead, rem, scale) with rem = scale * NF(f) and lead its leading
+    monomial (None when rem is zero). Over Q rem is primitive with a positive
+    lead, and scale is the product of the factors the reduction multiplied by
+    and divided out; over F_p scale is 1.
+    """
     rem = {}
+    lead = None
+    num = den = 1
     steps = 0
     while f:
         m = max(f, key=keyfn)
         c = f.pop(m)
-        hit = None
-        for lm, lc, tail in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lc, tail)
+        for hit in reducers:
+            if mono_divides(hit[0], m):
                 break
-        if hit is None:
+        else:
+            # terms leave f in decreasing order, so the first one kept leads
             rem[m] = c
+            if lead is None:
+                lead = m
             continue
         lm, lc, tail = hit
         u = mono_div(m, lm)
@@ -106,6 +94,7 @@ def _normal_form_int(f, reducers, keyfn, char):
             if a < 0:
                 a, b = -a, -b
             if a != 1:
+                num *= a
                 for k in f:
                     f[k] *= a
                 for k in rem:
@@ -125,30 +114,33 @@ def _normal_form_int(f, reducers, keyfn, char):
                 for c2 in rem.values():
                     g = gcd(g, c2)
                 if g > 1:
+                    den *= g
                     for k in f:
                         f[k] //= g
                     for k in rem:
                         rem[k] //= g
-    _content_strip(rem, char)
-    if not char and rem:
-        lm = max(rem, key=keyfn)
-        if rem[lm] < 0:
-            for k in rem:
-                rem[k] = -rem[k]
-    return rem
+    if char or lead is None:
+        return lead, rem, 1
+    g = 0
+    for c in rem.values():
+        g = gcd(g, c)
+    if rem[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in rem:
+            rem[k] //= g
+    return lead, rem, Fraction(num, den * g)
 
 
-def _spoly(fi, fj, keyfn, char):
-    lmi = max(fi, key=keyfn)
-    lmj = max(fj, key=keyfn)
+def _spoly(ti, tj, char):
+    """S-polynomial of two (lm, lc, tail) triples: their leading terms cancel."""
+    lmi, ci, fi = ti
+    lmj, cj, fj = tj
     L = mono_lcm(lmi, lmj)
     ui, uj = mono_div(L, lmi), mono_div(L, lmj)
-    ci, cj = fi[lmi], fj[lmj]
-    out = {}
     if char:
-        fac = (cj * pow(ci, -1, char)) % char
-        for m, c in fi.items():
-            out[mono_mul(m, ui)] = (c * fac) % char
+        ai = (cj * pow(ci, -1, char)) % char
+        out = {mono_mul(m, ui): c * ai % char for m, c in fi.items()}
         for m, c in fj.items():
             k = mono_mul(m, uj)
             v = (out.get(k, 0) - c) % char
@@ -159,8 +151,7 @@ def _spoly(fi, fj, keyfn, char):
         return out
     g = gcd(ci, cj)
     ai, aj = cj // g, ci // g
-    for m, c in fi.items():
-        out[mono_mul(m, ui)] = c * ai
+    out = {mono_mul(m, ui): c * ai for m, c in fi.items()}
     for m, c in fj.items():
         k = mono_mul(m, uj)
         v = out.get(k, 0) - c * aj
@@ -172,20 +163,20 @@ def _spoly(fi, fj, keyfn, char):
 
 
 def _buchberger(seqs, keyfn, char):
-    """Reduced Groebner basis of the dict-polys in seqs.
+    """Reduced Groebner basis of the dict-polys in seqs, as (lm, lc, tail) triples sorted by lm.
 
     Normal-pair selection on a (sugar, lcm) key with the Gebauer-Moeller
     update criteria; fraction-free arithmetic over Q.
     """
-    polys = []    # all accepted intermediates; index-addressed
+    triples = []    # all accepted intermediates; index-addressed
     lms = []
     sugars = []
 
-    def add_poly(f, sugar):
-        polys.append(f)
-        lms.append(max(f, key=keyfn))
+    def add_poly(lead, h, sugar):
+        triples.append((lead, h.pop(lead), h))
+        lms.append(lead)
         sugars.append(sugar)
-        return len(polys) - 1
+        return len(triples) - 1
 
     def pair_key(pair):
         i, j = pair
@@ -238,59 +229,45 @@ def _buchberger(seqs, keyfn, char):
             G.discard(g)
         G.add(h)
 
-    def reducers():
-        return [(lms[i], polys[i][lms[i]], {m: c for m, c in polys[i].items() if m != lms[i]}) for i in G]
-
     for f in seqs:
         if not f:
             continue
-        f = _content_strip(dict(f), char)
-        h = _normal_form_int(f, reducers(), keyfn, char)
-        if h:
-            idx = add_poly(h, max(sum(m) for m in h))
-            update(idx)
+        lead, h, _ = _normal_form_int(_content_strip(f, char), [triples[i] for i in G], keyfn, char)
+        if lead is not None:
+            update(add_poly(lead, h, max(sum(m) for m in h)))
 
     while B:
         pair = min(B, key=pair_key)
         B.discard(pair)
         i, j = pair
-        s = _spoly(polys[i], polys[j], keyfn, char)
-        h = _normal_form_int(s, reducers(), keyfn, char)
-        if h:
-            sug = pair_key(pair)[0]
-            idx = add_poly(h, sug)
-            update(idx)
+        s = _spoly(triples[i], triples[j], char)
+        lead, h, _ = _normal_form_int(s, [triples[k] for k in G], keyfn, char)
+        if lead is not None:
+            update(add_poly(lead, h, pair_key(pair)[0]))
 
-    # autoreduction: minimal leading monomials, fully reduced tails
-    final = [dict(polys[i]) for i in sorted(G)]
-    flms = [max(f, key=keyfn) for f in final]
-    keep = []
-    for i, lm in enumerate(flms):
-        dominated = any(
-            j != i and mono_divides(flms[j], lm) and (flms[j] != lm or j < i)
-            for j in range(len(flms))
+    # autoreduction: minimal leading monomials, fully reduced tails. The
+    # kept leading monomials divide none of each other, so only tails change.
+    final = [triples[i] for i in sorted(G)]
+    final = [
+        t for i, t in enumerate(final)
+        if not any(
+            j != i and mono_divides(u[0], t[0]) and (u[0] != t[0] or j < i)
+            for j, u in enumerate(final)
         )
-        if not dominated:
-            keep.append(i)
-    final = [final[i] for i in keep]
+    ]
     changed = True
     while changed:
         changed = False
-        for i in range(len(final)):
-            if not final[i]:
-                continue
-            others = []
-            for j, f in enumerate(final):
-                if j == i or not f:
-                    continue
-                lm = max(f, key=keyfn)
-                others.append((lm, f[lm], {m: c for m, c in f.items() if m != lm}))
-            h = _normal_form_int(final[i], others, keyfn, char)
-            if h != final[i]:
-                final[i] = h
+        for i, (lm, lc, tail) in enumerate(final):
+            others = final[:i] + final[i + 1:]
+            f = dict(tail)
+            f[lm] = lc
+            lead, h, _ = _normal_form_int(f, others, keyfn, char)
+            t = (lead, h.pop(lead), h)
+            if t != final[i]:
+                final[i] = t
                 changed = True
-    final = [f for f in final if f]
-    final.sort(key=lambda f: keyfn(max(f, key=keyfn)))
+    final.sort(key=lambda t: keyfn(t[0]))
     return final
 
 
@@ -299,12 +276,18 @@ def _buchberger(seqs, keyfn, char):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis for (ring, order); monic polynomials sorted by leading monomial."""
+    """Reduced Groebner basis for (ring, order); monic polynomials sorted by leading monomial.
+
+    _triples holds the same basis as the integer (lm, lc, tail) triples that
+    Buchberger produced, in the same order; every reduction against the basis
+    reads them.
+    """
 
     ring: RingSpec
     order: TermOrder
     polys: tuple
     leading_monomials: frozenset
+    _triples: tuple = field(compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.polys)
@@ -314,22 +297,6 @@ class GroebnerBasis:
 
     def contains_monomial(self, mono):
         return any(mono_divides(lm, mono) for lm in self.leading_monomials)
-
-    @cached_property
-    def _reducers(self):
-        """(lm, lc, tail) of each polynomial, leading data taken in the basis order.
-
-        The tail is a dict monomial -> coefficient that callers only read.
-        Built once per basis; every reduction against the basis reads its
-        leading data here.
-        """
-        keyfn = self.order.key_function(self.ring.nvars)
-        out = []
-        for g in self.polys:
-            tail = dict(g.terms)
-            lm = max(tail, key=keyfn)
-            out.append((lm, tail.pop(lm), tail))
-        return tuple(out)
 
 
 class Ideal:
@@ -382,13 +349,20 @@ def groebner_basis(I, order=None):
     cached = I._gb_cache.get(order)
     if cached is not None:
         return cached
-    keyfn = order.key_function(I.ring.nvars)
-    char = I.ring.field.char
-    seqs = [_to_int_poly(g) for g in I.gens]
-    final = _buchberger(seqs, keyfn, char)
-    polys = tuple(_from_int_poly(I.ring, f, monic_key=keyfn) for f in final)
-    lms = frozenset(max(f, key=keyfn) for f in final)
-    gb = GroebnerBasis(I.ring, order, polys, lms)
+    ring = I.ring
+    char = ring.field.char
+    seqs = [_to_int_poly(g)[0] for g in I.gens]
+    triples = tuple(_buchberger(seqs, order.key_function(ring.nvars), char))
+    polys = []
+    for lm, lc, tail in triples:
+        if char:
+            inv = pow(lc, -1, char)
+            monic = {m: c * inv % char for m, c in tail.items()}
+        else:
+            monic = {m: Fraction(c, lc) for m, c in tail.items()}
+        monic[lm] = ring.field.one
+        polys.append(Polynomial(ring, monic))
+    gb = GroebnerBasis(ring, order, tuple(polys), frozenset(t[0] for t in triples), triples)
     I._gb_cache[order] = gb
     return gb
 
@@ -397,33 +371,12 @@ def normal_form(f, G):
     """Remainder of f on division by the basis G; zero iff f lies in the ideal."""
     if f.ring != G.ring:
         raise RingError("polynomial and basis live in different rings")
-    keyfn = G.order.key_function(G.ring.nvars)
     char = G.ring.field.char
-    work = dict(f.terms)
-    rem = {}
-    while work:
-        m = max(work, key=keyfn)
-        c = work.pop(m)
-        hit = None
-        for reducer in G._reducers:
-            if mono_divides(reducer[0], m):
-                hit = reducer
-                break
-        if hit is None:
-            rem[m] = c
-            continue
-        lm, lc, tail = hit
-        u = mono_div(m, lm)
-        fac = (c * pow(lc, -1, char)) % char if char else c / lc
-        for mt, ct in tail.items():
-            k = mono_mul(mt, u)
-            v = work.get(k, 0) - fac * ct
-            if char:
-                v %= char
-            if v:
-                work[k] = v
-            else:
-                work.pop(k, None)
+    d, den = _to_int_poly(f)
+    _, rem, scale = _normal_form_int(d, G._triples, G.order.key_function(G.ring.nvars), char)
+    if not char:
+        scale *= den
+        rem = {m: c / scale for m, c in rem.items()}
     return Polynomial(f.ring, rem)
 
 
@@ -440,13 +393,10 @@ def spairs_reduce_to_zero(G):
     """Certificate check: every S-pair of the basis reduces to zero."""
     keyfn = G.order.key_function(G.ring.nvars)
     char = G.ring.field.char
-    ds = [_to_int_poly(g) for g in G.polys]
-    reducers = [(lm, d[lm], {m: c for m, c in d.items() if m != lm})
-                for (lm, _, _), d in zip(G._reducers, ds)]
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            s = _spoly(ds[i], ds[j], keyfn, char)
-            if _normal_form_int(s, reducers, keyfn, char):
+    triples = G._triples
+    for i in range(len(triples)):
+        for j in range(i + 1, len(triples)):
+            if _normal_form_int(_spoly(triples[i], triples[j], char), triples, keyfn, char)[0] is not None:
                 return False
     return True
 
@@ -540,45 +490,18 @@ def colon_ideal(I, f):
     gens = [w * lift(g) for g in I.gens]
     gens.append((ext.one() - w) * lift(f))
     inter = eliminate(Ideal(ext, gens), [0])
-    f_small = Polynomial(inter.ring, {m: c for m, c in f.terms})
+    # q = g/f is the normal form of w*g modulo the basis {w*f - 1}:
+    # w*g - q = q*(w*f - 1), and no term of q holds w
+    divide = groebner_basis(Ideal(ext, [w * lift(f) - ext.one()]))
     out = []
     for g in inter.gens:
-        q, rem = _divide_exact(g, f_small)
-        if rem:
+        q = normal_form(w * lift(g), divide)
+        if any(m[0] for m, _ in q.terms):
             raise RingError("internal error: intersection element not divisible")
-        out.append(q)
+        out.append(Polynomial(ring, {m[1:]: c for m, c in q.terms}))
     if out and all(p.is_homogeneous() for p in out):
-        out = minimal_generators(inter.ring, out)
-    return Ideal(inter.ring, out)
-
-
-def _divide_exact(g, f):
-    """g = q*f + r by leading-term division."""
-    ring = g.ring
-    keyfn = ring.key_function()
-    char = ring.field.char
-    work = dict(g.terms)
-    q = {}
-    lmf = f.leading_monomial()
-    lcf = f.leading_coefficient()
-    while work:
-        m = max(work, key=keyfn)
-        if not mono_divides(lmf, m):
-            break
-        c = work.pop(m)
-        u = mono_div(m, lmf)
-        fac = (c * pow(lcf, -1, char)) % char if char else c / lcf
-        q[u] = q.get(u, 0) + fac
-        for mt, ct in f.terms[1:]:
-            k = mono_mul(mt, u)
-            v = work.get(k, 0) - fac * ct
-            if char:
-                v %= char
-            if v:
-                work[k] = v
-            else:
-                work.pop(k, None)
-    return Polynomial(ring, q), Polynomial(ring, work)
+        out = minimal_generators(ring, out)
+    return Ideal(ring, out)
 
 
 def eliminate(J, block):

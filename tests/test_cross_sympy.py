@@ -5,13 +5,14 @@ dependency of the package.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from reeslab import Ideal, QQ, graded_ring, groebner_basis
-from reeslab.rings import LEX, Polynomial
+from reeslab import Ideal, QQ, graded_ring, groebner_basis, normal_form
+from reeslab.rings import DEGREVLEX, LEX, Polynomial
 
 
 def _to_sympy(f, symbols):
@@ -79,3 +80,28 @@ def test_twisted_cubic_matches_sympy(twisted_cubic):
     symbols = sympy.symbols(list(ring.names))
     sympy_gb = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols, order="lex")
     assert _leading_sets_match(gb, sympy_gb, symbols, "lex")
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize("seed", range(10))
+def test_normal_forms_match_sympy_reduce(seed, order):
+    rng = random.Random(2000 + seed)
+    names = ["x0", "x1", "x2"]
+    ring = graded_ring(names, order=LEX if order == "lex" else DEGREVLEX)
+    symbols = sympy.symbols(names)
+
+    def sample(terms, degree):
+        coeffs = {}
+        for _ in range(terms):
+            mono = tuple(rng.randint(0, degree) for _ in range(3))
+            coeffs[mono] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return Polynomial(ring, {m: c for m, c in coeffs.items() if c})
+
+    gens = [g for g in (sample(rng.randint(2, 3), 2) for _ in range(rng.randint(1, 3))) if g]
+    f = sample(6, 3)
+    if not gens:
+        pytest.skip("empty sample")
+    ours = normal_form(f, groebner_basis(Ideal(ring, gens)))
+    sympy_gb = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols, order=order, domain="QQ")
+    _, theirs = sympy_gb.reduce(_to_sympy(f, symbols))
+    assert sympy.expand(_to_sympy(ours, symbols) - theirs) == 0

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from reeslab import (
+    DEGLEX,
     Ideal,
     LEX,
     PrimeField,
     QQ,
     colon_ideal,
     eliminate,
+    elimination_order,
     graded_ring,
     groebner_basis,
     hilbert_series_ideal,
@@ -165,3 +167,60 @@ def test_elimination_order_property():
     order = TermOrder("elim", block=1)
     key = order.key_function(3)
     assert key((1, 0, 0)) > key((0, 5, 5))
+
+
+@pytest.mark.parametrize("order", [LEX, DEGLEX, elimination_order(1)], ids=["lex", "deglex", "elim"])
+def test_colon_stays_in_the_ring_of_the_ideal(order):
+    A = graded_ring(["X", "Y"], order=order)
+    X, Y = A.variable(0), A.variable(1)
+    C = colon_ideal(Ideal(A, [X * Y, Y * Y]), Y)
+    assert C.ring == A
+    assert C == Ideal(A, [X, Y])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_colon_by_a_non_monomial_divisor(field):
+    A = graded_ring(["X", "Y", "Z"], field=field)
+    f = parse_polynomial("2*X + 3*Y", A)
+    I = Ideal(A, [f * parse_polynomial("X - Y", A), parse_polynomial("Z^2", A)])
+    C = colon_ideal(I, f)
+    assert C == Ideal(A, [parse_polynomial("X - Y", A), parse_polynomial("Z^2", A)])
+    assert all(I.contains(f * g) for g in C.gens)
+    if not field.char:
+        # the intersection's basis is monic, so the quotient (X - Y)/2 is not integral
+        assert any(c.denominator != 1 for g in C.gens for _, c in g.terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("seed", range(4))
+def test_colon_times_divisor_lies_in_the_ideal(field, seed):
+    rng = random.Random(3000 + seed)
+    A = graded_ring(["X", "Y", "Z"], field=field)
+    variables = [A.variable(i) for i in range(3)]
+
+    def form(degree):
+        out = A.zero()
+        for _ in range(3):
+            term = A.one().scale(field.coerce(rng.randint(-4, 4)))
+            for _ in range(degree):
+                term = term * rng.choice(variables)
+            out = out + term
+        return out
+
+    f = form(1) + form(1)
+    if not f:
+        pytest.skip("zero divisor drawn")
+    I = Ideal(A, [f * form(1), form(2), form(3)])
+    C = colon_ideal(I, f)
+    assert all(C.contains(g) for g in I.gens)
+    assert all(I.contains(f * g) for g in C.gens)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("divisor", ["X1", "X1 + 2*X2 - X4", "X2^2 + X1*X4"])
+def test_colon_of_the_prime_twisted_cubic_is_itself(field, divisor):
+    A = graded_ring(["X1", "X2", "X3", "X4"], field=field)
+    I = Ideal(A, [parse_polynomial(s, A) for s in ("X1*X4 - X2*X3", "X2^2 - X1*X3", "X3^2 - X2*X4")])
+    f = parse_polynomial(divisor, A)
+    assert not I.contains(f)
+    assert colon_ideal(I, f) == I
