@@ -1,15 +1,16 @@
-"""Graded and bigraded Betti tables via Koszul homology; a*-invariants and regularity from shifts."""
+"""Graded and bigraded Betti tables from in(I) and Koszul homology; a*-invariants and regularity from shifts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
+from operator import le
 
 from ._linalg import VectorSpan
 from .groebner import groebner_basis
 from .hilbert import hilbert_series_ideal
-from .rings import mono_div, mono_divides, mono_lcm, mono_mul
+from .rings import mono_div, mono_divides, mono_mul
 
 
 class BettiError(ValueError):
@@ -18,11 +19,11 @@ class BettiError(ValueError):
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Ranks beta_{p, (a,b)} of a minimal free resolution, from Koszul homology."""
+    """Ranks beta_{p, (a,b)} of a minimal free resolution in a window of degrees."""
 
     ring: object
     entries: tuple            # ((p, (a, b), rank), ...) sorted
-    complete: bool
+    complete: bool            # the window covers every degree where beta(ring/in I) != 0
     window: tuple             # degree caps that were computed
     module: str               # human-readable module descriptor
 
@@ -39,13 +40,6 @@ class BettiTable:
 
     def max_index(self):
         return max((p for p, _, _ in self.entries), default=-1)
-
-    def shifts(self):
-        """Multiset of (p, (a, b)) with multiplicity = rank."""
-        out = []
-        for p, d, r in self.entries:
-            out.extend([(p, d)] * r)
-        return out
 
     def to_json(self):
         return {
@@ -200,74 +194,84 @@ def _degree_window(caps):
     return [(a, b) for b in range(bmax + 1) for a in range(amax + 1)]
 
 
-def _lcm_support(pieces, caps):
-    """Window bidegrees of the lcms of the leading monomials of the basis, plus (0, 0).
+def _monomial_betti(ring, gens):
+    """beta(ring/J) as {degree: {p: rank}} for the monomial ideal J minimally generated by gens.
 
-    The leading monomials of the reduced basis minimally generate in(I).
-    Taylor's resolution of ring/in(I) has its multidegrees among their lcms,
-    and beta(ring/I) <= beta(ring/in(I)) degree by degree (upper
-    semicontinuity), so no other degree of the window carries a Betti number.
+    beta_{p,m}(ring/J) = beta_{p-1,m}(J) = dim H~_{p-2}(K^m) for p >= 1, where
+    K^m = {squarefree tau : m - tau in J} is the upper Koszul simplicial
+    complex (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34),
+    with ranks over the field of the ring. K^m is a cone unless m lies in the
+    lcm lattice of gens, and the full simplex when some generator divides
+    m - supp(m). Such an m is dead, and so is every monomial above it, so
+    every live lattice point is the lcm of a live point and a generator, and
+    the closure expands live points only.
     """
-    support = {(0, 0)}
-    if pieces.gb is None:
-        return support
-    degree = pieces.ring.monomial_degree
-    amax, bmax = caps
+    if (0,) * ring.nvars in gens:
+        return {}  # ring/J = 0
+    gens = sorted(gens)
 
-    def inside(d):
-        return d[0] <= amax and d[1] <= bmax
+    def in_ideal(m, among):
+        return any(all(map(le, g, m)) for g in among)
 
-    gens = [m for m in pieces.gb.leading_monomials if inside(degree(m))]
-    if not gens:
-        return support
-    reached = {degree(m) for m in gens}
-    # every lcm lies at or above the componentwise minimum of the generator
-    # degrees in a window degree that holds a monomial, so once all those
-    # degrees are reached nothing is missed
-    lo_a = min(d[0] for d in reached)
-    lo_b = min(d[1] for d in reached)
-    holding = {(0, 0)}
-    for a, b in _degree_window(caps):
-        if any((a - p, b - q) in holding for p, q in pieces.ring.degrees):
-            holding.add((a, b))
-    reachable = sum(1 for a, b in holding if a >= lo_a and b >= lo_b)
+    live = list(gens)
     seen = set(gens)
-    todo = list(gens)
-    while todo and len(reached) < reachable:
-        m = todo.pop()
+    for m in live:
         for g in gens:
-            m2 = mono_lcm(m, g)
-            if m2 in seen:
-                continue
-            seen.add(m2)
-            d = degree(m2)
-            # lcms only grow, so one outside the window stays outside
-            if inside(d):
-                todo.append(m2)
-                reached.add(d)
-    return support | reached
+            m2 = tuple(map(max, m, g))
+            if m2 not in seen:
+                seen.add(m2)
+                if not in_ideal([e - 1 if e else 0 for e in m2], gens):
+                    live.append(m2)
+    out = {(0, 0): {0: 1}}
+    for m in live:
+        divisors = [g for g in gens if all(map(le, g, m))]
+        supp = [i for i, e in enumerate(m) if e]
+        faces = [[t for t in combinations(supp, k) if in_ideal([e - (i in t) for i, e in enumerate(m)], divisors)]
+                 for k in range(len(supp) + 1)]
+        # ranks[k] is the rank of the boundary from k-vertex faces to (k-1)-vertex faces
+        ranks = [0] * (len(faces) + 1)
+        for k in range(1, len(faces)):
+            span = VectorSpan(ring.field.char)
+            for tau in faces[k]:
+                span.add({tau[:j] + tau[j + 1:]: (-1) ** j for j in range(k)})
+            ranks[k] = span.rank
+        for k, faces_k in enumerate(faces):
+            h = len(faces_k) - ranks[k] - ranks[k + 1]
+            if h:
+                row = out.setdefault(ring.monomial_degree(m), {})
+                row[k + 1] = row.get(k + 1, 0) + h
+    return out
 
 
-def _koszul_betti(pieces, caps, euler_numerator):
-    """Sorted Betti entries in the window, each degree checked against the Euler numerator.
+def _koszul_degrees(pieces, initial, caps):
+    """Window degrees where beta(ring/in I) has nonzero entries at consecutive p.
 
-    Homology is computed only on the lcm support of in(I); at every other
-    window degree the Euler numerator must vanish.
+    Lifting the resolution of ring/in(I) along the Groebner degeneration
+    gives beta(ring/I) from beta(ring/in I) by cancellations of consecutive
+    entries in one degree (Peeva, Proc. AMS 2004), so only these degrees can
+    differ. A monomial reduced basis means I = in(I), and none can.
+    """
+    if all(not tail for _, _, tail in pieces._reducers):
+        return set()
+    return {
+        d for d, row in initial.items()
+        if d[0] <= caps[0] and d[1] <= caps[1] and any(p + 1 in row for p in row)
+    }
+
+
+def _koszul_betti(pieces, caps, euler_numerator, initial):
+    """Sorted Betti entries of ring/I in the window, each degree checked against the Euler numerator.
+
+    initial is beta(ring/in I) from _monomial_betti. Koszul homology runs only
+    at the degrees _koszul_degrees names; every other entry is copied from
+    initial. The Euler check covers every window degree.
     """
     ring = pieces.ring
     n = ring.nvars
-    var_degrees = ring.degrees
     char = ring.field.char
-
-    def subset_degree(T):
-        a = b = 0
-        for i in T:
-            a += var_degrees[i][0]
-            b += var_degrees[i][1]
-        return (a, b)
-
     # (T, degree of x_T) for the p-subsets T of the variables
-    subsets = [[(T, subset_degree(T)) for T in combinations(range(n), p)] for p in range(n + 1)]
+    subsets = [[(T, ring.monomial_degree([i in T for i in range(n)])) for T in combinations(range(n), p)]
+               for p in range(n + 1)]
 
     def chain_index(p, deg):
         """Column index of the basis (T, key) of K_p in degree deg, in basis order."""
@@ -314,12 +318,15 @@ def _koszul_betti(pieces, caps, euler_numerator):
             ranks[p] = span.rank
         return [len(chains[p]) - ranks[p] - ranks[p + 1] for p in range(n + 1)]
 
-    support = _lcm_support(pieces, caps)
+    koszul = _koszul_degrees(pieces, initial, caps)
     entries = []
     for deg in _degree_window(caps):
-        betas = betti_numbers(deg) if deg in support else ()
+        if deg in koszul:
+            betas = enumerate(betti_numbers(deg))
+        else:
+            betas = initial.get(deg, {}).items()
         total = 0
-        for p, beta in enumerate(betas):
+        for p, beta in betas:
             if beta < 0:
                 raise BettiError("negative rank at p=%d degree=%s" % (p, (deg,)))
             if beta:
@@ -335,36 +342,39 @@ def _koszul_betti(pieces, caps, euler_numerator):
 
 
 def _betti_table(I, window, as_module, desc):
-    """Table of I or ring/I in the window, both read off the Koszul homology of ring/I.
+    """Table of I or ring/I in the window, both read off the resolution of ring/I.
 
     Tor_p(k, I) = Tor_{p+1}(k, ring/I) for a proper ideal I; ring/I has no
     beta_0 exactly when I is the unit ideal, which is free on one generator.
+    beta(ring/I) is nonzero only where beta(ring/in I) is, so the table is
+    complete when the window covers that support; window None is its top.
     """
     if as_module not in ("ideal", "quotient"):
         raise BettiError("as_module must be 'ideal' or 'quotient'")
     ring = I.ring
+    pieces = _QuotientPieces(I)
+    initial = _monomial_betti(ring, pieces._leading)
+    top = (max((d[0] for d in initial), default=0), max((d[1] for d in initial), default=0))
+    if window is None:
+        window = top
+    complete = top[0] <= window[0] and top[1] <= window[1]
     # numerator over the full variable denominator IS the Euler polynomial
     euler = dict(hilbert_series_ideal(I).num)
-    entries = _koszul_betti(_QuotientPieces(I), window, euler)
+    entries = _koszul_betti(pieces, window, euler, initial)
     if as_module == "ideal":
         if entries and entries[0][0] == 0:
             entries = tuple((p - 1, d, r) for p, d, r in entries if p)
         else:
             entries = ((0, (0, 0), 1),)
-    # completeness: a zero band of width = nvars in total degree beyond the
-    # last nonzero entry, with the window covering the whole band.
-    band_end = max((d[0] + d[1] for _, d, _ in entries), default=-1) + ring.nvars
-    complete = window[0] >= band_end
-    if any(d[1] > 0 for d in ring.degrees):
-        complete = complete and window[1] >= band_end
     return BettiTable(ring, entries, complete, window, desc)
 
 
-def graded_betti_table(I, degree_cap, as_module="ideal"):
+def graded_betti_table(I, degree_cap=None, as_module="ideal"):
     """beta_{p,q} = dim Tor_p(k, M)_q for q <= cap, M = I or ring/I.
 
     The table of I is the table of ring/I shifted down one homological
-    degree (the unit ideal gives beta_{0,0} = 1).
+    degree (the unit ideal gives beta_{0,0} = 1). Without a cap the table
+    runs to the top degree of beta(ring/in I) and is complete.
     """
     if not I.is_homogeneous():
         raise BettiError("module must be homogeneous")
@@ -374,10 +384,10 @@ def graded_betti_table(I, degree_cap, as_module="ideal"):
         if I.is_zero():
             raise BettiError("the zero ideal has an empty resolution")
         gen_max = max(g.multidegree()[0] for g in I.gens)
-        if degree_cap < gen_max:
+        if degree_cap is not None and degree_cap < gen_max:
             raise BettiError("cap %d below the largest generator degree %d" % (degree_cap, gen_max))
     desc = "%s(%s)" % (as_module, ", ".join(repr(g) for g in I.gens))
-    return _betti_table(I, (degree_cap, 0), as_module, desc)
+    return _betti_table(I, None if degree_cap is None else (degree_cap, 0), as_module, desc)
 
 
 def bigraded_betti_table(defining_ideal, window, as_module="quotient"):

@@ -210,22 +210,10 @@ def _cmd_mixed_mult(args, problem):
     return (payload, ["mixed-multiplicity-transfer"], ["not primary to the irrelevant ideal"])
 
 
-def _auto_cap(problem, I, requested):
-    if requested:
-        return requested
-    top = max(g.multidegree()[0] for g in I.gens)
-    return top + problem.ring.nvars + 2
-
-
 def _cmd_betti(args, problem):
     I = ideal_power(problem.ideal, args.power)
-    cap = _auto_cap(problem, I if args.module == "ideal" else problem.ideal, args.degree_cap)
-    for attempt in range(4):
-        table = graded_betti_table(I, cap, args.module)
-        if table.complete:
-            break
-        cap += problem.ring.nvars + 2
-    payload = dict(table.to_json(), degree_cap=cap, power=args.power)
+    table = graded_betti_table(I, args.degree_cap, args.module)
+    payload = dict(table.to_json(), degree_cap=table.window[0], power=args.power)
     if table.complete:
         payload["invariants"] = invariants_from_shifts(table).to_json()
     return (payload, ["koszul-homology-ranks", "shift-reading-of-invariants"], [])
@@ -233,19 +221,8 @@ def _cmd_betti(args, problem):
 
 def _cmd_reg(args, problem):
     I = ideal_power(problem.ideal, args.power)
-    cap = _auto_cap(problem, I, args.degree_cap)
-    table = None
-    for attempt in range(4):
-        table = graded_betti_table(I, cap, "ideal")
-        if table.complete:
-            break
-        cap += problem.ring.nvars + 2
-    inv = invariants_from_shifts(table)
-    return (
-        dict(inv.to_json(), power=args.power),
-        ["shift-reading-of-invariants"],
-        [],
-    )
+    inv = invariants_from_shifts(graded_betti_table(I, args.degree_cap, "ideal"))
+    return (dict(inv.to_json(), power=args.power), ["shift-reading-of-invariants"], [])
 
 
 def _cmd_rees(args, problem):

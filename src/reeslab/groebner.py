@@ -505,7 +505,11 @@ def colon_ideal(I, f):
 
 
 def eliminate(J, block):
-    """J cap k[remaining variables]; block lists the variable indices to remove."""
+    """J cap k[remaining variables]; block lists the variable indices to remove.
+
+    The result lives in the ring of the remaining variables with degrevlex
+    order, whatever the order of J's ring.
+    """
     ring = J.ring
     block = sorted(set(block))
     rest = [i for i in range(ring.nvars) if i not in block]

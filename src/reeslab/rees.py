@@ -103,7 +103,11 @@ class ReesPresentation:
 
 
 def rees_presentation(I, check_dimension=True):
-    """Kernel of Y_j -> f_j t by eliminating t from (Y_1 - f_1 t, ..., Y_r - f_r t)."""
+    """Kernel of Y_j -> f_j t by eliminating t from (Y_1 - f_1 t, ..., Y_r - f_r t).
+
+    The ring S = k[X; Y] of the defining ideal has degrevlex order, whatever
+    the order of I's ring: it is the ring of the elimination.
+    """
     if I.is_zero():
         raise ReesError("the zero ideal has no blow-up presentation")
     if not I.is_homogeneous():
@@ -205,8 +209,11 @@ def reduction_number_bounds(F, fiber_betti):
 
     The lower end uses the shift formula for the dim-F cohomological index;
     it is certified when the fiber cone is Cohen-Macaulay or the extremal
-    strictness condition holds, and otherwise falls back to 0.
+    strictness condition holds, and otherwise falls back to 0. Both ends
+    need the whole table, so a truncated one is refused.
     """
+    if not fiber_betti.complete:
+        raise ReesError("fiber cone table is truncated; enlarge the window")
     r = F.ring.nvars
     l = F.spread
     rows = fiber_betti.rows()

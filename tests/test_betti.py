@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from reeslab import (
@@ -13,7 +15,7 @@ from reeslab import (
 from reeslab.betti import (
     BettiError,
     _koszul_betti,
-    _lcm_support,
+    _monomial_betti,
     _QuotientPieces,
     bigraded_betti_table,
     graded_betti_table,
@@ -74,7 +76,9 @@ def test_projdim_examples(twisted_cubic):
 
 
 def test_truncated_table_rejected(twisted_cubic):
-    B = graded_betti_table(ideal_power(twisted_cubic, 2), 7, "ideal")
+    # beta(S/in I^2) reaches degree 6, so cap 7 holds the whole table
+    assert graded_betti_table(ideal_power(twisted_cubic, 2), 7, "ideal").complete
+    B = graded_betti_table(ideal_power(twisted_cubic, 2), 5, "ideal")
     assert not B.complete
     with pytest.raises(BettiError):
         invariants_from_shifts(B)
@@ -207,9 +211,13 @@ def test_bigraded_ideal_table_of_monomial_complete_intersection():
     table = bigraded_betti_table(I, (9, 9), as_module="ideal")
     assert table.entries == expected
     assert table.complete
-    truncated = bigraded_betti_table(I, (5, 5), as_module="ideal")
-    assert truncated.entries == expected
+    assert bigraded_betti_table(I, (5, 5), as_module="ideal").complete
+    truncated = bigraded_betti_table(I, (5, 2), as_module="ideal")
+    assert truncated.entries == expected[:1]
     assert not truncated.complete
+    # complete exactly when the window covers the support, top (2, 3)
+    windows = ((2, 3), (1, 3), (2, 2), (9, 3))
+    assert [bigraded_betti_table(I, w).complete for w in windows] == [True, False, False, True]
 
 
 def test_unit_ideal_table_is_free_of_rank_one():
@@ -227,16 +235,29 @@ def _pure_powers():
     return Ideal(A, [parse_polynomial("x^10", A), parse_polynomial("y^10", A)])
 
 
-def test_lcm_support_of_pure_powers():
-    pieces = _QuotientPieces(_pure_powers())
-    assert _lcm_support(pieces, (25, 0)) == {(0, 0), (10, 0), (20, 0)}
-    assert _lcm_support(pieces, (15, 0)) == {(0, 0), (10, 0)}
+def test_pure_powers_table_runs_to_the_top_of_the_initial_support():
+    # x^10, y^10 is a regular sequence: 0 -> S(-20) -> S(-10)^2 resolves I
+    table = graded_betti_table(_pure_powers())
+    assert table.window == (20, 0) and table.complete
+    assert table.entries == ((0, (10, 0), 2), (1, (20, 0), 1))
+    inv = invariants_from_shifts(table)
+    assert inv.reg == (19, 0) and inv.proj_dim == 1
+    truncated = graded_betti_table(_pure_powers(), 12)
+    assert not truncated.complete
+    with pytest.raises(BettiError):
+        invariants_from_shifts(truncated)
+    # complete exactly when the window reaches the top of beta(S/in I)
+    assert [graded_betti_table(_pure_powers(), cap, "quotient").complete for cap in (10, 19, 20, 21)] == [
+        False, False, True, True]
 
 
-def test_lcm_support_of_twisted_cubic_rees(twisted_cubic_rees, rees_table):
-    support = _lcm_support(_QuotientPieces(twisted_cubic_rees.defining_ideal), (15, 15))
-    assert len(support) == 5
-    assert {d for _, d, _ in rees_table.entries} <= support
+def test_monomial_betti_of_small_ideals():
+    A = graded_ring(["x", "y"])
+    assert _monomial_betti(A, [(10, 0), (0, 10)]) == {(0, 0): {0: 1}, (10, 0): {1: 2}, (20, 0): {2: 1}}
+    assert _monomial_betti(A, []) == {(0, 0): {0: 1}}
+    assert _monomial_betti(A, [(0, 0)]) == {}
+    # (x^2, xy, y^2): 0 -> S(-3)^2 -> S(-2)^3 -> S
+    assert _monomial_betti(A, [(2, 0), (1, 1), (0, 2)]) == {(0, 0): {0: 1}, (2, 0): {1: 3}, (3, 0): {2: 2}}
 
 
 def test_euler_check_covers_skipped_degrees():
@@ -244,8 +265,10 @@ def test_euler_check_covers_skipped_degrees():
     euler = dict(hilbert_series_ideal(I).num)
     assert (5, 0) not in euler
     euler[(5, 0)] = 1
+    pieces = _QuotientPieces(I)
+    initial = _monomial_betti(I.ring, pieces.gb.leading_monomials)
     with pytest.raises(BettiError, match=r"\(5, 0\)"):
-        _koszul_betti(_QuotientPieces(I), (25, 0), euler)
+        _koszul_betti(pieces, (25, 0), euler, initial)
 
 
 def _unit_or_zero(gens):
@@ -283,42 +306,56 @@ def test_lcm_support_skip_matches_full_window(case, request, monkeypatch):
         "unit": lambda: _unit_or_zero(["1"]),
     }[case]
     skipped = build().to_json()
-    monkeypatch.setattr(betti, "_lcm_support", lambda pieces, caps: set(betti._degree_window(caps)))
+    monkeypatch.setattr(betti, "_koszul_degrees", lambda pieces, initial, caps: set(betti._degree_window(caps)))
     assert build().to_json() == skipped
 
 
-def test_lcm_support_stops_early_on_rees_window(monkeypatch):
-    # the window cell (3, 2) holds no monomial (b = 2 needs a >= 4); once it
-    # is not waited for, the closure stops before its worklist runs dry
-    from functools import reduce
-    from itertools import combinations
-
+def test_koszul_degree_counts(request, monkeypatch):
+    # Koszul homology runs only where beta(S/in I) has consecutive entries
     from reeslab import betti
-    from reeslab.rees import rees_presentation
-    from reeslab.rings import mono_lcm
 
-    A = graded_ring(["x", "y", "z"])
-    I = Ideal(A, [parse_polynomial(g, A) for g in ("x^2", "y^2", "z^2", "x*y")])
-    pieces = _QuotientPieces(rees_presentation(I).defining_ideal)
-    degree = pieces.ring.monomial_degree
-    window = (5, 2)
+    counts = []
+    real = betti._koszul_degrees
 
-    def inside(m):
-        return degree(m)[0] <= window[0] and degree(m)[1] <= window[1]
+    def spy(pieces, initial, caps):
+        out = real(pieces, initial, caps)
+        counts.append(len(out))
+        return out
 
-    gens = [m for m in pieces.gb.leading_monomials if inside(m)]
-    lcms = {reduce(mono_lcm, S) for r in range(1, len(gens) + 1) for S in combinations(gens, r)}
-    closure = {m for m in lcms if inside(m)}
-    calls = []
+    monkeypatch.setattr(betti, "_koszul_degrees", spy)
+    _quartic_square_mod_p()
+    _rees_table(request.getfixturevalue("twisted_cubic"), (15, 15))
+    assert counts == [0, 1]
 
-    def counting_lcm(a, b):
-        calls.append((a, b))
-        return mono_lcm(a, b)
 
-    monkeypatch.setattr(betti, "mono_lcm", counting_lcm)
-    assert _lcm_support(pieces, window) == {(0, 0)} | {degree(m) for m in closure}
-    # running the closure to the end pairs every lcm in the window with every generator
-    assert len(calls) < len(gens) * len(closure)
+# facets of the 6-vertex triangulation of the real projective plane
+_RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+
+
+def _rp2_stanley_reisner(field):
+    # the 15 edges are all faces, so the minimal non-faces are the 10 other triangles
+    A = graded_ring(["x%d" % i for i in range(1, 7)], field=field)
+    faces = {frozenset(f) for f in _RP2_FACETS}
+    gens = ["*".join("x" + v for v in T) for T in combinations("123456", 3) if frozenset(T) not in faces]
+    assert len(gens) == 10
+    return Ideal(A, [parse_polynomial(g, A) for g in gens])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["Q", "F2", "F3"])
+def test_rp2_table_depends_on_the_characteristic(char, monkeypatch):
+    # Hochster: beta_{3,6} = dim H~_2(RP^2) and beta_{4,6} = dim H~_1(RP^2),
+    # both 1 over F_2 and 0 over Q and F_3
+    from reeslab import betti
+
+    I = _rp2_stanley_reisner(PrimeField(char) if char else QQ)
+    table = graded_betti_table(I, 8, "quotient")
+    assert table.complete
+    expected = 1 if char == 2 else 0
+    assert table.rank(3, (6, 0)) == table.rank(4, (6, 0)) == expected
+    # so the support, and completeness at cap 5, depend on the characteristic too
+    assert graded_betti_table(I, 5, "quotient").complete is (char != 2)
+    monkeypatch.setattr(betti, "_koszul_degrees", lambda pieces, initial, caps: set(betti._degree_window(caps)))
+    assert graded_betti_table(I, 8, "quotient").to_json() == table.to_json()
 
 
 def _quartic_square(field):

@@ -170,6 +170,18 @@ def test_reg_command_matches_shift_invariants(capsys, cubic_file):
     assert doc["result"]["proj_dim"] == 1
 
 
+def test_reg_of_pure_powers(capsys, tmp_path):
+    # x^10, y^10 is a regular sequence: proj dim 1, reg 20 - 1
+    path = tmp_path / "pure-powers.ring"
+    path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x^10; y^10\n")
+    code, out = run_cli(capsys, "reg", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["reg"] == [19, 0]
+    assert doc["result"]["proj_dim"] == 1
+    assert main(["reg", "--degree-cap", "12", str(path)]) == 1
+
+
 def test_rees_command(capsys, cubic_file):
     code, out = run_cli(capsys, "rees", cubic_file)
     doc = json.loads(out)

@@ -155,11 +155,27 @@ def test_borel_regularity_matches_shift_oracle():
         d1, d2 = rep.delta
         window = (d1 + d2 + 4, d1 + d2 + 4)
         table = bigraded_betti_table(J, window, as_module="ideal")
-        if not table.complete:
-            continue
+        assert table.complete
         inv = invariants_from_shifts(table)
         assert inv.reg == (d1, d2)
         checked += 1
+
+
+def test_borel_tables_match_the_full_koszul_route(monkeypatch):
+    # monomial ideals need no Koszul homology; the reference route runs it at every window degree
+    from reeslab import betti
+
+    ring = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)))
+    rng = random.Random(43)
+    cases = []
+    while len(cases) < 8:
+        J = _random_borel_ideal(rng, ring)
+        if not J.is_zero():
+            d1, d2 = borel_fix_check(J).delta
+            cases.append((J, (d1 + d2 + 4, d1 + d2 + 4)))
+    tables = [bigraded_betti_table(J, window, as_module="ideal").to_json() for J, window in cases]
+    monkeypatch.setattr(betti, "_koszul_degrees", lambda pieces, initial, caps: set(betti._degree_window(caps)))
+    assert [bigraded_betti_table(J, window, as_module="ideal").to_json() for J, window in cases] == tables
 
 
 def test_bayer_stillman_on_exact_regularity():

@@ -4,6 +4,7 @@ import pytest
 
 from reeslab import (
     DEGLEX,
+    DEGREVLEX,
     Ideal,
     LEX,
     PrimeField,
@@ -119,6 +120,15 @@ def test_eliminate_examples():
     J2 = Ideal(R2, [parse_polynomial("X - Y", R2), parse_polynomial("Y^2", R2)])
     out = eliminate(J2, [0])
     assert [repr(g) for g in out.gens] == ["X^2"]
+
+
+def test_elimination_and_rees_rings_are_degrevlex():
+    from reeslab.rees import rees_presentation
+
+    A = graded_ring(["X", "Y", "Z"], order=LEX)
+    X, Y, Z = A.gens()
+    assert eliminate(Ideal(A, [X - Y * Z, Y * Y]), [0]).ring.order == DEGREVLEX
+    assert rees_presentation(Ideal(A, [X * X, Y * Y])).defining_ideal.ring.order == DEGREVLEX
 
 
 def test_random_membership_cross_checked_in_prime_field():

@@ -129,6 +129,16 @@ def test_reduction_bounds_bracket_brute_force():
     assert (lower, upper) == (1, 1)
 
 
+def test_reduction_bounds_refuse_a_truncated_table():
+    # at cap 1 the fiber table misses the quadric relation, and its bracket (0, 0) excludes r = 1
+    A = graded_ring(["x", "y"])
+    F = fiber_cone(rees_presentation(Ideal(A, [parse_polynomial(s, A) for s in ("x^2", "x*y", "y^2")])))
+    table = graded_betti_table(F.relations, 1, "quotient")
+    assert not table.complete
+    with pytest.raises(ReesError):
+        reduction_number_bounds(F, table)
+
+
 def test_reduction_bounds_six_points_in_the_plane():
     # six general points in P^2 (none on a conic, no three collinear): the
     # cubics through them cut out the ideal; the fiber cone is a cubic
