@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
-from operator import le
 
 from ._linalg import VectorSpan
-from .groebner import groebner_basis
+from .groebner import groebner_basis, minimal_generators
 from .hilbert import hilbert_series_ideal
-from .rings import mono_div, mono_divides, mono_mul
+from .rings import MonomialPacking, mono_div, mono_divides, mono_mul
 
 
 class BettiError(ValueError):
@@ -209,9 +208,9 @@ def _monomial_betti(ring, gens):
     if (0,) * ring.nvars in gens:
         return {}  # ring/J = 0
     gens = sorted(gens)
-
-    def in_ideal(m, among):
-        return any(all(map(le, g, m)) for g in among)
+    # every lattice point is an lcm of generators, so no exponent exceeds theirs
+    P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=0))
+    packed = [P.pack(g) for g in gens]
 
     live = list(gens)
     seen = set(gens)
@@ -220,13 +219,15 @@ def _monomial_betti(ring, gens):
             m2 = tuple(map(max, m, g))
             if m2 not in seen:
                 seen.add(m2)
-                if not in_ideal([e - 1 if e else 0 for e in m2], gens):
+                if not P.divisible(P.pack([e - 1 if e else 0 for e in m2]), packed):
                     live.append(m2)
     out = {(0, 0): {0: 1}}
     for m in live:
-        divisors = [g for g in gens if all(map(le, g, m))]
+        pm = P.pack(m)
+        divisors = [g for g in packed if P.divides(g, pm)]
         supp = [i for i, e in enumerate(m) if e]
-        faces = [[t for t in combinations(supp, k) if in_ideal([e - (i in t) for i, e in enumerate(m)], divisors)]
+        faces = [[t for t in combinations(supp, k)
+                  if P.divisible(pm - sum(P.units[i] for i in t), divisors)]
                  for k in range(len(supp) + 1)]
         # ranks[k] is the rank of the boundary from k-vertex faces to (k-1)-vertex faces
         ranks = [0] * (len(faces) + 1)
@@ -383,9 +384,13 @@ def graded_betti_table(I, degree_cap=None, as_module="ideal"):
     if as_module == "ideal":
         if I.is_zero():
             raise BettiError("the zero ideal has an empty resolution")
-        gen_max = max(g.multidegree()[0] for g in I.gens)
-        if degree_cap is not None and degree_cap < gen_max:
-            raise BettiError("cap %d below the largest generator degree %d" % (degree_cap, gen_max))
+        # the cap must reach every minimal generator; a redundant generator
+        # above it is harmless, so the minimal ones are found only then
+        if degree_cap is not None and degree_cap < max(g.multidegree()[0] for g in I.gens):
+            gen_max = max(g.multidegree()[0] for g in minimal_generators(I.ring, I.gens))
+            if degree_cap < gen_max:
+                raise BettiError("cap %d below the largest minimal generator degree %d"
+                                 % (degree_cap, gen_max))
     desc = "%s(%s)" % (as_module, ", ".join(repr(g) for g in I.gens))
     return _betti_table(I, None if degree_cap is None else (degree_cap, 0), as_module, desc)
 

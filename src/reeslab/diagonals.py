@@ -27,9 +27,6 @@ class DiagonalSpec:
     def admissible(self, d):
         return self.c >= d * self.e + 1
 
-    def as_tuple(self):
-        return (self.c, self.e)
-
 
 @dataclass(frozen=True)
 class DiagonalReport:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ._linalg import VectorSpan
 from .groebner import Ideal, groebner_basis, initial_ideal, normal_form
-from .rings import Polynomial, mono_divides
+from .rings import MonomialPacking, Polynomial
 
 
 class GinError(ValueError):
@@ -168,8 +168,12 @@ def borel_fix_check(J, char_p=0):
     ring = J.ring
     blocks = _degree_blocks(ring)
 
+    # an exchange move keeps the degree, so no exponent exceeds it
+    P = MonomialPacking.fitting(ring.nvars, max(map(sum, gens), default=0))
+    packed = [P.pack(g) for g in gens]
+
     def member(mono):
-        return any(mono_divides(g, mono) for g in gens)
+        return P.divisible(P.pack(mono), packed)
 
     for m in gens:
         for block in blocks:
@@ -230,9 +234,12 @@ class RegularityCheck:
 
 def _piece_dimension(ideal_gb, ring, degree):
     monos = ring.monomials_of_degree(degree)
-    if ideal_gb is None:
+    if ideal_gb is None or not monos:
         return 0
-    return sum(1 for m in monos if ideal_gb.contains_monomial(m))
+    lms = ideal_gb.leading_monomials
+    P = MonomialPacking.fitting(ring.nvars, max(max(map(max, monos)), max(map(max, lms))))
+    packed = [P.pack(g) for g in lms]
+    return sum(1 for m in monos if P.divisible(P.pack(m), packed))
 
 
 def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):

@@ -4,28 +4,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from operator import itemgetter
 
 from .rings import (
     DEGREVLEX,
+    MonomialPacking,
+    PackingOverflow,
     Polynomial,
     RingError,
     RingSpec,
     TermOrder,
     elimination_order,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 # ---------------------------------------------------------------------------
 # internal integer polynomials: dict mono -> int.
 # Over Q the representative is primitive (content 1, positive lead);
-# over F_p coefficients live in [0, p). A polynomial that others are reduced
-# against is split once into its triple (lm, lc, tail): leading monomial,
-# leading coefficient and a dict of the other terms, which nobody mutates.
+# over F_p coefficients live in [0, p). Inside the kernel every monomial is
+# an int of a MonomialPacking for the term order, so the larger int is the
+# larger monomial, a product is a sum and u | m is one subtraction against
+# the guard bits. A product whose guard bits are not clear overflowed a field
+# and raises PackingOverflow. A polynomial that others are reduced against is
+# split once into its triple (lm, lc, tail): leading monomial, leading
+# coefficient and a dict of the other terms, which nobody mutates.
 
 _STRIP_BITS = 512
 
@@ -53,23 +58,36 @@ def _to_int_poly(f):
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms}, den
 
 
-def _normal_form_int(f, reducers, keyfn, char):
-    """Full normal form of the dict-poly f against (lm, lc, tail) reducers; f is consumed.
+def _pack_poly(d, P):
+    return {P.pack(m): c for m, c in d.items()}
+
+
+def _normal_form_int(f, reducers, guard, char):
+    """Full normal form of the packed dict-poly f against reducer triples; f is consumed.
 
     Returns (lead, rem, scale) with rem = scale * NF(f) and lead its leading
     monomial (None when rem is zero). Over Q rem is primitive with a positive
     lead, and scale is the product of the factors the reduction multiplied by
-    and divided out; over F_p scale is 1.
+    and divided out; over F_p scale is 1. Raises PackingOverflow when a
+    product would not fit the fields.
     """
     rem = {}
     lead = None
     num = den = 1
     steps = 0
-    while f:
-        m = max(f, key=keyfn)
-        c = f.pop(m)
+    # the work terms, negated: the heap pops the largest monomial first. A
+    # term enters the heap when it enters f; an entry whose term has left f
+    # since is skipped.
+    heap = [-m for m in f]
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = f.pop(m, 0)
+        if not c:
+            continue
+        mg = m | guard
         for hit in reducers:
-            if mono_divides(hit[0], m):
+            if (mg - hit[0]) & guard == guard:
                 break
         else:
             # terms leave f in decreasing order, so the first one kept leads
@@ -78,16 +96,23 @@ def _normal_form_int(f, reducers, keyfn, char):
                 lead = m
             continue
         lm, lc, tail = hit
-        u = mono_div(m, lm)
+        u = m - lm
         if char:
             factor = (c * pow(lc, -1, char)) % char
             for mt, ct in tail.items():
-                k = mono_mul(mt, u)
-                v = (f.get(k, 0) - factor * ct) % char
-                if v:
-                    f[k] = v
+                k = mt + u
+                v = f.get(k)
+                if v is None:
+                    if k & guard:
+                        raise PackingOverflow("a product overflows the packed fields")
+                    f[k] = -factor * ct % char
+                    heappush(heap, -k)
                 else:
-                    f.pop(k, None)
+                    v = (v - factor * ct) % char
+                    if v:
+                        f[k] = v
+                    else:
+                        del f[k]
         else:
             g = gcd(c, lc)
             a, b = lc // g, c // g
@@ -100,12 +125,19 @@ def _normal_form_int(f, reducers, keyfn, char):
                 for k in rem:
                     rem[k] *= a
             for mt, ct in tail.items():
-                k = mono_mul(mt, u)
-                v = f.get(k, 0) - b * ct
-                if v:
-                    f[k] = v
+                k = mt + u
+                v = f.get(k)
+                if v is None:
+                    if k & guard:
+                        raise PackingOverflow("a product overflows the packed fields")
+                    f[k] = -b * ct
+                    heappush(heap, -k)
                 else:
-                    f.pop(k, None)
+                    v -= b * ct
+                    if v:
+                        f[k] = v
+                    else:
+                        del f[k]
             steps += 1
             if steps % 16 == 0 and f and max(abs(x) for x in f.values()).bit_length() > _STRIP_BITS:
                 g = 0
@@ -132,45 +164,54 @@ def _normal_form_int(f, reducers, keyfn, char):
     return lead, rem, Fraction(num, den * g)
 
 
-def _spoly(ti, tj, char):
-    """S-polynomial of two (lm, lc, tail) triples: their leading terms cancel."""
+def _spoly(ti, tj, L, guard, char):
+    """S-polynomial of two triples whose leading monomials have the lcm L: their leading terms cancel."""
     lmi, ci, fi = ti
     lmj, cj, fj = tj
-    L = mono_lcm(lmi, lmj)
-    ui, uj = mono_div(L, lmi), mono_div(L, lmj)
+    ui, uj = L - lmi, L - lmj
     if char:
         ai = (cj * pow(ci, -1, char)) % char
-        out = {mono_mul(m, ui): c * ai % char for m, c in fi.items()}
+        out = {m + ui: c * ai % char for m, c in fi.items()}
         for m, c in fj.items():
-            k = mono_mul(m, uj)
+            k = m + uj
             v = (out.get(k, 0) - c) % char
             if v:
                 out[k] = v
             else:
                 out.pop(k, None)
-        return out
-    g = gcd(ci, cj)
-    ai, aj = cj // g, ci // g
-    out = {mono_mul(m, ui): c * ai for m, c in fi.items()}
-    for m, c in fj.items():
-        k = mono_mul(m, uj)
-        v = out.get(k, 0) - c * aj
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return _content_strip(out, 0)
+    else:
+        g = gcd(ci, cj)
+        ai, aj = cj // g, ci // g
+        out = {m + ui: c * ai for m, c in fi.items()}
+        for m, c in fj.items():
+            k = m + uj
+            v = out.get(k, 0) - c * aj
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        _content_strip(out, 0)
+    if any(k & guard for k in out):
+        raise PackingOverflow("a product overflows the packed fields")
+    return out
 
 
-def _buchberger(seqs, keyfn, char):
-    """Reduced Groebner basis of the dict-polys in seqs, as (lm, lc, tail) triples sorted by lm.
+def _buchberger(seqs, P, char):
+    """Reduced Groebner basis of the packed dict-polys in seqs, as triples sorted by lm.
 
     Normal-pair selection on a (sugar, lcm) key with the Gebauer-Moeller
-    update criteria; fraction-free arithmetic over Q.
+    update criteria; fraction-free arithmetic over Q. Each pair is keyed once,
+    when it is formed, and waits on a heap; a pair the criteria drop later
+    stays on the heap and is skipped when it comes up. Raises
+    PackingOverflow when a monomial does not fit the fields of P.
     """
+    guard = P.guard
     triples = []    # all accepted intermediates; index-addressed
     lms = []
     sugars = []
+    G = set()
+    B = {}          # pending pair (i, j) -> lcm of the leading monomials
+    heap = []       # (sugar, lcm, i, j) of every pair formed
 
     def add_poly(lead, h, sugar):
         triples.append((lead, h.pop(lead), h))
@@ -178,72 +219,61 @@ def _buchberger(seqs, keyfn, char):
         sugars.append(sugar)
         return len(triples) - 1
 
-    def pair_key(pair):
-        i, j = pair
-        L = mono_lcm(lms[i], lms[j])
-        sug = max(
-            sugars[i] + sum(mono_div(L, lms[i])),
-            sugars[j] + sum(mono_div(L, lms[j])),
-        )
-        return (sug, keyfn(L))
-
-    G = set()
-    B = set()
-
     def update(h):
         # [Becker-Weispfenning p.230] Gebauer-Moeller update of (G, B) by h.
         mh = lms[h]
-        C = set(G)
-        D = set()
-        while C:
-            g = C.pop()
-            L_hg = mono_lcm(mh, lms[g])
+        lcm_h = {}
 
-            def lcm_divides(p):
-                return mono_divides(mono_lcm(mh, lms[p]), L_hg)
+        def lcm_with(k):
+            L = lcm_h.get(k)
+            if L is None:
+                L = lcm_h[k] = P.lcm(mh, lms[k])
+            return L
 
-            disjoint = mono_mul(mh, lms[g]) == L_hg
-            if disjoint or (
-                not any(lcm_divides(x) for x in C)
-                and not any(lcm_divides(x[1]) for x in D)
+        C = sorted(G)
+        D = []
+        for pos, g in enumerate(C):
+            L_hg = lcm_with(g)
+            if mh + lms[g] == L_hg or (
+                not any(P.divides(lcm_with(p), L_hg) for p in C[pos + 1:])
+                and not any(P.divides(lcm_with(p), L_hg) for p in D)
             ):
-                D.add((h, g))
-        E = set()
-        while D:
-            h_, g = D.pop()
-            if mono_mul(mh, lms[g]) != mono_lcm(mh, lms[g]):
-                E.add((h_, g))
-        B_new = set()
-        while B:
-            i, j = B.pop()
-            L = mono_lcm(lms[i], lms[j])
+                D.append(g)
+        for (i, j), L in list(B.items()):
             if (
-                not mono_divides(mh, L)
-                or mono_lcm(lms[i], mh) == L
-                or mono_lcm(lms[j], mh) == L
+                P.divides(mh, L)
+                and lcm_with(i) != L
+                and lcm_with(j) != L
             ):
-                B_new.add((i, j))
-        B_new |= E
-        B.update(B_new)
-        for g in [g for g in G if mono_divides(mh, lms[g])]:
+                del B[(i, j)]
+        degree_h = P.degree(mh)
+        for g in D:
+            L = lcm_h[g]
+            if mh + lms[g] != L:
+                # the product criterion drops the pairs with disjoint leading monomials
+                degree_L = P.degree(L)
+                sugar = max(sugars[h] + degree_L - degree_h, sugars[g] + degree_L - P.degree(lms[g]))
+                B[(h, g)] = L
+                heappush(heap, (sugar, L, h, g))
+        for g in [g for g in G if P.divides(mh, lms[g])]:
             G.discard(g)
         G.add(h)
 
     for f in seqs:
         if not f:
             continue
-        lead, h, _ = _normal_form_int(_content_strip(f, char), [triples[i] for i in G], keyfn, char)
+        lead, h, _ = _normal_form_int(_content_strip(f, char), [triples[i] for i in G], guard, char)
         if lead is not None:
-            update(add_poly(lead, h, max(sum(m) for m in h)))
+            update(add_poly(lead, h, max(map(P.degree, h))))
 
-    while B:
-        pair = min(B, key=pair_key)
-        B.discard(pair)
-        i, j = pair
-        s = _spoly(triples[i], triples[j], char)
-        lead, h, _ = _normal_form_int(s, [triples[k] for k in G], keyfn, char)
+    while heap:
+        sugar, L, i, j = heappop(heap)
+        if B.pop((i, j), None) is None:
+            continue
+        s = _spoly(triples[i], triples[j], L, guard, char)
+        lead, h, _ = _normal_form_int(s, [triples[k] for k in G], guard, char)
         if lead is not None:
-            update(add_poly(lead, h, pair_key(pair)[0]))
+            update(add_poly(lead, h, sugar))
 
     # autoreduction: minimal leading monomials, fully reduced tails. The
     # kept leading monomials divide none of each other, so only tails change.
@@ -251,7 +281,7 @@ def _buchberger(seqs, keyfn, char):
     final = [
         t for i, t in enumerate(final)
         if not any(
-            j != i and mono_divides(u[0], t[0]) and (u[0] != t[0] or j < i)
+            j != i and P.divides(u[0], t[0]) and (u[0] != t[0] or j < i)
             for j, u in enumerate(final)
         )
     ]
@@ -262,13 +292,42 @@ def _buchberger(seqs, keyfn, char):
             others = final[:i] + final[i + 1:]
             f = dict(tail)
             f[lm] = lc
-            lead, h, _ = _normal_form_int(f, others, keyfn, char)
+            lead, h, _ = _normal_form_int(f, others, guard, char)
             t = (lead, h.pop(lead), h)
             if t != final[i]:
                 final[i] = t
                 changed = True
-    final.sort(key=lambda t: keyfn(t[0]))
+    final.sort(key=itemgetter(0))
     return final
+
+
+def _packed_triples(triples, P):
+    """The integer (lm, lc, tail) triples on exponent tuples, packed by P."""
+    return [(P.pack(lm), lc, _pack_poly(tail, P)) for lm, lc, tail in triples]
+
+
+def _fitting(nvars, monomials, order):
+    """Packing with room for a product of two of the monomials."""
+    return MonomialPacking.fitting(nvars, 2 * max(map(sum, monomials), default=1), order)
+
+
+def _on_basis(G, run):
+    """(P, run(P, triples)) on the basis of G packed by P.
+
+    The packed triples are built on first use and kept on G; an overflow
+    widens the fields for good.
+    """
+    kernel = G._kernel
+    if not kernel:
+        P = _fitting(G.ring.nvars, (m for lm, _, tail in G._triples for m in (lm, *tail)), G.order)
+        kernel.update(P=P, triples=_packed_triples(G._triples, P))
+    while True:
+        P = kernel["P"]
+        try:
+            return P, run(P, kernel["triples"])
+        except PackingOverflow:
+            P = P.widened()
+            kernel.update(P=P, triples=_packed_triples(G._triples, P))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +338,8 @@ class GroebnerBasis:
     """Reduced Groebner basis for (ring, order); monic polynomials sorted by leading monomial.
 
     _triples holds the same basis as the integer (lm, lc, tail) triples that
-    Buchberger produced, in the same order; every reduction against the basis
-    reads them.
+    Buchberger produced, on exponent tuples, in the same order. Reductions
+    against the basis run on its packed form, which _kernel keeps once built.
     """
 
     ring: RingSpec
@@ -288,6 +347,7 @@ class GroebnerBasis:
     polys: tuple
     leading_monomials: frozenset
     _triples: tuple = field(compare=False, repr=False)
+    _kernel: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.polys)
@@ -352,9 +412,19 @@ def groebner_basis(I, order=None):
     ring = I.ring
     char = ring.field.char
     seqs = [_to_int_poly(g)[0] for g in I.gens]
-    triples = tuple(_buchberger(seqs, order.key_function(ring.nvars), char))
+    P = _fitting(ring.nvars, (m for d in seqs for m in d), order)
+    while True:
+        try:
+            packed = _buchberger([_pack_poly(d, P) for d in seqs], P, char)
+            break
+        except PackingOverflow:
+            P = P.widened()
+    triples = []
     polys = []
-    for lm, lc, tail in triples:
+    for lm, lc, tail in packed:
+        lm = P.unpack(lm)
+        tail = {P.unpack(m): c for m, c in tail.items()}
+        triples.append((lm, lc, tail))
         if char:
             inv = pow(lc, -1, char)
             monic = {m: c * inv % char for m, c in tail.items()}
@@ -362,7 +432,7 @@ def groebner_basis(I, order=None):
             monic = {m: Fraction(c, lc) for m, c in tail.items()}
         monic[lm] = ring.field.one
         polys.append(Polynomial(ring, monic))
-    gb = GroebnerBasis(ring, order, tuple(polys), frozenset(t[0] for t in triples), triples)
+    gb = GroebnerBasis(ring, order, tuple(polys), frozenset(t[0] for t in triples), tuple(triples))
     I._gb_cache[order] = gb
     return gb
 
@@ -373,11 +443,12 @@ def normal_form(f, G):
         raise RingError("polynomial and basis live in different rings")
     char = G.ring.field.char
     d, den = _to_int_poly(f)
-    _, rem, scale = _normal_form_int(d, G._triples, G.order.key_function(G.ring.nvars), char)
-    if not char:
-        scale *= den
-        rem = {m: c / scale for m, c in rem.items()}
-    return Polynomial(f.ring, rem)
+    P, (_, rem, scale) = _on_basis(
+        G, lambda P, triples: _normal_form_int(_pack_poly(d, P), triples, P.guard, char))
+    if char:
+        return Polynomial(f.ring, {P.unpack(m): c for m, c in rem.items()})
+    scale *= den
+    return Polynomial(f.ring, {P.unpack(m): c / scale for m, c in rem.items()})
 
 
 def initial_ideal(I, order=None):
@@ -391,14 +462,18 @@ def initial_ideal(I, order=None):
 
 def spairs_reduce_to_zero(G):
     """Certificate check: every S-pair of the basis reduces to zero."""
-    keyfn = G.order.key_function(G.ring.nvars)
     char = G.ring.field.char
-    triples = G._triples
-    for i in range(len(triples)):
-        for j in range(i + 1, len(triples)):
-            if _normal_form_int(_spoly(triples[i], triples[j], char), triples, keyfn, char)[0] is not None:
-                return False
-    return True
+
+    def check(P, triples):
+        for i in range(len(triples)):
+            for j in range(i + 1, len(triples)):
+                L = P.lcm(triples[i][0], triples[j][0])
+                s = _spoly(triples[i], triples[j], L, P.guard, char)
+                if _normal_form_int(s, triples, P.guard, char)[0] is not None:
+                    return False
+        return True
+
+    return _on_basis(G, check)[1]
 
 
 def ideal_product(I, J):

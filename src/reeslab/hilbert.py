@@ -8,7 +8,7 @@ from math import factorial
 from . import _qpoly as qp
 from ._linalg import solve_exact
 from .groebner import groebner_basis
-from .rings import mono_divides
+from .rings import MonomialPacking
 
 
 class SeriesError(ValueError):
@@ -187,12 +187,14 @@ def _num_times_factors(num, factors):
 # ---------------------------------------------------------------------------
 # monomial-quotient numerators (pivot recursion)
 
-def _minimalize_monomials(gens):
+def _minimalize_monomials(gens, P):
     gens = sorted(set(gens), key=sum)
-    out = []
+    out, packed = [], []
     for m in gens:
-        if not any(mono_divides(g, m) for g in out):
+        p = P.pack(m)
+        if not P.divisible(p, packed):
             out.append(m)
+            packed.append(p)
     return tuple(sorted(out))
 
 
@@ -231,15 +233,17 @@ def _staircase_numerator(ring, gens, i, j):
     return {k: v for k, v in num.items() if v}
 
 
-def monomial_quotient_numerator(ring, gens, _memo=None):
+def monomial_quotient_numerator(ring, gens, _memo=None, _packing=None):
     """Numerator of the series of ring/(gens) over all (1 - s^a t^b) factors.
 
     Pivot recursion with component splitting; the pivot variable is the one
-    in the most generator supports.
+    in the most generator supports. No exponent grows in the recursion, so
+    one packing serves every node.
     """
     if _memo is None:
         _memo = {}
-    gens = _minimalize_monomials(gens)
+        _packing = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=1))
+    gens = _minimalize_monomials(gens, _packing)
     if not gens:
         return {(0, 0): 1}
     key = gens
@@ -269,7 +273,7 @@ def monomial_quotient_numerator(ring, gens, _memo=None):
     if len(groups) > 1:
         out = {(0, 0): 1}
         for members in groups.values():
-            out = _num_mul(out, monomial_quotient_numerator(ring, [gens[gi] for gi in members], _memo))
+            out = _num_mul(out, monomial_quotient_numerator(ring, [gens[gi] for gi in members], _memo, _packing))
         _memo[key] = dict(out)
         return out
     if len(gens) == 1:
@@ -293,8 +297,8 @@ def monomial_quotient_numerator(ring, gens, _memo=None):
     plus = [m for m in gens if m[pivot] == 0]
     plus.append(tuple(1 if i == pivot else 0 for i in range(ring.nvars)))
     colon = [tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(m)) for m in gens]
-    out = dict(monomial_quotient_numerator(ring, plus, _memo))
-    for d, c in monomial_quotient_numerator(ring, colon, _memo).items():
+    out = dict(monomial_quotient_numerator(ring, plus, _memo, _packing))
+    for d, c in monomial_quotient_numerator(ring, colon, _memo, _packing).items():
         sh = (d[0] + pdeg[0], d[1] + pdeg[1])
         v = out.get(sh, 0) + c
         if v:

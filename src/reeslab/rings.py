@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class RingError(ValueError):
@@ -161,6 +162,29 @@ class TermOrder:
             return revlex_part(e[:block]) + revlex_part(e[block:])
 
         return elim_key
+
+    def weight_rows(self, nvars):
+        """The order as weight rows, each a frozenset of variables with weight 1.
+
+        m < m' iff the row sums of m are lexicographically smaller than those
+        of m'. A degrevlex block gives its degree, then its degree less its
+        last variable, less its last two, and so on.
+        """
+        perm = self.perm if self.perm is not None else tuple(range(nvars))
+        if len(perm) != nvars:
+            raise RingError("permutation length %d != %d variables" % (len(perm), nvars))
+
+        def revlex_rows(vs):
+            return [frozenset(vs[:k]) for k in range(len(vs), 0, -1)]
+
+        units = [frozenset([i]) for i in perm]
+        if self.tag == "lex":
+            return units
+        if self.tag == "deglex":
+            return [frozenset(perm)] + units
+        if self.tag == "degrevlex":
+            return revlex_rows(perm)
+        return revlex_rows(perm[:self.block]) + revlex_rows(perm[self.block:])
 
 
 DEGREVLEX = TermOrder("degrevlex")
@@ -320,8 +344,90 @@ def mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+class PackingOverflow(ArithmeticError):
+    """A monomial does not fit the fields of a MonomialPacking."""
+
+
+class MonomialPacking:
+    """Exponent vectors packed into one Python int (Bachmann-Schoenemann, ISSAC 1998).
+
+    The int is a row of fields of ``width`` bits, most significant first, and
+    each field holds the sum of the exponents of a set of variables. Without
+    an order the fields are the exponents, in variable order. With a term
+    order the leading fields are its weight rows, so that int comparison is
+    the term order; the total degree and the exponents not already among
+    them follow. Every field is linear in the exponents, so a product of
+    monomials is the sum of their ints and a quotient their difference.
+
+    The top bit of each field is a guard bit, clear in every packed monomial:
+
+    - a | b iff ((b | guard) - a) & guard == guard, since no borrow crosses a
+      field;
+    - a sum of two packed monomials sets the guard bit of every field that
+      overflows, and nothing carries past it.
+
+    pack() refuses a monomial whose fields would not fit, so a value never
+    wraps silently; the caller widens the fields or gives up.
+    """
+
+    def __init__(self, nvars, width, order=None):
+        self.nvars, self.width, self.order = nvars, width, order
+        unit_rows = [frozenset([i]) for i in range(nvars)]
+        if order is None:
+            rows = unit_rows
+        else:
+            # a row repeated further down adds nothing to the order
+            rows = list(dict.fromkeys(order.weight_rows(nvars) + [frozenset(range(nvars))] + unit_rows))
+        # units[i] is the packed variable x_i
+        self.units = [0] * nvars
+        self.guard = 0
+        shift = {}
+        for k, r in enumerate(reversed(rows)):
+            shift[r] = k * width
+            self.guard |= 1 << (k * width + width - 1)
+            for i in r:
+                self.units[i] |= 1 << (k * width)
+        self._half = 1 << (width - 1)
+        self._mask = (1 << width) - 1
+        self._exp_shifts = [shift[r] for r in unit_rows]
+        self._degree_shift = shift.get(frozenset(range(nvars)))
+        # the largest field of a monomial: its total degree when an order
+        # adds weight rows, its largest exponent otherwise
+        self._largest_field = max if order is None else sum
+
+    @classmethod
+    def fitting(cls, nvars, largest, order=None):
+        """Packing whose fields hold every value up to ``largest``."""
+        return cls(nvars, largest.bit_length() + 1, order)
+
+    def widened(self):
+        return MonomialPacking(self.nvars, 2 * self.width, self.order)
+
+    def pack(self, m):
+        if self._largest_field(m) >= self._half:
+            raise PackingOverflow("monomial %r does not fit %d-bit fields" % (tuple(m), self.width))
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, p):
+        mask = self._mask
+        return tuple((p >> s) & mask for s in self._exp_shifts)
+
+    def degree(self, p):
+        """Total degree of a packed monomial; needs an order."""
+        return (p >> self._degree_shift) & self._mask
+
+    def divides(self, a, b):
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def divisible(self, m, gens):
+        """Some packed monomial of gens divides the packed monomial m."""
+        g = self.guard
+        mg = m | g
+        return any((mg - a) & g == g for a in gens)
+
+    def lcm(self, a, b):
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +464,6 @@ class Polynomial:
         return format_polynomial(self)
 
     # -- structure ---------------------------------------------------------
-    def as_dict(self):
-        return dict(self.terms)
-
     def leading_monomial(self):
         if not self.terms:
             raise RingError("zero polynomial has no leading monomial")

@@ -204,6 +204,16 @@ def test_cap_below_generators_rejected(twisted_cubic):
         graded_betti_table(twisted_cubic, 1, "ideal")
 
 
+def test_cap_below_a_redundant_generator_accepted():
+    A = graded_ring(["x", "y"])
+    x = parse_polynomial("x", A)
+    table = graded_betti_table(Ideal(A, [x, parse_polynomial("x^5", A)]), 3)
+    assert table.entries == ((0, (1, 0), 1),)
+    assert table.complete
+    with pytest.raises(BettiError):
+        graded_betti_table(Ideal(A, [x, parse_polynomial("y^5", A)]), 3)
+
+
 def test_bigraded_ideal_table_of_monomial_complete_intersection():
     B = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)))
     I = Ideal(B, [parse_polynomial("X1^2", B), parse_polynomial("Y1^3", B)])

@@ -11,8 +11,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from reeslab import Ideal, QQ, graded_ring, groebner_basis, normal_form
-from reeslab.rings import DEGREVLEX, LEX, Polynomial
+from reeslab import Ideal, PrimeField, QQ, eliminate, graded_ring, groebner_basis, normal_form, parse_polynomial
+from reeslab.rings import DEGLEX, DEGREVLEX, LEX, Polynomial
 
 
 def _to_sympy(f, symbols):
@@ -105,3 +105,86 @@ def test_normal_forms_match_sympy_reduce(seed, order):
     sympy_gb = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols, order=order, domain="QQ")
     _, theirs = sympy_gb.reduce(_to_sympy(f, symbols))
     assert sympy.expand(_to_sympy(ours, symbols) - theirs) == 0
+
+
+def _sample_ideal(rng, ring, gens, terms, degree):
+    n = ring.nvars
+    out = []
+    for _ in range(gens):
+        coeffs = {}
+        for _ in range(terms):
+            mono = tuple(rng.randint(0, degree) for _ in range(n))
+            coeffs[mono] = ring.field.coerce(rng.randint(-6, 6))
+        f = Polynomial(ring, {m: c for m, c in coeffs.items() if c})
+        if f:
+            out.append(f)
+    return out
+
+
+def _to_sympy_any(f, symbols):
+    """f as a sympy expression over Z: F_p coefficients as their integer representatives."""
+    expr = 0
+    for mono, coeff in f.terms:
+        term = sympy.Rational(coeff.numerator, coeff.denominator) if isinstance(coeff, Fraction) else coeff
+        for s, e in zip(symbols, mono):
+            term *= s ** e
+        expr += term
+    return expr
+
+
+def _sympy_reduced(exprs, symbols, order, char):
+    """Reduced basis as a set of monic term tuples {(monomial, coefficient), ...}."""
+    opts = {"modulus": char} if char else {"domain": "QQ"}
+    gb = sympy.groebner(exprs, *symbols, order=order, **opts)
+    out = set()
+    for g in gb.exprs:
+        poly = sympy.Poly(g, *symbols, **opts)
+        terms = poly.terms(order=order)
+        lc = terms[0][1]
+        if char:
+            inv = pow(int(lc) % char, -1, char)
+            out.add(tuple(sorted((m, int(c) * inv % char) for m, c in terms)))
+        else:
+            out.add(tuple(sorted((m, Fraction(int((c / lc).p), int((c / lc).q))) for m, c in terms)))
+    return out
+
+
+_FIELDS = [QQ, PrimeField(32003)]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", ["grlex", "grevlex"])
+@pytest.mark.parametrize("seed", range(4))
+def test_bases_in_four_and_five_variables_match(seed, order, field):
+    rng = random.Random(3000 + seed)
+    names = ["x%d" % i for i in range(4 + seed % 2)]
+    ring = graded_ring(names, field=field, order=DEGLEX if order == "grlex" else DEGREVLEX)
+    symbols = sympy.symbols(names)
+    gens = _sample_ideal(rng, ring, 3, 3, 2)
+    ours = {tuple(sorted(g.terms)) for g in groebner_basis(Ideal(ring, gens)).polys}
+    assert ours == _sympy_reduced([_to_sympy_any(g, symbols) for g in gens], symbols, order, field.char)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "F32003"])
+@pytest.mark.parametrize("seed", range(4))
+def test_eliminate_matches_sympy_lex_elimination(seed, field):
+    # the implicit equations of a random parametrization x_i = c_i * t^a_i + d_i * t^b_i
+    rng = random.Random(4000 + seed)
+    k = 1 + seed % 2
+    names = ["t%d" % i for i in range(k)] + ["x0", "x1", "x2"]
+    ring = graded_ring(names, field=field)
+    symbols = sympy.symbols(names)
+    ts, rest = symbols[:k], symbols[k:]
+
+    def term(bound):
+        return sympy.Mul(*(t ** rng.randint(0, bound) for t in ts))
+
+    params = [x - rng.randint(1, 5) * term(2) - rng.randint(-3, 3) * term(1) for x in rest]
+    gens = [parse_polynomial(str(sympy.expand(p)).replace("**", "^"), ring) for p in params]
+    ours = eliminate(Ideal(ring, gens), range(k))
+    opts = {"modulus": field.char} if field.char else {"domain": "QQ"}
+    full = sympy.groebner(params, *symbols, order="lex", **opts)
+    theirs = [g for g in full.exprs if not g.free_symbols & set(ts)]
+    mine = [_to_sympy_any(g, rest) for g in ours.gens]
+    assert theirs
+    assert _sympy_reduced(mine, rest, "lex", field.char) == _sympy_reduced(theirs, rest, "lex", field.char)

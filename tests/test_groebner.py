@@ -22,7 +22,7 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab.groebner import spairs_reduce_to_zero, transport
-from reeslab.rings import RingSpec, TermOrder
+from reeslab.rings import MonomialPacking, RingSpec, TermOrder
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -234,3 +234,45 @@ def test_colon_of_the_prime_twisted_cubic_is_itself(field, divisor):
     f = parse_polynomial(divisor, A)
     assert not I.contains(f)
     assert colon_ideal(I, f) == I
+
+
+def test_exponents_beyond_any_fixed_field_width(monkeypatch):
+    widths = []
+    widened = MonomialPacking.widened
+    monkeypatch.setattr(MonomialPacking, "widened", lambda P: widths.append(P.width) or widened(P))
+    A = graded_ring(["x", "y", "z"])
+    p = lambda text: parse_polynomial(text, A)  # noqa: E731
+    gb = groebner_basis(Ideal(A, [p("x^70000*y - z^70001"), p("y^2")]))
+    assert [repr(g) for g in gb.polys] == ["y^2", "x^70000*y - z^70001", "y*z^70001", "z^140002"]
+    assert repr(normal_form(p("x^70001*y + z"), gb)) == "x*z^70001 + z"
+    assert not widths
+    # a degree past the fields of the packed basis widens them
+    assert repr(normal_form(p("x^600000 + y^3"), gb)) == "x^600000"
+    assert widths
+    assert repr(normal_form(p("x^70001*y + z"), gb)) == "x*z^70001 + z"
+    assert spairs_reduce_to_zero(gb)
+
+
+def test_basis_degree_past_the_initial_fields_widens_them(monkeypatch):
+    widths = []
+    widened = MonomialPacking.widened
+    monkeypatch.setattr(MonomialPacking, "widened", lambda P: widths.append(P.width) or widened(P))
+    L = graded_ring(["x", "y", "z", "w"], order=LEX)
+    q = lambda text: parse_polynomial(text, L)  # noqa: E731
+    gb = groebner_basis(Ideal(L, [q("x - y^3"), q("y - z^3"), q("z - w^3")]))
+    assert [repr(g) for g in gb.polys] == ["z - w^3", "y - w^9", "x - w^27"]
+    assert widths
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, elimination_order(2)],
+                         ids=["lex", "deglex", "degrevlex", "elim"])
+def test_reduced_basis_does_not_depend_on_generator_order(order, field):
+    A = graded_ring(["X", "Y", "Z", "W"], field=field, order=order)
+    gens = [parse_polynomial(t, A) for t in (
+        "X^2 - Y*Z", "X*Y - Z*W + 3*W^2", "Y^2 - 2*X*W", "X*Z - Y*W + Z^2")]
+    expected = groebner_basis(Ideal(A, gens)).polys
+    rng = random.Random(5)
+    for _ in range(3):
+        rng.shuffle(gens)
+        assert groebner_basis(Ideal(A, gens)).polys == expected

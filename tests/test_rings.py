@@ -3,6 +3,7 @@ import random
 import pytest
 
 from reeslab import (
+    DEGLEX,
     DEGREVLEX,
     LEX,
     ParseError,
@@ -16,6 +17,7 @@ from reeslab import (
     multidegree_of,
     parse_polynomial,
 )
+from reeslab.rings import MonomialPacking, PackingOverflow, TermOrder
 from conftest import naive_multiply
 
 
@@ -155,3 +157,41 @@ def test_ring_value_equality():
     b = graded_ring(["x", "y"])
     assert a == b
     assert a != graded_ring(["x", "z"])
+
+
+@pytest.mark.parametrize("order", [
+    LEX, DEGLEX, DEGREVLEX, TermOrder("elim", block=2),
+    TermOrder("degrevlex", perm=(3, 1, 4, 0, 2)), TermOrder("elim", block=1, perm=(2, 0, 1, 4, 3)),
+], ids=["lex", "deglex", "degrevlex", "elim", "degrevlex_perm", "elim_perm"])
+def test_packed_monomials_against_exponent_tuples(order):
+    n = 5
+    rng = random.Random(7)
+    key = order.key_function(n)
+    P = MonomialPacking.fitting(n, 2 * 4 * n, order)
+    monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)]
+    packed = {m: P.pack(m) for m in monos}
+    assert sorted(monos, key=key) == sorted(monos, key=packed.get)
+    for a, b in zip(monos, monos[1:] + monos[:1]):
+        pa, pb = packed[a], packed[b]
+        assert P.unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
+        assert P.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+        assert P.unpack(P.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert P.degree(pa) == sum(a)
+    E = MonomialPacking.fitting(n, 4)
+    for a, b in zip(monos, monos[1:]):
+        assert E.unpack(E.lcm(E.pack(a), E.pack(b))) == tuple(map(max, a, b))
+        assert E.divides(E.pack(a), E.pack(b)) == all(x <= y for x, y in zip(a, b))
+
+
+def test_packed_overflow_is_caught():
+    P = MonomialPacking.fitting(3, 7, DEGREVLEX)    # 4-bit fields: values up to 7
+    with pytest.raises(PackingOverflow):
+        P.pack((4, 4, 0))
+    a, b = P.pack((4, 0, 0)), P.pack((0, 4, 0))
+    assert (a + b) & P.guard                       # the degree field overflowed
+    assert not (a + P.pack((0, 3, 0))) & P.guard
+    assert P.widened().unpack(P.widened().pack((4, 4, 0))) == (4, 4, 0)
+    E = MonomialPacking.fitting(3, 7)               # exponent fields only
+    assert E.unpack(E.pack((7, 7, 7))) == (7, 7, 7)
+    with pytest.raises(PackingOverflow):
+        E.pack((0, 8, 0))
