@@ -8,31 +8,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .asymptotics import (
-    FitError,
-    fit_hilbert_polynomials,
-    fit_hilbert_series,
-    fit_hilbert_series_general,
-    mixed_multiplicities,
-)
-from .betti import BettiError, graded_betti_table, invariants_from_shifts
 from .cache import cache_key, cache_lookup_store, source_digest
-from .diagonals import (
-    DiagonalError,
-    DiagonalSpec,
-    cm_diagonal_test,
-    cm_threshold_alpha,
-    diagonal_dimension,
-    diagonal_hilbert_function,
-    gorenstein_diagonals,
-    quasi_gorenstein_bounds,
-)
-from .ginreg import GinError, bayer_stillman_check, borel_fix_check, borel_regularity, generic_initial_ideal
-from .groebner import groebner_basis, ideal_power
-from .hilbert import SeriesError, dim_mult, hilbert_polynomial, hilbert_series_ideal
-from .problemfile import ProblemError, load_problem
-from .rees import ReesError, bigraded_hilbert_series_rees, fiber_cone, rees_presentation
-from .rings import ParseError, RingError
+
+# Each command imports the layers it runs inside its `_cmd_*`, so start-up
+# compiles only `cache` and the layers of the one command given.
 
 _SAFE = 1 << 53
 
@@ -69,7 +48,7 @@ def _emit(args, command, payload, citations, assumptions):
     return 0
 
 
-def _print_text(report, indent=0):
+def _print_text(report):
     def walk(key, value, depth):
         pad = "  " * depth
         if isinstance(value, dict):
@@ -91,6 +70,8 @@ def _print_text(report, indent=0):
 # command payload producers (pure JSON out, cache-friendly)
 
 def _cmd_gb(args, problem):
+    from .groebner import groebner_basis
+
     gb = groebner_basis(problem.ideal)
     return (
         {
@@ -103,6 +84,9 @@ def _cmd_gb(args, problem):
 
 
 def _cmd_hs(args, problem):
+    from .groebner import ideal_power
+    from .hilbert import hilbert_series_ideal
+
     I = ideal_power(problem.ideal, args.power)
     series = hilbert_series_ideal(I, args.module)
     return (
@@ -113,6 +97,9 @@ def _cmd_hs(args, problem):
 
 
 def _cmd_hp(args, problem):
+    from .groebner import ideal_power
+    from .hilbert import hilbert_polynomial, hilbert_series_ideal
+
     I = ideal_power(problem.ideal, args.power)
     series = hilbert_series_ideal(I, args.module)
     hp = hilbert_polynomial(series)
@@ -129,6 +116,9 @@ def _cmd_hp(args, problem):
 
 
 def _cmd_powers(args, problem):
+    from .groebner import ideal_power
+    from .hilbert import hilbert_series_ideal
+
     out = []
     for j in range(1, args.max_power + 1):
         Ij = ideal_power(problem.ideal, j)
@@ -145,11 +135,17 @@ def _cmd_powers(args, problem):
 
 
 def _quotient_height(problem):
+    from .hilbert import dim_mult, hilbert_series_ideal
+
     series = hilbert_series_ideal(problem.ideal, "quotient")
     return problem.ring.nvars - dim_mult(series).dimension
 
 
 def _cmd_fit_hp(args, problem):
+    from .asymptotics import fit_hilbert_polynomials
+    from .groebner import ideal_power
+    from .hilbert import hilbert_polynomial, hilbert_series_ideal
+
     n = problem.ring.nvars
     h = _quotient_height(problem)
     samples = {}
@@ -168,6 +164,9 @@ def _cmd_fit_hp(args, problem):
 
 
 def _cmd_fit_hs(args, problem):
+    from .asymptotics import fit_hilbert_series, fit_hilbert_series_general
+    from .rees import fiber_cone, rees_presentation
+
     P = rees_presentation(problem.ideal)
     l = fiber_cone(P).spread
     samples = {j: P.power_series(j) for j in range(1, args.max_power + 1)}
@@ -192,6 +191,11 @@ def _cmd_fit_hs(args, problem):
 
 
 def _cmd_mixed_mult(args, problem):
+    from .asymptotics import FitError, fit_hilbert_polynomials, mixed_multiplicities
+    from .groebner import ideal_power
+    from .hilbert import hilbert_polynomial, hilbert_series_ideal
+    from .rees import fiber_cone, rees_presentation
+
     n = problem.ring.nvars
     h = _quotient_height(problem)
     degs = {g.multidegree()[0] for g in problem.ideal.gens}
@@ -211,6 +215,9 @@ def _cmd_mixed_mult(args, problem):
 
 
 def _cmd_betti(args, problem):
+    from .betti import graded_betti_table, invariants_from_shifts
+    from .groebner import ideal_power
+
     I = ideal_power(problem.ideal, args.power)
     table = graded_betti_table(I, args.degree_cap, args.module)
     payload = dict(table.to_json(), degree_cap=table.window[0], power=args.power)
@@ -220,12 +227,17 @@ def _cmd_betti(args, problem):
 
 
 def _cmd_reg(args, problem):
+    from .betti import graded_betti_table, invariants_from_shifts
+    from .groebner import ideal_power
+
     I = ideal_power(problem.ideal, args.power)
     inv = invariants_from_shifts(graded_betti_table(I, args.degree_cap, "ideal"))
     return (dict(inv.to_json(), power=args.power), ["shift-reading-of-invariants"], [])
 
 
 def _cmd_rees(args, problem):
+    from .rees import bigraded_hilbert_series_rees, rees_presentation
+
     P = rees_presentation(problem.ideal)
     payload = P.report()
     payload["series"] = bigraded_hilbert_series_rees(P).to_json()
@@ -233,6 +245,9 @@ def _cmd_rees(args, problem):
 
 
 def _cmd_diag(args, problem):
+    from .diagonals import DiagonalSpec, diagonal_dimension, diagonal_hilbert_function
+    from .rees import rees_presentation
+
     spec = DiagonalSpec(args.c, args.e)
     P = rees_presentation(problem.ideal)
     values = diagonal_hilbert_function(P, spec, args.s_max)
@@ -245,6 +260,8 @@ def _cmd_diag(args, problem):
 
 
 def _cmd_gorenstein(args, problem):
+    from .diagonals import gorenstein_diagonals
+
     family = args.family
     if family in ("ci", "complete-intersection"):
         if problem is not None:
@@ -274,6 +291,8 @@ def _cmd_gorenstein(args, problem):
 
 
 def _cmd_quasi_gorenstein(args, problem):
+    from .diagonals import quasi_gorenstein_bounds
+
     reports = quasi_gorenstein_bounds(args.a, args.n, not args.dim_zero)
     return (
         {"candidates": [r.to_json() for r in reports], "count": len(reports)},
@@ -283,8 +302,9 @@ def _cmd_quasi_gorenstein(args, problem):
 
 
 def _cmd_cm_check(args, problem):
+    from .diagonals import DiagonalSpec, cm_diagonal_test
+
     spec = DiagonalSpec(args.c, args.e)
-    fam = dict(problem.family) if problem is not None else {}
     family = args.family
     params = {}
     if family in ("ci", "complete-intersection"):
@@ -318,6 +338,8 @@ def _cmd_cm_check(args, problem):
 
 
 def _cmd_cm_threshold(args, problem):
+    from .diagonals import cm_threshold_alpha
+
     fam = dict(problem.family) if problem is not None else {}
     a2 = args.a2G if args.a2G is not None else fam.get("a2G")
     report = cm_threshold_alpha(args.d, args.n, a2_form_ring=a2, a1_shifted_rees=args.a1)
@@ -326,6 +348,8 @@ def _cmd_cm_threshold(args, problem):
 
 
 def _cmd_gin(args, problem):
+    from .ginreg import generic_initial_ideal
+
     result = generic_initial_ideal(
         problem.ideal, trials=args.trials, seed=args.seed
     )
@@ -333,6 +357,8 @@ def _cmd_gin(args, problem):
 
 
 def _cmd_borel(args, problem):
+    from .ginreg import borel_fix_check, borel_regularity
+
     report = borel_fix_check(problem.ideal, args.char_p)
     payload = report.to_json()
     if report.is_borel and args.char_p == 0 and report.delta is not None:
@@ -341,6 +367,8 @@ def _cmd_borel(args, problem):
 
 
 def _cmd_bayer_stillman(args, problem):
+    from .ginreg import bayer_stillman_check
+
     check = bayer_stillman_check(
         problem.ideal, args.first_degree,
         q_window=(0, args.q_max) if args.q_max is not None else None,
@@ -380,7 +408,7 @@ def build_parser():
     parser.add_argument("--no-cache", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, needs_file, **extra):
+    def add(name, needs_file):
         p = sub.add_parser(name)
         if needs_file:
             p.add_argument("problem", help="problem file (ring + ideal)")
@@ -454,6 +482,25 @@ def build_parser():
     return parser
 
 
+def _reported_errors():
+    """The exceptions `main` reports as `error: ...` with exit code 1.
+
+    Only the `except` clause calls this, and Python evaluates that clause only
+    when an exception reaches it, so a successful run imports none of these modules.
+    """
+    from .asymptotics import FitError
+    from .betti import BettiError
+    from .diagonals import DiagonalError
+    from .ginreg import GinError
+    from .hilbert import SeriesError
+    from .problemfile import ProblemError
+    from .rees import ReesError
+    from .rings import ParseError, RingError
+
+    return (ProblemError, ParseError, RingError, SeriesError, BettiError,
+            ReesError, DiagonalError, GinError, FitError, OSError)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -461,6 +508,8 @@ def main(argv=None):
     problem = None
     try:
         if args.problem is not None:
+            from .problemfile import load_problem
+
             problem = load_problem(args.problem)
         elif needs_file:
             print("error: command %r needs a problem file" % args.command, file=sys.stderr)
@@ -496,8 +545,7 @@ def main(argv=None):
         code = value.get("code", 0)
         _emit(args, args.command, value["payload"], value["citations"], value["assumptions"])
         return code
-    except (ProblemError, ParseError, RingError, SeriesError, BettiError,
-            ReesError, DiagonalError, GinError, FitError, OSError) as exc:
+    except _reported_errors() as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _qpoly as qp
-from .rees import ReesPresentation, rees_presentation
 
 
 class DiagonalError(ValueError):
@@ -54,6 +53,9 @@ class DiagonalReport:
 
 
 def _presentation(I_or_P):
+    # Imported here so the closed-form criteria load no Groebner layer.
+    from .rees import ReesPresentation, rees_presentation
+
     if isinstance(I_or_P, ReesPresentation):
         return I_or_P
     return rees_presentation(I_or_P)
