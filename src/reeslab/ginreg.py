@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 
 from ._linalg import VectorSpan
-from .groebner import Ideal, groebner_basis, initial_ideal, normal_form
+from .groebner import Ideal, _from_int_poly, _times, _to_int_poly, groebner_basis, initial_ideal, normal_form
 from .rings import MonomialPacking, Polynomial
 
 
@@ -35,26 +35,34 @@ def _random_upper_unitriangular(indices, rng, bound):
 
 
 def apply_coordinate_change(I, blocks, matrices):
-    """Substitute x_j -> sum_i g[i][j] x_i blockwise (a graded automorphism)."""
+    """Substitute x_j -> sum_i g[i][j] x_i blockwise (a graded automorphism); integer entries g.
+
+    The expansion runs on packed integer dicts: each generator's numerators
+    are scaled by the lcm of its denominators, and the powers of each image
+    are memoised.
+    """
     ring = I.ring
-    images = list(ring.gens())
+    char = ring.field.char
+    # an image is linear, so no exponent of the result exceeds a term's degree
+    P = MonomialPacking.fitting(ring.nvars, max((sum(m) for f in I.gens for m, _ in f.terms), default=0))
+    powers = [[{0: 1}, {u: 1}] for u in P.units]    # powers[j][e]: the e-th power of x_j's image
     for indices, g in zip(blocks, matrices):
         for col, j in enumerate(indices):
-            acc = ring.zero()
-            for row, i in enumerate(indices):
-                if g[row][col]:
-                    acc = acc + ring.variable(i).scale(g[row][col])
-            images[j] = acc
+            powers[j][1] = {P.units[i]: g[row][col] for row, i in enumerate(indices) if g[row][col]}
     out = []
     for f in I.gens:
-        acc = ring.zero()
-        for mono, coeff in f.terms:
-            term = ring.constant(coeff)
-            for idx, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * images[idx]
-            acc = acc + term
-        out.append(acc)
+        d, den = _to_int_poly(f)
+        acc = {}
+        for mono, coeff in d.items():
+            term = {0: coeff}
+            for pw, e in zip(powers, mono):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(_times(pw[-1], pw[1], char))
+                    term = _times(term, pw[e], char)
+            for m, c in term.items():
+                acc[m] = acc.get(m, 0) + c
+        out.append(_from_int_poly(ring, acc, den, P))
     return Ideal(ring, out)
 
 

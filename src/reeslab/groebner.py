@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -60,6 +59,26 @@ def _to_int_poly(f):
 
 def _pack_poly(d, P):
     return {P.pack(m): c for m, c in d.items()}
+
+
+def _from_int_poly(ring, d, den, P):
+    """The Polynomial of the packed integer dict d divided by den (1 over F_p)."""
+    char = ring.field.char
+    if char:
+        return Polynomial(ring, {P.unpack(m): c % char for m, c in d.items()})
+    return Polynomial(ring, {P.unpack(m): Fraction(c, den) for m, c in d.items()})
+
+
+def _times(f, g, char):
+    """Product of two packed integer dicts; the caller's fields must hold it."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            k = m1 + m2
+            out[k] = out.get(k, 0) + c1 * c2
+    if char:
+        return {m: c % char for m, c in out.items() if c % char}
+    return {m: c for m, c in out.items() if c}
 
 
 def _normal_form_int(f, reducers, guard, char):
@@ -208,6 +227,7 @@ def _buchberger(seqs, P, char):
     guard = P.guard
     triples = []    # all accepted intermediates; index-addressed
     lms = []
+    exps = []       # the leading monomials as exponent tuples
     sugars = []
     G = set()
     B = {}          # pending pair (i, j) -> lcm of the leading monomials
@@ -216,32 +236,34 @@ def _buchberger(seqs, P, char):
     def add_poly(lead, h, sugar):
         triples.append((lead, h.pop(lead), h))
         lms.append(lead)
+        exps.append(P.unpack(lead))
         sugars.append(sugar)
         return len(triples) - 1
 
     def update(h):
         # [Becker-Weispfenning p.230] Gebauer-Moeller update of (G, B) by h.
-        mh = lms[h]
-        lcm_h = {}
+        mh, eh = lms[h], exps[h]
+        C = sorted(G)
+        lcm_h = {g: P.pack(tuple(map(max, eh, exps[g]))) for g in C}
 
         def lcm_with(k):
             L = lcm_h.get(k)
             if L is None:
-                L = lcm_h[k] = P.lcm(mh, lms[k])
+                L = lcm_h[k] = P.pack(tuple(map(max, eh, exps[k])))
             return L
 
-        C = sorted(G)
         D = []
         for pos, g in enumerate(C):
-            L_hg = lcm_with(g)
+            L_hg = lcm_h[g]
+            Lg = L_hg | guard
             if mh + lms[g] == L_hg or (
-                not any(P.divides(lcm_with(p), L_hg) for p in C[pos + 1:])
-                and not any(P.divides(lcm_with(p), L_hg) for p in D)
+                not any((Lg - lcm_h[p]) & guard == guard for p in C[pos + 1:])
+                and not any((Lg - lcm_h[p]) & guard == guard for p in D)
             ):
                 D.append(g)
         for (i, j), L in list(B.items()):
             if (
-                P.divides(mh, L)
+                ((L | guard) - mh) & guard == guard
                 and lcm_with(i) != L
                 and lcm_with(j) != L
             ):
@@ -255,7 +277,7 @@ def _buchberger(seqs, P, char):
                 sugar = max(sugars[h] + degree_L - degree_h, sugars[g] + degree_L - P.degree(lms[g]))
                 B[(h, g)] = L
                 heappush(heap, (sugar, L, h, g))
-        for g in [g for g in G if P.divides(mh, lms[g])]:
+        for g in [g for g in G if ((lms[g] | guard) - mh) & guard == guard]:
             G.discard(g)
         G.add(h)
 
@@ -445,10 +467,7 @@ def normal_form(f, G):
     d, den = _to_int_poly(f)
     P, (_, rem, scale) = _on_basis(
         G, lambda P, triples: _normal_form_int(_pack_poly(d, P), triples, P.guard, char))
-    if char:
-        return Polynomial(f.ring, {P.unpack(m): c for m, c in rem.items()})
-    scale *= den
-    return Polynomial(f.ring, {P.unpack(m): c / scale for m, c in rem.items()})
+    return _from_int_poly(f.ring, rem, scale * den, P)
 
 
 def initial_ideal(I, order=None):
@@ -465,9 +484,10 @@ def spairs_reduce_to_zero(G):
     char = G.ring.field.char
 
     def check(P, triples):
+        exps = [P.unpack(t[0]) for t in triples]
         for i in range(len(triples)):
             for j in range(i + 1, len(triples)):
-                L = P.lcm(triples[i][0], triples[j][0])
+                L = P.pack(tuple(map(max, exps[i], exps[j])))
                 s = _spoly(triples[i], triples[j], L, P.guard, char)
                 if _normal_form_int(s, triples, P.guard, char)[0] is not None:
                     return False
@@ -486,24 +506,35 @@ def ideal_product(I, J):
 
 
 def ideal_power(I, j):
-    """I^j, interreduced to a minimal homogeneous generating set when homogeneous."""
+    """I^j, interreduced to a minimal homogeneous generating set when homogeneous.
+
+    The products run on packed integer dicts whose fields hold j times the
+    largest degree of a term, so no product overflows.
+    """
     if j < 0:
         raise RingError("negative ideal power")
     if j == 0:
         return Ideal(I.ring, [I.ring.one()])
     if I.is_zero():
         return Ideal(I.ring, [])
-    gens = [_prod(list(c)) for c in combinations_with_replacement(I.gens, j)]
-    if I.is_homogeneous():
-        gens = minimal_generators(I.ring, gens)
-    return Ideal(I.ring, gens)
-
-
-def _prod(fs):
-    out = fs[0]
-    for f in fs[1:]:
-        out = out * f
-    return out
+    ring = I.ring
+    char = ring.field.char
+    P = MonomialPacking.fitting(
+        ring.nvars, j * max(sum(ring.monomial_degree(m)) for g in I.gens for m, _ in g.terms))
+    ints = [_to_int_poly(g) for g in I.gens]
+    gens = [_pack_poly(d, P) for d, _ in ints]
+    # each combination of generator indices -> its product and denominator;
+    # a product of I^k is one of I^(k-1) times one generator
+    products = {(): ({0: 1}, 1)}
+    for _ in range(j):
+        products = {c + (i,): (_times(f, gens[i], char), den * ints[i][1])
+                    for c, (f, den) in products.items() for i in range(c[-1] if c else 0, len(gens))}
+    degrees = [g.multidegree() for g in I.gens]
+    products = list(products.items())
+    if None not in degrees:
+        cands = [(tuple(map(sum, zip(*map(degrees.__getitem__, c)))), f) for c, (f, _) in products]
+        products = [products[i] for i in _minimal_indices(ring, P, cands)]
+    return Ideal(ring, [_from_int_poly(ring, f, den, P) for _, (f, den) in products])
 
 
 def minimal_generators(ring, polys):
@@ -512,33 +543,41 @@ def minimal_generators(ring, polys):
     A candidate is dropped when it lies in the span of lower-degree generators
     times monomials plus the already-kept candidates of its own degree.
     """
-    from ._linalg import VectorSpan
-
     polys = [p for p in polys if p]
     if not polys:
         return []
+    degrees = [p.multidegree() for p in polys]
+    if None in degrees:
+        raise RingError("minimal_generators needs homogeneous input")
+    P = MonomialPacking.fitting(ring.nvars, max(map(sum, degrees)))
+    cands = [(deg, _pack_poly(_to_int_poly(p)[0], P)) for p, deg in zip(polys, degrees)]
+    return [polys[i] for i in _minimal_indices(ring, P, cands)]
+
+
+def _minimal_indices(ring, P, cands):
+    """Indices that minimal_generators keeps of cands, (degree, packed integer dict) pairs.
+
+    The fields of P must hold every monomial of the candidates' degrees.
+    """
+    from ._linalg import VectorSpan
+
     by_degree = {}
-    for p in polys:
-        deg = p.multidegree()
-        if deg is None:
-            raise RingError("minimal_generators needs homogeneous input")
-        by_degree.setdefault(deg, []).append(p)
+    for i, (deg, _) in enumerate(cands):
+        by_degree.setdefault(deg, []).append(i)
     kept = []
-    degrees = sorted(by_degree, key=lambda d: (d[0] + d[1], d))
-    for deg in degrees:
-        monos = ring.monomials_of_degree(deg)
-        index = {m: i for i, m in enumerate(monos)}
+    for deg in sorted(by_degree, key=lambda d: (d[0] + d[1], d)):
+        index = {P.pack(m): k for k, m in enumerate(ring.monomials_of_degree(deg))}
         span = VectorSpan(ring.field.char)
-        for g in kept:
-            gdeg = g.multidegree()
+        for i in kept:
+            gdeg, g = cands[i]
             shift = (deg[0] - gdeg[0], deg[1] - gdeg[1])
             if shift[0] < 0 or shift[1] < 0:
                 continue
-            for u in ring.monomials_of_degree(shift):
-                span.add({index[m]: c for m, c in g.mul_monomial(u).terms})
-        for cand in by_degree[deg]:
-            if span.add({index[m]: c for m, c in cand.terms}):
-                kept.append(cand)
+            for u in map(P.pack, ring.monomials_of_degree(shift)):
+                span.add({index[m + u]: c for m, c in g.items()})
+        for i in by_degree[deg]:
+            if span.add({index[m]: c for m, c in cands[i][1].items()}):
+                kept.append(i)
     return kept
 
 

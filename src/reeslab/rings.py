@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache
+from operator import mul, neg
 
 
 class RingError(ValueError):
@@ -111,7 +112,9 @@ class PrimeField:
 
 QQ = RationalField()
 
+# monomials_of_degree's lists, shared by every ring; emptied when full
 _MONOMIAL_CACHE = {}
+_MONOMIAL_CACHE_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +142,25 @@ class TermOrder:
         if self.tag == "elim" and self.block <= 0:
             raise RingError("elimination order needs a positive block size")
 
+    @lru_cache(maxsize=64)
     def key_function(self, nvars):
-        """Sort key: key(m) < key(m') iff m < m' in this order."""
+        """Sort key: key(m) < key(m') iff m < m' in this order; built once per (order, nvars)."""
         perm = self.perm if self.perm is not None else tuple(range(nvars))
         if len(perm) != nvars:
             raise RingError("permutation length %d != %d variables" % (len(perm), nvars))
         tag, block = self.tag, self.block
-
-        def revlex_part(e):
-            # degrevlex: higher monomial == higher (deg, reversed negated exponents)
-            return (sum(e),) + tuple(-x for x in reversed(e))
+        rperm = perm[::-1]
 
         if tag == "lex":
-            return lambda m: tuple(m[i] for i in perm)
+            return lambda m: tuple(map(m.__getitem__, perm))
         if tag == "deglex":
-            return lambda m: (sum(m),) + tuple(m[i] for i in perm)
+            return lambda m: (sum(m), *map(m.__getitem__, perm))
         if tag == "degrevlex":
-            return lambda m: revlex_part(tuple(m[i] for i in perm))
+            # higher monomial == higher (deg, reversed negated exponents)
+            return lambda m: (sum(m), *map(neg, map(m.__getitem__, rperm)))
+
+        def revlex_part(e):
+            return (sum(e),) + tuple(-x for x in reversed(e))
 
         def elim_key(m):
             e = tuple(m[i] for i in perm)
@@ -306,6 +311,8 @@ class RingSpec:
 
         if degree[0] >= 0 and degree[1] >= 0:
             rec(0, degree[0], degree[1], [])
+        if len(_MONOMIAL_CACHE) >= _MONOMIAL_CACHE_LIMIT:
+            _MONOMIAL_CACHE.clear()
         _MONOMIAL_CACHE[key] = out
         return out
 
@@ -426,9 +433,6 @@ class MonomialPacking:
         mg = m | g
         return any((mg - a) & g == g for a in gens)
 
-    def lcm(self, a, b):
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
-
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -436,15 +440,12 @@ class MonomialPacking:
 class Polynomial:
     """Immutable multivariate polynomial: canonical term list, descending order."""
 
-    __slots__ = ("ring", "terms", "_key")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        key = ring.key_function()
-        self._key = key
-        items = [(m, c) for m, c in coeffs.items() if c]
-        items.sort(key=lambda t: key(t[0]), reverse=True)
-        self.terms = tuple(items)
+        monos = sorted((m for m, c in coeffs.items() if c), key=ring.key_function(), reverse=True)
+        self.terms = tuple([(m, coeffs[m]) for m in monos])
 
     # -- basic protocol ----------------------------------------------------
     def __bool__(self):
@@ -473,17 +474,6 @@ class Polynomial:
         if not self.terms:
             raise RingError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        field = self.ring.field
-        if lc == field.one:
-            return self
-        if field.char == 0:
-            return self.scale(Fraction(1) / lc)
-        return self.scale(pow(lc, -1, field.char))
 
     def _check_same_ring(self, other):
         if self.ring != other.ring:
@@ -579,17 +569,6 @@ class Polynomial:
         if not self.terms:
             return True
         return self.multidegree() is not None
-
-    def total_degree(self):
-        if not self.terms:
-            raise RingError("zero polynomial")
-        return max(sum(m) for m, _ in self.terms)
-
-    def coefficient(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from reeslab import (
     DEGREVLEX,
     Ideal,
     LEX,
+    PrimeField,
     QQ,
     RingSpec,
     graded_ring,
@@ -208,3 +209,48 @@ def test_bayer_stillman_preconditions(S22):
     I = Ideal(S22, [parse_polynomial("X1^2*Y1", S22)])
     with pytest.raises(GinError):
         bayer_stillman_check(I, 1)  # generator above the degree bound
+
+
+def _substitute_by_polynomials(I, blocks, matrices):
+    """apply_coordinate_change through Polynomial arithmetic, one factor at a time."""
+    ring = I.ring
+    images = list(ring.gens())
+    for indices, g in zip(blocks, matrices):
+        for col, j in enumerate(indices):
+            acc = ring.zero()
+            for row, i in enumerate(indices):
+                if g[row][col]:
+                    acc = acc + ring.variable(i).scale(g[row][col])
+            images[j] = acc
+    out = []
+    for f in I.gens:
+        acc = ring.zero()
+        for mono, coeff in f.terms:
+            term = ring.constant(coeff)
+            for idx, e in enumerate(mono):
+                for _ in range(e):
+                    term = term * images[idx]
+            acc = acc + term
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_coordinate_change_matches_polynomial_substitution(field):
+    from reeslab.ginreg import _degree_blocks, _random_upper_unitriangular, apply_coordinate_change
+
+    graded = graded_ring(["x", "y", "z"], field=field)
+    bigraded = RingSpec(field, ("X1", "X2", "X3", "Y1", "Y2"),
+                        ((1, 0), (1, 0), (1, 0), (2, 1), (2, 1)), DEGREVLEX)
+    cases = [
+        (graded, ["1/2*x^2 - 2/3*y*z", "5/7*x*y^2 + z^3 - 3*x^3", "y^4"]),
+        (bigraded, ["X1*Y2 - 3/4*X2*Y1", "Y1^2 - 5/2*X3^2*Y2", "X1^3 + 1/3*X2*X3^2"]),
+    ]
+    rng = random.Random(3)
+    for ring, texts in cases:
+        I = Ideal(ring, [parse_polynomial(t, ring) for t in texts])
+        blocks = _degree_blocks(ring)
+        assert len(blocks) == (2 if ring is bigraded else 1)
+        for _ in range(3):
+            mats = [_random_upper_unitriangular(b, rng, 100) for b in blocks]
+            assert list(apply_coordinate_change(I, blocks, mats).gens) == _substitute_by_polynomials(I, blocks, mats)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab.groebner import spairs_reduce_to_zero, transport
-from reeslab.rings import MonomialPacking, RingSpec, TermOrder
+from reeslab.rings import MonomialPacking, Polynomial, RingSpec, TermOrder
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -276,3 +277,111 @@ def test_reduced_basis_does_not_depend_on_generator_order(order, field):
     for _ in range(3):
         rng.shuffle(gens)
         assert groebner_basis(Ideal(A, gens)).polys == expected
+
+
+# ---------------------------------------------------------------------------
+# ideal_power and minimal_generators against the Polynomial product route
+
+def _minimal_generators_by_polynomials(ring, polys):
+    """minimal_generators on Polynomials: rows of g.mul_monomial(u) with field coefficients."""
+    from reeslab._linalg import VectorSpan
+
+    by_degree = {}
+    for p in polys:
+        by_degree.setdefault(p.multidegree(), []).append(p)
+    kept = []
+    for deg in sorted(by_degree, key=lambda d: (d[0] + d[1], d)):
+        index = {m: i for i, m in enumerate(ring.monomials_of_degree(deg))}
+        span = VectorSpan(ring.field.char)
+        for g in kept:
+            gdeg = g.multidegree()
+            shift = (deg[0] - gdeg[0], deg[1] - gdeg[1])
+            if shift[0] < 0 or shift[1] < 0:
+                continue
+            for u in ring.monomials_of_degree(shift):
+                span.add({index[m]: c for m, c in g.mul_monomial(u).terms})
+        for cand in by_degree[deg]:
+            if span.add({index[m]: c for m, c in cand.terms}):
+                kept.append(cand)
+    return kept
+
+
+def _power_by_polynomial_products(I, j):
+    """I^j as Polynomial.__mul__ products of combinations_with_replacement, interreduced when homogeneous."""
+    from itertools import combinations_with_replacement
+
+    gens = []
+    for combo in combinations_with_replacement(I.gens, j):
+        prod = combo[0]
+        for f in combo[1:]:
+            prod = prod * f
+        gens.append(prod)
+    if I.is_homogeneous():
+        gens = _minimal_generators_by_polynomials(I.ring, gens)
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("case", ["twisted_cubic", "lex", "inhomogeneous", "wide_exponents", "rational"])
+def test_ideal_power_matches_polynomial_products(case, field):
+    order = LEX if case == "lex" else DEGREVLEX
+    # (x^300, y^2)^3 needs wider fields than its generators; two variables,
+    # because minimal_generators lists every monomial of degree 900
+    names = ["x", "y"] if case == "wide_exponents" else ["x", "y", "z", "w"]
+    A = graded_ring(names, field=field, order=order)
+    gens = {
+        "twisted_cubic": ["x*w - y*z", "y^2 - x*z", "z^2 - y*w"],
+        "lex": ["x^2 - y*z", "x*y - 3*z*w + w^2", "y^3 - x*z*w"],
+        "inhomogeneous": ["x^2 - y", "x*y + 2*z - 1", "w^3 + x"],
+        "wide_exponents": ["x^300", "y^2"],
+        "rational": ["1/2*x^2 - 2/3*y*z", "5/7*x*y + z^2", "y*w - 1/3*w^2"],
+    }[case]
+    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
+    for j in (1, 2, 3):
+        assert list(ideal_power(I, j).gens) == _power_by_polynomial_products(I, j), j
+
+
+def test_ideal_powers_over_q_reduce_to_the_powers_over_f32003():
+    Q = graded_ring(["x", "y", "z", "w"])
+    F = graded_ring(["x", "y", "z", "w"], field=PrimeField(32003))
+    rng = random.Random(11)
+    for _ in range(4):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            d = rng.randint(1, 2)
+            monos = {m for m in Q.monomials_of_degree((d, 0)) if rng.random() < 0.5} or {(d, 0, 0, 0)}
+            gens.append(Polynomial(Q, {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for m in monos}))
+        I = Ideal(Q, gens)
+        Ip = Ideal(F, [transport(g, F) for g in I.gens])
+        for j in (2, 3):
+            assert [transport(g, F) for g in ideal_power(I, j).gens] == list(ideal_power(Ip, j).gens)
+
+
+def test_minimal_generators_in_a_rees_ring(twisted_cubic):
+    from reeslab.groebner import minimal_generators
+    from reeslab.rees import rees_presentation
+
+    K = rees_presentation(twisted_cubic).defining_ideal
+    S = K.ring
+    gens = list(K.gens)
+    # redundant candidates: multiples of generators by variables of both degrees, and a sum
+    cands = [gens[0] * S.variable(0), gens[-1]] + gens + [gens[1] * S.variable(5), gens[0] + gens[1]]
+    kept = minimal_generators(S, cands)
+    assert kept == _minimal_generators_by_polynomials(S, cands)
+    assert kept == [gens[-1]] + gens[:-1]
+
+
+def test_minimal_generators_over_a_prime_field_keep_their_order():
+    from reeslab.groebner import minimal_generators
+
+    texts = ["y^3", "x^2 + x*y", "x^2 - 6*x*y", "y^2", "x*y^2 + y^3", "x^3 - 2*y^3"]
+    kept = {}
+    for field in (QQ, PrimeField(7)):
+        A = graded_ring(["x", "y"], field=field)
+        cands = [parse_polynomial(t, A) for t in texts]
+        got = minimal_generators(A, cands)
+        assert got == _minimal_generators_by_polynomials(A, cands)
+        kept[field] = [repr(g) for g in got]
+    # -6 = 1 mod 7: the second quadric repeats the first
+    assert kept[PrimeField(7)] == ["x^2 + x*y", "y^2"]
+    assert kept[QQ] == ["x^2 + x*y", "x^2 - 6*x*y", "y^2"]

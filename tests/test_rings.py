@@ -175,11 +175,9 @@ def test_packed_monomials_against_exponent_tuples(order):
         pa, pb = packed[a], packed[b]
         assert P.unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
         assert P.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
-        assert P.unpack(P.lcm(pa, pb)) == tuple(map(max, a, b))
         assert P.degree(pa) == sum(a)
     E = MonomialPacking.fitting(n, 4)
     for a, b in zip(monos, monos[1:]):
-        assert E.unpack(E.lcm(E.pack(a), E.pack(b))) == tuple(map(max, a, b))
         assert E.divides(E.pack(a), E.pack(b)) == all(x <= y for x, y in zip(a, b))
 
 
@@ -195,3 +193,20 @@ def test_packed_overflow_is_caught():
     assert E.unpack(E.pack((7, 7, 7))) == (7, 7, 7)
     with pytest.raises(PackingOverflow):
         E.pack((0, 8, 0))
+
+
+def test_monomial_cache_stays_under_its_cap(monkeypatch):
+    from reeslab import rings
+
+    assert rings._MONOMIAL_CACHE_LIMIT > 0
+    monkeypatch.setattr(rings, "_MONOMIAL_CACHE_LIMIT", 16)
+    ring = RingSpec(QQ, ("x", "y", "t"), ((1, 0), (1, 0), (0, 1)))
+    first = {}
+    for a in range(8):
+        for b in range(8):
+            first[a, b] = list(ring.monomials_of_degree((a, b)))
+            assert sorted(first[a, b]) == [(i, a - i, b) for i in range(a + 1)]
+            assert len(rings._MONOMIAL_CACHE) <= 16
+    # the cache was emptied on the way; rebuilt lists come in the same order
+    for degree, monos in first.items():
+        assert ring.monomials_of_degree(degree) == monos
