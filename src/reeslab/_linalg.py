@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -111,42 +110,3 @@ class VectorSpan:
         self.rows[min(row)] = row
         return True
 
-
-def solve_exact(matrix, rhs):
-    """Solve A x = b over Q exactly; A is a list of Fraction rows.
-
-    Returns the unique solution of the (possibly overdetermined but
-    consistent) system, or None when the system is inconsistent or the
-    solution is not unique.
-    """
-    m = len(matrix)
-    if m == 0:
-        return None
-    n = len(matrix[0])
-    A = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None  # inconsistent
-    if len(pivots) < n:
-        return None  # underdetermined
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = A[i][n]
-    return x

@@ -64,7 +64,7 @@ class PowerPolynomialFamily:
         }
 
 
-def fit_hilbert_polynomials(samples, n, h, include_zero=True):
+def fit_hilbert_polynomials(samples, n, h):
     """Fit the power family from Hilbert polynomials of A/I^j.
 
     ``samples`` maps j >= 1 to HilbertPolynomial; j = 0 contributes the zero
@@ -75,10 +75,7 @@ def fit_hilbert_polynomials(samples, n, h, include_zero=True):
         raise FitError("height n case has zero-dimensional quotients; no family")
     count = n - h
     js = sorted(samples)
-    data = {i: [] for i in range(count)}
-    if include_zero:
-        for i in range(count):
-            data[i].append((0, Fraction(0)))
+    data = {i: [(0, Fraction(0))] for i in range(count)}
     for j in js:
         hp = samples[j]
         coeffs = hp.binomial_coefficients(count)
@@ -271,7 +268,7 @@ def fit_hilbert_series(samples, d, l, include_zero=True):
 
 @dataclass(frozen=True)
 class SeriesRecurrence:
-    """H_R(s,t) = Q(s,t) / ((1-s)^n prod_i (1 - s^{d_i} t)) recovered from slices."""
+    """H_R(s,t) = Q(s,t) / ((1-s)^n prod_i (1 - s^{d_i} t)), kept as the t-slices of Q."""
 
     q_slices: tuple        # tuple of (j, numerator dict) for Q
     degrees: tuple
@@ -282,40 +279,12 @@ class SeriesRecurrence:
         return HilbertSeriesRational.make({(a, 0): c for a, c in out.items()}, [(1, 0)] * self.n)
 
 
-def fit_hilbert_series_general(samples, degrees):
-    """EE45-style recurrence fit for arbitrary generating degrees.
-
-    ``samples`` must contain consecutive powers 0..m; the fit multiplies the
-    truncated series by prod (1 - s^{d_i} t) and demands the top r slices of
-    the result vanish, certifying that the window passed the stable range.
-    """
-    r = len(degrees)
-    js = sorted(samples)
-    n = sum(m for (a, b), m in samples[js[0]].den)
-    numerators = {}
-    for j in js:
-        numerators[j] = _standard_numerator(samples[j], n)
-    if 0 not in numerators:
-        numerators[0] = {0: 1}
-    m = max(numerators)
-    if sorted(numerators) != list(range(m + 1)):
-        raise FitError("need consecutive powers 0..%d" % m)
-    # Q slices: multiply sum_j N_j t^j by prod (1 - s^{d_i} t), truncated
-    q = {j: dict(numerators[j]) for j in range(m + 1)}
-    for dd in degrees:
-        new = {j: dict(q[j]) for j in range(m + 1)}
-        for j in range(1, m + 1):
-            for a, c in q[j - 1].items():
-                key = a + dd
-                new[j][key] = new[j].get(key, 0) - c
-        q = {j: {a: c for a, c in sl.items() if c} for j, sl in new.items()}
-    top = [j for j in range(max(0, m - r + 1), m + 1) if q[j]]
-    if top:
-        raise FitError(
-            "window too small: numerator slices %s are nonzero; include more powers" % top
-        )
-    slices = tuple((j, q[j]) for j in range(m + 1) if q[j])
-    return SeriesRecurrence(slices, tuple(degrees), n)
+def series_recurrence(P):
+    """The recurrence of a Rees presentation P: Q is the numerator of its series, slice by slice."""
+    slices = {}
+    for (a, b), c in P.series().num:
+        slices.setdefault(b, {})[a] = c
+    return SeriesRecurrence(tuple(sorted(slices.items())), P.degrees, P.x_count)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +427,3 @@ def predict_resolutions(tables, l, d, threshold):
         offsets, tuple(polys), d, l, threshold, linear, tuple(sorted(validated))
     )
 
-
-def threshold_surrogate(rees_is_cm, detected=None):
-    """Stability threshold stand-in: -1 for a certified CM Rees algebra, else a detected value."""
-    if rees_is_cm:
-        return -1
-    if detected is None:
-        raise FitError("no threshold available: pass a detected stabilization point")
-    return detected

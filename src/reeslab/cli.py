@@ -134,24 +134,26 @@ def _cmd_powers(args, problem):
     return ({"powers": out}, ["degreewise-minimal-generators"], [])
 
 
-def _quotient_height(problem):
-    from .hilbert import dim_mult, hilbert_series_ideal
+def _power_quotients(problem, max_power):
+    """Rees presentation P of I, the height of I, and the Hilbert polynomials of A/I^j, j <= max_power.
 
-    series = hilbert_series_ideal(problem.ideal, "quotient")
-    return problem.ring.nvars - dim_mult(series).dimension
+    Each H_{A/I^j} = H_A - H_{I^j} is read off a t-slice of the one Rees series.
+    """
+    from .hilbert import dim_mult, hilbert_polynomial, hilbert_series_ring
+    from .rees import rees_presentation
+
+    P = rees_presentation(problem.ideal)
+    H_A = hilbert_series_ring(problem.ring)
+    h = problem.ring.nvars - dim_mult(H_A - P.power_series(1)).dimension
+    samples = {j: hilbert_polynomial(H_A - P.power_series(j)) for j in range(1, max_power + 1)}
+    return P, h, samples
 
 
 def _cmd_fit_hp(args, problem):
     from .asymptotics import fit_hilbert_polynomials
-    from .groebner import ideal_power
-    from .hilbert import hilbert_polynomial, hilbert_series_ideal
 
-    n = problem.ring.nvars
-    h = _quotient_height(problem)
-    samples = {}
-    for j in range(1, args.max_power + 1):
-        samples[j] = hilbert_polynomial(hilbert_series_ideal(ideal_power(problem.ideal, j), "quotient"))
-    family = fit_hilbert_polynomials(samples, n, h)
+    _, h, samples = _power_quotients(problem, args.max_power)
+    family = fit_hilbert_polynomials(samples, problem.ring.nvars, h)
     payload = family.to_json()
     payload["height"] = h
     if args.predict:
@@ -164,19 +166,18 @@ def _cmd_fit_hp(args, problem):
 
 
 def _cmd_fit_hs(args, problem):
-    from .asymptotics import fit_hilbert_series, fit_hilbert_series_general
+    from .asymptotics import fit_hilbert_series, series_recurrence
     from .rees import fiber_cone, rees_presentation
 
     P = rees_presentation(problem.ideal)
-    l = fiber_cone(P).spread
-    samples = {j: P.power_series(j) for j in range(1, args.max_power + 1)}
     if P.equigenerated:
+        l = fiber_cone(P).spread
+        samples = {j: P.power_series(j) for j in range(1, args.max_power + 1)}
         template = fit_hilbert_series(samples, P.max_degree, l)
         payload = template.to_json()
         route = "equigenerated-offset-template"
     else:
-        samples[0] = P.power_series(0)
-        template = fit_hilbert_series_general(samples, P.degrees)
+        template = series_recurrence(P)
         payload = {
             "slices": [[j, {str(a): c for a, c in num.items()}] for j, num in template.q_slices],
             "degrees": list(template.degrees),
@@ -192,22 +193,15 @@ def _cmd_fit_hs(args, problem):
 
 def _cmd_mixed_mult(args, problem):
     from .asymptotics import FitError, fit_hilbert_polynomials, mixed_multiplicities
-    from .groebner import ideal_power
-    from .hilbert import hilbert_polynomial, hilbert_series_ideal
-    from .rees import fiber_cone, rees_presentation
+    from .rees import fiber_cone
 
-    n = problem.ring.nvars
-    h = _quotient_height(problem)
+    P, h, samples = _power_quotients(problem, args.max_power)
     degs = {g.multidegree()[0] for g in problem.ideal.gens}
     if len(degs) != 1:
         raise FitError("mixed multiplicities need an equigenerated ideal")
     d = degs.pop()
-    P = rees_presentation(problem.ideal)
     l = fiber_cone(P).spread
-    samples = {}
-    for j in range(1, args.max_power + 1):
-        samples[j] = hilbert_polynomial(hilbert_series_ideal(ideal_power(problem.ideal, j), "quotient"))
-    family = fit_hilbert_polynomials(samples, n, h)
+    family = fit_hilbert_polynomials(samples, problem.ring.nvars, h)
     mm = mixed_multiplicities(family, d, l)
     payload = mm.to_json()
     payload.update({"d": d, "l": l, "h": h})

@@ -76,7 +76,7 @@ def diagonal_hilbert_function(I, spec, s_max):
     return out
 
 
-def diagonal_dimension(I, spec, fit_window=None):
+def diagonal_dimension(I, spec):
     """dim k[(I^e)_c] = dim A, cross-checked on the diagonal growth.
 
     The presentation constructor already certifies dim S/K = dim A + 1
@@ -87,7 +87,7 @@ def diagonal_dimension(I, spec, fit_window=None):
     if not spec.admissible(P.max_degree):
         raise DiagonalError("inadmissible diagonal: need c >= d e + 1")
     n_bar = P.x_count
-    window = fit_window if fit_window is not None else n_bar + 3
+    window = n_bar + 3
     values = diagonal_hilbert_function(P, spec, window + 2)
     # growth is polynomial of degree n_bar - 1 for s >> 0; fit on a late window
     pts = [(s, Fraction(values[s])) for s in range(3, 3 + n_bar)]

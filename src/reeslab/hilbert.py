@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from . import _qpoly as qp
-from ._linalg import solve_exact
 from .groebner import groebner_basis
 from .rings import MonomialPacking
 
@@ -407,79 +406,72 @@ def hilbert_polynomial(series):
 
 @dataclass(frozen=True)
 class BigradedHilbertPolynomial:
-    """P(i, j) = sum a_kl * binom(i - d*j, k) * binom(j, l) on the stable cone."""
+    """P(i, j) = sum c_kl * binom(i - d*j - u0, k) * binom(j - j0, l), with integer c_kl.
+
+    P agrees with the Hilbert function wherever i - d*j >= u0 and j >= j0,
+    where ``origin`` = (u0, j0).
+    """
 
     shear: int
-    coeffs: tuple       # ((k, l), Fraction) sorted
+    coeffs: tuple       # ((k, l), int) sorted
     total_degree: int
-    window: tuple       # ((i0, j0), size) used for the fit
+    origin: tuple       # (u0, j0)
 
     def __call__(self, i, j):
-        acc = Fraction(0)
-        for (k, l), c in self.coeffs:
-            acc += c * _binom_frac(i - self.shear * j, k) * _binom_frac(j, l)
-        return acc
+        u0, j0 = self.origin
+        u = i - self.shear * j - u0
+        return sum(c * _binom(u, k) * _binom(j - j0, l) for (k, l), c in self.coeffs)
 
 
-def _binom_frac(x, k):
-    out = Fraction(1)
+def _binom(x, k):
+    """binom(x, k) as a polynomial in x, exact at every integer x."""
+    out = 1
     for t in range(k):
-        out *= Fraction(x - t)
-    return out / factorial(k)
+        out *= x - t
+    return out // factorial(k)
 
 
-def bigraded_hilbert_polynomial(series, shear=None, max_total_degree=None):
-    """Fit the bigraded Hilbert polynomial by exact interpolation.
+def bigraded_hilbert_polynomial(series):
+    """Bigraded Hilbert polynomial of N(s, t) / ((1-s)^n prod_{k<=m} (1 - s^{d_k} t)), n, m >= 1.
 
-    The basis uses the shear i - d*j where d is the largest first degree
-    among second-degree-one denominator factors. Windows auto-grow until a
-    disjoint validation window reproduces the Hilbert function.
+    Let d = max d_k, u = i - d*j, j0 = deg_t N and u0 = max(0, max (a - d*b)
+    - n + 1) over the support of N. A term s^a t^b of N adds, over the
+    (x_1..x_m) >= 0 with sum j - b, binom(i - a - sum d_k x_k + n - 1, n - 1)
+    to the coefficient of s^i t^j. On u >= u0, j >= j0 every j - b is >= 0
+    and every i - a - sum d_k x_k is >= -(n-1), where that binomial is still
+    the count, so the coefficient is a polynomial of total degree
+    <= n + m - 2 in (u, j) there. Its coefficients on the basis
+    binom(u - u0, k) binom(j - j0, l) are the forward differences of the
+    Hilbert function at (u0, j0). Any other denominator raises SeriesError.
     """
-    tvars = [a for (a, b), m in series.den for _ in range(m) if b == 1]
-    nstd = sum(m for (a, b), m in series.den if b == 0)
-    if shear is None:
-        shear = max(tvars) if tvars else 0
-    cap = max_total_degree if max_total_degree is not None else nstd + len(tvars) - 2
-    cap = max(cap, 0)
-    for D in range(0, cap + 1):
-        for (i0, j0) in ((2, 1), (4, 1), (8, 2), (16, 2)):
-            fit = _try_fit(series, shear, D, i0, j0)
-            if fit is not None:
-                return fit
-    raise SeriesError("no bigraded Hilbert polynomial found up to total degree %d" % cap)
-
-
-def _try_fit(series, d, D, i0, j0):
-    monomials = [(k, l) for k in range(D + 1) for l in range(D + 1 - k)]
-    points = []
-    size = len(monomials)
-    # sample grid: enough points for the unknowns plus consistency rows
-    js = list(range(j0, j0 + D + 2))
-    offs = list(range(i0, i0 + D + 2))
-    imax = d * max(js) + max(offs)
-    jmax = max(js)
-    arr = series.expand(imax, jmax)
-    rows, rhs = [], []
-    for j in js:
-        for off in offs:
-            i = d * j + off
-            rows.append([_binom_frac(i - d * j, k) * _binom_frac(j, l) for (k, l) in monomials])
-            rhs.append(arr[i][j])
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        return None
-    coeffs = tuple(sorted(((kl, c) for kl, c in zip(monomials, sol) if c != 0)))
-    poly = BigradedHilbertPolynomial(d, coeffs, max((k + l for (k, l), c in coeffs), default=0), ((i0, j0), D + 2))
-    # validate on a disjoint window
-    vjs = [jmax + 1, jmax + 2]
-    voffs = [max(offs) + 1, max(offs) + 2]
-    varr = series.expand(d * max(vjs) + max(voffs), max(vjs))
-    for j in vjs:
-        for off in voffs:
-            i = d * j + off
-            if poly(i, j) != varr[i][j]:
-                return None
-    return poly
+    tvars = []
+    n = 0
+    for (a, b), mult in series.den:
+        if (a, b) == (1, 0):
+            n += mult
+        elif b == 1:
+            tvars.extend([a] * mult)
+        else:
+            raise SeriesError("denominator factor (1 - s^%d t^%d) is not (1 - s) or (1 - s^d t)" % (a, b))
+    if not n or not tvars:
+        raise SeriesError("need at least one (1 - s) and one (1 - s^d t) factor")
+    d = max(tvars)
+    D = n + len(tvars) - 2
+    j0 = max((b for (a, b), c in series.num), default=0)
+    u0 = max([0] + [a - d * b - n + 1 for (a, b), c in series.num])
+    arr = series.expand(d * (j0 + D) + u0 + D, j0 + D)
+    grid = [[arr[d * (j0 + q) + u0 + p][j0 + q] for q in range(D + 1 - p)] for p in range(D + 1)]
+    coeffs = []
+    for k in range(D + 1):
+        for l in range(D + 1 - k):
+            c = sum(
+                (-1) ** (k - p + l - q) * comb(k, p) * comb(l, q) * grid[p][q]
+                for p in range(k + 1) for q in range(l + 1)
+            )
+            if c:
+                coeffs.append(((k, l), c))
+    total = max((k + l for (k, l), c in coeffs), default=0)
+    return BigradedHilbertPolynomial(d, tuple(coeffs), total, (u0, j0))
 
 
 # ---------------------------------------------------------------------------

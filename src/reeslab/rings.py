@@ -292,14 +292,20 @@ class RingSpec:
             a, b = degs[i]
             min_ratio[i] = min(min_ratio[i + 1], a / b if b else INF)
 
+        last = n - 1
+
         def rec(i, rem1, rem2, acc):
-            if i == n:
-                if rem1 == 0 and rem2 == 0:
+            a, b = degs[i]
+            if i == last:
+                # the last exponent is forced: both remainders are one multiple of its degree
+                e = rem1 // a if a else rem2 // b
+                if e * a == rem1 and e * b == rem2:
+                    acc.append(e)
                     out.append(tuple(acc))
+                    acc.pop()
                 return
             if rem2 and rem2 * min_ratio[i] > rem1:
                 return
-            a, b = degs[i]
             emax1 = rem1 // a if a else None
             emax2 = rem2 // b if b else None
             cands = [c for c in (emax1, emax2) if c is not None]

@@ -15,11 +15,9 @@ from reeslab.asymptotics import (
     FitError,
     fit_hilbert_polynomials,
     fit_hilbert_series,
-    fit_hilbert_series_general,
     mixed_multiplicities,
     predict_resolutions,
     stable_projdim,
-    threshold_surrogate,
 )
 from reeslab.betti import graded_betti_table
 from conftest import TWISTED_CUBIC_TEMPLATE
@@ -114,25 +112,6 @@ def test_series_template_validation_failure(twisted_cubic):
     samples[3] = bad  # claims to be the cube
     with pytest.raises(FitError):
         fit_hilbert_series(samples, 2, 3)
-
-
-def test_series_recurrence_general_route():
-    A = graded_ring(["x", "y"])
-    I = Ideal(A, [parse_polynomial("x", A), parse_polynomial("y^2", A)])
-    samples = {j: hilbert_series_ideal(ideal_power(I, j), "ideal") for j in range(1, 4)}
-    samples[0] = hilbert_series_ideal(ideal_power(I, 0), "ideal")
-    fit = fit_hilbert_series_general(samples, (1, 2))
-    for j in (4, 5):
-        assert fit.predict(j) == hilbert_series_ideal(ideal_power(I, j), "ideal")
-
-
-def test_series_recurrence_window_too_small():
-    A = graded_ring(["x", "y"])
-    I = Ideal(A, [parse_polynomial("x", A), parse_polynomial("y^2", A)])
-    samples = {0: hilbert_series_ideal(ideal_power(I, 0), "ideal"),
-               1: hilbert_series_ideal(I, "ideal")}
-    with pytest.raises(FitError):
-        fit_hilbert_series_general(samples, (1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +285,3 @@ def test_maximal_minors_first_power_bound(symmetric_minors):
     B = graded_betti_table(I, 9, "ideal")
     assert invariants_from_shifts(B).a_star[0] <= 2 - 4
 
-
-def test_threshold_surrogate():
-    assert threshold_surrogate(True) == -1
-    assert threshold_surrogate(False, detected=4) == 4
-    with pytest.raises(FitError):
-        threshold_surrogate(False)

@@ -225,6 +225,20 @@ def test_fit_hs_general_route(capsys, tmp_path):
     assert doc["result"]["predicted"]["series"] == direct
 
 
+def test_fit_hs_general_route_from_the_first_power(capsys, tmp_path):
+    from reeslab import Ideal, graded_ring, hilbert_series_ideal, ideal_power, parse_polynomial
+
+    path = tmp_path / "mixed.ring"
+    path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x; y^2\n")
+    A = graded_ring(["x", "y"])
+    I = Ideal(A, [parse_polynomial("x", A), parse_polynomial("y^2", A)])
+    for j in (4, 5, 6):
+        code, out = run_cli(capsys, "--no-cache", "fit-hs", "--max-power", "1", "--predict", str(j), str(path))
+        assert code == 0
+        direct = hilbert_series_ideal(ideal_power(I, j), "ideal").to_json()
+        assert json.loads(out)["result"]["predicted"]["series"] == direct
+
+
 def test_mixed_mult_command(capsys, cubic_file):
     code, out = run_cli(capsys, "mixed-mult", "--max-power", "3", cubic_file)
     doc = json.loads(out)

@@ -6,6 +6,7 @@ import pytest
 from reeslab import (
     Ideal,
     QQ,
+    HilbertSeriesRational,
     RingSpec,
     SeriesError,
     bigraded_hilbert_polynomial,
@@ -138,6 +139,48 @@ def test_bigraded_hilbert_polynomial_on_grid(twisted_cubic_rees):
         for off in range(3, 8):
             i = 2 * j + off
             assert poly(i, j) == arr[i][j]
+
+
+UNEQUAL_DEGREE_IDEALS = {
+    "x2_y3_xz2": (["x", "y", "z"], ["x^2", "y^3", "x*z^2"]),
+    "x_y2": (["x", "y"], ["x", "y^2"]),
+    "x_y2_z3": (["x", "y", "z"], ["x", "y^2", "z^3"]),
+    "cubic_and_quadric": (["x", "y", "z", "w"], ["x*w - y*z", "y^3 - x*z^2"]),
+}
+QUARTIC = (["x0", "x1", "x2", "x3", "x4"],
+           ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2"])
+
+
+@pytest.mark.parametrize("name", ["quartic", "sym_minors"] + sorted(UNEQUAL_DEGREE_IDEALS))
+def test_bigraded_hilbert_polynomial_matches_expand_past_origin(name, request):
+    from reeslab.rees import rees_presentation
+
+    if name == "sym_minors":
+        P = request.getfixturevalue("symmetric_minors_rees")
+    else:
+        names, gens = QUARTIC if name == "quartic" else UNEQUAL_DEGREE_IDEALS[name]
+        A = graded_ring(names)
+        P = rees_presentation(Ideal(A, [parse_polynomial(g, A) for g in gens]))
+    series = P.series()
+    poly = bigraded_hilbert_polynomial(series)
+    u0, j0 = poly.origin
+    d = max(P.degrees)
+    assert poly.shear == d and all(type(c) is int for _, c in poly.coeffs)
+    size = 12
+    arr = series.expand(d * (j0 + size) + u0 + size, j0 + size)
+    for j in range(j0, j0 + size):
+        for i in range(d * j + u0, d * j + u0 + size):
+            assert poly(i, j) == arr[i][j]
+    assert dim_mult(series).relevant_dimension == poly.total_degree + 2
+
+
+def test_bigraded_hilbert_polynomial_rejects_other_denominators():
+    series = HilbertSeriesRational.make({(0, 0): 1}, [(1, 0), (2, 0), (1, 1)])
+    with pytest.raises(SeriesError):
+        bigraded_hilbert_polynomial(series)
+    report = dim_mult(series)
+    assert report.dimension == 3 and report.relevant_dimension is None
 
 
 def test_laurent_support_rejected_in_expand():

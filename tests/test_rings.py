@@ -210,3 +210,26 @@ def test_monomial_cache_stays_under_its_cap(monkeypatch):
     # the cache was emptied on the way; rebuilt lists come in the same order
     for degree, monos in first.items():
         assert ring.monomials_of_degree(degree) == monos
+
+
+@pytest.mark.parametrize("degrees", [
+    ((1, 0),) * 4,
+    ((1, 0), (1, 0), (0, 1)),
+    ((0, 1), (1, 0), (1, 0)),
+    ((1, 0), (1, 0), (1, 0), (2, 1), (3, 1)),
+    ((1, 0), (0, 1), (2, 1), (1, 1)),
+])
+def test_monomials_of_degree_against_brute_force(degrees):
+    import itertools
+
+    ring = RingSpec(QQ, tuple("v%d" % i for i in range(len(degrees))), degrees)
+    A, B = 6, 3
+    # every exponent is at most max(a, b) for a degree (a, b); product() lists in lex order
+    expected = {}
+    for e in itertools.product(range(A + 1), repeat=len(degrees)):
+        deg = tuple(sum(x * d[k] for x, d in zip(e, degrees)) for k in (0, 1))
+        if deg[0] <= A and deg[1] <= B:
+            expected.setdefault(deg, []).append(e)
+    for a in range(A + 1):
+        for b in range(B + 1):
+            assert ring.monomials_of_degree((a, b)) == expected.get((a, b), [])
