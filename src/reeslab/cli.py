@@ -5,41 +5,47 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .cache import cache_key, cache_lookup_store, source_digest
 
 # Each command imports the layers it runs inside its `_cmd_*`, so start-up
-# compiles only `cache` and the layers of the one command given.
+# compiles only `cache` and the layers of the one command given. A cache hit
+# also skips the problem's ring and ideal: `load_problem` builds them on first use.
 
 _SAFE = 1 << 53
 
 
 def _jsonable(obj):
     """Exact JSON: Fractions as 'p/q' strings, oversized ints as decimal strings."""
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return _jsonable(obj.numerator)
-        return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, bool) or obj is None:
+    from fractions import Fraction
+
+    def convert(obj):
+        if isinstance(obj, Fraction):
+            if obj.denominator == 1:
+                return convert(obj.numerator)
+            return "%d/%d" % (obj.numerator, obj.denominator)
+        if isinstance(obj, bool) or obj is None:
+            return obj
+        if isinstance(obj, int):
+            return str(obj) if abs(obj) >= _SAFE else obj
+        if isinstance(obj, dict):
+            return {str(k): convert(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [convert(v) for v in obj]
         return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) >= _SAFE else obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+
+    return convert(obj)
 
 
 def _emit(args, command, payload, citations, assumptions):
+    """Print a report; `payload` is already exact JSON (from `_jsonable` or the cache)."""
     report = {
         "tool_version": __version__,
         "command": command,
         "criterion_citations": sorted(citations),
         "assumptions": list(assumptions),
-        "result": _jsonable(payload),
+        "result": payload,
     }
     if args.format == "text":
         _print_text(report)
@@ -510,6 +516,8 @@ def main(argv=None):
             return 1
 
         def produce():
+            if problem is not None:
+                problem.ideal  # a miss builds, and so checks, the whole file before anything is stored
             out = handler(args, problem)
             if isinstance(out, tuple) and len(out) == 2 and isinstance(out[1], int):
                 (payload, citations, assumptions), code = out

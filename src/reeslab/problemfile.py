@@ -1,26 +1,21 @@
-"""Line-oriented problem files: field, variables with bidegrees, order, ideal, family flags."""
+"""Line-oriented problem files: field, variables with bidegrees, order, ideal, family flags.
+
+Reading a file is a text pass: it checks every line and hashes a canonical
+text of the problem. The ring and the ideal are built from that pass on first
+access, so a command served from the cache compiles no algebra.
+"""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
-from dataclasses import dataclass
 
-from .groebner import Ideal
-from .rings import (
-    DEGLEX,
-    DEGREVLEX,
-    LEX,
-    PrimeField,
-    QQ,
-    ParseError,
-    RingSpec,
-    parse_polynomial,
-)
-
-_ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX, "deglex": DEGLEX}
+_ORDERS = ("degrevlex", "lex", "deglex")
 _VAR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_FLAG_CALL = re.compile(r"^([a-zA-Z_][a-zA-Z_0-9]*)\(([^)]*)\)$")
+# A family token is a call, which may hold commas and spaces, or a run of other characters.
+_FAMILY_TOKEN = re.compile(r"[^\s,]+?\([^)]*\)|[^\s,]+")
+_FLAG = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:=(.*)|\((.*)\))?")
 
 
 class ProblemError(ValueError):
@@ -31,23 +26,89 @@ class ProblemError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class ProblemFile:
-    """One ring and ideal per file, plus optional family flags."""
+    """One ring and ideal per file, plus optional family flags.
 
-    ring: RingSpec
-    ideal: Ideal
-    family: tuple          # ((name, value), ...) — value is True, tuple or int
-    content_hash: str
+    `family` and `content_hash` come from the text pass. `ring` and `ideal`
+    are built on first access, and raise what a bad field, variable list or
+    generator raises.
+    """
+
+    def __init__(self, field, names, degrees, order, ideal_exprs, family):
+        self._field = field              # None for Q, else (p, line, text of the field)
+        self._names = names
+        self._degrees = degrees
+        self._order = order              # one of _ORDERS
+        self._ideal_exprs = ideal_exprs  # ((line, expression), ...)
+        self.family = family             # ((name, value), ...) — value is True, tuple or int
+        canonical = "\n".join([
+            "field=%s" % ("Q" if field is None else "F%d" % field[0]),
+            "vars=%s" % ",".join("%s(%d,%d)" % (n, d[0], d[1]) for n, d in zip(names, degrees)),
+            "order=%s:0" % order,
+            "ideal=%s" % ";".join(e for _, e in ideal_exprs),
+            "family=%r" % (sorted(family),),
+        ])
+        self.content_hash = hashlib.sha256(canonical.encode()).hexdigest()
+
+    @functools.cached_property
+    def ring(self):
+        from .rings import QQ, PrimeField, RingError, RingSpec, TermOrder
+
+        field = QQ
+        if self._field is not None:
+            p, lineno, value = self._field
+            try:
+                field = PrimeField(p)
+            except RingError as exc:
+                raise ProblemError("malformed prime field %r" % value, lineno) from exc
+        return RingSpec(field, self._names, self._degrees, TermOrder(self._order))
+
+    @functools.cached_property
+    def ideal(self):
+        from .groebner import Ideal
+        from .rings import ParseError, parse_polynomial
+
+        ring = self.ring
+        gens = []
+        for lineno, expr in self._ideal_exprs:
+            try:
+                gens.append(parse_polynomial(expr, ring))
+            except ParseError as exc:
+                raise ProblemError("bad generator %r: %s" % (expr, exc), lineno) from exc
+        return Ideal(ring, gens)
 
     def family_dict(self):
         return dict(self.family)
 
 
-def parse_problem(text):
+def _family_flags(value, lineno):
+    flags = []
+    for token in _FAMILY_TOKEN.findall(value):
+        m = _FLAG.fullmatch(token)
+        try:
+            if m is None:
+                raise ValueError
+            name, number, args = m.groups()
+            if number is not None:
+                flag = int(number)
+            elif args is not None:
+                flag = tuple(int(x) for x in args.split(",") if x.strip())
+            else:
+                flag = True
+        except ValueError:
+            raise ProblemError("malformed family flag %r: expected name, name=int or name(int,...)"
+                               % token, lineno) from None
+        if any(name == seen for seen, _ in flags):
+            raise ProblemError("duplicate family flag %r" % name, lineno)
+        flags.append((name, flag))
+    return flags
+
+
+def _read_problem(text):
+    """The text pass: every line checked, nothing built."""
     field = None
     var_names, var_degrees = [], []
-    order = None
+    order = "degrevlex"
     ideal_exprs = []
     family = []
     seen = set()
@@ -64,14 +125,12 @@ def parse_problem(text):
             raise ProblemError("duplicate %r line" % key, lineno)
         seen.add(key)
         if key == "field":
-            if value == "Q":
-                field = QQ
-            elif value.startswith("Fp"):
+            if value.startswith("Fp"):
                 try:
-                    field = PrimeField(int(value.split(":", 1)[1]))
+                    field = (int(value.split(":", 1)[1]), lineno, value)
                 except (IndexError, ValueError) as exc:
                     raise ProblemError("malformed prime field %r" % value, lineno) from exc
-            else:
+            elif value != "Q":
                 raise ProblemError("unknown field %r" % value, lineno)
         elif key == "vars":
             matches = list(_VAR.finditer(value))
@@ -84,51 +143,27 @@ def parse_problem(text):
         elif key == "order":
             if value not in _ORDERS:
                 raise ProblemError("unknown order %r" % value, lineno)
-            order = _ORDERS[value]
+            order = value
         elif key == "ideal":
             ideal_exprs.extend([(lineno, e.strip()) for e in value.split(";") if e.strip()])
         elif key == "family":
-            for token in value.replace(",", " ").split():
-                if "=" in token:
-                    name, _, v = token.partition("=")
-                    family.append((name, int(v)))
-                else:
-                    m = _FLAG_CALL.match(token)
-                    if m:
-                        args = tuple(int(x) for x in m.group(2).split(",") if x.strip())
-                        family.append((m.group(1), args))
-                    else:
-                        family.append((token, True))
+            family = _family_flags(value, lineno)
         else:
             raise ProblemError("unknown key %r" % key, lineno)
-    if field is None:
-        field = QQ
     if not var_names:
         raise ProblemError("no variables declared")
-    ring = RingSpec(field, tuple(var_names), tuple(var_degrees), order or DEGREVLEX)
-    gens = []
-    for lineno, expr in ideal_exprs:
-        try:
-            gens.append(parse_polynomial(expr, ring))
-        except ParseError as exc:
-            raise ProblemError("bad generator %r: %s" % (expr, exc), lineno) from exc
-    ideal = Ideal(ring, gens)
-    canonical = _canonical_text(ring, ideal_exprs, family)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return ProblemFile(ring, ideal, tuple(family), digest)
+    return ProblemFile(field, tuple(var_names), tuple(var_degrees), order,
+                       tuple(ideal_exprs), tuple(family))
 
 
-def _canonical_text(ring, ideal_exprs, family):
-    lines = [
-        "field=%r" % (ring.field,),
-        "vars=%s" % ",".join("%s(%d,%d)" % (n, d[0], d[1]) for n, d in zip(ring.names, ring.degrees)),
-        "order=%s:%d" % (ring.order.tag, ring.order.block),
-        "ideal=%s" % ";".join(e for _, e in ideal_exprs),
-        "family=%r" % (sorted(family),),
-    ]
-    return "\n".join(lines)
+def parse_problem(text):
+    """The problem with its ring and ideal built, so every error is raised here."""
+    problem = _read_problem(text)
+    problem.ideal  # builds the ring too
+    return problem
 
 
 def load_problem(path):
+    """The problem in a file, from the text pass alone: `ring` and `ideal` are built on first access."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        return _read_problem(fh.read())

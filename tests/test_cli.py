@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -57,6 +58,107 @@ def test_problem_errors_carry_line_numbers():
     with pytest.raises(ProblemError) as err2:
         parse_problem("field: Q\nvars: X1 1\n")
     assert err2.value.line == 2
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+# Valid problem texts; the content-hash test runs over these and the demo files.
+PROBLEMS = [
+    TWISTED_CUBIC,
+    EMPTY,
+    "field: Fp:32003\nvars: x (1,0), y (1,0)\nideal: 3*x^2 - y^2; x*y\n",
+    "vars: x (1,0), y (1,0)\nideal: x^10; y^10\n",
+    "field: Q\nvars: x (1,0), y (1,0)\nideal: x; y^2\n",
+    "# comment\nfield: Fp:7\nvars: a(1,0),b (1,0) , t (2,1)\norder: lex\n"
+    "ideal: a*t - b^3 ; a^2\nideal: b*t  # second ideal line\nfamily: shape(2, 3), scm a2G=-1 none()\n",
+    "vars: x (1,0), y (1,0), z (1,0)\norder: deglex\nfamily: flag\n",
+]
+
+
+def _ring_canonical_hash(text):
+    """The content hash as it was once computed: the field, variables and order read off the built ring."""
+    problem = parse_problem(text)
+    ring = problem.ring
+    exprs = []
+    for raw in text.splitlines():
+        key, _, value = raw.split("#", 1)[0].partition(":")
+        if key.strip().lower() == "ideal":
+            exprs.extend(e.strip() for e in value.split(";") if e.strip())
+    canonical = "\n".join([
+        "field=%r" % (ring.field,),
+        "vars=%s" % ",".join("%s(%d,%d)" % (n, d[0], d[1]) for n, d in zip(ring.names, ring.degrees)),
+        "order=%s:%d" % (ring.order.tag, ring.order.block),
+        "ideal=%s" % ";".join(exprs),
+        "family=%r" % (sorted(problem.family),),
+    ])
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_content_hash_is_the_ring_based_hash():
+    texts = list(PROBLEMS)
+    for name in sorted(os.listdir(DEMOS)):
+        if name.endswith(".ring"):
+            with open(os.path.join(DEMOS, name), encoding="utf-8") as fh:
+                texts.append(fh.read())
+    assert len(texts) == len(PROBLEMS) + 2
+    for text in texts:
+        assert parse_problem(text).content_hash == _ring_canonical_hash(text)
+
+
+def test_family_flags():
+    problem = parse_problem(EMPTY + "family: scm, a2G=-2 shape(1, 2) none()\n")
+    assert problem.family == (("scm", True), ("a2G", -2), ("shape", (1, 2)), ("none", ()))
+
+
+@pytest.mark.parametrize("flags", ["a2G=x", "a2G=", "shape(1", "shape(1,y)", "(1)", "3x", "a=1 a=2", "f f(1)"])
+def test_malformed_family_flags_carry_line_numbers(flags):
+    with pytest.raises(ProblemError) as err:
+        parse_problem(EMPTY + "family: %s\n" % flags)
+    assert err.value.line == 4
+
+
+def test_malformed_family_flag_exits_1(capsys, tmp_path):
+    path = tmp_path / "flags.ring"
+    path.write_text(EMPTY + "family: a2G=x\n")
+    assert main(["hs", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 4: malformed family flag 'a2G=x'")
+
+
+@pytest.mark.parametrize("twin", [
+    TWISTED_CUBIC + "field: Q\n",  # the same canonical text as the valid file
+    TWISTED_CUBIC.replace("X3^2 - X2*X4", "X3^2 - X2*Z"),
+    TWISTED_CUBIC.replace("field: Q", "field: Fp:4"),
+], ids=["duplicate-field-line", "bad-generator", "Fp:4"])
+def test_invalid_twin_of_a_cached_file_is_not_served(capsys, tmp_path, isolated_cache, twin):
+    path = tmp_path / "problem.ring"
+    path.write_text(TWISTED_CUBIC)
+    code, _ = run_cli(capsys, "hs", str(path))
+    assert code == 0
+    entries = sorted(isolated_cache.glob("*.json"))
+    assert len(entries) == 1
+    path.write_text(twin)
+    assert main(["hs", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")
+    assert sorted(isolated_cache.glob("*.json")) == entries
+
+
+def test_bad_generator_reports_the_same_error_with_and_without_the_cache(capsys, tmp_path, isolated_cache):
+    path = tmp_path / "broken.ring"
+    path.write_text("field: Q\nvars: X1 (1,0)\nideal: X1*Z\n")
+    runs = []
+    for argv in (["hs"], ["hs"], ["--no-cache", "hs"]):
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    assert runs == [runs[0]] * 3
+    code, out, err = runs[0]
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 3: bad generator 'X1*Z'")
+    assert not list(isolated_cache.glob("*.json"))
 
 
 def test_hs_power_two_matches_known_series(capsys, cubic_file):

@@ -23,13 +23,14 @@ ideal: X1*X4 - X2*X3; X2^2 - X1*X3; X3^2 - X2*X4
 """
 
 # Runs `reeslab` with the given arguments, then prints the exit code and the
-# reeslab submodules loaded by the time the command returned.
+# reeslab submodules, `dataclasses` and `fractions` if loaded by the time the
+# command returned.
 RUN_AND_LIST_MODULES = """\
 import contextlib, io, sys
 from reeslab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.")))
+print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.") or m in ("dataclasses", "fractions")))
 """
 
 # `sorted(reeslab.__all__)` before `import reeslab` became lazy.
@@ -78,6 +79,18 @@ def test_startup_imports_only_what_the_command_runs(tmp_path):
     assert "reeslab.hilbert" in loaded
     for layer in ("betti", "ginreg", "asymptotics", "diagonals"):
         assert "reeslab." + layer not in loaded
+
+
+def test_cache_hit_builds_no_algebra(tmp_path):
+    cubic = tmp_path / "twisted-cubic.ring"
+    cubic.write_text(TWISTED_CUBIC)
+    code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "hs", str(cubic))
+    assert code == "0"
+    assert "reeslab.groebner" in loaded
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "hs", str(cubic))
+    assert code == "0"
+    assert loaded == ["reeslab.cache", "reeslab.cli", "reeslab.problemfile"]
 
 
 def test_public_surface_is_unchanged():
