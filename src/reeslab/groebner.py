@@ -215,55 +215,73 @@ def _spoly(ti, tj, L, guard, char):
     return out
 
 
+def _lcm(a, b, Q):
+    """Lcm of two monomials packed by the plain packing Q (no order): the fieldwise max.
+
+    d holds the guard bit of every field where a >= b; ge spreads each such
+    bit over the value bits below it, and the lcm takes those fields from a
+    and the others from b.
+    """
+    d = ((a | Q.guard) - b) & Q.guard
+    ge = d - (d >> (Q.width - 1))
+    return b ^ ((a ^ b) & ge)
+
+
 def _buchberger(seqs, P, char):
     """Reduced Groebner basis of the packed dict-polys in seqs, as triples sorted by lm.
 
     Normal-pair selection on a (sugar, lcm) key with the Gebauer-Moeller
-    update criteria; fraction-free arithmetic over Q. Each pair is keyed once,
-    when it is formed, and waits on a heap; a pair the criteria drop later
-    stays on the heap and is skipped when it comes up. Raises
-    PackingOverflow when a monomial does not fit the fields of P.
+    update criteria; fraction-free arithmetic over Q. The criteria compare
+    the lcms of leading monomials packed without an order, where an lcm is a
+    fieldwise max; only a pair that survives them gets its lcm packed by P.
+    Each pair is keyed once, when it is formed, and waits on a heap; a pair
+    the criteria drop later stays on the heap and is skipped when it comes
+    up. Raises PackingOverflow when a monomial does not fit the fields of P.
     """
     guard = P.guard
+    # every exponent is at most the total degree, a field of P, so the plain
+    # packing with P's width holds each leading monomial and each lcm of two
+    Q = MonomialPacking(P.nvars, P.width)
+    qguard = Q.guard
     triples = []    # all accepted intermediates; index-addressed
     lms = []
-    exps = []       # the leading monomials as exponent tuples
+    plain = []      # the leading monomials packed by Q
     sugars = []
     G = set()
-    B = {}          # pending pair (i, j) -> lcm of the leading monomials
+    B = {}          # pending pair (i, j) -> plain lcm of the leading monomials
     heap = []       # (sugar, lcm, i, j) of every pair formed
 
     def add_poly(lead, h, sugar):
         triples.append((lead, h.pop(lead), h))
         lms.append(lead)
-        exps.append(P.unpack(lead))
+        plain.append(Q.pack(P.unpack(lead)))
         sugars.append(sugar)
         return len(triples) - 1
 
     def update(h):
         # [Becker-Weispfenning p.230] Gebauer-Moeller update of (G, B) by h.
-        mh, eh = lms[h], exps[h]
+        mh, ph = lms[h], plain[h]
         C = sorted(G)
-        lcm_h = {g: P.pack(tuple(map(max, eh, exps[g]))) for g in C}
+        lcm_h = {g: _lcm(ph, plain[g], Q) for g in C}
 
         def lcm_with(k):
             L = lcm_h.get(k)
             if L is None:
-                L = lcm_h[k] = P.pack(tuple(map(max, eh, exps[k])))
+                L = lcm_h[k] = _lcm(ph, plain[k], Q)
             return L
 
         D = []
         for pos, g in enumerate(C):
             L_hg = lcm_h[g]
-            Lg = L_hg | guard
-            if mh + lms[g] == L_hg or (
-                not any((Lg - lcm_h[p]) & guard == guard for p in C[pos + 1:])
-                and not any((Lg - lcm_h[p]) & guard == guard for p in D)
+            Lg = L_hg | qguard
+            if ph + plain[g] == L_hg or (
+                not any((Lg - lcm_h[p]) & qguard == qguard for p in C[pos + 1:])
+                and not any((Lg - lcm_h[p]) & qguard == qguard for p in D)
             ):
                 D.append(g)
         for (i, j), L in list(B.items()):
             if (
-                ((L | guard) - mh) & guard == guard
+                ((L | qguard) - ph) & qguard == qguard
                 and lcm_with(i) != L
                 and lcm_with(j) != L
             ):
@@ -271,11 +289,13 @@ def _buchberger(seqs, P, char):
         degree_h = P.degree(mh)
         for g in D:
             L = lcm_h[g]
-            if mh + lms[g] != L:
+            if ph + plain[g] != L:
                 # the product criterion drops the pairs with disjoint leading monomials
+                B[(h, g)] = L
+                # the lcm packed by P keys the heap and builds the S-polynomial
+                L = P.pack(Q.unpack(L))
                 degree_L = P.degree(L)
                 sugar = max(sugars[h] + degree_L - degree_h, sugars[g] + degree_L - P.degree(lms[g]))
-                B[(h, g)] = L
                 heappush(heap, (sugar, L, h, g))
         for g in [g for g in G if ((lms[g] | guard) - mh) & guard == guard]:
             G.discard(g)
@@ -297,29 +317,18 @@ def _buchberger(seqs, P, char):
         if lead is not None:
             update(add_poly(lead, h, sugar))
 
-    # autoreduction: minimal leading monomials, fully reduced tails. The
-    # kept leading monomials divide none of each other, so only tails change.
-    final = [triples[i] for i in sorted(G)]
-    final = [
-        t for i, t in enumerate(final)
-        if not any(
-            j != i and P.divides(u[0], t[0]) and (u[0] != t[0] or j < i)
-            for j, u in enumerate(final)
-        )
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for i, (lm, lc, tail) in enumerate(final):
-            others = final[:i] + final[i + 1:]
-            f = dict(tail)
-            f[lm] = lc
-            lead, h, _ = _normal_form_int(f, others, guard, char)
-            t = (lead, h.pop(lead), h)
-            if t != final[i]:
-                final[i] = t
-                changed = True
-    final.sort(key=itemgetter(0))
+    # autoreduction in one pass. Each element entered G as a normal form
+    # against G, and update drops the elements whose leading monomials it
+    # divides, so the leading monomials in G divide none of each other and
+    # only tails change. A leading monomial that divides a term is at most
+    # that term, so in increasing lead order a tail needs only the elements
+    # before it.
+    final = sorted((triples[i] for i in G), key=itemgetter(0))
+    for i, (lm, lc, tail) in enumerate(final):
+        f = dict(tail)
+        f[lm] = lc
+        lead, h, _ = _normal_form_int(f, final[:i], guard, char)
+        final[i] = (lead, h.pop(lead), h)
     return final
 
 
@@ -484,10 +493,11 @@ def spairs_reduce_to_zero(G):
     char = G.ring.field.char
 
     def check(P, triples):
-        exps = [P.unpack(t[0]) for t in triples]
+        Q = MonomialPacking(P.nvars, P.width)
+        plain = [Q.pack(P.unpack(t[0])) for t in triples]
         for i in range(len(triples)):
             for j in range(i + 1, len(triples)):
-                L = P.pack(tuple(map(max, exps[i], exps[j])))
+                L = P.pack(Q.unpack(_lcm(plain[i], plain[j], Q)))
                 s = _spoly(triples[i], triples[j], L, P.guard, char)
                 if _normal_form_int(s, triples, P.guard, char)[0] is not None:
                     return False

@@ -12,7 +12,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from reeslab import Ideal, PrimeField, QQ, eliminate, graded_ring, groebner_basis, normal_form, parse_polynomial
-from reeslab.rings import DEGLEX, DEGREVLEX, LEX, Polynomial
+from reeslab import groebner
+from reeslab.rings import DEGLEX, DEGREVLEX, LEX, MonomialPacking, Polynomial
 
 
 def _to_sympy(f, symbols):
@@ -188,3 +189,21 @@ def test_eliminate_matches_sympy_lex_elimination(seed, field):
     mine = [_to_sympy_any(g, rest) for g in ours.gens]
     assert theirs
     assert _sympy_reduced(mine, rest, "lex", field.char) == _sympy_reduced(theirs, rest, "lex", field.char)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "F32003"])
+def test_lcm_past_the_ordered_fields_widens_them(monkeypatch, field):
+    # the leads x^4*y and x*y^4 fit 4-bit fields, and so do the exponents of
+    # their lcm; its degree 8 does not, so the first overflow comes from
+    # packing that lcm by the term order
+    widths = []
+    widened = MonomialPacking.widened
+    monkeypatch.setattr(MonomialPacking, "widened", lambda P: widths.append(P.width) or widened(P))
+    monkeypatch.setattr(groebner, "_fitting", lambda nvars, monomials, order: MonomialPacking(nvars, 4, order))
+    names = ["x", "y", "z", "w"]
+    ring = graded_ring(names, field=field)
+    symbols = sympy.symbols(names)
+    gens = [parse_polynomial(t, ring) for t in ("x^4*y - 2*z^5", "x*y^4 + 3*w^5")]
+    ours = {tuple(sorted(g.terms)) for g in groebner_basis(Ideal(ring, gens)).polys}
+    assert widths == [4]
+    assert ours == _sympy_reduced([_to_sympy_any(g, symbols) for g in gens], symbols, "grevlex", field.char)

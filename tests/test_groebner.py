@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -22,8 +23,8 @@ from reeslab import (
     normal_form,
     parse_polynomial,
 )
-from reeslab.groebner import spairs_reduce_to_zero, transport
-from reeslab.rings import MonomialPacking, Polynomial, RingSpec, TermOrder
+from reeslab.groebner import _lcm, spairs_reduce_to_zero, transport
+from reeslab.rings import MonomialPacking, Polynomial, RingSpec, TermOrder, mono_divides
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -254,6 +255,16 @@ def test_exponents_beyond_any_fixed_field_width(monkeypatch):
     assert spairs_reduce_to_zero(gb)
 
 
+@pytest.mark.parametrize("width", [2, 3, 5, 8, 17])
+def test_plain_lcm_is_the_fieldwise_max(width):
+    Q = MonomialPacking(5, width)
+    top = (1 << (width - 1)) - 1
+    rng = random.Random(width)
+    for _ in range(300):
+        a, b = ([rng.choice((0, top, rng.randint(0, top))) for _ in range(5)] for _ in range(2))
+        assert Q.unpack(_lcm(Q.pack(a), Q.pack(b), Q)) == tuple(map(max, a, b))
+
+
 def test_basis_degree_past_the_initial_fields_widens_them(monkeypatch):
     widths = []
     widened = MonomialPacking.widened
@@ -277,6 +288,26 @@ def test_reduced_basis_does_not_depend_on_generator_order(order, field):
     for _ in range(3):
         rng.shuffle(gens)
         assert groebner_basis(Ideal(A, gens)).polys == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, elimination_order(2)],
+                         ids=["lex", "deglex", "degrevlex", "elim"])
+@pytest.mark.parametrize("seed", range(3))
+def test_basis_is_reduced(seed, order, field):
+    # checked on exponent tuples, apart from the packed kernel that built the basis
+    rng = random.Random(6000 + seed)
+    A = graded_ring(["X", "Y", "Z", "W"], field=field, order=order)
+    gens = []
+    for _ in range(3):
+        monos = [tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(3)]
+        gens.append(Polynomial(A, {m: field.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) for m in monos}))
+    gb = groebner_basis(Ideal(A, gens))
+    leads = [g.leading_monomial() for g in gb.polys]
+    assert all(g.leading_coefficient() == 1 for g in gb.polys)
+    assert not any(mono_divides(a, b) for a, b in permutations(leads, 2))
+    assert not any(mono_divides(a, m) for g in gb.polys for m, _ in g.terms[1:] for a in leads)
+    assert spairs_reduce_to_zero(gb)
 
 
 # ---------------------------------------------------------------------------
