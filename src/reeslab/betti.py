@@ -207,23 +207,25 @@ def _monomial_betti(ring, gens):
     """
     if (0,) * ring.nvars in gens:
         return {}  # ring/J = 0
-    gens = sorted(gens)
-    # every lattice point is an lcm of generators, so no exponent exceeds theirs
+    # every lattice point is an lcm of generators, so no exponent exceeds
+    # theirs; the plain packing's int order is the order of the tuples
     P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=0))
-    packed = [P.pack(g) for g in gens]
+    packed = sorted(P.pack(g) for g in gens)
+    shift = P.width - 1
 
-    live = list(gens)
-    seen = set(gens)
+    live = list(packed)
+    seen = set(packed)
     for m in live:
-        for g in gens:
-            m2 = tuple(map(max, m, g))
+        for g in packed:
+            m2 = P.lcm(m, g)
             if m2 not in seen:
                 seen.add(m2)
-                if not P.divisible(P.pack([e - 1 if e else 0 for e in m2]), packed):
+                # m2 - supp(m2): subtract the unit of every nonzero field
+                if not P.divisible(m2 - (P.support(m2) >> shift), packed):
                     live.append(m2)
     out = {(0, 0): {0: 1}}
-    for m in live:
-        pm = P.pack(m)
+    for pm in live:
+        m = P.unpack(pm)
         divisors = [g for g in packed if P.divides(g, pm)]
         supp = [i for i, e in enumerate(m) if e]
         faces = [[t for t in combinations(supp, k)

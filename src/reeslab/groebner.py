@@ -215,18 +215,6 @@ def _spoly(ti, tj, L, guard, char):
     return out
 
 
-def _lcm(a, b, Q):
-    """Lcm of two monomials packed by the plain packing Q (no order): the fieldwise max.
-
-    d holds the guard bit of every field where a >= b; ge spreads each such
-    bit over the value bits below it, and the lcm takes those fields from a
-    and the others from b.
-    """
-    d = ((a | Q.guard) - b) & Q.guard
-    ge = d - (d >> (Q.width - 1))
-    return b ^ ((a ^ b) & ge)
-
-
 def _buchberger(seqs, P, char):
     """Reduced Groebner basis of the packed dict-polys in seqs, as triples sorted by lm.
 
@@ -262,12 +250,12 @@ def _buchberger(seqs, P, char):
         # [Becker-Weispfenning p.230] Gebauer-Moeller update of (G, B) by h.
         mh, ph = lms[h], plain[h]
         C = sorted(G)
-        lcm_h = {g: _lcm(ph, plain[g], Q) for g in C}
+        lcm_h = {g: Q.lcm(ph, plain[g]) for g in C}
 
         def lcm_with(k):
             L = lcm_h.get(k)
             if L is None:
-                L = lcm_h[k] = _lcm(ph, plain[k], Q)
+                L = lcm_h[k] = Q.lcm(ph, plain[k])
             return L
 
         D = []
@@ -497,7 +485,7 @@ def spairs_reduce_to_zero(G):
         plain = [Q.pack(P.unpack(t[0])) for t in triples]
         for i in range(len(triples)):
             for j in range(i + 1, len(triples)):
-                L = P.pack(Q.unpack(_lcm(plain[i], plain[j], Q)))
+                L = P.pack(Q.unpack(Q.lcm(plain[i], plain[j])))
                 s = _spoly(triples[i], triples[j], L, P.guard, char)
                 if _normal_form_int(s, triples, P.guard, char)[0] is not None:
                     return False

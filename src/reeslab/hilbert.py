@@ -186,21 +186,6 @@ def _num_times_factors(num, factors):
 # ---------------------------------------------------------------------------
 # monomial-quotient numerators (pivot recursion)
 
-def _minimalize_monomials(gens, P):
-    gens = sorted(set(gens), key=sum)
-    out, packed = [], []
-    for m in gens:
-        p = P.pack(m)
-        if not P.divisible(p, packed):
-            out.append(m)
-            packed.append(p)
-    return tuple(sorted(out))
-
-
-def _support(m):
-    return tuple(i for i, e in enumerate(m) if e)
-
-
 def _num_mul(a, b):
     out = {}
     for d1, c1 in a.items():
@@ -218,93 +203,93 @@ def _one_minus(deg):
     return {(0, 0): 1, deg: -1} if deg != (0, 0) else {}
 
 
-def _staircase_numerator(ring, gens, i, j):
-    """Closed form when every generator involves only the variables i, j."""
-    gens = sorted(gens, key=lambda m: (m[i], -m[j]))
+def _minimal(gens, P):
+    """The minimal monomials of gens, packed by P, sorted; a divisor is never a larger int."""
+    out = []
+    for m in sorted(gens):
+        if not P.divisible(m, out):
+            out.append(m)
+    return out
+
+
+def _staircase_numerator(degree, P, gens):
+    """Closed form for sorted minimal packed gens in two variables: neighbours' lcms are the corners."""
     num = {(0, 0): 1}
     for m in gens:
-        d = ring.monomial_degree(m)
+        d = degree(m)
         num[d] = num.get(d, 0) - 1
     for a, b in zip(gens, gens[1:]):
-        lcm = tuple(max(x, y) for x, y in zip(a, b))
-        d = ring.monomial_degree(lcm)
+        d = degree(P.lcm(a, b))
         num[d] = num.get(d, 0) + 1
     return {k: v for k, v in num.items() if v}
 
 
-def monomial_quotient_numerator(ring, gens, _memo=None, _packing=None):
+def monomial_quotient_numerator(ring, gens, _ctx=None):
     """Numerator of the series of ring/(gens) over all (1 - s^a t^b) factors.
 
-    Pivot recursion with component splitting; the pivot variable is the one
-    in the most generator supports. No exponent grows in the recursion, so
-    one packing serves every node.
+    Pivot recursion (Bigatti, J. Pure Appl. Algebra 119, 1997) with component
+    splitting. The top call packs gens by a plain MonomialPacking, whose
+    fields are the exponents; no exponent grows in the recursion, so every
+    node works on those ints, passed on with the packing and the memo in
+    _ctx. A divisor is never a larger int than its multiple, so sorted ints
+    are in divisor-first order and one divisibility pass minimalizes them;
+    the sorted tuple keys the memo. A support is a mask of guard bits, and
+    components merge overlapping masks. The pivot is the variable in the
+    most supports, the lower index on ties. Degrees are unpacked only at the
+    leaves.
     """
-    if _memo is None:
-        _memo = {}
-        _packing = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=1))
-    gens = _minimalize_monomials(gens, _packing)
-    if not gens:
+    if _ctx is None:
+        P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=1))
+        gens = [P.pack(m) for m in gens]
+        _ctx = P, {}, lambda m: ring.monomial_degree(P.unpack(m))
+    P, memo, degree = _ctx
+    minimal = _minimal(gens, P)
+    if not minimal:
         return {(0, 0): 1}
-    key = gens
-    hit = _memo.get(key)
+    key = tuple(minimal)
+    hit = memo.get(key)
     if hit is not None:
         return dict(hit)
-    supports = [_support(m) for m in gens]
-    # split into support-connected components: the numerators multiply
-    comp = list(range(len(gens)))
-
-    def find(a):
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
-
-    byvar = {}
-    for gi, s in enumerate(supports):
-        for v in s:
-            byvar.setdefault(v, []).append(gi)
-    for members in byvar.values():
-        for other in members[1:]:
-            comp[find(other)] = find(members[0])
-    groups = {}
-    for gi in range(len(gens)):
-        groups.setdefault(find(gi), []).append(gi)
-    if len(groups) > 1:
+    masks = [P.support(m) for m in minimal]
+    comps = []  # [union of the members' masks, members]; the unions are disjoint
+    for m, s in zip(minimal, masks):
+        merged, rest = [s, [m]], []
+        for c in comps:
+            if c[0] & s:
+                merged[0] |= c[0]
+                merged[1] += c[1]
+            else:
+                rest.append(c)
+        comps = rest + [merged]
+    if len(comps) > 1:
+        # the numerators of support-disjoint components multiply
         out = {(0, 0): 1}
-        for members in groups.values():
-            out = _num_mul(out, monomial_quotient_numerator(ring, [gens[gi] for gi in members], _memo, _packing))
-        _memo[key] = dict(out)
-        return out
-    if len(gens) == 1:
-        out = _one_minus(ring.monomial_degree(gens[0]))
-        _memo[key] = dict(out)
-        return out
-    varset = sorted({v for s in supports for v in s})
-    if len(varset) <= 2:
-        if len(varset) == 1:
-            out = _one_minus(ring.monomial_degree(min(gens, key=sum)))
-        else:
-            out = _staircase_numerator(ring, gens, varset[0], varset[1])
-        _memo[key] = dict(out)
-        return out
-    counts = {}
-    for s in supports:
-        for v in s:
-            counts[v] = counts.get(v, 0) + 1
-    pivot = max(counts, key=lambda v: (counts[v], -v))
-    pdeg = ring.monomial_degree(tuple(1 if i == pivot else 0 for i in range(ring.nvars)))
-    plus = [m for m in gens if m[pivot] == 0]
-    plus.append(tuple(1 if i == pivot else 0 for i in range(ring.nvars)))
-    colon = [tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(m)) for m in gens]
-    out = dict(monomial_quotient_numerator(ring, plus, _memo, _packing))
-    for d, c in monomial_quotient_numerator(ring, colon, _memo, _packing).items():
-        sh = (d[0] + pdeg[0], d[1] + pdeg[1])
-        v = out.get(sh, 0) + c
-        if v:
-            out[sh] = v
-        else:
-            out.pop(sh, None)
-    _memo[key] = dict(out)
+        for _, members in sorted(comps, key=lambda c: min(c[1])):
+            out = _num_mul(out, monomial_quotient_numerator(ring, members, _ctx))
+    elif len(minimal) == 1:
+        out = _one_minus(degree(minimal[0]))
+    elif comps[0][0].bit_count() == 2:
+        out = _staircase_numerator(degree, P, minimal)
+    else:
+        best = 0
+        for v, u in enumerate(P.units):
+            bit = u << (P.width - 1)
+            n = len([s for s in masks if s & bit])
+            if n > best:
+                best, pivot, unit, pbit = n, v, u, bit
+        plus = [m for m, s in zip(minimal, masks) if not s & pbit]
+        plus.append(unit)
+        colon = [m - unit if s & pbit else m for m, s in zip(minimal, masks)]
+        out = dict(monomial_quotient_numerator(ring, plus, _ctx))
+        pdeg = ring.degrees[pivot]
+        for d, c in monomial_quotient_numerator(ring, colon, _ctx).items():
+            sh = (d[0] + pdeg[0], d[1] + pdeg[1])
+            v = out.get(sh, 0) + c
+            if v:
+                out[sh] = v
+            else:
+                out.pop(sh, None)
+    memo[key] = dict(out)
     return out
 
 
@@ -326,21 +311,19 @@ def hilbert_series_monomial(J):
 
 def hilbert_series_ideal(I, as_module="quotient", order=None):
     """Series of I or ring/I via the initial ideal (series-invariant)."""
+    if as_module not in ("quotient", "ideal"):
+        raise SeriesError("as_module must be 'ideal' or 'quotient'")
     if not I.is_homogeneous():
         raise SeriesError("inhomogeneous generator")
     ring = I.ring
     if I.is_zero():
-        quotient = HilbertSeriesRational.make({(0, 0): 1}, ring_denominator(ring))
+        num = {(0, 0): 1}
     else:
-        gb = groebner_basis(I, order)
-        num = monomial_quotient_numerator(ring, sorted(gb.leading_monomials))
-        quotient = HilbertSeriesRational.make(num, ring_denominator(ring))
+        num = monomial_quotient_numerator(ring, groebner_basis(I, order).leading_monomials)
+    quotient = HilbertSeriesRational.make(num, ring_denominator(ring))
     if as_module == "quotient":
         return quotient
-    if as_module == "ideal":
-        full = HilbertSeriesRational.make({(0, 0): 1}, ring_denominator(ring))
-        return full - quotient
-    raise SeriesError("as_module must be 'ideal' or 'quotient'")
+    return hilbert_series_ring(ring) - quotient
 
 
 def hilbert_series_ring(ring):

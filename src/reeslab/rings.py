@@ -407,6 +407,7 @@ class MonomialPacking:
         # the largest field of a monomial: its total degree when an order
         # adds weight rows, its largest exponent otherwise
         self._largest_field = max if order is None else sum
+        self._nonzero = self.guard - sum(self.units)  # half - 1 in every field
 
     @classmethod
     def fitting(cls, nvars, largest, order=None):
@@ -437,7 +438,21 @@ class MonomialPacking:
         """Some packed monomial of gens divides the packed monomial m."""
         g = self.guard
         mg = m | g
-        return any((mg - a) & g == g for a in gens)
+        for a in gens:
+            if (mg - a) & g == g:
+                return True
+        return False
+
+    # lcm and support hold for plain packings only, whose fields are the exponents
+    def lcm(self, a, b):
+        """Fieldwise max: d has the guard bit of each field where a >= b, ge its value bits."""
+        d = ((a | self.guard) - b) & self.guard
+        ge = d - (d >> (self.width - 1))
+        return b ^ ((a ^ b) & ge)
+
+    def support(self, m):
+        """The guard bits of the nonzero fields of m."""
+        return (m + self._nonzero) & self.guard
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,134 @@
+"""The pivot recursion on plain-packed monomials against brute-force counts, and its node tree."""
+
+import random
+
+import pytest
+
+from reeslab import (
+    Ideal,
+    QQ,
+    RingSpec,
+    SeriesError,
+    graded_ring,
+    groebner_basis,
+    hilbert_series_ideal,
+    hilbert_series_monomial,
+    ideal_power,
+    parse_polynomial,
+)
+from reeslab import hilbert
+from reeslab.rings import DEGREVLEX, MonomialPacking, Polynomial, mono_divides
+
+TOP = 8
+BIGRADED_DEGREES = ((1, 0), (1, 1), (2, 1), (0, 1))
+
+
+def _ring(n, bigraded, rng=None):
+    names = ["v%d" % i for i in range(n)]
+    if not bigraded:
+        return graded_ring(names)
+    degrees = tuple(rng.choice(BIGRADED_DEGREES) if rng else BIGRADED_DEGREES[i % 4] for i in range(n))
+    return RingSpec(QQ, tuple(names), degrees, DEGREVLEX)
+
+
+def _standard_counts(ring, gens, top):
+    """dim (ring/J)_(a, b) for a, b <= top, by listing every monomial of those degrees."""
+    counts = [[0] * (top + 1) for _ in range(top + 1)]
+
+    def walk(i, mono, a, b):
+        if i == ring.nvars:
+            if not any(all(x <= y for x, y in zip(g, mono)) for g in gens):
+                counts[a][b] += 1
+            return
+        da, db = ring.degrees[i]
+        e = 0
+        while a + e * da <= top and b + e * db <= top:
+            walk(i + 1, mono + (e,), a + e * da, b + e * db)
+            e += 1
+
+    walk(0, (), 0, 0)
+    return counts
+
+
+def _check_against_counts(ring, gens, top=TOP):
+    J = Ideal(ring, [Polynomial(ring, {m: ring.field.one}) for m in gens])
+    jmax = top if any(b for _, b in ring.degrees) else 0
+    arr = hilbert_series_monomial(J).expand(top, jmax)
+    counts = _standard_counts(ring, gens, top)
+    assert [row[:jmax + 1] for row in arr] == [row[:jmax + 1] for row in counts]
+
+
+@pytest.mark.parametrize("bigraded", [False, True])
+def test_series_matches_standard_monomial_counts(bigraded):
+    rng = random.Random(1309 + bigraded)
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        ring = _ring(n, bigraded, rng)
+        gens = [tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+        _check_against_counts(ring, [g for g in gens if any(g)] or [(1,) * n])
+
+
+EDGE_CASES = {
+    "empty": [],
+    "unit": [(0, 0, 0, 0)],
+    "duplicates": [(2, 1, 0, 0), (2, 1, 0, 0), (0, 0, 3, 1), (1, 1, 1, 1), (0, 0, 3, 1)],
+    "single_variable": [(3, 0, 0, 0), (5, 0, 0, 0)],
+    "two_variable_staircase": [(4, 0, 0, 0), (3, 1, 0, 0), (1, 3, 0, 0), (0, 5, 0, 0)],
+    "disconnected": [(2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 3)],
+    "squarefree_cycle": [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)],
+    # 3 and 7 fill 2- and 3-bit fields; 4 and 8 need one more bit
+    "field_boundary_4": [(3, 1, 0, 0), (4, 0, 0, 0), (0, 3, 0, 1), (0, 0, 4, 0), (1, 1, 1, 1)],
+    "field_boundary_8": [(7, 1, 0, 0), (8, 0, 0, 0), (0, 7, 0, 1), (0, 0, 8, 0), (1, 1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("bigraded", [False, True])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases_match_standard_monomial_counts(case, bigraded):
+    _check_against_counts(_ring(4, bigraded), EDGE_CASES[case], top=10)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 9])
+def test_minimal_packed_monomials_match_a_divisibility_filter(width):
+    P = MonomialPacking(5, width)
+    top = (1 << (width - 1)) - 1
+    rng = random.Random(width)
+    for _ in range(100):
+        gens = [tuple(rng.choice((0, 1, top, rng.randint(0, top))) for _ in range(5))
+                for _ in range(rng.randint(0, 12))]
+        gens += gens[:rng.randint(0, len(gens))]
+        expected = sorted({m for m in gens if not any(mono_divides(g, m) for g in gens if g != m)})
+        assert [P.unpack(m) for m in hilbert._minimal([P.pack(g) for g in gens], P)] == expected
+        for m in gens:
+            mask = P.support(P.pack(m))
+            assert [bool(mask & (u << (width - 1))) for u in P.units] == [e > 0 for e in m]
+
+
+def test_pivot_node_count_on_quartic_cube(monkeypatch):
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    cube = ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 3)
+    leads = sorted(groebner_basis(cube).leading_monomials)
+    # count every node as perfbench's tracer does: by wrapping the module-level name
+    calls = []
+    inner = hilbert.monomial_quotient_numerator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "monomial_quotient_numerator", counted)
+    num = hilbert.monomial_quotient_numerator(A, leads)
+    assert len(calls) == 80
+    assert num == {(0, 0): 1, (6, 0): -50, (7, 0): 120, (8, 0): -105, (9, 0): 40, (10, 0): -6}
+
+
+def test_bad_as_module_raises_before_any_basis(monkeypatch, twisted_cubic):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("groebner_basis ran")
+
+    monkeypatch.setattr(hilbert, "groebner_basis", no_basis)
+    with pytest.raises(SeriesError, match="as_module"):
+        hilbert_series_ideal(twisted_cubic, "module")
