@@ -1,7 +1,7 @@
 """Walkthrough: the uniform behaviour of the powers I^j.
 
 Three finite computations determine infinitely many: Hilbert polynomials of
-all powers from three of them, Hilbert series of all powers from two, minimal
+all powers from four of them, Hilbert series of all powers from two, minimal
 free resolutions of all powers from a stable window.
 """
 
@@ -27,9 +27,9 @@ A = graded_ring(["X1", "X2", "X3", "X4"])
 I = Ideal(A, [parse_polynomial(s, A) for s in
               ("X1*X4 - X2*X3", "X2^2 - X1*X3", "X3^2 - X2*X4")])
 
-print("Hilbert polynomials of A/I^j for j = 1, 2, 3:")
+print("Hilbert polynomials of A/I^j for j = 1, 2, 3, 5:")
 samples = {}
-for j in (1, 2, 3):
+for j in (1, 2, 3, 5):
     samples[j] = hilbert_polynomial(hilbert_series_ideal(ideal_power(I, j), "quotient"))
     print("    j=%d:  %s" % (j, qp.format_poly(samples[j].coeffs, "s")))
 

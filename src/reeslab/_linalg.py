@@ -101,7 +101,7 @@ class VectorSpan:
         return not self.reduce(vec)
 
     def add(self, vec):
-        """Insert vec; returns True when it enlarged the span."""
+        """Insert vec; returns True when it grew the span."""
         row = self.reduce(vec)
         if not row:
             return False

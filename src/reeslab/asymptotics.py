@@ -21,8 +21,8 @@ class FitError(ValueError):
 class PowerPolynomialFamily:
     """Integer-valued polynomials e_0(j), ..., e_{n-h-1}(j) describing P_{A/I^j}.
 
-    P_{A/I^j}(s) = sum_k (-1)^(n-h-1-k) e_{n-h-1-k}(j) binom(s+k, k) for j past
-    the threshold; deg e_{n-h-1-k} <= n-k-1.
+    P_{A/I^j}(s) = sum_k (-1)^(n-h-1-k) e_{n-h-1-k}(j) binom(s+k, k) for every
+    j > threshold; deg e_{n-h-1-k} <= n-k-1.
     """
 
     polys: tuple           # e_0 .. e_{n-h-1} as coefficient tuples
@@ -67,15 +67,16 @@ class PowerPolynomialFamily:
 def fit_hilbert_polynomials(samples, n, h):
     """Fit the power family from Hilbert polynomials of A/I^j.
 
-    ``samples`` maps j >= 1 to HilbertPolynomial; j = 0 contributes the zero
-    polynomial for free (A/I^0 = 0). Each e_i is interpolated on its minimal
-    point count and verified on every remaining sample.
+    ``samples`` maps j >= 1 to HilbertPolynomial, at powers where the family
+    holds. No point is added at j = 0, where it need not hold. Each e_i is
+    interpolated on its minimal point count and verified on every remaining
+    sample; the threshold is one below the least sampled power.
     """
     if h >= n:
         raise FitError("height n case has zero-dimensional quotients; no family")
     count = n - h
     js = sorted(samples)
-    data = {i: [(0, Fraction(0))] for i in range(count)}
+    data = {i: [] for i in range(count)}
     for j in js:
         hp = samples[j]
         coeffs = hp.binomial_coefficients(count)
@@ -172,7 +173,7 @@ def mixed_multiplicities(family, d, l):
 
 @dataclass(frozen=True)
 class SeriesTemplateFamily:
-    """Numerator template: H_{I^j} (1-s)^n = sum_alpha P_alpha(j) s^(alpha + d j)."""
+    """Numerator template: H_{I^j} (1-s)^n = sum_alpha P_alpha(j) s^(alpha + d j) for every j > threshold."""
 
     offsets: tuple
     polys: tuple            # aligned with offsets; coefficient tuples, deg <= l-1

@@ -434,7 +434,7 @@ class InvariantsReport:
 def invariants_from_shifts(B):
     """a*^j = t*^j + a^j(S) per component, reg_j = max(deg_j - p), proj.dim."""
     if not B.complete:
-        raise BettiError("table is truncated; enlarge the window")
+        raise BettiError("table is truncated; widen the window")
     if not B.entries:
         raise BettiError("empty table")
     ring = B.ring
@@ -466,5 +466,5 @@ def invariants_from_shifts(B):
 
 def proj_dim(B):
     if not B.complete:
-        raise BettiError("table is truncated; enlarge the window")
+        raise BettiError("table is truncated; widen the window")
     return B.max_index()

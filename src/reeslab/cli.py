@@ -140,35 +140,39 @@ def _cmd_powers(args, problem):
     return ({"powers": out}, ["degreewise-minimal-generators"], [])
 
 
-def _power_quotients(problem, max_power):
-    """Rees presentation P of I, the height of I, and the Hilbert polynomials of A/I^j, j <= max_power.
+def _power_quotients(problem):
+    """P, the height h of I, the Hilbert polynomials of A/I^j at the n powers from j0, and j -> that polynomial.
 
-    Each H_{A/I^j} = H_A - H_{I^j} is read off a t-slice of the one Rees series.
+    Each H_{A/I^j} = H_A - H_{I^j} is a t-slice of the one Rees series. Its bigraded
+    Hilbert polynomial is exact from j0 on, so there the e_i are polynomials of degree < n.
     """
-    from .hilbert import dim_mult, hilbert_polynomial, hilbert_series_ring
+    from .hilbert import bigraded_hilbert_polynomial, dim_mult, hilbert_polynomial, hilbert_series_ring
     from .rees import rees_presentation
 
     P = rees_presentation(problem.ideal)
     H_A = hilbert_series_ring(problem.ring)
-    h = problem.ring.nvars - dim_mult(H_A - P.power_series(1)).dimension
-    samples = {j: hilbert_polynomial(H_A - P.power_series(j)) for j in range(1, max_power + 1)}
-    return P, h, samples
+    n = problem.ring.nvars
+    h = n - dim_mult(H_A - P.power_series(1)).dimension
+
+    def quotient_hp(j):
+        return hilbert_polynomial(H_A - P.power_series(j))
+
+    j0 = max(1, bigraded_hilbert_polynomial(P.series()).origin[1])
+    return P, h, {j: quotient_hp(j) for j in range(j0, j0 + n)}, quotient_hp
 
 
 def _cmd_fit_hp(args, problem):
     from .asymptotics import fit_hilbert_polynomials
 
-    _, h, samples = _power_quotients(problem, args.max_power)
+    _, h, samples, quotient_hp = _power_quotients(problem)
     family = fit_hilbert_polynomials(samples, problem.ring.nvars, h)
     payload = family.to_json()
     payload["height"] = h
     if args.predict:
-        hp = family.hilbert_polynomial(args.predict)
-        payload["predicted"] = {
-            "power": args.predict,
-            "coefficients": [str(c) for c in hp.coeffs],
-        }
-    return (payload, ["power-family-interpolation"], ["threshold surrogate from sample window"])
+        j = args.predict
+        hp = family.hilbert_polynomial(j) if j > family.threshold else quotient_hp(j)
+        payload["predicted"] = {"power": j, "coefficients": [str(c) for c in hp.coeffs]}
+    return (payload, ["power-family-interpolation"], [])
 
 
 def _cmd_fit_hs(args, problem):
@@ -177,11 +181,16 @@ def _cmd_fit_hs(args, problem):
 
     P = rees_presentation(problem.ideal)
     if P.equigenerated:
-        l = fiber_cone(P).spread
-        samples = {j: P.power_series(j) for j in range(1, args.max_power + 1)}
-        template = fit_hilbert_series(samples, P.max_degree, l)
+        # With m generators, P_alpha(j) = sum_b N_(alpha+db, b) binom(j-b+m-1, m-1)
+        # has degree < m and is exact for j >= deg_t N - m + 1.
+        m = P.y_count
+        start = max(0, max(b for (a, b), c in P.series().num) - m + 1)
+        first = max(1, start)
+        samples = {j: P.power_series(j) for j in range(first, first + m)}
+        template = fit_hilbert_series(samples, P.max_degree, fiber_cone(P).spread, include_zero=(start == 0))
         payload = template.to_json()
         route = "equigenerated-offset-template"
+        proven_past = template.threshold
     else:
         template = series_recurrence(P)
         payload = {
@@ -189,11 +198,11 @@ def _cmd_fit_hs(args, problem):
             "degrees": list(template.degrees),
         }
         route = "general-recurrence-window"
+        proven_past = -1
     if args.predict:
-        payload["predicted"] = {
-            "power": args.predict,
-            "series": template.predict(args.predict).to_json(),
-        }
+        j = args.predict
+        series = template.predict(j) if j > proven_past else P.power_series(j)
+        payload["predicted"] = {"power": j, "series": series.to_json()}
     return (payload, [route], [])
 
 
@@ -201,7 +210,7 @@ def _cmd_mixed_mult(args, problem):
     from .asymptotics import FitError, fit_hilbert_polynomials, mixed_multiplicities
     from .rees import fiber_cone
 
-    P, h, samples = _power_quotients(problem, args.max_power)
+    P, h, samples, _ = _power_quotients(problem)
     degs = {g.multidegree()[0] for g in problem.ideal.gens}
     if len(degs) != 1:
         raise FitError("mixed multiplicities need an equigenerated ideal")
@@ -423,12 +432,12 @@ def build_parser():
         p.add_argument("--module", choices=("ideal", "quotient"), default="ideal" if name == "hs" else "quotient")
     p = add("powers", True)
     p.add_argument("--max-power", type=int, required=True)
-    for name in ("fit-hp", "fit-hs"):
+    for name in ("fit-hp", "fit-hs", "mixed-mult"):
         p = add(name, True)
-        p.add_argument("--max-power", type=int, required=True)
-        p.add_argument("--predict", type=int, default=None)
-    p = add("mixed-mult", True)
-    p.add_argument("--max-power", type=int, required=True)
+        p.add_argument("--max-power", type=int, default=None,
+                       help="accepted and ignored: a threshold proven on the Rees series picks the powers")
+        if name != "mixed-mult":
+            p.add_argument("--predict", type=int, default=None)
     for name in ("betti", "reg"):
         p = add(name, True)
         p.add_argument("--power", type=int, default=1)

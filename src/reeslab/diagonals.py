@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from . import _qpoly as qp
 
 
 class DiagonalError(ValueError):
@@ -77,31 +74,18 @@ def diagonal_hilbert_function(I, spec, s_max):
 
 
 def diagonal_dimension(I, spec):
-    """dim k[(I^e)_c] = dim A, cross-checked on the diagonal growth.
+    """dim k[(I^e)_c], read off the bigraded Hilbert polynomial of the Rees series.
 
-    The presentation constructor already certifies dim S/K = dim A + 1
-    (the ideal avoids the associated primes); the growth of the diagonal
-    Hilbert function is interpolated and must have degree dim A - 1.
+    Past its origin that polynomial, at (c s, e s), is the diagonal Hilbert
+    function; for an admissible diagonal its top form is nonnegative and
+    nonzero there, so the diagonal has dimension total degree + 1.
     """
+    from .hilbert import bigraded_hilbert_polynomial
+
     P = _presentation(I)
     if not spec.admissible(P.max_degree):
         raise DiagonalError("inadmissible diagonal: need c >= d e + 1")
-    n_bar = P.x_count
-    window = n_bar + 3
-    values = diagonal_hilbert_function(P, spec, window + 2)
-    # growth is polynomial of degree n_bar - 1 for s >> 0; fit on a late window
-    pts = [(s, Fraction(values[s])) for s in range(3, 3 + n_bar)]
-    try:
-        poly = qp.interpolate(pts, max_degree=n_bar - 1)
-        checks = range(3 + n_bar, min(window + 3, len(values)))
-        ok = all(qp.evaluate(poly, s) == values[s] for s in checks)
-    except ValueError:
-        ok = False
-    if not ok or qp.degree(poly) != n_bar - 1:
-        raise DiagonalError(
-            "diagonal growth does not match dimension %d on the window; enlarge it" % n_bar
-        )
-    return n_bar
+    return bigraded_hilbert_polynomial(P.series()).total_degree + 1
 
 
 # ---------------------------------------------------------------------------

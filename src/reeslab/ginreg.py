@@ -124,7 +124,7 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
             if not report.is_borel:
                 raise GinError(
                     "stable initial ideal is not Borel-fix (witness %r); "
-                    "this contradicts genericity - enlarge the entry bound" % (report.witness,)
+                    "this contradicts genericity - raise the entry bound" % (report.witness,)
                 )
             return GinResult(
                 out, trials, agreement, seed, order, bound, hashes.hexdigest()[:16]
@@ -298,7 +298,7 @@ def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
         J = Ideal(ring, list(J.gens) + [h])
         forms += 1
     raise GinError(
-        "window %r exhausted without certificate: enlarge q_window" % (q_window,)
+        "window %r exhausted without certificate: widen q_window" % (q_window,)
     )
 
 

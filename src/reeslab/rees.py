@@ -213,7 +213,7 @@ def reduction_number_bounds(F, fiber_betti):
     need the whole table, so a truncated one is refused.
     """
     if not fiber_betti.complete:
-        raise ReesError("fiber cone table is truncated; enlarge the window")
+        raise ReesError("fiber cone table is truncated; widen the window")
     r = F.ring.nvars
     l = F.spread
     rows = fiber_betti.rows()

@@ -78,6 +78,7 @@ def test_criterion_03_power_polynomial_family(twisted_cubic):
         1: HilbertPolynomial(qp.qpoly(1, 3), 0, 4),
         2: HilbertPolynomial(qp.qpoly(-7, 9), 0, 4),
         3: HilbertPolynomial(qp.qpoly(-34, 18), 0, 4),
+        5: HilbertPolynomial(qp.qpoly(-185, 45), 0, 4),
     }
     family = fit_hilbert_polynomials(samples, 4, 2)
     assert family.polys[0] == qp.qpoly(0, Fraction(3, 2), Fraction(3, 2))

@@ -29,7 +29,8 @@ def quotient_hp(I, j):
 
 @pytest.fixture(scope="module")
 def cubic_family(twisted_cubic):
-    samples = {j: quotient_hp(twisted_cubic, j) for j in (1, 2, 3)}
+    # j = 4 stays out: test_predicted_fourth_power predicts it
+    samples = {j: quotient_hp(twisted_cubic, j) for j in (1, 2, 3, 5)}
     return fit_hilbert_polynomials(samples, 4, 2)
 
 
@@ -244,7 +245,7 @@ def test_symmetric_minors_power_family(symmetric_minors_rees):
 
     P = symmetric_minors_rees
     samples = {}
-    for j in range(1, 6):
+    for j in range(1, 7):
         num = {(0, 0): 1}
         for d, c in P.power_series(j).num:
             num[d] = num.get(d, 0) - c

@@ -348,6 +348,57 @@ def test_mixed_mult_command(capsys, cubic_file):
     assert doc["result"]["e_G"] == [2, 3, 0]
 
 
+PLANAR_FAT = "field: Q\nvars: X (1,0), Y (1,0)\nideal: X^7; Y^7; X^6*Y + X^2*Y^5\n"
+MONOMIAL_XY = "field: Q\nvars: x (1,0), y (1,0), z (1,0)\nideal: x^3; x^2*y; y^4\n"
+
+
+@pytest.mark.parametrize("text, argv, reference", [
+    # past the threshold (4 here), the template; a window of one power once printed a wrong series
+    (PLANAR_FAT, ["fit-hs", "--max-power", "1", "--predict", "6"], ["hs", "--power", "6"]),
+    # at or below the threshold, the power's own t-slice
+    (PLANAR_FAT, ["fit-hs", "--max-power", "1", "--predict", "2"], ["hs", "--power", "2"]),
+    # no free point at j = 0, which is off this ideal's family
+    (MONOMIAL_XY, ["fit-hp", "--max-power", "2", "--predict", "5"], ["hp", "--power", "5", "--module", "quotient"]),
+    (TWISTED_CUBIC, ["fit-hs", "--max-power", "1", "--predict", "3"], ["hs", "--power", "3"]),
+    (TWISTED_CUBIC, ["mixed-mult", "--max-power", "2"], {"e_R": [0, 1, 2, 1], "e_G": [2, 3, 0]}),
+], ids=["planar-fat-past-threshold", "planar-fat-below-threshold", "monomial-no-zero-point",
+        "twisted-cubic-fit-hs", "twisted-cubic-mixed-mult"])
+def test_power_reports_match_the_direct_route(capsys, tmp_path, text, argv, reference):
+    path = tmp_path / "problem.ring"
+    path.write_text(text)
+    code, out = run_cli(capsys, "--no-cache", *argv, str(path))
+    assert code == 0
+    result = json.loads(out)["result"]
+    if isinstance(reference, dict):
+        assert {k: result[k] for k in reference} == reference
+        return
+    code, out = run_cli(capsys, "--no-cache", *reference, str(path))
+    assert code == 0
+    direct = json.loads(out)["result"]
+    key = "series" if "series" in direct else "coefficients"
+    assert result["predicted"][key] == direct[key]
+
+
+@pytest.mark.parametrize("text", [TWISTED_CUBIC, PLANAR_FAT], ids=["twisted-cubic", "planar-fat"])
+def test_fit_hs_template_matches_buchberger_powers(capsys, tmp_path, text):
+    from reeslab import hilbert_series_ideal, ideal_power
+    from reeslab.asymptotics import fit_hilbert_series
+
+    path = tmp_path / "problem.ring"
+    path.write_text(text)
+    code, out = run_cli(capsys, "--no-cache", "fit-hs", str(path))
+    assert code == 0
+    template = json.loads(out)["result"]
+    I = parse_problem(text).ideal
+    # the m = len(I.gens) powers past the threshold, each through Groebner bases
+    t = template["threshold"]
+    samples = {
+        j: hilbert_series_ideal(ideal_power(I, j), "ideal") for j in range(t + 1, t + 1 + len(I.gens))
+    }
+    oracle = fit_hilbert_series(samples, template["d"], template["l"], include_zero=t == 0)
+    assert json.loads(json.dumps(oracle.to_json())) == template
+
+
 def test_cm_threshold_uses_family_flag(capsys, cubic_file):
     code, out = run_cli(capsys, "cm-threshold", "--d", "2", "--n", "4", cubic_file)
     doc = json.loads(out)

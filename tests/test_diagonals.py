@@ -61,6 +61,34 @@ def test_diagonal_dimension(twisted_cubic_rees):
     assert diagonal_dimension(twisted_cubic_rees, DiagonalSpec(7, 3)) == 4
 
 
+def _difference_degree(values):
+    """Degree of the polynomial through ``values``: its last nonzero row of finite differences."""
+    degree, row = -1, list(values)
+    while any(row):
+        degree += 1
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert degree < len(values) - 1, "no zero row of differences: not a polynomial of this degree"
+    return degree
+
+
+@pytest.mark.parametrize("fixture, spec", [
+    ("twisted_cubic", DiagonalSpec(5, 2)),
+    ("symmetric_minors", DiagonalSpec(3, 1)),
+    ("planar_fat_ideal", DiagonalSpec(8, 1)),
+])
+def test_diagonal_dimension_matches_finite_differences(request, fixture, spec):
+    from reeslab.hilbert import bigraded_hilbert_polynomial
+
+    P = rees_presentation(request.getfixturevalue(fixture))
+    u0, j0 = bigraded_hilbert_polynomial(P.series()).origin
+    # past the origin, s >= first, the diagonal values are a polynomial of degree <= n + m - 2
+    u_step = spec.c - P.max_degree * spec.e
+    first = max(-(-u0 // u_step), -(-j0 // spec.e))
+    count = P.x_count + P.y_count
+    values = diagonal_hilbert_function(P, spec, first + count)[first:]
+    assert diagonal_dimension(P, spec) == _difference_degree(values) + 1
+
+
 def test_diagonal_dimension_principal():
     A = graded_ring(["X1", "X2"])
     P = rees_presentation(Ideal(A, [parse_polynomial("X1^2 + X2^2", A)]))
