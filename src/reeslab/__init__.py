@@ -19,7 +19,7 @@ _HOME = {
         "groebner": (
             "groebner", "GroebnerBasis", "Ideal", "colon_ideal", "eliminate",
             "groebner_basis", "ideal_power", "ideal_product", "initial_ideal",
-            "minimal_generators", "normal_form",
+            "initial_monomials", "minimal_generators", "normal_form",
         ),
         "hilbert": (
             "hilbert", "BigradedHilbertPolynomial", "DimMultReport", "HilbertPolynomial",

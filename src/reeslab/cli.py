@@ -540,9 +540,11 @@ def main(argv=None):
                 "code": code,
             }
 
+        # these commands accept --max-power and ignore it, so it does not key their reports
+        ignored = ("max_power",) if args.command in ("fit-hp", "fit-hs", "mixed-mult") else ()
         params = {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("problem", "format", "no_cache") and v is not None
+            if k not in ("problem", "format", "no_cache", *ignored) and v is not None
         }
         key = None
         if not args.no_cache:

@@ -215,8 +215,8 @@ def _spoly(ti, tj, L, guard, char):
     return out
 
 
-def _buchberger(seqs, P, char):
-    """Reduced Groebner basis of the packed dict-polys in seqs, as triples sorted by lm.
+def _buchberger(seqs, P, char, missing_leads=None):
+    """Groebner basis of the packed dict-polys in seqs with minimal leads, as triples sorted by lm.
 
     Normal-pair selection on a (sugar, lcm) key with the Gebauer-Moeller
     update criteria; fraction-free arithmetic over Q. The criteria compare
@@ -225,6 +225,19 @@ def _buchberger(seqs, P, char):
     Each pair is keyed once, when it is formed, and waits on a heap; a pair
     the criteria drop later stays on the heap and is skipped when it comes
     up. Raises PackingOverflow when a monomial does not fit the fields of P.
+
+    The leading monomials of the result divide none of each other; the tails
+    are left as the pair loop made them (_autoreduce reduces them).
+
+    missing_leads(d, leads), when given, counts the leading monomials of
+    degree d that the exponent tuples leads lack against the ideal's known
+    Hilbert function; the caller passes it only where the sugar of a pair is
+    its degree (Traverso, J. Symbolic Comput. 22, 1996). Pairs come up in
+    increasing degree, and each new lead of degree d removes one missing
+    lead, so once none is missing the rest of degree d's pairs reduce to
+    zero and are dropped. Once degree d's pairs have run, the leads of
+    degree d are complete, so a count other than zero then means the
+    Hilbert function is not the ideal's, and raises.
     """
     guard = P.guard
     # every exponent is at most the total degree, a field of P, so the plain
@@ -296,22 +309,44 @@ def _buchberger(seqs, P, char):
         if lead is not None:
             update(add_poly(lead, h, max(map(P.degree, h))))
 
+    degree = missing = None    # the degree of the pairs coming up, and its missing leads
     while heap:
         sugar, L, i, j = heappop(heap)
         if B.pop((i, j), None) is None:
+            continue
+        if missing_leads is not None and sugar != degree:
+            _check_missing(degree, missing)
+            degree = sugar
+            missing = missing_leads(degree, [P.unpack(lms[g]) for g in G])
+        if missing == 0:
             continue
         s = _spoly(triples[i], triples[j], L, guard, char)
         lead, h, _ = _normal_form_int(s, [triples[k] for k in G], guard, char)
         if lead is not None:
             update(add_poly(lead, h, sugar))
+            if missing is not None:
+                missing -= 1
+    _check_missing(degree, missing)
+    # each element entered G as a normal form against G, and update drops the
+    # elements whose leading monomials it divides
+    return sorted((triples[i] for i in G), key=itemgetter(0))
 
-    # autoreduction in one pass. Each element entered G as a normal form
-    # against G, and update drops the elements whose leading monomials it
-    # divides, so the leading monomials in G divide none of each other and
-    # only tails change. A leading monomial that divides a term is at most
-    # that term, so in increasing lead order a tail needs only the elements
-    # before it.
-    final = sorted((triples[i] for i in G), key=itemgetter(0))
+
+def _check_missing(degree, missing):
+    if missing:
+        raise RingError("internal error: the leading monomials of degree %d differ from the Hilbert "
+                        "function by %d" % (degree, missing))
+
+
+def _autoreduce(triples, guard, char):
+    """The reduced basis of a minimal-lead basis, triples sorted by lm; the input is left as it is.
+
+    Autoreduction in one pass. The leading monomials divide none of each
+    other, so only tails change. A leading monomial that divides a term is
+    at most that term, so in increasing lead order a tail needs only the
+    elements before it.
+    """
+    final = list(triples)
     for i, (lm, lc, tail) in enumerate(final):
         f = dict(tail)
         f[lm] = lc
@@ -320,33 +355,99 @@ def _buchberger(seqs, P, char):
     return final
 
 
-def _packed_triples(triples, P):
-    """The integer (lm, lc, tail) triples on exponent tuples, packed by P."""
-    return [(P.pack(lm), lc, _pack_poly(tail, P)) for lm, lc, tail in triples]
-
-
 def _fitting(nvars, monomials, order):
     """Packing with room for a product of two of the monomials."""
     return MonomialPacking.fitting(nvars, 2 * max(map(sum, monomials), default=1), order)
 
 
-def _on_basis(G, run):
-    """(P, run(P, triples)) on the basis of G packed by P.
+def _repacked(triples, P, W):
+    """Triples packed by P, packed by W instead."""
+    return [(W.pack(P.unpack(lm)), lc, {W.pack(P.unpack(m)): c for m, c in tail.items()})
+            for lm, lc, tail in triples]
 
-    The packed triples are built on first use and kept on G; an overflow
-    widens the fields for good.
+
+def _on_basis(G, run):
+    """(P, run(P, triples)) on the basis of G, a GroebnerBasis or a _RawBasis, packed by P.
+
+    The packed triples are kept on G; an overflow widens the fields for good.
     """
     kernel = G._kernel
-    if not kernel:
-        P = _fitting(G.ring.nvars, (m for lm, _, tail in G._triples for m in (lm, *tail)), G.order)
-        kernel.update(P=P, triples=_packed_triples(G._triples, P))
     while True:
         P = kernel["P"]
         try:
             return P, run(P, kernel["triples"])
         except PackingOverflow:
-            P = P.widened()
-            kernel.update(P=P, triples=_packed_triples(G._triples, P))
+            W = P.widened()
+            kernel.update(P=W, triples=_repacked(kernel["triples"], P, W))
+
+
+class _RawBasis:
+    """Buchberger's basis of an ideal for one order, before autoreduction; kept on the ideal.
+
+    _kernel holds its triples, sorted by lm, packed by _kernel["P"], as
+    _on_basis reads them. leads are the leading monomials as exponent
+    tuples: the minimal generators of the initial ideal. reduced is the
+    GroebnerBasis autoreduced from the triples. Both are built on first
+    request.
+    """
+
+    __slots__ = ("ring", "_kernel", "_leads", "reduced")
+
+    def __init__(self, ring, P, triples):
+        self.ring = ring
+        self._kernel = {"P": P, "triples": triples}
+        self._leads = self.reduced = None
+
+    @property
+    def leads(self):
+        if self._leads is None:
+            P = self._kernel["P"]
+            self._leads = frozenset(P.unpack(t[0]) for t in self._kernel["triples"])
+        return self._leads
+
+
+def _sugar_is_degree(ring, order):
+    """A degree order on a standard graded ring: the sugar of a pair of homogeneous polynomials is its degree."""
+    return order.tag in ("degrevlex", "deglex") and all(d == (1, 0) for d in ring.degrees)
+
+
+def _hilbert_skip(I, order, series):
+    """missing_leads for _buchberger from the series of ring/I, or None where it does not apply.
+
+    It applies to homogeneous generators where the sugar is the degree.
+    """
+    ring = I.ring
+    if series is None or not _sugar_is_degree(ring, order) or not I.is_homogeneous():
+        return None
+    from .hilbert import HilbertSeriesRational, monomial_quotient_numerator, ring_denominator
+
+    def missing_leads(d, leads):
+        have = HilbertSeriesRational.make(monomial_quotient_numerator(ring, leads), ring_denominator(ring))
+        return have.coefficient(d) - series.coefficient(d)
+
+    return missing_leads
+
+
+def _raw_basis(I, order, series=None):
+    """The _RawBasis of I for the order, from the ideal's cache or from one Buchberger run.
+
+    series, the Hilbert series of ring/I when it is known, lets the run skip
+    the pairs of every degree whose leading monomials are complete.
+    """
+    raw = I._bases.get(order)
+    if raw is None:
+        ring = I.ring
+        seqs = [_to_int_poly(g)[0] for g in I.gens]
+        missing_leads = _hilbert_skip(I, order, series)
+        P = _fitting(ring.nvars, (m for d in seqs for m in d), order)
+        while True:
+            try:
+                triples = _buchberger([_pack_poly(d, P) for d in seqs], P, ring.field.char, missing_leads)
+                break
+            except PackingOverflow:
+                P = P.widened()
+        raw = I._bases[order] = _RawBasis(ring, P, triples)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +458,9 @@ class GroebnerBasis:
     """Reduced Groebner basis for (ring, order); monic polynomials sorted by leading monomial.
 
     _triples holds the same basis as the integer (lm, lc, tail) triples that
-    Buchberger produced, on exponent tuples, in the same order. Reductions
-    against the basis run on its packed form, which _kernel keeps once built.
+    autoreduction produced, on exponent tuples, in the same order. Reductions
+    against the basis run on the packed triples in _kernel, as _on_basis
+    reads them.
     """
 
     ring: RingSpec
@@ -366,7 +468,7 @@ class GroebnerBasis:
     polys: tuple
     leading_monomials: frozenset
     _triples: tuple = field(compare=False, repr=False)
-    _kernel: dict = field(default_factory=dict, compare=False, repr=False)
+    _kernel: dict = field(compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.polys)
@@ -379,7 +481,7 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal given by generators, with a per-order Groebner cache."""
+    """An ideal given by generators, with a per-order cache of its Buchberger basis."""
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -387,7 +489,7 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise RingError("generator not in the ambient ring")
-        self._gb_cache = {}
+        self._bases = {}    # order -> _RawBasis
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
@@ -423,21 +525,14 @@ class Ideal:
 
 
 def groebner_basis(I, order=None):
-    """Unique reduced Groebner basis; cached on the ideal per order."""
+    """Unique reduced Groebner basis; autoreduced from the ideal's cached Buchberger basis."""
     order = order or I.ring.order
-    cached = I._gb_cache.get(order)
-    if cached is not None:
-        return cached
+    raw = _raw_basis(I, order)
+    if raw.reduced is not None:
+        return raw.reduced
     ring = I.ring
     char = ring.field.char
-    seqs = [_to_int_poly(g)[0] for g in I.gens]
-    P = _fitting(ring.nvars, (m for d in seqs for m in d), order)
-    while True:
-        try:
-            packed = _buchberger([_pack_poly(d, P) for d in seqs], P, char)
-            break
-        except PackingOverflow:
-            P = P.widened()
+    P, packed = _on_basis(raw, lambda P, triples: _autoreduce(triples, P.guard, char))
     triples = []
     polys = []
     for lm, lc, tail in packed:
@@ -451,9 +546,21 @@ def groebner_basis(I, order=None):
             monic = {m: Fraction(c, lc) for m, c in tail.items()}
         monic[lm] = ring.field.one
         polys.append(Polynomial(ring, monic))
-    gb = GroebnerBasis(ring, order, tuple(polys), frozenset(t[0] for t in triples), tuple(triples))
-    I._gb_cache[order] = gb
-    return gb
+    raw.reduced = GroebnerBasis(ring, order, tuple(polys), frozenset(t[0] for t in triples), tuple(triples),
+                                {"P": P, "triples": packed})
+    return raw.reduced
+
+
+def initial_monomials(I, order=None, series=None):
+    """The minimal generators of the initial ideal, as exponent tuples; no autoreduction.
+
+    They are the leading monomials of the ideal's Buchberger basis, which
+    groebner_basis reduces, so the ideal runs Buchberger once for both.
+    series, the Hilbert series of ring/I when it is known, lets Buchberger
+    skip the pairs of a degree whose leading monomials are complete; it must
+    be right.
+    """
+    return _raw_basis(I, order or I.ring.order, series).leads
 
 
 def normal_form(f, G):
@@ -469,15 +576,13 @@ def normal_form(f, G):
 
 def initial_ideal(I, order=None):
     """Monomial ideal of leading monomials of the reduced basis."""
-    order = order or I.ring.order
-    gb = groebner_basis(I, order)
     ring = I.ring
-    gens = [Polynomial(ring, {lm: ring.field.one}) for lm in sorted(gb.leading_monomials)]
+    gens = [Polynomial(ring, {lm: ring.field.one}) for lm in sorted(initial_monomials(I, order))]
     return Ideal(ring, gens)
 
 
 def spairs_reduce_to_zero(G):
-    """Certificate check: every S-pair of the basis reduces to zero."""
+    """Certificate check: every S-pair of the basis reduces to zero; G is a GroebnerBasis or a _RawBasis."""
     char = G.ring.field.char
 
     def check(P, triples):

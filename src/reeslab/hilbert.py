@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from . import _qpoly as qp
-from .groebner import groebner_basis
+from .groebner import initial_monomials
 from .rings import MonomialPacking
 
 
@@ -319,7 +319,7 @@ def hilbert_series_ideal(I, as_module="quotient", order=None):
     if I.is_zero():
         num = {(0, 0): 1}
     else:
-        num = monomial_quotient_numerator(ring, groebner_basis(I, order).leading_monomials)
+        num = monomial_quotient_numerator(ring, initial_monomials(I, order))
     quotient = HilbertSeriesRational.make(num, ring_denominator(ring))
     if as_module == "quotient":
         return quotient

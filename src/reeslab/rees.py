@@ -10,6 +10,7 @@ from .groebner import (
     groebner_basis,
     ideal_power,
     ideal_product,
+    initial_monomials,
     minimal_generators,
     transport,
 )
@@ -136,8 +137,10 @@ def rees_presentation(I, check_dimension=True):
     K_raw = eliminate(Ideal(ext, gens), [nx + r])
     S = K_raw.ring
     K = Ideal(S, minimal_generators(S, list(K_raw.gens)))
-    # keep the groebner cache warm: the elimination already produced a basis
-    K._gb_cache[S.order] = groebner_basis(K_raw)
+    # keep the basis cache warm: the elimination already produced a basis,
+    # and K_raw generates K
+    initial_monomials(K_raw)
+    K._bases[S.order] = K_raw._bases[S.order]
     pres = ReesPresentation(I, S, K, degrees)
     if check_dimension:
         dim = krull_dimension(pres.series())

@@ -313,6 +313,17 @@ def test_fit_hp_predict(capsys, cubic_file):
     assert doc["result"]["predicted"]["coefficients"] == ["-90", "30"]
 
 
+def test_ignored_max_power_does_not_key_the_cache(capsys, cubic_file, isolated_cache):
+    _, out2 = run_cli(capsys, "fit-hp", "--max-power", "2", "--predict", "4", cubic_file)
+    _, out3 = run_cli(capsys, "fit-hp", "--max-power", "3", "--predict", "4", cubic_file)
+    assert out2 == out3
+    assert len(list(isolated_cache.glob("*.json"))) == 1
+    # powers reads --max-power, so each value is its own entry
+    for n in ("2", "3"):
+        run_cli(capsys, "powers", "--max-power", n, cubic_file)
+    assert len(list(isolated_cache.glob("*.json"))) == 3
+
+
 def test_fit_hs_general_route(capsys, tmp_path):
     path = tmp_path / "mixed.ring"
     path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x; y^2\n")

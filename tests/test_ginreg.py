@@ -13,6 +13,7 @@ from reeslab import (
     hilbert_series_ideal,
     parse_polynomial,
 )
+from reeslab import ginreg, groebner, hilbert
 from reeslab.betti import bigraded_betti_table, invariants_from_shifts
 from reeslab.ginreg import (
     GinError,
@@ -21,6 +22,7 @@ from reeslab.ginreg import (
     borel_regularity,
     generic_initial_ideal,
 )
+from reeslab.groebner import spairs_reduce_to_zero
 from reeslab.rings import Polynomial
 
 
@@ -203,6 +205,37 @@ def test_degenerate_coordinate_changes_rejected():
     # with honest random changes the result is (X1^2)
     out = generic_initial_ideal(I, seed=1)
     assert [g.leading_monomial() for g in out.ideal.gens] == [(2, 0)]
+
+
+def _random_forms(rng, ring, degree, count):
+    monos = ring.monomials_of_degree((degree, 0))
+    return [Polynomial(ring, {m: ring.field.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) for m in rng.sample(monos, 3)})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gin_skips_pairs_by_the_hilbert_series(monkeypatch, seed):
+    rng = random.Random(8100 + seed)
+    A = graded_ring(["a", "b", "c", "d"])
+    I = Ideal(A, _random_forms(rng, A, 2, 4) + _random_forms(rng, A, 3, 1))
+    hilbert_series_ideal(I)    # I's own basis, so that only the trials are counted
+    calls = []
+    normal_form_int = groebner._normal_form_int
+    monkeypatch.setattr(groebner, "_normal_form_int", lambda *args: calls.append(1) or normal_form_int(*args))
+    trials = []
+    initial_monomials = ginreg.initial_monomials
+    monkeypatch.setattr(ginreg, "initial_monomials",
+                        lambda J, order, series: trials.append((J, order)) or initial_monomials(J, order, series))
+    skipped = generic_initial_ideal(I, seed=seed)
+    n_skipped = len(calls)
+    # each trial's basis is a Groebner basis, although the skip reduced fewer pairs
+    assert len(trials) == 3
+    assert all(spairs_reduce_to_zero(groebner._raw_basis(J, order)) for J, order in trials)
+    calls.clear()
+    monkeypatch.setattr(hilbert, "hilbert_series_ideal", lambda I: None)
+    full = generic_initial_ideal(I, seed=seed)
+    assert full.to_json() == skipped.to_json()
+    assert n_skipped < len(calls)
 
 
 def test_bayer_stillman_preconditions(S22):

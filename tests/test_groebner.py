@@ -20,11 +20,14 @@ from reeslab import (
     ideal_power,
     ideal_product,
     initial_ideal,
+    initial_monomials,
     normal_form,
     parse_polynomial,
 )
-from reeslab.groebner import spairs_reduce_to_zero, transport
-from reeslab.rings import MonomialPacking, Polynomial, RingSpec, TermOrder, mono_divides
+from reeslab import groebner
+from reeslab.groebner import _raw_basis, spairs_reduce_to_zero, transport
+from reeslab.hilbert import hilbert_series_ring
+from reeslab.rings import MonomialPacking, Polynomial, RingError, RingSpec, TermOrder, mono_divides
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -308,6 +311,110 @@ def test_basis_is_reduced(seed, order, field):
     assert not any(mono_divides(a, b) for a, b in permutations(leads, 2))
     assert not any(mono_divides(a, m) for g in gb.polys for m, _ in g.terms[1:] for a in leads)
     assert spairs_reduce_to_zero(gb)
+
+
+# ---------------------------------------------------------------------------
+# the raw Buchberger basis: initial monomials without autoreduction
+
+def _random_generators(rng, ring, count=3):
+    return [Polynomial(ring, {tuple(rng.randint(0, 1) for _ in range(ring.nvars)):
+                              ring.field.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3)})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, elimination_order(2)],
+                         ids=["lex", "deglex", "degrevlex", "elim"])
+@pytest.mark.parametrize("seed", range(3))
+def test_initial_monomials_are_the_reduced_basis_leads(seed, order, field):
+    rng = random.Random(7000 + seed)
+    A = graded_ring(["X", "Y", "Z", "W"], field=field)
+    gens = _random_generators(rng, A)
+    # two ideals, so each route runs its own Buchberger
+    assert initial_monomials(Ideal(A, gens), order) == groebner_basis(Ideal(A, gens), order).leading_monomials
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(groebner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(groebner, name, counted)
+    return calls
+
+
+def test_series_and_basis_share_one_buchberger_run(monkeypatch, twisted_cubic):
+    calls = _counting(monkeypatch, "_buchberger")
+    I = Ideal(twisted_cubic.ring, twisted_cubic.gens)
+    hilbert_series_ideal(I)
+    gb = groebner_basis(I)
+    assert len(calls) == 1
+    assert spairs_reduce_to_zero(gb)
+    # the other way round
+    J = Ideal(twisted_cubic.ring, twisted_cubic.gens)
+    assert groebner_basis(J).polys == gb.polys
+    assert initial_monomials(J) == gb.leading_monomials
+    assert len(calls) == 2
+
+
+def _quartic_square():
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    return ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 2)
+
+
+def test_hilbert_skip_gives_the_same_basis_with_fewer_reductions(monkeypatch):
+    I = _quartic_square()
+    H = hilbert_series_ideal(I)
+    calls = _counting(monkeypatch, "_normal_form_int")
+    full = _raw_basis(Ideal(I.ring, I.gens), DEGREVLEX)
+    n_full = len(calls)
+    calls.clear()
+    skipped = _raw_basis(Ideal(I.ring, I.gens), DEGREVLEX, H)
+    assert skipped.leads == full.leads
+    assert skipped._kernel["triples"] == full._kernel["triples"]
+    assert len(calls) < n_full
+    assert spairs_reduce_to_zero(skipped)
+
+
+def test_hilbert_skip_stays_off_where_sugar_is_not_the_degree(monkeypatch):
+    p = parse_polynomial
+    A = graded_ring(["X", "Y", "Z", "W"])
+    lex = graded_ring(["X", "Y", "Z", "W"], order=LEX)
+    B = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)), DEGREVLEX)
+    cases = [
+        (lex, ("X*W - Y*Z", "Y^2 - X*Z", "Z^2 - Y*W")),
+        (B, ("X1*Y2 - X2*Y1", "X1^2*Y1 - X2^2*Y2", "X1*X2*Y1^2 - X2^2*Y2^2")),
+        (A, ("X*W - Y*Z + X", "Y^2 - X*Z", "Z^2 - Y*W")),
+    ]
+    calls = _counting(monkeypatch, "_normal_form_int")
+    for ring, gens in cases:
+        I = Ideal(ring, [p(g, ring) for g in gens])
+        assert groebner._hilbert_skip(I, ring.order, hilbert_series_ring(ring)) is None
+        calls.clear()
+        expected = initial_monomials(Ideal(ring, I.gens))
+        n = len(calls)
+        calls.clear()
+        # the whole ring's series is wrong for every proper ideal; an active skip would raise
+        assert initial_monomials(I, series=hilbert_series_ring(ring)) == expected
+        assert len(calls) == n
+
+
+def test_wrong_hilbert_series_raises(twisted_cubic):
+    A = twisted_cubic.ring
+    # more standard monomials than the leads leave: degree 3's count stays below zero
+    I = Ideal(A, twisted_cubic.gens)
+    with pytest.raises(RingError, match="Hilbert function"):
+        initial_monomials(I, series=hilbert_series_ring(A))
+    assert not I._bases
+    # fewer: a lead of degree 3 is still missing when degree 3's pairs have run
+    bigger = Ideal(A, list(twisted_cubic.gens) + [parse_polynomial("X1^3", A)])
+    with pytest.raises(RingError, match="Hilbert function"):
+        initial_monomials(Ideal(A, twisted_cubic.gens), series=hilbert_series_ideal(bigger))
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def test_pivot_node_count_on_quartic_cube(monkeypatch):
 
 def test_bad_as_module_raises_before_any_basis(monkeypatch, twisted_cubic):
     def no_basis(*args, **kwargs):
-        raise AssertionError("groebner_basis ran")
+        raise AssertionError("initial_monomials ran")
 
-    monkeypatch.setattr(hilbert, "groebner_basis", no_basis)
+    monkeypatch.setattr(hilbert, "initial_monomials", no_basis)
     with pytest.raises(SeriesError, match="as_module"):
         hilbert_series_ideal(twisted_cubic, "module")

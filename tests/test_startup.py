@@ -33,7 +33,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.") or m in ("dataclasses", "fractions")))
 """
 
-# `sorted(reeslab.__all__)` before `import reeslab` became lazy.
+# `sorted(reeslab.__all__)` before `import reeslab` became lazy, and `initial_monomials`, added since.
 PUBLIC_NAMES = [
     "BigradedHilbertPolynomial", "DEGLEX", "DEGREVLEX", "DimMultReport", "GroebnerBasis",
     "HilbertPolynomial", "HilbertSeriesRational", "Ideal", "LEX", "ParseError", "Polynomial",
@@ -42,7 +42,7 @@ PUBLIC_NAMES = [
     "elimination_order", "format_polynomial", "graded_ring", "groebner", "groebner_basis",
     "hilbert", "hilbert_function", "hilbert_polynomial", "hilbert_series_ideal",
     "hilbert_series_monomial", "hilbert_series_ring", "ideal_power", "ideal_product",
-    "initial_ideal", "minimal_generators", "multidegree_of", "normal_form",
+    "initial_ideal", "initial_monomials", "minimal_generators", "multidegree_of", "normal_form",
     "parse_polynomial", "rings",
 ]
 
