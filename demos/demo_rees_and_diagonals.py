@@ -15,7 +15,7 @@ from reeslab.diagonals import (
     good_resolution_check,
     gorenstein_diagonals,
 )
-from reeslab.rees import bigraded_hilbert_series_rees, fiber_cone, rees_presentation
+from reeslab.rees import fiber_cone, rees_presentation
 
 A = graded_ring(["X1", "X2", "X3", "X4"])
 I = Ideal(A, [parse_polynomial(s, A) for s in
@@ -27,7 +27,7 @@ for g in P.defining_ideal.gens:
     print("    bidegree %s:  %s" % (g.multidegree(), g))
 
 print("\nbigraded Hilbert series of the Rees algebra:")
-print("   ", bigraded_hilbert_series_rees(P))
+print("   ", P.series())
 
 F = fiber_cone(P)
 print("\nfiber cone: spread = %d, relations = %r (a polynomial ring)" % (F.spread, list(F.relations.gens)))

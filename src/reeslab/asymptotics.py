@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import _qpoly as qp
-from .hilbert import HilbertPolynomial, HilbertSeriesRational, _t_slice
+from .hilbert import HilbertPolynomial, HilbertSeriesRational
 
 
 class FitError(ValueError):
@@ -262,30 +262,6 @@ def fit_hilbert_series(samples, d, l, include_zero=True):
         offsets, tuple(polys), d, l, n, min(j for j in all_js if j > 0) - 1,
         tuple(sorted(validated)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Hilbert series of powers (general recurrence variant)
-
-@dataclass(frozen=True)
-class SeriesRecurrence:
-    """H_R(s,t) = Q(s,t) / ((1-s)^n prod_i (1 - s^{d_i} t)), kept as the t-slices of Q."""
-
-    q_slices: tuple        # tuple of (j, numerator dict) for Q
-    degrees: tuple
-    n: int
-
-    def predict(self, j):
-        out = _t_slice(self.degrees, self.q_slices, j)
-        return HilbertSeriesRational.make({(a, 0): c for a, c in out.items()}, [(1, 0)] * self.n)
-
-
-def series_recurrence(P):
-    """The recurrence of a Rees presentation P: Q is the numerator of its series, slice by slice."""
-    slices = {}
-    for (a, b), c in P.series().num:
-        slices.setdefault(b, {})[a] = c
-    return SeriesRecurrence(tuple(sorted(slices.items())), P.degrees, P.x_count)
 
 
 # ---------------------------------------------------------------------------

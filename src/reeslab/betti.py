@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 
 from ._linalg import VectorSpan
-from .groebner import groebner_basis, minimal_generators
+from .groebner import _normal_form_int, _on_basis, groebner_basis, minimal_generators
 from .hilbert import hilbert_series_ideal
-from .rings import MonomialPacking, mono_div, mono_divides, mono_mul
+from .rings import MonomialPacking
 
 
 class BettiError(ValueError):
@@ -63,12 +63,9 @@ class _QuotientPieces:
     m/x_i is standard. They are filled degree by degree, each degree from the
     ones a variable below it.
 
-    Products x_i * m that are not standard are reduced through a table of
-    monomial normal forms: with g the first basis element whose leading
-    monomial divides m = u * lm(g), NF(m) = -(1/lc) * sum of c_t * NF(u * t)
-    over the tail of g. Normal forms modulo a reduced basis are unique and
-    linear, so each entry is exact. The basis is bihomogeneous, so every
-    u * t has the degree of m.
+    A product x_i * m that is not standard is replaced by its normal form
+    modulo the reduced basis, which the reduction kernel of the groebner
+    layer computes and a table keeps, one entry per monomial.
     """
 
     def __init__(self, I):
@@ -77,8 +74,6 @@ class _QuotientPieces:
         lms = self.gb.leading_monomials if self.gb is not None else frozenset()
         one = (0,) * self.ring.nvars
         self._leading = lms
-        # the integer (lm, lc, tail) triples of the basis
-        self._reducers = self.gb._triples if self.gb is not None else ()
         # degree -> its standard monomials, sorted; the only copy of each basis
         self._bases = {(0, 0): [] if one in lms else [one]}
         # standard monomials of the filled degrees: a monomial of a filled
@@ -133,58 +128,21 @@ class _QuotientPieces:
         self.basis(self.ring.monomial_degree(prod))
         if prod in self._standard:
             return (((prod, 1),), 1)
-        return self._normal_form(prod)
+        cached = self._nf[prod] = self._normal_form(prod)
+        return cached
 
     def _normal_form(self, mono):
-        """Table entry of a non-standard monomial whose degree is filled.
+        """Table entry of a non-standard monomial: its normal form from the reduction kernel.
 
-        An explicit stack drives the recursion: a chain of reductions can be
-        as long as the degree has monomials.
+        The kernel returns rem = scale * NF(mono), with rem primitive over Q
+        and scale a fraction in lowest terms (1 over F_p), so the entry is in
+        lowest terms with a positive denominator.
         """
-        nf = self._nf
-        standard = self._standard
-        reducers = self._reducers
-        stack = [mono]
-        while stack:
-            top = stack[-1]
-            if top in nf:
-                stack.pop()
-                continue
-            lm, lc, tail = next(r for r in reducers if mono_divides(r[0], top))
-            u = mono_div(top, lm)
-            terms = [(mono_mul(u, t), c) for t, c in tail.items()]
-            pending = [v for v, _ in terms if v not in standard and v not in nf]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            nf[top] = self._combine(terms, lc)
-        return nf[mono]
-
-    def _combine(self, terms, lc):
-        """-(1/lc) * sum of c * NF(v) over the (v, c) terms, as (pairs, denominator).
-
-        Over Q the result is in lowest terms: the denominator is positive and no
-        prime divides it and every numerator.
-        """
-        standard, nf, char = self._standard, self._nf, self.ring.field.char
-        entries = [(((v, 1),), 1) if v in standard else nf[v] for v, _ in terms]
-        acc = {}
-        if char:
-            for (_, c), (pairs, _) in zip(terms, entries):
-                for w, k in pairs:
-                    acc[w] = (acc.get(w, 0) + c * k) % char
-            fac = -pow(lc, -1, char)
-            return (tuple((w, k * fac % char) for w, k in acc.items() if k), 1)
-        den = lcm(*(d for _, d in entries))
-        for (_, c), (pairs, d) in zip(terms, entries):
-            fac = c * (den // d)
-            for w, k in pairs:
-                acc[w] = acc.get(w, 0) + fac * k
-        den *= lc
-        pairs = [(w, -k) for w, k in acc.items() if k]
-        g = gcd(den, *(k for _, k in pairs))
-        return (tuple((w, k // g) for w, k in pairs), den // g)
+        char = self.ring.field.char
+        P, (_, rem, scale) = _on_basis(
+            self.gb, lambda P, triples: _normal_form_int({P.pack(mono): 1}, triples, P.guard, char))
+        sign = -1 if scale < 0 else 1
+        return (tuple((P.unpack(m), sign * scale.denominator * c) for m, c in rem.items()), abs(scale.numerator))
 
 
 def _degree_window(caps):
@@ -254,7 +212,7 @@ def _koszul_degrees(pieces, initial, caps):
     entries in one degree (Peeva, Proc. AMS 2004), so only these degrees can
     differ. A monomial reduced basis means I = in(I), and none can.
     """
-    if all(not tail for _, _, tail in pieces._reducers):
+    if pieces.gb is None or all(len(g.terms) == 1 for g in pieces.gb):
         return set()
     return {
         d for d, row in initial.items()

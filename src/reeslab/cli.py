@@ -176,7 +176,7 @@ def _cmd_fit_hp(args, problem):
 
 
 def _cmd_fit_hs(args, problem):
-    from .asymptotics import fit_hilbert_series, series_recurrence
+    from .asymptotics import fit_hilbert_series
     from .rees import fiber_cone, rees_presentation
 
     P = rees_presentation(problem.ideal)
@@ -190,18 +190,17 @@ def _cmd_fit_hs(args, problem):
         template = fit_hilbert_series(samples, P.max_degree, fiber_cone(P).spread, include_zero=(start == 0))
         payload = template.to_json()
         route = "equigenerated-offset-template"
-        proven_past = template.threshold
     else:
-        template = series_recurrence(P)
-        payload = {
-            "slices": [[j, {str(a): c for a, c in num.items()}] for j, num in template.q_slices],
-            "degrees": list(template.degrees),
-        }
+        template = None
+        # the t-slices of the numerator Q of H_R
+        slices = {}
+        for (a, b), c in P.series().num:
+            slices.setdefault(b, {})[str(a)] = c
+        payload = {"slices": [[j, num] for j, num in sorted(slices.items())], "degrees": list(P.degrees)}
         route = "general-recurrence-window"
-        proven_past = -1
     if args.predict:
         j = args.predict
-        series = template.predict(j) if j > proven_past else P.power_series(j)
+        series = template.predict(j) if template is not None and j > template.threshold else P.power_series(j)
         payload["predicted"] = {"power": j, "series": series.to_json()}
     return (payload, [route], [])
 
@@ -245,11 +244,11 @@ def _cmd_reg(args, problem):
 
 
 def _cmd_rees(args, problem):
-    from .rees import bigraded_hilbert_series_rees, rees_presentation
+    from .rees import rees_presentation
 
     P = rees_presentation(problem.ideal)
     payload = P.report()
-    payload["series"] = bigraded_hilbert_series_rees(P).to_json()
+    payload["series"] = P.series().to_json()
     return (payload, ["blowup-presentation-by-elimination"], [])
 
 

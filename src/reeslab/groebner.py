@@ -382,13 +382,14 @@ def _on_basis(G, run):
 
 
 class _RawBasis:
-    """Buchberger's basis of an ideal for one order, before autoreduction; kept on the ideal.
+    """Buchberger's basis of an ideal for one order; kept on the ideal.
 
     _kernel holds its triples, sorted by lm, packed by _kernel["P"], as
     _on_basis reads them. leads are the leading monomials as exponent
     tuples: the minimal generators of the initial ideal. reduced is the
-    GroebnerBasis autoreduced from the triples. Both are built on first
-    request.
+    GroebnerBasis autoreduced from the triples; once it is built, it shares
+    _kernel, so the triples are the reduced ones, with the same leads. Both
+    are built on first request.
     """
 
     __slots__ = ("ring", "_kernel", "_leads", "reduced")
@@ -457,17 +458,14 @@ def _raw_basis(I, order, series=None):
 class GroebnerBasis:
     """Reduced Groebner basis for (ring, order); monic polynomials sorted by leading monomial.
 
-    _triples holds the same basis as the integer (lm, lc, tail) triples that
-    autoreduction produced, on exponent tuples, in the same order. Reductions
-    against the basis run on the packed triples in _kernel, as _on_basis
-    reads them.
+    Reductions against the basis run on the integer (lm, lc, tail) triples
+    that autoreduction produced, packed, in _kernel, as _on_basis reads them.
     """
 
     ring: RingSpec
     order: TermOrder
     polys: tuple
     leading_monomials: frozenset
-    _triples: tuple = field(compare=False, repr=False)
     _kernel: dict = field(compare=False, repr=False)
 
     def __iter__(self):
@@ -533,21 +531,19 @@ def groebner_basis(I, order=None):
     ring = I.ring
     char = ring.field.char
     P, packed = _on_basis(raw, lambda P, triples: _autoreduce(triples, P.guard, char))
-    triples = []
+    # the reduced triples have Buchberger's leads and are still a basis, so
+    # the raw basis reads them too: one packed copy serves both
+    raw._kernel["triples"] = packed
     polys = []
     for lm, lc, tail in packed:
-        lm = P.unpack(lm)
-        tail = {P.unpack(m): c for m, c in tail.items()}
-        triples.append((lm, lc, tail))
         if char:
             inv = pow(lc, -1, char)
-            monic = {m: c * inv % char for m, c in tail.items()}
+            monic = {P.unpack(m): c * inv % char for m, c in tail.items()}
         else:
-            monic = {m: Fraction(c, lc) for m, c in tail.items()}
-        monic[lm] = ring.field.one
+            monic = {P.unpack(m): Fraction(c, lc) for m, c in tail.items()}
+        monic[P.unpack(lm)] = ring.field.one
         polys.append(Polynomial(ring, monic))
-    raw.reduced = GroebnerBasis(ring, order, tuple(polys), frozenset(t[0] for t in triples), tuple(triples),
-                                {"P": P, "triples": packed})
+    raw.reduced = GroebnerBasis(ring, order, tuple(polys), raw.leads, raw._kernel)
     return raw.reduced
 
 

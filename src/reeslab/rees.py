@@ -16,6 +16,7 @@ from .groebner import (
 )
 from .hilbert import (
     HilbertSeriesRational,
+    _t_slice,
     hilbert_series_ideal,
     krull_dimension,
 )
@@ -75,14 +76,14 @@ class ReesPresentation:
         return self._series
 
     def power_series(self, j):
-        """H_{I^j} as a series over (1-s)^n, read off the t-slice of H_R."""
+        """H_{I^j}, the t-slice of H_R, over the base ring's own factors (1-s^a) of its denominator."""
         cached = self._slices.get(j)
         if cached is None:
-            num = self.series().t_slice_numerator(j, self.x_count)
-            cached = HilbertSeriesRational.make(
-                {(a, 0): c for a, c in num.items()},
-                [(1, 0)] * self.x_count,
-            )
+            if any(b for _, b in self.base_ring.degrees):
+                raise ReesError("powers are t-slices of H_R only when every base variable has degree (a, 0)")
+            H = self.series()
+            num = _t_slice(self.degrees, ((b, {a: c}) for (a, b), c in H.num), j)
+            cached = HilbertSeriesRational.make({(a, 0): c for a, c in num.items()}, self.base_ring.degrees)
             self._slices[j] = cached
         return cached
 
@@ -103,7 +104,7 @@ class ReesPresentation:
         }
 
 
-def rees_presentation(I, check_dimension=True):
+def rees_presentation(I):
     """Kernel of Y_j -> f_j t by eliminating t from (Y_1 - f_1 t, ..., Y_r - f_r t).
 
     The ring S = k[X; Y] of the defining ideal has degrevlex order, whatever
@@ -142,14 +143,13 @@ def rees_presentation(I, check_dimension=True):
     initial_monomials(K_raw)
     K._bases[S.order] = K_raw._bases[S.order]
     pres = ReesPresentation(I, S, K, degrees)
-    if check_dimension:
-        dim = krull_dimension(pres.series())
-        expected = A.nvars + 1
-        if dim != expected:
-            raise ReesError(
-                "dim S/K = %d != %d: the ideal meets an associated prime of the base"
-                % (dim, expected)
-            )
+    dim = krull_dimension(pres.series())
+    expected = A.nvars + 1
+    if dim != expected:
+        raise ReesError(
+            "dim S/K = %d != %d: the ideal meets an associated prime of the base"
+            % (dim, expected)
+        )
     return pres
 
 
@@ -200,11 +200,6 @@ def fiber_cone(P):
     data = FiberConeData(F_ring, J, spread, series)
     P._fiber = data
     return data
-
-
-def bigraded_hilbert_series_rees(P):
-    """Series of S/K in (s, t)."""
-    return P.series()
 
 
 def reduction_number_bounds(F, fiber_betti):

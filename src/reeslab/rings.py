@@ -352,11 +352,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 class PackingOverflow(ArithmeticError):
     """A monomial does not fit the fields of a MonomialPacking."""
 

@@ -361,6 +361,7 @@ def test_mixed_mult_command(capsys, cubic_file):
 
 PLANAR_FAT = "field: Q\nvars: X (1,0), Y (1,0)\nideal: X^7; Y^7; X^6*Y + X^2*Y^5\n"
 MONOMIAL_XY = "field: Q\nvars: x (1,0), y (1,0), z (1,0)\nideal: x^3; x^2*y; y^4\n"
+WEIGHTED_XY = "field: Q\nvars: x (1,0), y (2,0)\nideal: x; y\n"
 
 
 @pytest.mark.parametrize("text, argv, reference", [
@@ -372,8 +373,10 @@ MONOMIAL_XY = "field: Q\nvars: x (1,0), y (1,0), z (1,0)\nideal: x^3; x^2*y; y^4
     (MONOMIAL_XY, ["fit-hp", "--max-power", "2", "--predict", "5"], ["hp", "--power", "5", "--module", "quotient"]),
     (TWISTED_CUBIC, ["fit-hs", "--max-power", "1", "--predict", "3"], ["hs", "--power", "3"]),
     (TWISTED_CUBIC, ["mixed-mult", "--max-power", "2"], {"e_R": [0, 1, 2, 1], "e_G": [2, 3, 0]}),
+    # the general route over a weighted base ring once printed H_{I^2} over (1-s)^2
+    (WEIGHTED_XY, ["fit-hs", "--predict", "2"], ["hs", "--power", "2"]),
 ], ids=["planar-fat-past-threshold", "planar-fat-below-threshold", "monomial-no-zero-point",
-        "twisted-cubic-fit-hs", "twisted-cubic-mixed-mult"])
+        "twisted-cubic-fit-hs", "twisted-cubic-mixed-mult", "weighted-general-route"])
 def test_power_reports_match_the_direct_route(capsys, tmp_path, text, argv, reference):
     path = tmp_path / "problem.ring"
     path.write_text(text)

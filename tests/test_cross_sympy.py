@@ -207,3 +207,43 @@ def test_lcm_past_the_ordered_fields_widens_them(monkeypatch, field):
     ours = {tuple(sorted(g.terms)) for g in groebner_basis(Ideal(ring, gens)).polys}
     assert widths == [4]
     assert ours == _sympy_reduced([_to_sympy_any(g, symbols) for g in gens], symbols, "grevlex", field.char)
+
+
+def _quartic_square():
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    return groebner.ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 2)
+
+
+@pytest.mark.parametrize("case", ["quartic_square", "twisted_cubic_rees"])
+def test_koszul_table_entries_are_sympy_remainders(case, request):
+    # every entry of the Koszul normal-form table against sympy's remainder
+    # modulo its own grevlex basis, with the denominators cleared
+    from math import gcd
+
+    from reeslab.betti import _QuotientPieces
+
+    I, window = {
+        "quartic_square": lambda: (_quartic_square(), (5, 0)),
+        "twisted_cubic_rees": lambda: (request.getfixturevalue("twisted_cubic_rees").defining_ideal, (5, 2)),
+    }[case]()
+    ring = I.ring
+    symbols = sympy.symbols(ring.names)
+    G = sympy.groebner([_to_sympy(g, symbols) for g in I.gens], *symbols, order="grevlex")
+    pieces = _QuotientPieces(I)
+    checked = 0
+    for a in range(window[0] + 1):
+        for b in range(window[1] + 1):
+            for m in pieces.basis((a, b)):
+                for i in range(ring.nvars):
+                    prod = tuple(e + (j == i) for j, e in enumerate(m))
+                    if not pieces.gb.contains_monomial(prod):
+                        continue
+                    pairs, den = pieces.multiply(i, m)
+                    assert den > 0 and gcd(den, *(k for _, k in pairs)) == 1
+                    _, rem = G.reduce(sympy.prod(s ** e for s, e in zip(symbols, prod)))
+                    rem = sympy.Poly(rem * den, *symbols)
+                    assert dict(pairs) == {tuple(e): int(c) for e, c in rem.terms()}
+                    checked += 1
+    assert checked

@@ -177,6 +177,16 @@ def test_groebner_cache_reused(twisted_cubic):
     assert gb1 is gb2
 
 
+def test_reduced_basis_shares_the_raw_triples(twisted_cubic):
+    I = Ideal(twisted_cubic.ring, twisted_cubic.gens)
+    raw = _raw_basis(I, DEGREVLEX)
+    leads = raw.leads
+    gb = groebner_basis(I)
+    assert raw._kernel["triples"] is gb._kernel["triples"]
+    assert raw.leads == leads == gb.leading_monomials
+    assert spairs_reduce_to_zero(raw)
+
+
 def test_elimination_order_property():
     # leading monomials in the block dominate
     order = TermOrder("elim", block=1)

@@ -11,7 +11,6 @@ from reeslab import (
 from reeslab.betti import graded_betti_table
 from reeslab.rees import (
     ReesError,
-    bigraded_hilbert_series_rees,
     builtin_a2_form_ring,
     fiber_cone,
     form_ring_presentation,
@@ -28,9 +27,22 @@ def test_twisted_cubic_presentation(twisted_cubic_rees):
 
 
 def test_twisted_cubic_rees_series(twisted_cubic_rees):
-    H = bigraded_hilbert_series_rees(twisted_cubic_rees)
+    H = twisted_cubic_rees.series()
     assert H.num_dict() == {(0, 0): 1, (3, 1): -2, (6, 2): 1}
     assert dict(H.den) == {(1, 0): 4, (2, 1): 3}
+
+
+def test_power_series_over_a_weighted_base_ring():
+    # H_{I^j} keeps the base ring's factors: 1/((1-s)(1-s^2)) for A = k[x, y], deg y = 2
+    from reeslab.problemfile import parse_problem
+
+    P = rees_presentation(parse_problem("field: Q\nvars: x (1,0), y (2,0)\nideal: x; y\n").ideal)
+    assert P.power_series(2) == hilbert_series_ideal(ideal_power(P.source, 2), "ideal")
+    assert dict(P.power_series(2).den) == {(1, 0): 1, (2, 0): 1}
+    # a base variable of nonzero second degree has no t-slice reading
+    P = rees_presentation(parse_problem("field: Q\nvars: x (1,0), z (1,1)\nideal: x\n").ideal)
+    with pytest.raises(ReesError):
+        P.power_series(1)
 
 
 def test_principal_ideal_has_free_rees_algebra():
