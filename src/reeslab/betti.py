@@ -83,7 +83,7 @@ class _QuotientPieces:
         self._nf = {}
 
     def basis(self, degree):
-        """Standard monomials of the degree, in the order of monomials_of_degree."""
+        """Standard monomials of the degree, sorted."""
         if degree[0] < 0 or degree[1] < 0:
             return []
         if degree not in self._bases:

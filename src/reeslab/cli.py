@@ -180,7 +180,8 @@ def _cmd_fit_hs(args, problem):
     from .rees import fiber_cone, rees_presentation
 
     P = rees_presentation(problem.ideal)
-    if P.equigenerated:
+    # the template needs samples over (1-s)^n, so a standard graded base ring
+    if P.equigenerated and all(d == (1, 0) for d in P.base_ring.degrees):
         # With m generators, P_alpha(j) = sum_b N_(alpha+db, b) binom(j-b+m-1, m-1)
         # has degree < m and is exact for j >= deg_t N - m + 1.
         m = P.y_count

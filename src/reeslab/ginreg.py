@@ -6,16 +6,13 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from ._linalg import VectorSpan
 from .groebner import (
     Ideal,
     _from_int_poly,
     _sugar_is_degree,
     _times,
     _to_int_poly,
-    groebner_basis,
     initial_monomials,
-    normal_form,
 )
 from .rings import MonomialPacking, Polynomial
 
@@ -257,25 +254,20 @@ class RegularityCheck:
         }
 
 
-def _piece_dimension(ideal_gb, ring, degree):
-    monos = ring.monomials_of_degree(degree)
-    if ideal_gb is None or not monos:
-        return 0
-    lms = ideal_gb.leading_monomials
-    P = MonomialPacking.fitting(ring.nvars, max(max(map(max, monos)), max(map(max, lms))))
-    packed = [P.pack(g) for g in lms]
-    return sum(1 for m in monos if P.divisible(P.pack(m), packed))
-
-
 def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
     """(m, .)-regularity by the generic-form colon equalities on graded pieces.
 
     Works through generic linear forms h in the degree-(1,0) block: at each
     step either the current ideal fills every S_(m,q) on the window, or the
-    colon by the next form must leave the (m, q)-pieces unchanged. The window
-    is reported; exhausting it without a certificate raises, it never passes
-    silently.
+    colon by the next form must leave the (m, q)-pieces unchanged. Both are
+    read off H = H_{S/J}: J fills S_(m,q) iff H(m,q) = 0, and the exact
+    sequence 0 -> ((J:h)/J)(-1,0) -> (S/J)(-1,0) -> S/J -> S/(J+h) -> 0
+    gives (J:h)_(m,q) = J_(m,q) iff H_{S/(J+h)}(m+1,q) = H(m+1,q) - H(m,q).
+    The window is reported; exhausting it without a certificate raises, it
+    never passes silently.
     """
+    from .hilbert import hilbert_series_ideal    # here, so that importing ginreg loads no hilbert
+
     ring = I.ring
     if ring.field.char != 0:
         raise GinError("the generic-form test is run over Q")
@@ -290,46 +282,27 @@ def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
     qs = range(q_window[0], q_window[1] + 1)
     rng = random.Random(seed)
     J = I
+    H = hilbert_series_ideal(J)
     forms = 0
     note = (
         "certificate via the generic-form direction; the number of forms used "
         "is reported because the cohomological count is not computed"
     )
     for step in range(len(x_block) + 1):
-        gb = groebner_basis(J) if not J.is_zero() else None
-        filled = all(
-            _piece_dimension(gb, ring, (m, q)) == len(ring.monomials_of_degree((m, q)))
-            for q in qs
-        )
-        if filled:
+        if all(H.coefficient((m, q)) == 0 for q in qs):
             return RegularityCheck(True, m, tuple(q_window), forms, seed, note)
         if step == len(x_block):
             break
         h = ring.zero()
         for i in x_block:
             h = h + ring.variable(i).scale(rng.randint(-entry_bound, entry_bound))
-        # colon equality on the (m, q) pieces
-        for q in qs:
-            if not _colon_piece_equal(J, gb, h, m, q):
-                return RegularityCheck(False, m, tuple(q_window), forms + 1, seed, note)
         J = Ideal(ring, list(J.gens) + [h])
         forms += 1
+        H_next = hilbert_series_ideal(J)
+        if any(H_next.coefficient((m + 1, q)) != H.coefficient((m + 1, q)) - H.coefficient((m, q))
+               for q in qs):
+            return RegularityCheck(False, m, tuple(q_window), forms, seed, note)
+        H = H_next
     raise GinError(
         "window %r exhausted without certificate: widen q_window" % (q_window,)
     )
-
-
-def _colon_piece_equal(J, gb, h, m, q):
-    """(J : h)_(m,q) == J_(m,q) as dimensions; exact linear algebra."""
-    ring = J.ring
-    monos = ring.monomials_of_degree((m, q))
-    if not monos:
-        return True
-    # kernel of multiplication by h into (S/J)_(m+1, q)
-    target = {}
-    span = VectorSpan(0)
-    for mono in monos:
-        f = Polynomial(ring, {mono: ring.field.one}) * h
-        nf = normal_form(f, gb) if gb is not None else f
-        span.add({target.setdefault(mm, len(target)): c for mm, c in nf.terms})
-    return len(monos) - span.rank == _piece_dimension(gb, ring, (m, q))

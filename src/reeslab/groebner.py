@@ -656,7 +656,13 @@ def minimal_generators(ring, polys):
 def _minimal_indices(ring, P, cands):
     """Indices that minimal_generators keeps of cands, (degree, packed integer dict) pairs.
 
-    The fields of P must hold every monomial of the candidates' degrees.
+    The columns are packed monomials, and only the rows u*g that reach the
+    candidates are formed: from each reached monomial M and each term t | M
+    of a kept lower-degree g comes the row (M - t)*g, whose monomials are
+    reached in turn. A row outside this closure shares no column with it (a
+    common monomial M would have put it in), so membership in the span is as
+    in the whole degree's matrix. The fields of P must hold every monomial of
+    the candidates' degrees.
     """
     from ._linalg import VectorSpan
 
@@ -664,18 +670,27 @@ def _minimal_indices(ring, P, cands):
     for i, (deg, _) in enumerate(cands):
         by_degree.setdefault(deg, []).append(i)
     kept = []
+    divides = P.divides
     for deg in sorted(by_degree, key=lambda d: (d[0] + d[1], d)):
-        index = {P.pack(m): k for k, m in enumerate(ring.monomials_of_degree(deg))}
+        lower = [cands[i][1] for i in kept if cands[i][0][0] <= deg[0] and cands[i][0][1] <= deg[1]]
         span = VectorSpan(ring.field.char)
-        for i in kept:
-            gdeg, g = cands[i]
-            shift = (deg[0] - gdeg[0], deg[1] - gdeg[1])
-            if shift[0] < 0 or shift[1] < 0:
-                continue
-            for u in map(P.pack, ring.monomials_of_degree(shift)):
-                span.add({index[m + u]: c for m, c in g.items()})
+        reached = {m for i in by_degree[deg] for m in cands[i][1]}
+        todo = list(reached)
+        formed = set()    # (k, u): the row u*lower[k]
+        while todo:
+            M = todo.pop()
+            for k, g in enumerate(lower):
+                for t in g:
+                    u = M - t
+                    if divides(t, M) and (k, u) not in formed:
+                        formed.add((k, u))
+                        row = {u + m: c for m, c in g.items()}
+                        span.add(row)
+                        new = row.keys() - reached
+                        reached |= new
+                        todo.extend(new)
         for i in by_degree[deg]:
-            if span.add({index[m]: c for m, c in cands[i][1].items()}):
+            if span.add(cands[i][1]):
                 kept.append(i)
     return kept
 

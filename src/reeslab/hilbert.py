@@ -104,27 +104,6 @@ class HilbertSeriesRational:
             return 0
         return self.expand(i, j)[i][j]
 
-    def t_slice_numerator(self, j, n_standard):
-        """Numerator of the coefficient of t^j over (1-s)^n_standard.
-
-        Requires every t-positive denominator factor to have b = 1; the
-        (1-s)-factors must be standard. Returns a dict s-degree -> int.
-        """
-        sfac = []
-        tfac = []
-        for (a, b), mult in self.den:
-            if b == 0:
-                if a != 1:
-                    raise SeriesError("non-standard graded factor")
-                sfac.extend([(a, b)] * mult)
-            elif b == 1:
-                tfac.extend([a] * mult)
-            else:
-                raise SeriesError("denominator factor with t-degree > 1")
-        if len(sfac) != n_standard:
-            raise SeriesError("expected %d standard factors" % n_standard)
-        return _t_slice(tfac, ((b, {a: c}) for (a, b), c in self.num), j)
-
     def to_json(self):
         return {
             "num": [[c, d[0], d[1]] for d, c in self.num],

@@ -112,10 +112,6 @@ class PrimeField:
 
 QQ = RationalField()
 
-# monomials_of_degree's lists, shared by every ring; emptied when full
-_MONOMIAL_CACHE = {}
-_MONOMIAL_CACHE_LIMIT = 1024
-
 
 # ---------------------------------------------------------------------------
 # term orders
@@ -278,10 +274,6 @@ class RingSpec:
 
     def monomials_of_degree(self, degree):
         """All exponent vectors of the given Z^2 degree, as a list of tuples."""
-        key = (self.degrees, tuple(degree))
-        cached = _MONOMIAL_CACHE.get(key)
-        if cached is not None:
-            return cached
         out = []
         n = self.nvars
         degs = self.degrees
@@ -317,9 +309,6 @@ class RingSpec:
 
         if degree[0] >= 0 and degree[1] >= 0:
             rec(0, degree[0], degree[1], [])
-        if len(_MONOMIAL_CACHE) >= _MONOMIAL_CACHE_LIMIT:
-            _MONOMIAL_CACHE.clear()
-        _MONOMIAL_CACHE[key] = out
         return out
 
     def __repr__(self):

@@ -393,6 +393,22 @@ def test_power_reports_match_the_direct_route(capsys, tmp_path, text, argv, refe
     assert result["predicted"][key] == direct[key]
 
 
+def test_weighted_equigenerated_fit_hs_takes_the_general_route(capsys, tmp_path):
+    # x^2 and y both have degree 2, but the template needs samples over (1-s)^2;
+    # this input once exited 1 with "series is not over (1-s)^2"
+    path = tmp_path / "problem.ring"
+    path.write_text("field: Q\nvars: x (1,0), y (2,0)\nideal: x^2; y\n")
+    code, out = run_cli(capsys, "--no-cache", "fit-hs", "--predict", "2", str(path))
+    assert code == 0
+    result = json.loads(out)
+    assert result["criterion_citations"] == ["general-recurrence-window"]
+    code, out = run_cli(capsys, "--no-cache", "hs", "--power", "2", str(path))
+    assert code == 0
+    direct = json.loads(out)["result"]["series"]
+    assert result["result"]["predicted"]["series"] == direct
+    assert direct == {"num": [[3, 4, 0], [-2, 6, 0]], "den": [[1, 0, 1], [2, 0, 1]]}
+
+
 @pytest.mark.parametrize("text", [TWISTED_CUBIC, PLANAR_FAT], ids=["twisted-cubic", "planar-fat"])
 def test_fit_hs_template_matches_buchberger_powers(capsys, tmp_path, text):
     from reeslab import hilbert_series_ideal, ideal_power

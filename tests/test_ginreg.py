@@ -17,13 +17,14 @@ from reeslab import ginreg, groebner, hilbert
 from reeslab.betti import bigraded_betti_table, invariants_from_shifts
 from reeslab.ginreg import (
     GinError,
+    RegularityCheck,
     bayer_stillman_check,
     borel_fix_check,
     borel_regularity,
     generic_initial_ideal,
 )
 from reeslab.groebner import spairs_reduce_to_zero
-from reeslab.rings import Polynomial
+from reeslab.rings import Polynomial, mono_divides
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,98 @@ def test_bayer_stillman_preconditions(S22):
     I = Ideal(S22, [parse_polynomial("X1^2*Y1", S22)])
     with pytest.raises(GinError):
         bayer_stillman_check(I, 1)  # generator above the degree bound
+
+
+def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=100):
+    """bayer_stillman_check by ranks on whole graded pieces: J_(m,q) by leading
+    monomials, (J : h)_(m,q) as the kernel of h into (S/J)_(m+1,q) by normal forms."""
+    from reeslab._linalg import VectorSpan
+    from reeslab.groebner import groebner_basis, normal_form
+
+    ring = I.ring
+
+    def piece_dimension(gb, degree):
+        lms = gb.leading_monomials if gb is not None else []
+        return sum(1 for mono in ring.monomials_of_degree(degree) if any(mono_divides(g, mono) for g in lms))
+
+    def colon_piece_equal(gb, h, q):
+        monos = ring.monomials_of_degree((m, q))
+        target = {}
+        span = VectorSpan(0)
+        for mono in monos:
+            f = Polynomial(ring, {mono: ring.field.one}) * h
+            nf = normal_form(f, gb) if gb is not None else f
+            span.add({target.setdefault(mm, len(target)): c for mm, c in nf.terms})
+        return len(monos) - span.rank == piece_dimension(gb, (m, q))
+
+    x_block = [i for i, d in enumerate(ring.degrees) if d == (1, 0)]
+    if q_window is None:
+        qmax = max((g.multidegree()[1] for g in I.gens), default=0)
+        q_window = (0, qmax + sum(1 for d in ring.degrees if d[1] > 0) + 1)
+    qs = range(q_window[0], q_window[1] + 1)
+    rng = random.Random(seed)
+    J = I
+    forms = 0
+    note = (
+        "certificate via the generic-form direction; the number of forms used "
+        "is reported because the cohomological count is not computed"
+    )
+    for step in range(len(x_block) + 1):
+        gb = groebner_basis(J) if not J.is_zero() else None
+        if all(piece_dimension(gb, (m, q)) == len(ring.monomials_of_degree((m, q))) for q in qs):
+            return RegularityCheck(True, m, tuple(q_window), forms, seed, note)
+        if step == len(x_block):
+            break
+        h = ring.zero()
+        for i in x_block:
+            h = h + ring.variable(i).scale(rng.randint(-entry_bound, entry_bound))
+        if not all(colon_piece_equal(gb, h, q) for q in qs):
+            return RegularityCheck(False, m, tuple(q_window), forms + 1, seed, note)
+        J = Ideal(ring, list(J.gens) + [h])
+        forms += 1
+    raise GinError("window %r exhausted without certificate: widen q_window" % (q_window,))
+
+
+def _random_bihomogeneous(rng, ring, degree):
+    monos = ring.monomials_of_degree(degree)
+    return Polynomial(ring, {mm: ring.field.coerce(rng.choice((-2, -1, 1, 2, 3)))
+                             for mm in rng.sample(monos, min(rng.randint(1, 3), len(monos)))})
+
+
+def test_bayer_stillman_matches_the_linear_algebra_route(S22):
+    G = graded_ring(["x", "y", "z"])
+    B = RingSpec(QQ, S22.names, S22.degrees, DEGREVLEX)
+    verdicts = []
+    for seed in range(48):
+        rng = random.Random(seed)
+        if seed % 2:
+            ring = G
+            degrees = [(rng.randint(1, 3), 0) for _ in range(rng.randint(1, 3))]
+        else:
+            ring = B
+            degrees = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+            degrees = [d if d != (0, 0) else (1, 1) for d in degrees]
+        I = Ideal(ring, [_random_bihomogeneous(rng, ring, d) for d in degrees])
+        m = max(d[0] for d in degrees) + rng.randint(0, 2)
+        check = bayer_stillman_check(I, m, seed=seed).to_json()
+        assert check == _bayer_stillman_by_linear_algebra(I, m, seed=seed).to_json(), seed
+        verdicts.append((check["verdict"], check["forms_used"]))
+    # both verdicts, and certificates that needed two forms
+    assert {v for v, _ in verdicts} == {True, False}
+    assert (True, 2) in verdicts and (False, 2) in verdicts
+    # a chosen window, and one the x-forms cannot fill: S_(0,q) holds no x
+    I = Ideal(B, [parse_polynomial("Y1^2 + Y1*Y2", B)])
+    for m, window in ((1, (1, 3)), (0, None)):
+        try:
+            expected = _bayer_stillman_by_linear_algebra(I, m, window, seed=5).to_json()
+        except GinError as exc:
+            expected = str(exc)
+        try:
+            got = bayer_stillman_check(I, m, window, seed=5).to_json()
+        except GinError as exc:
+            got = str(exc)
+        assert got == expected
+    assert "exhausted" in got
 
 
 def _substitute_by_polynomials(I, blocks, matrices):

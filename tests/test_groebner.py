@@ -474,7 +474,7 @@ def _power_by_polynomial_products(I, j):
 def test_ideal_power_matches_polynomial_products(case, field):
     order = LEX if case == "lex" else DEGREVLEX
     # (x^300, y^2)^3 needs wider fields than its generators; two variables,
-    # because minimal_generators lists every monomial of degree 900
+    # because the oracle lists every monomial of degree 900
     names = ["x", "y"] if case == "wide_exponents" else ["x", "y", "z", "w"]
     A = graded_ring(names, field=field, order=order)
     gens = {
@@ -487,6 +487,14 @@ def test_ideal_power_matches_polynomial_products(case, field):
     I = Ideal(A, [parse_polynomial(g, A) for g in gens])
     for j in (1, 2, 3):
         assert list(ideal_power(I, j).gens) == _power_by_polynomial_products(I, j), j
+
+
+def test_power_with_far_apart_degrees_in_closed_form():
+    # the degree-120 piece of k[x,y,z,w] has 302 621 monomials; the
+    # generators reach only the multiples of x^40 and y^2 that touch them
+    A = graded_ring(["x", "y", "z", "w"])
+    I = Ideal(A, [parse_polynomial("x^40", A), parse_polynomial("y^2", A)])
+    assert [repr(g) for g in ideal_power(I, 3).gens] == ["y^6", "x^40*y^4", "x^80*y^2", "x^120"]
 
 
 def test_ideal_powers_over_q_reduce_to_the_powers_over_f32003():
@@ -517,6 +525,34 @@ def test_minimal_generators_in_a_rees_ring(twisted_cubic):
     kept = minimal_generators(S, cands)
     assert kept == _minimal_generators_by_polynomials(S, cands)
     assert kept == [gens[-1]] + gens[:-1]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("seed", range(4))
+def test_minimal_generators_match_the_whole_degree_route(field, seed):
+    from reeslab.groebner import minimal_generators
+
+    S = RingSpec(field, ("x", "y", "z", "s", "t"), ((1, 0), (1, 0), (1, 0), (0, 1), (1, 1)))
+    rng = random.Random(1700 + seed)
+
+    def form(degree):
+        monos = S.monomials_of_degree(degree)
+        return Polynomial(S, {m: S.field.coerce(rng.choice((-3, -1, 1, 2, 6))) for m in rng.sample(monos, min(3, len(monos)))})
+
+    gens = [form((rng.randint(1, 2), rng.randint(0, 1))) for _ in range(4)]
+    # redundant candidates: multiples by variables of both degrees, sums and scalings
+    cands = list(gens)
+    for _ in range(5):
+        cands.append(rng.choice(gens) * S.variable(rng.randrange(S.nvars)))
+    for _ in range(3):
+        f = rng.choice(cands)
+        same = [g for g in cands if g.multidegree() == f.multidegree()]
+        cands.append(f + rng.choice(same).scale(S.field.coerce(rng.choice((2, 3)))))
+    cands.append(form((3, 1)))
+    rng.shuffle(cands)
+    kept = minimal_generators(S, cands)
+    assert kept == _minimal_generators_by_polynomials(S, cands)
+    assert len(kept) < len(cands)
 
 
 def test_minimal_generators_over_a_prime_field_keep_their_order():

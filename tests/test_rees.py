@@ -9,6 +9,7 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab.betti import graded_betti_table
+from reeslab.hilbert import _t_slice
 from reeslab.rees import (
     ReesError,
     builtin_a2_form_ring,
@@ -92,8 +93,12 @@ def test_form_ring_slices(twisted_cubic, twisted_cubic_rees):
     G = form_ring_presentation(twisted_cubic_rees)
     HG = hilbert_series_ideal(G, "quotient")
     n = twisted_cubic.ring.nvars
+    # over (1-s)^n times one factor (1 - s^a t) per form-ring generator
+    assert [(d, mult) for d, mult in HG.den if d[1] == 0] == [((1, 0), n)]
+    t_degrees = [a for (a, b), mult in HG.den if b == 1 for _ in range(mult)]
+    assert len(t_degrees) == len(twisted_cubic.gens)
     for j in range(4):
-        slice_j = HG.t_slice_numerator(j, n)
+        slice_j = _t_slice(t_degrees, ((b, {a: c}) for (a, b), c in HG.num), j)
         a = twisted_cubic_rees.power_series(j).num_dict()
         b = twisted_cubic_rees.power_series(j + 1).num_dict()
         expected = {}

@@ -195,23 +195,6 @@ def test_packed_overflow_is_caught():
         E.pack((0, 8, 0))
 
 
-def test_monomial_cache_stays_under_its_cap(monkeypatch):
-    from reeslab import rings
-
-    assert rings._MONOMIAL_CACHE_LIMIT > 0
-    monkeypatch.setattr(rings, "_MONOMIAL_CACHE_LIMIT", 16)
-    ring = RingSpec(QQ, ("x", "y", "t"), ((1, 0), (1, 0), (0, 1)))
-    first = {}
-    for a in range(8):
-        for b in range(8):
-            first[a, b] = list(ring.monomials_of_degree((a, b)))
-            assert sorted(first[a, b]) == [(i, a - i, b) for i in range(a + 1)]
-            assert len(rings._MONOMIAL_CACHE) <= 16
-    # the cache was emptied on the way; rebuilt lists come in the same order
-    for degree, monos in first.items():
-        assert ring.monomials_of_degree(degree) == monos
-
-
 @pytest.mark.parametrize("degrees", [
     ((1, 0),) * 4,
     ((1, 0), (1, 0), (0, 1)),
