@@ -8,11 +8,10 @@ from dataclasses import dataclass
 
 from .groebner import (
     Ideal,
-    _from_int_poly,
     _sugar_is_degree,
     _times,
     _to_int_poly,
-    initial_monomials,
+    packed_basis,
 )
 from .rings import MonomialPacking, Polynomial
 
@@ -43,9 +42,11 @@ def _random_upper_unitriangular(indices, rng, bound):
 def apply_coordinate_change(I, blocks, matrices):
     """Substitute x_j -> sum_i g[i][j] x_i blockwise (a graded automorphism); integer entries g.
 
-    The expansion runs on packed integer dicts: each generator's numerators
-    are scaled by the lcm of its denominators, and the powers of each image
-    are memoised.
+    Returns the moved generators of I as integer dicts from exponent tuples
+    to coefficients, as packed_basis takes them: over Q each one is the
+    image of the generator times the lcm of its denominators, over F_p its
+    coefficients lie in [0, p). The expansion runs on packed integer dicts,
+    and the powers of each image are memoised.
     """
     ring = I.ring
     char = ring.field.char
@@ -57,7 +58,7 @@ def apply_coordinate_change(I, blocks, matrices):
             powers[j][1] = {P.units[i]: g[row][col] for row, i in enumerate(indices) if g[row][col]}
     out = []
     for f in I.gens:
-        d, den = _to_int_poly(f)
+        d = _to_int_poly(f)[0]
         acc = {}
         for mono, coeff in d.items():
             term = {0: coeff}
@@ -68,8 +69,11 @@ def apply_coordinate_change(I, blocks, matrices):
                     term = _times(term, pw[e], char)
             for m, c in term.items():
                 acc[m] = acc.get(m, 0) + c
-        out.append(_from_int_poly(ring, acc, den, P))
-    return Ideal(ring, out)
+        if char:
+            out.append({P.unpack(m): c % char for m, c in acc.items() if c % char})
+        else:
+            out.append({P.unpack(m): c for m, c in acc.items() if c})
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,8 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
             rng = random.Random("%d:%d:%d" % (seed, round_, t))
             mats = [_random_upper_unitriangular(b, rng, bound) for b in blocks]
             hashes.update(repr(mats).encode())
-            moved = apply_coordinate_change(I, blocks, mats)
-            results.append(tuple(sorted(initial_monomials(moved, order, series))))
+            P, basis = packed_basis(I.ring, order, apply_coordinate_change(I, blocks, mats), series, True)
+            results.append(tuple(sorted(P.unpack(t[0]) for t in basis)))
         agreement = sum(1 for rr in results if rr == results[0])
         if agreement == trials:
             gens = [Polynomial(I.ring, {m: I.ring.field.one}) for m in results[0]]
@@ -271,6 +275,8 @@ def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
     ring = I.ring
     if ring.field.char != 0:
         raise GinError("the generic-form test is run over Q")
+    if not I.is_homogeneous():
+        raise GinError("ideal must be homogeneous")
     x_block = [i for i, d in enumerate(ring.degrees) if d == (1, 0)]
     if not x_block:
         raise GinError("no degree-(1,0) variables to draw generic forms from")

@@ -226,6 +226,12 @@ def _buchberger(seqs, P, char, missing_leads=None):
     the criteria drop later stays on the heap and is skipped when it comes
     up. Raises PackingOverflow when a monomial does not fit the fields of P.
 
+    No pair of two terms (triples with empty tails) is formed: its
+    S-polynomial is 0, so it counts as treated, and the chain criterion,
+    which drops a pair only when the pairs through a third element are
+    treated, stays valid. Where h and every element of G are terms, update
+    forms no pair at all and skips the criteria's pair selection.
+
     The leading monomials of the result divide none of each other; the tails
     are left as the pair loop made them (_autoreduce reduces them).
 
@@ -249,6 +255,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
     plain = []      # the leading monomials packed by Q
     sugars = []
     G = set()
+    tailed = 0      # the elements of G with a tail
     B = {}          # pending pair (i, j) -> plain lcm of the leading monomials
     heap = []       # (sugar, lcm, i, j) of every pair formed
 
@@ -261,8 +268,11 @@ def _buchberger(seqs, P, char, missing_leads=None):
 
     def update(h):
         # [Becker-Weispfenning p.230] Gebauer-Moeller update of (G, B) by h.
+        nonlocal tailed
         mh, ph = lms[h], plain[h]
-        C = sorted(G)
+        term = not triples[h][2]
+        # where h and every element of G are terms, no pair is formed
+        C = sorted(G) if tailed or not term else []
         lcm_h = {g: Q.lcm(ph, plain[g]) for g in C}
 
         def lcm_with(k):
@@ -290,8 +300,9 @@ def _buchberger(seqs, P, char, missing_leads=None):
         degree_h = P.degree(mh)
         for g in D:
             L = lcm_h[g]
-            if ph + plain[g] != L:
-                # the product criterion drops the pairs with disjoint leading monomials
+            if ph + plain[g] != L and (triples[g][2] or not term):
+                # the product criterion drops the pairs with disjoint leading
+                # monomials, and the S-polynomial of two terms is 0
                 B[(h, g)] = L
                 # the lcm packed by P keys the heap and builds the S-polynomial
                 L = P.pack(Q.unpack(L))
@@ -300,7 +311,11 @@ def _buchberger(seqs, P, char, missing_leads=None):
                 heappush(heap, (sugar, L, h, g))
         for g in [g for g in G if ((lms[g] | guard) - mh) & guard == guard]:
             G.discard(g)
+            if triples[g][2]:
+                tailed -= 1
         G.add(h)
+        if not term:
+            tailed += 1
 
     for f in seqs:
         if not f:
@@ -412,13 +427,12 @@ def _sugar_is_degree(ring, order):
     return order.tag in ("degrevlex", "deglex") and all(d == (1, 0) for d in ring.degrees)
 
 
-def _hilbert_skip(I, order, series):
-    """missing_leads for _buchberger from the series of ring/I, or None where it does not apply.
+def _hilbert_skip(ring, order, series, homogeneous):
+    """missing_leads for _buchberger from the series of ring/(generators), or None where it does not apply.
 
     It applies to homogeneous generators where the sugar is the degree.
     """
-    ring = I.ring
-    if series is None or not _sugar_is_degree(ring, order) or not I.is_homogeneous():
+    if series is None or not homogeneous or not _sugar_is_degree(ring, order):
         return None
     from .hilbert import HilbertSeriesRational, monomial_quotient_numerator, ring_denominator
 
@@ -429,25 +443,33 @@ def _hilbert_skip(I, order, series):
     return missing_leads
 
 
-def _raw_basis(I, order, series=None):
-    """The _RawBasis of I for the order, from the ideal's cache or from one Buchberger run.
+def packed_basis(ring, order, gens, series=None, homogeneous=False):
+    """(P, triples): one Buchberger run on gens, integer dicts from exponent tuples to coefficients.
 
-    series, the Hilbert series of ring/I when it is known, lets the run skip
-    the pairs of every degree whose leading monomials are complete.
+    The triples are the minimal-lead basis, sorted by lm and packed by P for
+    the order. Coefficients are nonzero, and lie in [0, p) over F_p; over Q
+    a generator may be any integer multiple of the polynomial it stands for,
+    as _to_int_poly makes it. series, the Hilbert series of ring/(gens) when
+    it is known, lets the run skip the pairs of every degree whose leading
+    monomials are complete, where homogeneous says that every generator is
+    homogeneous.
     """
+    missing_leads = _hilbert_skip(ring, order, series, homogeneous)
+    P = _fitting(ring.nvars, (m for d in gens for m in d), order)
+    while True:
+        try:
+            return P, _buchberger([_pack_poly(d, P) for d in gens], P, ring.field.char, missing_leads)
+        except PackingOverflow:
+            P = P.widened()
+
+
+def _raw_basis(I, order, series=None):
+    """The _RawBasis of I for the order, from the ideal's cache or from packed_basis."""
     raw = I._bases.get(order)
     if raw is None:
-        ring = I.ring
-        seqs = [_to_int_poly(g)[0] for g in I.gens]
-        missing_leads = _hilbert_skip(I, order, series)
-        P = _fitting(ring.nvars, (m for d in seqs for m in d), order)
-        while True:
-            try:
-                triples = _buchberger([_pack_poly(d, P) for d in seqs], P, ring.field.char, missing_leads)
-                break
-            except PackingOverflow:
-                P = P.widened()
-        raw = I._bases[order] = _RawBasis(ring, P, triples)
+        gens = [_to_int_poly(g)[0] for g in I.gens]
+        P, triples = packed_basis(I.ring, order, gens, series, series is not None and I.is_homogeneous())
+        raw = I._bases[order] = _RawBasis(I.ring, P, triples)
     return raw
 
 

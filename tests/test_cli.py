@@ -219,6 +219,14 @@ def test_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+def test_bayer_stillman_on_inhomogeneous_input_exits_1(capsys, tmp_path):
+    path = tmp_path / "inhomogeneous.ring"
+    path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x^2 - y\n")
+    code = main(["--no-cache", "bayer-stillman", "--first-degree", "2", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error: ideal must be homogeneous"
+
+
 def test_determinism_and_cache_hit(capsys, cubic_file, isolated_cache):
     code1, out1 = run_cli(capsys, "gb", cubic_file)
     entries = list(isolated_cache.glob("*.json"))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from reeslab import (
     RingSpec,
     graded_ring,
     hilbert_series_ideal,
+    initial_monomials,
     parse_polynomial,
 )
 from reeslab import ginreg, groebner, hilbert
@@ -224,14 +226,19 @@ def test_gin_skips_pairs_by_the_hilbert_series(monkeypatch, seed):
     normal_form_int = groebner._normal_form_int
     monkeypatch.setattr(groebner, "_normal_form_int", lambda *args: calls.append(1) or normal_form_int(*args))
     trials = []
-    initial_monomials = ginreg.initial_monomials
-    monkeypatch.setattr(ginreg, "initial_monomials",
-                        lambda J, order, series: trials.append((J, order)) or initial_monomials(J, order, series))
+    packed_basis = ginreg.packed_basis
+
+    def captured(ring, *args):
+        P, triples = packed_basis(ring, *args)
+        trials.append(groebner._RawBasis(ring, P, triples))
+        return P, triples
+
+    monkeypatch.setattr(ginreg, "packed_basis", captured)
     skipped = generic_initial_ideal(I, seed=seed)
     n_skipped = len(calls)
     # each trial's basis is a Groebner basis, although the skip reduced fewer pairs
     assert len(trials) == 3
-    assert all(spairs_reduce_to_zero(groebner._raw_basis(J, order)) for J, order in trials)
+    assert all(spairs_reduce_to_zero(raw) for raw in trials)
     calls.clear()
     monkeypatch.setattr(hilbert, "hilbert_series_ideal", lambda I: None)
     full = generic_initial_ideal(I, seed=seed)
@@ -243,6 +250,13 @@ def test_bayer_stillman_preconditions(S22):
     I = Ideal(S22, [parse_polynomial("X1^2*Y1", S22)])
     with pytest.raises(GinError):
         bayer_stillman_check(I, 1)  # generator above the degree bound
+
+
+def test_bayer_stillman_refuses_inhomogeneous_input():
+    A = RingSpec(QQ, ("x", "y"), ((1, 0), (1, 0)), DEGREVLEX)
+    I = Ideal(A, [parse_polynomial("x^2 - y", A)])
+    with pytest.raises(GinError, match="ideal must be homogeneous"):
+        bayer_stillman_check(I, 2)
 
 
 def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=100):
@@ -379,4 +393,24 @@ def test_coordinate_change_matches_polynomial_substitution(field):
         assert len(blocks) == (2 if ring is bigraded else 1)
         for _ in range(3):
             mats = [_random_upper_unitriangular(b, rng, 100) for b in blocks]
-            assert list(apply_coordinate_change(I, blocks, mats).gens) == _substitute_by_polynomials(I, blocks, mats)
+            # each moved generator is the image times the lcm of the generator's denominators
+            moved = [Polynomial(ring, {m: ring.field.coerce(c) for m, c in d.items()}).scale(
+                         Fraction(1, groebner._to_int_poly(f)[1]))
+                     for f, d in zip(I.gens, apply_coordinate_change(I, blocks, mats))]
+            assert moved == _substitute_by_polynomials(I, blocks, mats)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gin_reads_the_initial_ideals_of_the_moved_generators(monkeypatch, seed):
+    rng = random.Random(8300 + seed)
+    A = graded_ring(["a", "b", "c", "d"])
+    I = Ideal(A, _random_forms(rng, A, 2, 3) + _random_forms(rng, A, 3, 1))
+    moved = []
+    apply = ginreg.apply_coordinate_change
+    monkeypatch.setattr(ginreg, "apply_coordinate_change", lambda *args: moved.append(apply(*args)) or moved[-1])
+    out = generic_initial_ideal(I, seed=seed)
+    assert len(moved) >= out.trials
+    for gens in moved[-out.trials:]:
+        J = Ideal(A, [Polynomial(A, {m: Fraction(c) for m, c in d.items()}) for d in gens])
+        expected = [repr(Polynomial(A, {m: A.field.one})) for m in sorted(initial_monomials(J))]
+        assert out.to_json()["generators"] == expected

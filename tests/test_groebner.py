@@ -404,7 +404,7 @@ def test_hilbert_skip_stays_off_where_sugar_is_not_the_degree(monkeypatch):
     calls = _counting(monkeypatch, "_normal_form_int")
     for ring, gens in cases:
         I = Ideal(ring, [p(g, ring) for g in gens])
-        assert groebner._hilbert_skip(I, ring.order, hilbert_series_ring(ring)) is None
+        assert groebner._hilbert_skip(ring, ring.order, hilbert_series_ring(ring), I.is_homogeneous()) is None
         calls.clear()
         expected = initial_monomials(Ideal(ring, I.gens))
         n = len(calls)
@@ -425,6 +425,59 @@ def test_wrong_hilbert_series_raises(twisted_cubic):
     bigger = Ideal(A, list(twisted_cubic.gens) + [parse_polynomial("X1^3", A)])
     with pytest.raises(RingError, match="Hilbert function"):
         initial_monomials(Ideal(A, twisted_cubic.gens), series=hilbert_series_ideal(bigger))
+
+
+# ---------------------------------------------------------------------------
+# Buchberger forms no pair of two terms
+
+def _random_sparse(rng, ring, size, low, high):
+    """A polynomial of size terms, each of a random degree from low to high."""
+    coeffs = {}
+    while len(coeffs) < size:
+        mono = [0] * ring.nvars
+        for _ in range(rng.randint(low, high)):
+            mono[rng.randrange(ring.nvars)] += 1
+        coeffs[tuple(mono)] = ring.field.coerce(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Polynomial(ring, coeffs)
+
+
+def _minimalized(monos):
+    """The monomials that no other one divides, by brute force on exponent tuples."""
+    monos = set(monos)
+    return {m for m in monos if not any(n != m and mono_divides(n, m) for n in monos)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX], ids=["lex", "deglex", "degrevlex"])
+@pytest.mark.parametrize("seed", range(4))
+def test_monomial_ideals_form_no_pairs(monkeypatch, seed, order, field):
+    rng = random.Random(9100 + seed)
+    A = graded_ring(["x%d" % i for i in range(rng.randint(4, 8))], field=field)
+    gens = [_random_sparse(rng, A, 1, 1, 4) for _ in range(rng.randint(6, 20))]
+    reductions = _counting(monkeypatch, "_normal_form_int")
+    spolys = _counting(monkeypatch, "_spoly")
+    leads = initial_monomials(Ideal(A, gens), order)
+    assert leads == _minimalized(g.leading_monomial() for g in gens)
+    assert len(reductions) == len(gens)
+    assert not spolys
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX], ids=["lex", "deglex", "degrevlex"])
+@pytest.mark.parametrize("seed", range(4))
+def test_terms_beside_binomials_and_trinomials(seed, order, field):
+    rng = random.Random(9200 + seed)
+    A = graded_ring(["x%d" % i for i in range(rng.randint(4, 6))], field=field)
+    # terms of degree 3 and 4 beside binomials and trinomials of degree 2 and 3, so that the basis keeps tails
+    gens = [_random_sparse(rng, A, 1, 3, 4) for _ in range(rng.randint(3, 6))]
+    gens += [_random_sparse(rng, A, 2, 2, 3) for _ in range(rng.randint(1, 2))] + [_random_sparse(rng, A, 3, 2, 3)]
+    rng.shuffle(gens)
+    I = Ideal(A, gens)
+    raw = _raw_basis(I, order)
+    assert any(tail for _, _, tail in raw._kernel["triples"])
+    assert spairs_reduce_to_zero(raw)
+    # a second ideal, so that autoreduction runs its own Buchberger
+    assert initial_monomials(I, order) == groebner_basis(Ideal(A, gens), order).leading_monomials
 
 
 # ---------------------------------------------------------------------------
