@@ -76,33 +76,39 @@ def fit_hilbert_polynomials(samples, n, h):
         raise FitError("height n case has zero-dimensional quotients; no family")
     count = n - h
     js = sorted(samples)
-    data = {i: [] for i in range(count)}
-    for j in js:
-        hp = samples[j]
-        coeffs = hp.binomial_coefficients(count)
-        for k in range(count):
-            i = count - 1 - k
-            sign = 1 if i % 2 == 0 else -1
-            data[i].append((j, sign * coeffs[k]))
-    polys = []
-    validated = set()
-    for i in range(count):
-        need = h + i + 1  # degree bound h + i
-        points = data[i]
-        if len(points) < need:
-            raise FitError(
-                "need %d samples for e_%d (degree <= %d), got %d"
-                % (need, i, h + i, len(points))
-            )
-        poly = qp.interpolate(points[:need], max_degree=h + i)
-        for (x, y) in points[need:]:
-            if qp.evaluate(poly, x) != y:
-                raise FitError("inconsistent samples: e_%d fails at j=%d" % (i, x))
-            validated.add(x)
+    if len(js) < n:
+        # e_i is interpolated on h + i + 1 samples
+        i = max(0, len(js) - h)
+        raise FitError("need %d samples for e_%d (degree <= %d), got %d" % (h + i + 1, i, h + i, len(js)))
+    coeffs = {j: samples[j].binomial_coefficients(count) for j in js}
+    polys, validated = _fit_and_check(
+        range(count), lambda i, j: (-1) ** i * coeffs[j][count - 1 - i], js, lambda i: h + i + 1,
+        "inconsistent samples: e_%d fails at j=%d")
+    for i, poly in enumerate(polys):
         if not qp.takes_integer_values(poly, range(0, max(js) + 6)):
             raise FitError("e_%d is not integer-valued" % i)
+    return PowerPolynomialFamily(polys, n, h, min(js) - 1, validated)
+
+
+def _fit_and_check(keys, value, js, count, failure):
+    """Fit each key's values on the first count(key) of js and check them at the rest.
+
+    value(key, j) is the sample at j. The polynomial of a key has degree
+    below count(key) and runs through its first count(key) samples; a later
+    sample it misses raises FitError(failure % (key, j)). Returns the
+    polynomials in key order and the checked js, sorted.
+    """
+    polys = []
+    checked = set()
+    for key in keys:
+        k = count(key)
+        poly = qp.interpolate([(j, value(key, j)) for j in js[:k]], max_degree=k - 1)
+        for j in js[k:]:
+            if qp.evaluate(poly, j) != value(key, j):
+                raise FitError(failure % (key, j))
+            checked.add(j)
         polys.append(poly)
-    return PowerPolynomialFamily(tuple(polys), n, h, min(js) - 1, tuple(sorted(validated)))
+    return tuple(polys), tuple(sorted(checked))
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +253,10 @@ def fit_hilbert_series(samples, d, l, include_zero=True):
     all_js = sorted(numerators)
     if len(all_js) < l:
         raise FitError("window too small: need %d powers, have %d" % (l, len(all_js)))
-    fit_js, hold_js = all_js[:l], all_js[l:]
-    polys = []
-    validated = set()
-    for alpha in offsets:
-        points = [(j, Fraction(numerators[j].get(d * j + alpha, 0))) for j in fit_js]
-        poly = qp.interpolate(points, max_degree=l - 1)
-        for j in hold_js:
-            if qp.evaluate(poly, j) != numerators[j].get(d * j + alpha, 0):
-                raise FitError("validation failure at offset %d, j=%d" % (alpha, j))
-            validated.add(j)
-        polys.append(poly)
-    return SeriesTemplateFamily(
-        offsets, tuple(polys), d, l, n, min(j for j in all_js if j > 0) - 1,
-        tuple(sorted(validated)),
-    )
+    polys, validated = _fit_and_check(
+        offsets, lambda alpha, j: numerators[j].get(d * j + alpha, 0), all_js, lambda alpha: l,
+        "validation failure at offset %d, j=%d")
+    return SeriesTemplateFamily(offsets, polys, d, l, n, min(j for j in all_js if j > 0) - 1, validated)
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +378,12 @@ def predict_resolutions(tables, l, d, threshold):
             raise FitError("table for power %d is truncated" % j)
         for p, (a, b), r in table.rows():
             per_index.setdefault((p, a - d * j), {})[j] = r
-    fit_js, hold_js = js[:l], js[l:]
     offsets = tuple(sorted(per_index))
     for p, alpha in offsets:
         if alpha < 0:
             raise FitError("offset %d below the generation degree at p=%d" % (alpha, p))
-    polys = []
-    validated = set()
-    for key in offsets:
-        counts = per_index[key]
-        points = [(j, Fraction(counts.get(j, 0))) for j in fit_js]
-        poly = qp.interpolate(points, max_degree=l - 1)
-        for j in hold_js:
-            if qp.evaluate(poly, j) != counts.get(j, 0):
-                raise FitError("validation failure for offset %s at j=%d" % (key, j))
-            validated.add(j)
-        polys.append(poly)
+    polys, validated = _fit_and_check(
+        offsets, lambda key, j: per_index[key].get(j, 0), js, lambda key: l,
+        "validation failure for offset %s at j=%d")
     linear = all(alpha == p for p, alpha in offsets)
-    return ResolutionTemplate(
-        offsets, tuple(polys), d, l, threshold, linear, tuple(sorted(validated))
-    )
-
+    return ResolutionTemplate(offsets, polys, d, l, threshold, linear, validated)

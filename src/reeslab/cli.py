@@ -268,26 +268,35 @@ def _cmd_diag(args, problem):
     )
 
 
+def _missing(values, names, criterion):
+    """The exit-2 report of a closed-form family that lacks the flags among names in values, or None."""
+    missing = [name for name in names if values.get(name) is None]
+    return (({"missing": missing}, [criterion], []), 2) if missing else None
+
+
 def _cmd_gorenstein(args, problem):
     from .diagonals import gorenstein_diagonals
 
-    family = args.family
-    if family in ("ci", "complete-intersection"):
+    family = {"ci": "complete-intersection", "maxminors": "maximal-minors"}.get(args.family, args.family)
+    needs = {"complete-intersection": ("degrees", "n") if problem is None else (),
+             "maximal-minors": ("m", "n"), "polynomial-ring": ("n", "degrees"), "general": ("a", "n")}
+    missing = _missing(vars(args), needs[family], "gorenstein-diagonal:" + family)
+    if missing:
+        return missing
+    if family == "complete-intersection":
         if problem is not None:
             degrees = [g.multidegree()[0] for g in problem.ideal.gens]
             n, r = problem.ring.nvars, len(degrees)
         else:
-            degrees = [int(x) for x in (args.degrees or "").split(",") if x]
+            degrees = [int(x) for x in args.degrees.split(",") if x]
             n, r = args.n, args.r or len(degrees)
-        reports = gorenstein_diagonals("complete-intersection", n=n, r=r, degrees=degrees)
-    elif family == "maxminors":
-        reports = gorenstein_diagonals("maximal-minors", m=args.m, n=args.n)
+        reports = gorenstein_diagonals(family, n=n, r=r, degrees=degrees)
+    elif family == "maximal-minors":
+        reports = gorenstein_diagonals(family, m=args.m, n=args.n)
     elif family == "polynomial-ring":
-        degrees = [int(x) for x in (args.degrees or "").split(",") if x]
-        reports = gorenstein_diagonals("polynomial-ring", n=args.n, r=len(degrees), degrees=degrees)
+        degrees = [int(x) for x in args.degrees.split(",") if x]
+        reports = gorenstein_diagonals(family, n=args.n, r=len(degrees), degrees=degrees)
     else:
-        if args.a is None:
-            return ({"missing": ["a"]}, ["gorenstein-diagonal:general"], []), 2
         reports = gorenstein_diagonals(
             "general", n=args.n, a=args.a, d=args.d or 1,
             height=args.height, dim_positive=not args.dim_zero,
@@ -341,6 +350,10 @@ def _cmd_cm_check(args, problem):
         if args.n is not None:
             params["n"] = args.n
         params["height"] = args.height
+    needs = {"complete-intersection": ("d", "u"), "equimultiple": ("d",), "strongly-cm": ("degrees", "n")}
+    missing = _missing(params, needs[family], "cm-diagonal:" + family)
+    if missing:
+        return missing
     report = cm_diagonal_test(family, params, spec)
     code = 2 if report.verdict == "needs-input" else 0
     return (report.to_json(), [report.criterion], list(report.assumptions)), code

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -382,44 +381,17 @@ def _repacked(triples, P, W):
 
 
 def _on_basis(G, run):
-    """(P, run(P, triples)) on the basis of G, a GroebnerBasis or a _RawBasis, packed by P.
+    """(P, run(P, triples)) on the triples of the GroebnerBasis G, packed by P.
 
-    The packed triples are kept on G; an overflow widens the fields for good.
+    An overflow widens G's fields for good.
     """
-    kernel = G._kernel
     while True:
-        P = kernel["P"]
+        P = G._P
         try:
-            return P, run(P, kernel["triples"])
+            return P, run(P, G._triples)
         except PackingOverflow:
             W = P.widened()
-            kernel.update(P=W, triples=_repacked(kernel["triples"], P, W))
-
-
-class _RawBasis:
-    """Buchberger's basis of an ideal for one order; kept on the ideal.
-
-    _kernel holds its triples, sorted by lm, packed by _kernel["P"], as
-    _on_basis reads them. leads are the leading monomials as exponent
-    tuples: the minimal generators of the initial ideal. reduced is the
-    GroebnerBasis autoreduced from the triples; once it is built, it shares
-    _kernel, so the triples are the reduced ones, with the same leads. Both
-    are built on first request.
-    """
-
-    __slots__ = ("ring", "_kernel", "_leads", "reduced")
-
-    def __init__(self, ring, P, triples):
-        self.ring = ring
-        self._kernel = {"P": P, "triples": triples}
-        self._leads = self.reduced = None
-
-    @property
-    def leads(self):
-        if self._leads is None:
-            P = self._kernel["P"]
-            self._leads = frozenset(P.unpack(t[0]) for t in self._kernel["triples"])
-        return self._leads
+            G._P, G._triples = W, _repacked(G._triples, P, W)
 
 
 def _sugar_is_degree(ring, order):
@@ -463,38 +435,68 @@ def packed_basis(ring, order, gens, series=None, homogeneous=False):
             P = P.widened()
 
 
-def _raw_basis(I, order, series=None):
-    """The _RawBasis of I for the order, from the ideal's cache or from packed_basis."""
-    raw = I._bases.get(order)
-    if raw is None:
+def _basis(I, order, series=None):
+    """The GroebnerBasis of I for the order, from the ideal's cache or from packed_basis."""
+    G = I._bases.get(order)
+    if G is None:
         gens = [_to_int_poly(g)[0] for g in I.gens]
         P, triples = packed_basis(I.ring, order, gens, series, series is not None and I.is_homogeneous())
-        raw = I._bases[order] = _RawBasis(I.ring, P, triples)
-    return raw
+        G = I._bases[order] = GroebnerBasis(I.ring, order, P, triples)
+    return G
 
 
 # ---------------------------------------------------------------------------
 # public layer
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis for (ring, order); monic polynomials sorted by leading monomial.
+    """Groebner basis of an ideal for one order; one object per (ideal, order), kept on the ideal.
 
-    Reductions against the basis run on the integer (lm, lc, tail) triples
-    that autoreduction produced, packed, in _kernel, as _on_basis reads them.
+    It holds Buchberger's integer triples (lm, lc, tail), sorted by lm and
+    packed by _P, as _on_basis reads them. leading_monomials, the minimal
+    generators of the initial ideal as exponent tuples, are read off the
+    leads on first request. polys, the reduced basis as monic polynomials
+    sorted by leading monomial, autoreduces the triples in place on first
+    request: the leads stay, and the triples stay a basis. A basis built
+    with its polys is reduced already.
     """
 
-    ring: RingSpec
-    order: TermOrder
-    polys: tuple
-    leading_monomials: frozenset
-    _kernel: dict = field(compare=False, repr=False)
+    __slots__ = ("ring", "order", "_P", "_triples", "_leads", "_polys")
+
+    def __init__(self, ring, order, P, triples, polys=None):
+        self.ring, self.order = ring, order
+        self._P, self._triples = P, triples
+        self._leads = None
+        self._polys = polys
+
+    @property
+    def leading_monomials(self):
+        if self._leads is None:
+            self._leads = frozenset(map(self._P.unpack, map(itemgetter(0), self._triples)))
+        return self._leads
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            ring = self.ring
+            char = ring.field.char
+            P, self._triples = _on_basis(self, lambda P, triples: _autoreduce(triples, P.guard, char))
+            polys = []
+            for lm, lc, tail in self._triples:
+                if char:
+                    inv = pow(lc, -1, char)
+                    monic = {P.unpack(m): c * inv % char for m, c in tail.items()}
+                else:
+                    monic = {P.unpack(m): Fraction(c, lc) for m, c in tail.items()}
+                monic[P.unpack(lm)] = ring.field.one
+                polys.append(Polynomial(ring, monic))
+            self._polys = tuple(polys)
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._triples)
 
     def contains_monomial(self, mono):
         return any(mono_divides(lm, mono) for lm in self.leading_monomials)
@@ -509,7 +511,7 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise RingError("generator not in the ambient ring")
-        self._bases = {}    # order -> _RawBasis
+        self._bases = {}    # order -> GroebnerBasis
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
@@ -545,28 +547,10 @@ class Ideal:
 
 
 def groebner_basis(I, order=None):
-    """Unique reduced Groebner basis; autoreduced from the ideal's cached Buchberger basis."""
-    order = order or I.ring.order
-    raw = _raw_basis(I, order)
-    if raw.reduced is not None:
-        return raw.reduced
-    ring = I.ring
-    char = ring.field.char
-    P, packed = _on_basis(raw, lambda P, triples: _autoreduce(triples, P.guard, char))
-    # the reduced triples have Buchberger's leads and are still a basis, so
-    # the raw basis reads them too: one packed copy serves both
-    raw._kernel["triples"] = packed
-    polys = []
-    for lm, lc, tail in packed:
-        if char:
-            inv = pow(lc, -1, char)
-            monic = {P.unpack(m): c * inv % char for m, c in tail.items()}
-        else:
-            monic = {P.unpack(m): Fraction(c, lc) for m, c in tail.items()}
-        monic[P.unpack(lm)] = ring.field.one
-        polys.append(Polynomial(ring, monic))
-    raw.reduced = GroebnerBasis(ring, order, tuple(polys), raw.leads, raw._kernel)
-    return raw.reduced
+    """Unique reduced Groebner basis: the ideal's cached basis for the order, with its polys built."""
+    G = _basis(I, order or I.ring.order)
+    G.polys    # autoreduces on first request
+    return G
 
 
 def initial_monomials(I, order=None, series=None):
@@ -578,7 +562,7 @@ def initial_monomials(I, order=None, series=None):
     skip the pairs of a degree whose leading monomials are complete; it must
     be right.
     """
-    return _raw_basis(I, order or I.ring.order, series).leads
+    return _basis(I, order or I.ring.order, series).leading_monomials
 
 
 def normal_form(f, G):
@@ -600,7 +584,7 @@ def initial_ideal(I, order=None):
 
 
 def spairs_reduce_to_zero(G):
-    """Certificate check: every S-pair of the basis reduces to zero; G is a GroebnerBasis or a _RawBasis."""
+    """Certificate check: every S-pair of the GroebnerBasis G reduces to zero, reduced or not."""
     char = G.ring.field.char
 
     def check(P, triples):
@@ -758,20 +742,32 @@ def eliminate(J, block):
     """J cap k[remaining variables]; block lists the variable indices to remove.
 
     The result lives in the ring of the remaining variables with degrevlex
-    order, whatever the order of J's ring.
+    order, whatever the order of J's ring. The block order breaks ties by
+    that degrevlex, so the elements of J's reduced basis free of the block
+    are the reduced basis of the result (elimination theorem), and the
+    result keeps them, repacked, as its basis for that order.
     """
     ring = J.ring
     block = sorted(set(block))
     rest = [i for i in range(ring.nvars) if i not in block]
-    perm = tuple(block + rest)
-    order = TermOrder("elim", block=len(block), perm=perm)
+    order = TermOrder("elim", block=len(block), perm=tuple(block + rest))
     gb = groebner_basis(J, order)
     small = restrict_ring(ring, rest)
-    gens = []
-    for g in gb.polys:
-        if all(all(m[i] == 0 for i in block) for m, _ in g.terms):
-            gens.append(Polynomial(small, {tuple(m[i] for i in rest): c for m, c in g.terms}))
-    return Ideal(small, gens)
+    P = gb._P
+
+    def cut(m):
+        return tuple(m[i] for i in rest)
+
+    # a monomial with a block variable lies above every one without, so an
+    # element whose lead is free of the block is free of it
+    kept = [(t, g) for t, g in zip(gb._triples, gb.polys) if not any(P.unpack(t[0])[i] for i in block)]
+    gens = tuple(Polynomial(small, {cut(m): c for m, c in g.terms}) for _, g in kept)
+    W = _fitting(small.nvars, (m for g in gens for m, _ in g.terms), small.order)
+    triples = [(W.pack(cut(P.unpack(lm))), lc, {W.pack(cut(P.unpack(m))): c for m, c in tail.items()})
+               for (lm, lc, tail), _ in kept]
+    out = Ideal(small, gens)
+    out._bases[small.order] = GroebnerBasis(small, small.order, W, triples, gens)
+    return out
 
 
 def restrict_ring(ring, keep, order=None):

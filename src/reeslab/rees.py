@@ -10,7 +10,6 @@ from .groebner import (
     groebner_basis,
     ideal_power,
     ideal_product,
-    initial_monomials,
     minimal_generators,
     transport,
 )
@@ -138,9 +137,7 @@ def rees_presentation(I):
     K_raw = eliminate(Ideal(ext, gens), [nx + r])
     S = K_raw.ring
     K = Ideal(S, minimal_generators(S, list(K_raw.gens)))
-    # keep the basis cache warm: the elimination already produced a basis,
-    # and K_raw generates K
-    initial_monomials(K_raw)
+    # K_raw generates K, and the elimination left its reduced basis on it
     K._bases[S.order] = K_raw._bases[S.order]
     pres = ReesPresentation(I, S, K, degrees)
     dim = krull_dimension(pres.series())

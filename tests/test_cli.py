@@ -201,6 +201,22 @@ def test_gorenstein_general_missing_a_exits_2(capsys):
     assert "missing" in out
 
 
+@pytest.mark.parametrize("argv, missing", [
+    ("cm-check --family equimultiple --c 5 --e 1 --a-quotient 2", ["d"]),
+    ("cm-check --family scm --c 5 --e 1 --height 2", ["degrees", "n"]),
+    ("cm-check --family ci --c 5 --e 1 --u 4", ["d"]),
+    ("gorenstein --family general --a 3", ["n"]),
+    ("gorenstein --family ci --degrees 2,2", ["n"]),
+    ("gorenstein --family maxminors --m 2", ["n"]),
+    ("gorenstein --family polynomial-ring --n 3", ["degrees"]),
+])
+def test_closed_form_family_without_a_parameter_exits_2(capsys, argv, missing):
+    # each of these once printed a Python traceback and exited 1
+    code, out = run_cli(capsys, "--no-cache", *argv.split())
+    assert code == 2
+    assert json.loads(out)["result"] == {"missing": missing}
+
+
 def test_prime_field_problem(capsys, tmp_path):
     path = tmp_path / "modp.ring"
     path.write_text(

@@ -228,9 +228,9 @@ def test_gin_skips_pairs_by_the_hilbert_series(monkeypatch, seed):
     trials = []
     packed_basis = ginreg.packed_basis
 
-    def captured(ring, *args):
-        P, triples = packed_basis(ring, *args)
-        trials.append(groebner._RawBasis(ring, P, triples))
+    def captured(ring, order, *args):
+        P, triples = packed_basis(ring, order, *args)
+        trials.append(groebner.GroebnerBasis(ring, order, P, triples))
         return P, triples
 
     monkeypatch.setattr(ginreg, "packed_basis", captured)

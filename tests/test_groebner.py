@@ -25,7 +25,7 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab import groebner
-from reeslab.groebner import _raw_basis, spairs_reduce_to_zero, transport
+from reeslab.groebner import _basis, spairs_reduce_to_zero, transport
 from reeslab.hilbert import hilbert_series_ring
 from reeslab.rings import MonomialPacking, Polynomial, RingError, RingSpec, TermOrder, mono_divides
 
@@ -179,12 +179,14 @@ def test_groebner_cache_reused(twisted_cubic):
 
 def test_reduced_basis_shares_the_raw_triples(twisted_cubic):
     I = Ideal(twisted_cubic.ring, twisted_cubic.gens)
-    raw = _raw_basis(I, DEGREVLEX)
-    leads = raw.leads
-    gb = groebner_basis(I)
-    assert raw._kernel["triples"] is gb._kernel["triples"]
-    assert raw.leads == leads == gb.leading_monomials
+    raw = _basis(I, DEGREVLEX)
+    leads = raw.leading_monomials
     assert spairs_reduce_to_zero(raw)
+    # one object per ideal and order: the reduced basis is the raw one, autoreduced in place
+    gb = groebner_basis(I)
+    assert gb is raw
+    assert gb.leading_monomials == leads
+    assert spairs_reduce_to_zero(gb)
 
 
 def test_elimination_order_property():
@@ -370,6 +372,19 @@ def test_series_and_basis_share_one_buchberger_run(monkeypatch, twisted_cubic):
     assert len(calls) == 2
 
 
+def test_rees_presentation_builds_one_basis(monkeypatch, twisted_cubic):
+    from reeslab.rees import rees_presentation
+
+    runs = _counting(monkeypatch, "packed_basis")
+    P = rees_presentation(Ideal(twisted_cubic.ring, twisted_cubic.gens))
+    assert len(runs) == 1
+    # the elimination left the defining ideal its reduced basis
+    reductions = _counting(monkeypatch, "_autoreduce")
+    groebner_basis(P.defining_ideal)
+    assert not reductions
+    assert len(runs) == 1
+
+
 def _quartic_square():
     A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
     gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
@@ -381,12 +396,12 @@ def test_hilbert_skip_gives_the_same_basis_with_fewer_reductions(monkeypatch):
     I = _quartic_square()
     H = hilbert_series_ideal(I)
     calls = _counting(monkeypatch, "_normal_form_int")
-    full = _raw_basis(Ideal(I.ring, I.gens), DEGREVLEX)
+    full = _basis(Ideal(I.ring, I.gens), DEGREVLEX)
     n_full = len(calls)
     calls.clear()
-    skipped = _raw_basis(Ideal(I.ring, I.gens), DEGREVLEX, H)
-    assert skipped.leads == full.leads
-    assert skipped._kernel["triples"] == full._kernel["triples"]
+    skipped = _basis(Ideal(I.ring, I.gens), DEGREVLEX, H)
+    assert skipped.leading_monomials == full.leading_monomials
+    assert skipped._triples == full._triples
     assert len(calls) < n_full
     assert spairs_reduce_to_zero(skipped)
 
@@ -473,11 +488,65 @@ def test_terms_beside_binomials_and_trinomials(seed, order, field):
     gens += [_random_sparse(rng, A, 2, 2, 3) for _ in range(rng.randint(1, 2))] + [_random_sparse(rng, A, 3, 2, 3)]
     rng.shuffle(gens)
     I = Ideal(A, gens)
-    raw = _raw_basis(I, order)
-    assert any(tail for _, _, tail in raw._kernel["triples"])
+    raw = _basis(I, order)
+    assert any(tail for _, _, tail in raw._triples)
     assert spairs_reduce_to_zero(raw)
     # a second ideal, so that autoreduction runs its own Buchberger
     assert initial_monomials(I, order) == groebner_basis(Ideal(A, gens), order).leading_monomials
+
+
+# ---------------------------------------------------------------------------
+# eliminate hands its result the reduced basis it cut from the block order's
+
+def _check_stored_basis(E):
+    stored = E._bases[E.ring.order]
+    assert groebner_basis(E) is stored
+    fresh = groebner_basis(Ideal(E.ring, E.gens))
+    assert stored.polys == fresh.polys
+    assert stored.leading_monomials == fresh.leading_monomials
+    assert spairs_reduce_to_zero(stored)
+
+
+# the five ideals of perfbench's series Rees jobs
+_SERIES_REES = {
+    "twisted_cubic": (["X1", "X2", "X3", "X4"], ["X1*X4 - X2*X3", "X2^2 - X1*X3", "X3^2 - X2*X4"]),
+    "planar_fat": (["X", "Y"], ["X^7", "Y^7", "X^6*Y + X^2*Y^5"]),
+    "quartic": (["x0", "x1", "x2", "x3", "x4"],
+                ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3", "x1*x3 - x2^2", "x1*x4 - x2*x3",
+                 "x2*x4 - x3^2"]),
+    "sym_minors": (["x11", "x12", "x13", "x22", "x23", "x33"],
+                   ["x22*x33 - x23^2", "x12*x33 - x13*x23", "x12*x23 - x13*x22", "x11*x33 - x13^2",
+                    "x11*x23 - x12*x13", "x11*x22 - x12^2"]),
+    "minors_2x4": (["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4"],
+                   ["a%d*b%d - a%d*b%d" % (i, j, j, i) for i in range(1, 5) for j in range(i + 1, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_REES))
+def test_rees_elimination_stores_the_fresh_basis(name):
+    names, texts = _SERIES_REES[name]
+    A = graded_ring(names)
+    fs = [parse_polynomial(g, A) for g in texts]
+    ys = tuple("Y%d" % (j + 1) for j in range(len(fs)))
+    ext = RingSpec(QQ, tuple(names) + ys + ("t",),
+                   A.degrees + tuple((f.multidegree()[0], 1) for f in fs) + ((0, 1),), DEGREVLEX)
+    t = ext.variable(ext.nvars - 1)
+    J = Ideal(ext, [ext.variable(len(names) + j) - transport(f, ext) * t for j, f in enumerate(fs)])
+    _check_stored_basis(eliminate(J, [ext.nvars - 1]))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_elimination_stores_the_fresh_basis(seed, field):
+    rng = random.Random(9300 + seed)
+    A = graded_ring(["X", "Y", "Z", "W", "V"], field=field)
+    gens = _random_generators(rng, A, 4)
+    kept = 0
+    for block in [[i] for i in range(A.nvars)] + [rng.sample(range(A.nvars), 2)]:
+        E = eliminate(Ideal(A, gens), block)
+        _check_stored_basis(E)
+        kept += len(E.gens)
+    assert kept
 
 
 # ---------------------------------------------------------------------------
