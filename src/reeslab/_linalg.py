@@ -97,9 +97,6 @@ class VectorSpan:
                         _normalize_int_row(row)
         return row
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def add(self, vec):
         """Insert vec; returns True when it grew the span."""
         row = self.reduce(vec)

@@ -31,9 +31,6 @@ class PowerPolynomialFamily:
     threshold: int
     validated_on: tuple
 
-    def evaluate(self, index, j):
-        return qp.evaluate(self.polys[index], j)
-
     def hilbert_polynomial(self, j):
         """Predicted Hilbert polynomial of A/I^j."""
         n, h = self.n, self.h
@@ -188,13 +185,6 @@ class SeriesTemplateFamily:
     n: int
     threshold: int
     validated_on: tuple
-
-    def coefficient(self, alpha, j):
-        try:
-            k = self.offsets.index(alpha)
-        except ValueError:
-            return Fraction(0)
-        return qp.evaluate(self.polys[k], j)
 
     def predict(self, j):
         num = {}

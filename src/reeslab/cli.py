@@ -169,9 +169,8 @@ def _cmd_fit_hp(args, problem):
     payload = family.to_json()
     payload["height"] = h
     if args.predict:
-        j = args.predict
-        hp = family.hilbert_polynomial(j) if j > family.threshold else quotient_hp(j)
-        payload["predicted"] = {"power": j, "coefficients": [str(c) for c in hp.coeffs]}
+        hp = quotient_hp(args.predict)
+        payload["predicted"] = {"power": args.predict, "coefficients": [str(c) for c in hp.coeffs]}
     return (payload, ["power-family-interpolation"], [])
 
 
@@ -192,7 +191,6 @@ def _cmd_fit_hs(args, problem):
         payload = template.to_json()
         route = "equigenerated-offset-template"
     else:
-        template = None
         # the t-slices of the numerator Q of H_R
         slices = {}
         for (a, b), c in P.series().num:
@@ -200,9 +198,7 @@ def _cmd_fit_hs(args, problem):
         payload = {"slices": [[j, num] for j, num in sorted(slices.items())], "degrees": list(P.degrees)}
         route = "general-recurrence-window"
     if args.predict:
-        j = args.predict
-        series = template.predict(j) if template is not None and j > template.threshold else P.power_series(j)
-        payload["predicted"] = {"power": j, "series": series.to_json()}
+        payload["predicted"] = {"power": args.predict, "series": P.power_series(args.predict).to_json()}
     return (payload, [route], [])
 
 
@@ -288,14 +284,13 @@ def _cmd_gorenstein(args, problem):
             degrees = [g.multidegree()[0] for g in problem.ideal.gens]
             n, r = problem.ring.nvars, len(degrees)
         else:
-            degrees = [int(x) for x in args.degrees.split(",") if x]
+            degrees = args.degrees
             n, r = args.n, args.r or len(degrees)
         reports = gorenstein_diagonals(family, n=n, r=r, degrees=degrees)
     elif family == "maximal-minors":
         reports = gorenstein_diagonals(family, m=args.m, n=args.n)
     elif family == "polynomial-ring":
-        degrees = [int(x) for x in args.degrees.split(",") if x]
-        reports = gorenstein_diagonals(family, n=args.n, r=len(degrees), degrees=degrees)
+        reports = gorenstein_diagonals(family, n=args.n, r=len(args.degrees), degrees=args.degrees)
     else:
         reports = gorenstein_diagonals(
             "general", n=args.n, a=args.a, d=args.d or 1,
@@ -337,7 +332,9 @@ def _cmd_cm_check(args, problem):
         if args.n is not None:
             params["n"] = args.n
     elif family == "equimultiple":
-        params = {"d": args.d, "height": args.height or 2}
+        params = {"d": args.d}
+        if args.height is not None:
+            params["height"] = args.height
         if args.a_quotient is not None:
             params["a_quotient"] = args.a_quotient
     elif family == "scm":
@@ -345,12 +342,13 @@ def _cmd_cm_check(args, problem):
         if problem is not None:
             degrees = [g.multidegree()[0] for g in problem.ideal.gens]
             params = {"degrees": degrees, "n": problem.ring.nvars}
-        if args.degrees:
-            params["degrees"] = [int(x) for x in args.degrees.split(",")]
+        if args.degrees is not None:
+            params["degrees"] = args.degrees
         if args.n is not None:
             params["n"] = args.n
         params["height"] = args.height
-    needs = {"complete-intersection": ("d", "u"), "equimultiple": ("d",), "strongly-cm": ("degrees", "n")}
+    needs = {"complete-intersection": ("d", "u"), "equimultiple": ("d",),
+             "strongly-cm": ("degrees", "n", "height")}
     missing = _missing(params, needs[family], "cm-diagonal:" + family)
     if missing:
         return missing
@@ -421,6 +419,14 @@ _COMMANDS = {
 }
 
 
+def _degree_list(text):
+    """The value of --degrees: comma-separated integers, such as 2,2,3."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="reeslab",
@@ -471,7 +477,7 @@ def build_parser():
     p.add_argument("--a", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--height", type=int)
-    p.add_argument("--degrees", type=str)
+    p.add_argument("--degrees", type=_degree_list)
     p.add_argument("--dim-zero", action="store_true")
     p = add("quasi-gorenstein", False)
     p.add_argument("--a", type=int, required=True)
@@ -486,7 +492,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--a-quotient", type=int)
-    p.add_argument("--degrees", type=str)
+    p.add_argument("--degrees", type=_degree_list)
     p = add("cm-threshold", False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

@@ -49,32 +49,21 @@ class DiagonalReport:
         return out
 
 
-def _presentation(I_or_P):
-    # Imported here so the closed-form criteria load no Groebner layer.
-    from .rees import ReesPresentation, rees_presentation
-
-    if isinstance(I_or_P, ReesPresentation):
-        return I_or_P
-    return rees_presentation(I_or_P)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert data of diagonals
 
-def diagonal_hilbert_function(I, spec, s_max):
-    """dim_k (I^{e s})_{c s} for s = 0..s_max, via the Rees series slices."""
-    P = _presentation(I)
+def diagonal_hilbert_function(P, spec, s_max):
+    """dim_k (I^{e s})_{c s} for s = 0..s_max: the Rees series H_R of P read at (c s, e s)."""
     if not spec.admissible(P.max_degree):
         raise DiagonalError("inadmissible diagonal: need c >= d e + 1")
-    out = []
-    for s in range(s_max + 1):
-        series = P.power_series(spec.e * s)
-        out.append(series.coefficient(spec.c * s))
-    return out
+    P.check_t_slices()
+    c, e = spec.c, spec.e
+    arr = P.series().expand(c * s_max, e * s_max)
+    return [arr[c * s][e * s] for s in range(s_max + 1)]
 
 
-def diagonal_dimension(I, spec):
-    """dim k[(I^e)_c], read off the bigraded Hilbert polynomial of the Rees series.
+def diagonal_dimension(P, spec):
+    """dim k[(I^e)_c], read off the bigraded Hilbert polynomial of the Rees series of P.
 
     Past its origin that polynomial, at (c s, e s), is the diagonal Hilbert
     function; for an admissible diagonal its top form is nonnegative and
@@ -82,7 +71,6 @@ def diagonal_dimension(I, spec):
     """
     from .hilbert import bigraded_hilbert_polynomial
 
-    P = _presentation(I)
     if not spec.admissible(P.max_degree):
         raise DiagonalError("inadmissible diagonal: need c >= d e + 1")
     return bigraded_hilbert_polynomial(P.series()).total_degree + 1
@@ -250,7 +238,8 @@ def cm_diagonal_test(family, params, spec):
         )
     if family == "equimultiple":
         d = params["d"]
-        if params.get("height", 2) <= 1:
+        params = dict(params, height=params.get("height", 2))
+        if params["height"] <= 1:
             raise DiagonalError("equimultiple criterion needs height > 1")
         if "a_quotient" not in params:
             return DiagonalReport(

@@ -539,12 +539,6 @@ class Ideal:
             return True
         return not normal_form(f, self.groebner())
 
-    def power(self, j):
-        return ideal_power(self, j)
-
-    def colon(self, f):
-        return colon_ideal(self, f)
-
 
 def groebner_basis(I, order=None):
     """Unique reduced Groebner basis: the ideal's cached basis for the order, with its polys built."""

@@ -40,7 +40,6 @@ class ReesPresentation:
         self.degrees = tuple(degrees)
         self._series = None
         self._fiber = None
-        self._slices = {}
 
     @property
     def base_ring(self):
@@ -74,17 +73,16 @@ class ReesPresentation:
             self._series = hilbert_series_ideal(self.defining_ideal, "quotient")
         return self._series
 
+    def check_t_slices(self):
+        """Raise unless every base variable has degree (a, 0), so that H_R at (i, j) is dim (I^j)_i."""
+        if any(b for _, b in self.base_ring.degrees):
+            raise ReesError("powers are t-slices of H_R only when every base variable has degree (a, 0)")
+
     def power_series(self, j):
         """H_{I^j}, the t-slice of H_R, over the base ring's own factors (1-s^a) of its denominator."""
-        cached = self._slices.get(j)
-        if cached is None:
-            if any(b for _, b in self.base_ring.degrees):
-                raise ReesError("powers are t-slices of H_R only when every base variable has degree (a, 0)")
-            H = self.series()
-            num = _t_slice(self.degrees, ((b, {a: c}) for (a, b), c in H.num), j)
-            cached = HilbertSeriesRational.make({(a, 0): c for a, c in num.items()}, self.base_ring.degrees)
-            self._slices[j] = cached
-        return cached
+        self.check_t_slices()
+        num = _t_slice(self.degrees, ((b, {a: c}) for (a, b), c in self.series().num), j)
+        return HilbertSeriesRational.make({(a, 0): c for a, c in num.items()}, self.base_ring.degrees)
 
     def report(self):
         return {

@@ -229,16 +229,6 @@ class RingSpec:
     def nvars(self):
         return len(self.names)
 
-    @property
-    def x_count(self):
-        """Number of degree-(1,0) variables."""
-        return sum(1 for d in self.degrees if d == (1, 0))
-
-    @property
-    def y_count(self):
-        """Number of second-degree-1 variables (the blow-up block)."""
-        return sum(1 for d in self.degrees if d[1] == 1)
-
     def key_function(self):
         return self.order.key_function(self.nvars)
 

@@ -209,12 +209,33 @@ def test_gorenstein_general_missing_a_exits_2(capsys):
     ("gorenstein --family ci --degrees 2,2", ["n"]),
     ("gorenstein --family maxminors --m 2", ["n"]),
     ("gorenstein --family polynomial-ring --n 3", ["degrees"]),
+    # this one once took the height to be the number of generators and exited 0
+    ("cm-check --family scm --c 9 --e 1 --degrees 3,3,3 --n 3", ["height"]),
 ])
 def test_closed_form_family_without_a_parameter_exits_2(capsys, argv, missing):
     # each of these once printed a Python traceback and exited 1
     code, out = run_cli(capsys, "--no-cache", *argv.split())
     assert code == 2
     assert json.loads(out)["result"] == {"missing": missing}
+
+
+def test_equimultiple_height_zero_is_not_read_as_the_default(capsys):
+    # --height 0 once became the default height 2 and gave verdict true
+    argv = "cm-check --family equimultiple --c 5 --e 1 --d 2 --height 0 --a-quotient 1".split()
+    assert main(["--no-cache", *argv]) == 1
+    assert "equimultiple criterion needs height > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "gorenstein --family ci --degrees 2,x --n 3",
+    "cm-check --family scm --c 9 --e 1 --degrees 3,,3 --n 3 --height 2",
+    "gorenstein --family polynomial-ring --degrees 2,,2 --n 3",
+])
+def test_malformed_degrees_exit_2_with_the_usage_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", *argv.split()])
+    assert exc.value.code == 2
+    assert "argument --degrees: expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_prime_field_problem(capsys, tmp_path):

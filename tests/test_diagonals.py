@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from reeslab import Ideal, graded_ring, parse_polynomial
@@ -14,6 +16,7 @@ from reeslab.diagonals import (
     gorenstein_diagonals,
     quasi_gorenstein_bounds,
 )
+from reeslab.problemfile import parse_problem
 from reeslab.rees import rees_presentation
 from conftest import span_dimension_of_products
 
@@ -54,6 +57,35 @@ def test_diagonal_values_match_bruteforce_span(twisted_cubic, del_pezzo_ideal):
     vals = diagonal_hilbert_function(Q, DiagonalSpec(3, 1), 3)
     for s in (1, 2, 3):
         assert vals[s] == span_dimension_of_products(del_pezzo_ideal, s, 3 * s)
+
+
+def _rational_normal_quartic():
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+    # 2x2 minors of [[x0 x1 x2 x3], [x1 x2 x3 x4]]
+    minors = ["x%d*x%d - x%d*x%d" % (i, j + 1, j, i + 1) for i in range(4) for j in range(i + 1, 4)]
+    return Ideal(A, [parse_polynomial(m, A) for m in minors])
+
+
+_UNEQUAL_DEGREES = Path(__file__).resolve().parent.parent / "demos" / "unequal-degrees.ring"
+
+
+@pytest.mark.parametrize("build", [
+    lambda request: request.getfixturevalue("twisted_cubic"),
+    lambda request: _rational_normal_quartic(),
+    lambda request: parse_problem(_UNEQUAL_DEGREES.read_text()).ideal,
+    # deg y = 2: H_R has a factor (1 - s^2) beside the (1 - s^d t)
+    lambda request: parse_problem("field: Q\nvars: x (1,0), y (2,0)\nideal: x^2; y\n").ideal,
+], ids=["twisted-cubic", "rational-normal-quartic", "unequal-degrees", "weighted-base"])
+def test_diagonal_values_match_the_power_slices(request, build):
+    # the per-slice route, one H_{I^{es}} for each s, is the oracle for H_R read at (cs, es)
+    P = rees_presentation(build(request))
+    s_max = 5
+    specs = [DiagonalSpec(c, e) for e in range(1, 5) for c in range(1, 10)
+             if DiagonalSpec(c, e).admissible(P.max_degree)]
+    assert specs
+    for spec in specs:
+        oracle = [P.power_series(spec.e * s).coefficient(spec.c * s) for s in range(s_max + 1)]
+        assert diagonal_hilbert_function(P, spec, s_max) == oracle, spec
 
 
 def test_diagonal_dimension(twisted_cubic_rees):

@@ -9,6 +9,7 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab.betti import graded_betti_table
+from reeslab.diagonals import DiagonalSpec, diagonal_hilbert_function
 from reeslab.hilbert import _t_slice
 from reeslab.rees import (
     ReesError,
@@ -44,6 +45,8 @@ def test_power_series_over_a_weighted_base_ring():
     P = rees_presentation(parse_problem("field: Q\nvars: x (1,0), z (1,1)\nideal: x\n").ideal)
     with pytest.raises(ReesError):
         P.power_series(1)
+    with pytest.raises(ReesError):
+        diagonal_hilbert_function(P, DiagonalSpec(2, 1), 1)
 
 
 def test_principal_ideal_has_free_rees_algebra():
