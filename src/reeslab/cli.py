@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -264,43 +265,93 @@ def _cmd_diag(args, problem):
     )
 
 
+# Closed-form commands: each CLI family -> (criterion, parameters it reads, parameters it requires).
+# The parameters read are also the command's flags.
+_CI = ("gorenstein-diagonal:complete-intersection", ("n", "r", "degrees"), ("degrees", "n"))
+_FAMILIES = {
+    "gorenstein": {"ci": _CI, "complete-intersection": _CI,
+                   "maxminors": ("gorenstein-diagonal:maximal-minors", ("m", "n"), ("m", "n")),
+                   "polynomial-ring": ("gorenstein-diagonal:polynomial-ring", ("n", "degrees"), ("n", "degrees")),
+                   "general": ("gorenstein-diagonal:general", ("n", "a", "d", "height"), ("a", "n", "d"))},
+    "cm-check": {"ci": ("cm-diagonal:complete-intersection", ("d", "u", "n"), ("d", "u")),
+                 "equimultiple": ("cm-diagonal:equimultiple", ("d", "height", "a_quotient"), ("d",)),
+                 "scm": ("cm-diagonal:strongly-cm", ("degrees", "n", "height"), ("degrees", "n", "height"))},
+    "cm-threshold": {None: ("cm-threshold", ("d", "n", "a2G", "a1"), ("d", "n"))},
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _generator_values(problem):
+    """degrees, d = max and u = sum of the minimal generators, and n = number of variables.
+
+    r is not among them: it defaults to len(degrees) wherever degrees come from.
+    """
+    from .groebner import minimal_generators
+
+    degrees = tuple(g.multidegree()[0] for g in minimal_generators(problem.ring, problem.ideal.gens))
+    given = dict(degrees=degrees, d=max(degrees), u=sum(degrees)) if degrees else {}
+    return dict(given, n=problem.ring.nvars)
+
+
+def _family_params(args, problem, names, generators=True):
+    """Each of names from its flag, else the problem's family line, else its generators; absent if none does."""
+    line = problem.family_dict() if problem is not None else {}
+    values = {}
+    for name in names:
+        value = vars(args).get(name)
+        if value is None and name in line:
+            value = line[name]
+            if not (value and type(value) is tuple if name == "degrees" else type(value) is int):
+                from .problemfile import ProblemError
+
+                raise ProblemError("family flag %r must be %s"
+                                   % (name, "a tuple" if name == "degrees" else "an int"))
+        elif value is None and problem is not None and generators:
+            value = _generator_values(problem).get(name)
+        if value is not None:
+            values[name] = value
+    return values
+
+
 def _missing(values, names, criterion):
-    """The exit-2 report of a closed-form family that lacks the flags among names in values, or None."""
+    """The exit-2 report of a closed-form family that lacks the parameters among names in values, or None."""
     missing = [name for name in names if values.get(name) is None]
     return (({"missing": missing}, [criterion], []), 2) if missing else None
+
+
+def _closed_form(args, problem):
+    """A closed-form command's criterion family, its parameters, and the exit-2 report if some are missing.
+
+    With a problem file, a complete intersection must have as many minimal generators as its height n - dim A/I.
+    """
+    criterion, reads, requires = _FAMILIES[args.command][getattr(args, "family", None)]
+    family = criterion.partition(":")[2]
+    # the n of an m x n matrix is not the number of variables
+    params = _family_params(args, problem, reads, generators=family != "maximal-minors")
+    missing = _missing(params, requires, criterion)
+    if problem is not None and family == "complete-intersection" and not missing:
+        from .diagonals import DiagonalError
+        from .hilbert import hilbert_series_ideal, krull_dimension
+
+        r = len(_generator_values(problem).get("degrees", ()))
+        height = problem.ring.nvars - krull_dimension(hilbert_series_ideal(problem.ideal, "quotient"))
+        if r != height:
+            raise DiagonalError("complete-intersection check failed: %d minimal generators, height %d"
+                                % (r, height))
+    return family, params, missing
 
 
 def _cmd_gorenstein(args, problem):
     from .diagonals import gorenstein_diagonals
 
-    family = {"ci": "complete-intersection", "maxminors": "maximal-minors"}.get(args.family, args.family)
-    needs = {"complete-intersection": ("degrees", "n") if problem is None else (),
-             "maximal-minors": ("m", "n"), "polynomial-ring": ("n", "degrees"), "general": ("a", "n")}
-    missing = _missing(vars(args), needs[family], "gorenstein-diagonal:" + family)
+    family, params, missing = _closed_form(args, problem)
     if missing:
         return missing
-    if family == "complete-intersection":
-        if problem is not None:
-            degrees = [g.multidegree()[0] for g in problem.ideal.gens]
-            n, r = problem.ring.nvars, len(degrees)
-        else:
-            degrees = args.degrees
-            n, r = args.n, args.r or len(degrees)
-        reports = gorenstein_diagonals(family, n=n, r=r, degrees=degrees)
-    elif family == "maximal-minors":
-        reports = gorenstein_diagonals(family, m=args.m, n=args.n)
-    elif family == "polynomial-ring":
-        reports = gorenstein_diagonals(family, n=args.n, r=len(args.degrees), degrees=args.degrees)
-    else:
-        reports = gorenstein_diagonals(
-            "general", n=args.n, a=args.a, d=args.d or 1,
-            height=args.height, dim_positive=not args.dim_zero,
-        )
-    payload = {
-        "diagonals": [r.to_json() for r in reports],
-        "count": len(reports),
-    }
-    return (payload, [r.criterion for r in reports] or ["gorenstein-diagonal"], [])
+    if family == "general":
+        params["dim_positive"] = not args.dim_zero
+    reports = gorenstein_diagonals(family, **params)
+    payload = {"diagonals": [r.to_json() for r in reports], "count": len(reports)}
+    return (payload, sorted({r.criterion for r in reports}) or ["gorenstein-diagonal"], [])
 
 
 def _cmd_quasi_gorenstein(args, problem):
@@ -318,38 +369,7 @@ def _cmd_cm_check(args, problem):
     from .diagonals import DiagonalSpec, cm_diagonal_test
 
     spec = DiagonalSpec(args.c, args.e)
-    family = args.family
-    params = {}
-    if family in ("ci", "complete-intersection"):
-        family = "complete-intersection"
-        if problem is not None:
-            degrees = [g.multidegree()[0] for g in problem.ideal.gens]
-            params = {"d": max(degrees), "u": sum(degrees), "n": problem.ring.nvars}
-        if args.u is not None:
-            params["u"] = args.u
-        if args.d is not None:
-            params["d"] = args.d
-        if args.n is not None:
-            params["n"] = args.n
-    elif family == "equimultiple":
-        params = {"d": args.d}
-        if args.height is not None:
-            params["height"] = args.height
-        if args.a_quotient is not None:
-            params["a_quotient"] = args.a_quotient
-    elif family == "scm":
-        family = "strongly-cm"
-        if problem is not None:
-            degrees = [g.multidegree()[0] for g in problem.ideal.gens]
-            params = {"degrees": degrees, "n": problem.ring.nvars}
-        if args.degrees is not None:
-            params["degrees"] = args.degrees
-        if args.n is not None:
-            params["n"] = args.n
-        params["height"] = args.height
-    needs = {"complete-intersection": ("d", "u"), "equimultiple": ("d",),
-             "strongly-cm": ("degrees", "n", "height")}
-    missing = _missing(params, needs[family], "cm-diagonal:" + family)
+    family, params, missing = _closed_form(args, problem)
     if missing:
         return missing
     report = cm_diagonal_test(family, params, spec)
@@ -360,9 +380,10 @@ def _cmd_cm_check(args, problem):
 def _cmd_cm_threshold(args, problem):
     from .diagonals import cm_threshold_alpha
 
-    fam = dict(problem.family) if problem is not None else {}
-    a2 = args.a2G if args.a2G is not None else fam.get("a2G")
-    report = cm_threshold_alpha(args.d, args.n, a2_form_ring=a2, a1_shifted_rees=args.a1)
+    _, p, missing = _closed_form(args, problem)
+    if missing:
+        return missing
+    report = cm_threshold_alpha(p["d"], p["n"], a2_form_ring=p.get("a2G"), a1_shifted_rees=p.get("a1"))
     code = 2 if report.verdict == "needs-input" else 0
     return (report.to_json(), [report.criterion], list(report.assumptions)), code
 
@@ -444,6 +465,13 @@ def build_parser():
             p.add_argument("problem", nargs="?", default=None)
         return p
 
+    def add_closed_form(name):
+        """A closed-form command with a flag for each parameter its families read."""
+        p = add(name, False)
+        for param in dict.fromkeys(x for _, reads, _ in _FAMILIES[name].values() for x in reads):
+            p.add_argument("--" + param.replace("_", "-"), type=_degree_list if param == "degrees" else int)
+        return p
+
     p = add("gb", True)
     for name in ("hs", "hp"):
         p = add(name, True)
@@ -468,36 +496,18 @@ def build_parser():
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--s-max", type=int, default=6)
-    p = add("gorenstein", False)
-    p.add_argument("--family", required=True,
-                   choices=("ci", "complete-intersection", "maxminors", "polynomial-ring", "general"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--degrees", type=_degree_list)
+    p = add_closed_form("gorenstein")
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES["gorenstein"]))
     p.add_argument("--dim-zero", action="store_true")
     p = add("quasi-gorenstein", False)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim-zero", action="store_true")
-    p = add("cm-check", False)
-    p.add_argument("--family", required=True, choices=("ci", "equimultiple", "scm"))
+    p = add_closed_form("cm-check")
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES["cm-check"]))
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--a-quotient", type=int)
-    p.add_argument("--degrees", type=_degree_list)
-    p = add("cm-threshold", False)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a2G", type=int)
-    p.add_argument("--a1", type=int)
+    add_closed_form("cm-threshold")
     p = add("gin", True)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

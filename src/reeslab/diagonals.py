@@ -79,110 +79,62 @@ def diagonal_dimension(P, spec):
 # ---------------------------------------------------------------------------
 # Gorenstein diagonals (closed-form families)
 
+def _gorenstein_solutions(N, A, d):
+    """The (c, e, l0) with c l0 = N, e l0 = A and c >= d e + 1, in increasing l0."""
+    return [(N // l0, A // l0, l0) for l0 in range(1, min(N, A) + 1)
+            if N % l0 == A % l0 == 0 and N // l0 >= d * (A // l0) + 1]
+
+
 def gorenstein_diagonals(family, **params):
     """Finite solution set of the Gorenstein-diagonal equations for a family.
 
-    Returns a list of DiagonalReports, one per diagonal, each carrying
-    a(k[(I^e)_c]) = -l0. Families:
+    Returns a list of DiagonalReports, one per diagonal (c, e), each carrying
+    a(k[(I^e)_c]) = -l0, where c l0 = N, e l0 = A and c >= d e + 1 for the
+    family's (N, A, d). r defaults to len(degrees). Families:
 
-    - ``polynomial-ring``: S itself; needs n, r, degrees.
-    - ``general``: Gorenstein form ring; needs n, a (= -a^2(G)), d, height, dim_positive.
-    - ``complete-intersection``: needs n, r < n, degrees.
-    - ``maximal-minors``: generic m x n matrix, m <= n.
+    - ``polynomial-ring``: S itself; needs n, degrees, r; (n + u, r, max deg).
+    - ``general``: Gorenstein form ring; needs n, a (= -a^2(G)), d >= 1, and
+      reads height, dim_positive; (n, a - 1, d).
+    - ``complete-intersection``: needs n, degrees, r < n; (n, r - 1, max deg).
+    - ``maximal-minors``: generic m x n matrix, m <= n; (mn, n - m, m), and for
+      the principal determinant m = n, the polynomial-ring rule (mn + n, 1, m).
     """
+    assumptions, sufficient_only = (), False
     if family == "polynomial-ring":
-        n, r = params["n"], params["r"]
-        degrees = tuple(params["degrees"])
-        u, d = sum(degrees), max(degrees)
-        out = []
-        for l0 in range(1, r + 1):
-            if r % l0 or (n + u) % l0:
-                continue
-            c, e = (n + u) // l0, r // l0
-            if DiagonalSpec(c, e).admissible(d):
-                out.append(
-                    DiagonalReport(
-                        "gorenstein-diagonal:polynomial-ring",
-                        {"n": n, "r": r, "degrees": degrees, "c": c, "e": e},
-                        True,
-                        a_invariant=-l0,
-                    )
-                )
-        return out
-    if family == "general":
+        n, r, degrees = params["n"], params.get("r", len(params["degrees"])), tuple(params["degrees"])
+        N, A, d = n + sum(degrees), r, max(degrees)
+        inputs = {"n": n, "r": r, "degrees": degrees}
+    elif family == "general":
         n, a, d = params["n"], params["a"], params["d"]
+        if d < 1:
+            raise DiagonalError("general rule needs d >= 1")
+        N, A = n, a - 1
+        inputs = {"n": n, "a": a, "d": d}
+        assumptions = ("form ring Gorenstein", "a = -a^2(G) supplied")
         height = params.get("height")
-        dim_positive = params.get("dim_positive", True)
-        assumptions = ["form ring Gorenstein", "a = -a^2(G) supplied"]
-        sufficient_only = False
-        if height is not None and (height < 2 or not dim_positive):
+        if height is not None and (height < 2 or not params.get("dim_positive", True)):
             # outside 1 < ht < n the equality is only a sufficient direction
             sufficient_only = True
-            assumptions.append("outside 1 < ht(I) < n the criterion is sufficient only")
-        out = []
-        if a < 2:
-            return out
-        for l0 in range(1, min(n, a - 1) + 1):
-            if n % l0 or (a - 1) % l0:
-                continue
-            c, e = n // l0, (a - 1) // l0
-            if DiagonalSpec(c, e).admissible(d):
-                out.append(
-                    DiagonalReport(
-                        "gorenstein-diagonal:general",
-                        {"n": n, "a": a, "d": d, "c": c, "e": e},
-                        True,
-                        a_invariant=-l0,
-                        assumptions=tuple(assumptions),
-                        sufficient_only=sufficient_only,
-                    )
-                )
-        return out
-    if family == "complete-intersection":
-        n, r = params["n"], params["r"]
-        degrees = tuple(params["degrees"])
+            assumptions += ("outside 1 < ht(I) < n the criterion is sufficient only",)
+    elif family == "complete-intersection":
+        n, r, degrees = params["n"], params.get("r", len(params["degrees"])), tuple(params["degrees"])
         if r >= n:
             raise DiagonalError("complete-intersection rule needs r < n")
-        reports = gorenstein_diagonals(
-            "general", n=n, a=r, d=max(degrees), height=r, dim_positive=True
-        )
-        return [
-            DiagonalReport(
-                "gorenstein-diagonal:complete-intersection",
-                dict(rep.inputs, degrees=degrees),
-                rep.verdict,
-                rep.a_invariant,
-            )
-            for rep in reports
-        ]
-    if family == "maximal-minors":
+        N, A, d = n, r - 1, max(degrees)
+        inputs = {"n": n, "a": r, "d": d, "degrees": degrees}
+    elif family == "maximal-minors":
         m, n = params["m"], params["n"]
         if not 1 <= m <= n:
             raise DiagonalError("need 1 <= m <= n")
-        nvars = m * n
-        if m == n:
-            # principal determinant: the polynomial-ring rule with one variable
-            return [
-                DiagonalReport(
-                    "gorenstein-diagonal:maximal-minors",
-                    {"m": m, "n": n, "c": nvars + n, "e": 1},
-                    True,
-                    a_invariant=-1,
-                )
-            ]
-        reports = gorenstein_diagonals(
-            "general", n=nvars, a=n - m + 1, d=m, height=n - m + 1, dim_positive=True
-        )
-        return [
-            DiagonalReport(
-                "gorenstein-diagonal:maximal-minors",
-                {"m": m, "n": n, "c": rep.inputs["c"], "e": rep.inputs["e"]},
-                rep.verdict,
-                rep.a_invariant,
-            )
-            for rep in reports
-        ]
-    raise DiagonalError("unknown family %r" % family)
+        N, A, d = (m * n, n - m, m) if m < n else (m * n + n, 1, m)
+        inputs = {"m": m, "n": n}
+    else:
+        raise DiagonalError("unknown family %r" % family)
+    return [
+        DiagonalReport("gorenstein-diagonal:" + family, dict(inputs, c=c, e=e), True, a_invariant=-l0,
+                       assumptions=assumptions, sufficient_only=sufficient_only)
+        for c, e, l0 in _gorenstein_solutions(N, A, d)
+    ]
 
 
 def quasi_gorenstein_bounds(a, n, dim_positive=True):
@@ -216,62 +168,51 @@ def quasi_gorenstein_bounds(a, n, dim_positive=True):
 # Cohen-Macaulay criteria
 
 def cm_diagonal_test(family, params, spec):
-    """Closed-inequality CM verdict for a diagonal of a supported family."""
-    c, e = spec.c, spec.e
+    """Closed-inequality CM verdict for a diagonal of a supported family: c > d (e - 1) + b.
+
+    b is u + a(A) for a complete intersection, a(A/I) for an equimultiple ideal
+    and the sum of the height largest degrees minus n for a strongly CM ideal.
+    """
+    need = None
     if family == "complete-intersection":
-        d = params["d"]
-        u = params["u"]
+        d, u = params["d"], params["u"]
         a_base = params.get("a_base", -params["n"] if "n" in params else None)
         if a_base is None:
-            return DiagonalReport(
-                "cm-diagonal:complete-intersection", dict(params, c=c, e=e), "needs-input",
-                assumptions=("missing a(A): pass a_base or n",),
-            )
-        if not spec.admissible(d):
-            raise DiagonalError("inadmissible diagonal")
-        verdict = c > (e - 1) * d + u + a_base
-        return DiagonalReport(
-            "cm-diagonal:complete-intersection",
-            dict(params, c=c, e=e),
-            verdict,
-            assumptions=("Rees algebra of a complete intersection is Cohen-Macaulay",),
-        )
-    if family == "equimultiple":
+            need = "missing a(A): pass a_base or n"
+        else:
+            b = u + a_base
+        assumptions = ("Rees algebra of a complete intersection is Cohen-Macaulay",)
+    elif family == "equimultiple":
         d = params["d"]
         params = dict(params, height=params.get("height", 2))
         if params["height"] <= 1:
             raise DiagonalError("equimultiple criterion needs height > 1")
         if "a_quotient" not in params:
-            return DiagonalReport(
-                "cm-diagonal:equimultiple", dict(params, c=c, e=e), "needs-input",
-                assumptions=("missing a(A/I)",),
-            )
-        if not spec.admissible(d):
-            raise DiagonalError("inadmissible diagonal")
-        verdict = c > d * (e - 1) + params["a_quotient"]
-        return DiagonalReport(
-            "cm-diagonal:equimultiple",
-            dict(params, c=c, e=e),
-            verdict,
-            assumptions=("Rees algebra Cohen-Macaulay", "ideal equimultiple"),
-        )
-    if family == "strongly-cm":
+            need = "missing a(A/I)"
+        else:
+            b = params["a_quotient"]
+        assumptions = ("Rees algebra Cohen-Macaulay", "ideal equimultiple")
+    elif family == "strongly-cm":
         degs = tuple(sorted(params["degrees"], reverse=True))
         h, n = params["height"], params["n"]
-        d = degs[0]
-        if not spec.admissible(d):
-            raise DiagonalError("inadmissible diagonal")
-        verdict = c > d * (e - 1) + sum(degs[:h]) - n
-        return DiagonalReport(
-            "cm-diagonal:strongly-cm",
-            dict(params, c=c, e=e, degrees=degs),
-            verdict if verdict else "not-decided",
-            assumptions=(
-                "strongly Cohen-Macaulay with local generation bounded by height",
-            ),
-            sufficient_only=True,
-        )
-    raise DiagonalError("unknown family %r" % family)
+        if not 1 <= h <= len(degs):
+            raise DiagonalError("strongly-cm criterion needs 1 <= height <= number of generators")
+        d, b = degs[0], sum(degs[:h]) - n
+        params = dict(params, degrees=degs)
+        assumptions = ("strongly Cohen-Macaulay with local generation bounded by height",)
+    else:
+        raise DiagonalError("unknown family %r" % family)
+    criterion, inputs = "cm-diagonal:" + family, dict(params, c=spec.c, e=spec.e)
+    if need:
+        return DiagonalReport(criterion, inputs, "needs-input", assumptions=(need,))
+    if not spec.admissible(d):
+        raise DiagonalError("inadmissible diagonal")
+    verdict = spec.c > d * (spec.e - 1) + b
+    if family == "strongly-cm":
+        # only sufficient: a failed inequality decides nothing
+        return DiagonalReport(criterion, inputs, verdict or "not-decided", assumptions=assumptions,
+                              sufficient_only=True)
+    return DiagonalReport(criterion, inputs, verdict, assumptions=assumptions)
 
 
 def cm_threshold_alpha(d, n, a2_form_ring=None, a1_shifted_rees=None):

@@ -205,12 +205,14 @@ def test_gorenstein_general_missing_a_exits_2(capsys):
     ("cm-check --family equimultiple --c 5 --e 1 --a-quotient 2", ["d"]),
     ("cm-check --family scm --c 5 --e 1 --height 2", ["degrees", "n"]),
     ("cm-check --family ci --c 5 --e 1 --u 4", ["d"]),
-    ("gorenstein --family general --a 3", ["n"]),
+    ("gorenstein --family general --a 3", ["n", "d"]),
     ("gorenstein --family ci --degrees 2,2", ["n"]),
     ("gorenstein --family maxminors --m 2", ["n"]),
     ("gorenstein --family polynomial-ring --n 3", ["degrees"]),
     # this one once took the height to be the number of generators and exited 0
     ("cm-check --family scm --c 9 --e 1 --degrees 3,3,3 --n 3", ["height"]),
+    # --d and --n may come from a problem file, so argparse no longer requires them
+    ("cm-threshold --a2G -2", ["d", "n"]),
 ])
 def test_closed_form_family_without_a_parameter_exits_2(capsys, argv, missing):
     # each of these once printed a Python traceback and exited 1
@@ -236,6 +238,130 @@ def test_malformed_degrees_exit_2_with_the_usage_message(capsys, argv):
         main(["--no-cache", *argv.split()])
     assert exc.value.code == 2
     assert "argument --degrees: expected comma-separated integers" in capsys.readouterr().err
+
+
+# A complete intersection of height 2 in four variables, with generator degrees 2 and 3.
+CI_PROBLEM = """\
+vars: x (1,0), y (1,0), z (1,0), w (1,0)
+ideal: x^2; y^3
+"""
+
+
+def closed_form(capsys, tmp_path, argv, text=None):
+    """Exit code and parsed stdout of one closed-form command, on a problem file holding text if given."""
+    words = argv.split()
+    if text is not None:
+        path = tmp_path / "problem.ring"
+        path.write_text(text)
+        words.append(str(path))
+    code = main(["--no-cache", *words])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["result"] if out else None
+
+
+def test_gorenstein_flags_override_the_problem_file(capsys, tmp_path):
+    # the file once won over --n, --degrees and --r, while cm-check let flags win
+    _, from_flags = closed_form(capsys, tmp_path, "gorenstein --family ci --n 7 --degrees 2,3")
+    code, from_file = closed_form(capsys, tmp_path, "gorenstein --family ci --n 7", CI_PROBLEM)
+    assert code == 0
+    assert from_file == from_flags
+    assert {d["inputs"]["n"] for d in from_file["diagonals"]} == {7}
+    # r follows the degrees that were used, here those of the flag
+    _, from_flags = closed_form(capsys, tmp_path, "gorenstein --family ci --n 7 --degrees 1,1,1")
+    _, from_file = closed_form(capsys, tmp_path, "gorenstein --family ci --n 7 --degrees 1,1,1", CI_PROBLEM)
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize("command", [
+    "cm-check --family ci --c 8 --e 2",
+    "gorenstein --family ci",
+])
+def test_complete_intersection_file_gives_the_flags_verdict(capsys, tmp_path, command):
+    flags = {"cm-check": " --d 3 --u 5 --n 4", "gorenstein": " --degrees 2,3 --n 4"}[command.split()[0]]
+    code, from_flags = closed_form(capsys, tmp_path, command + flags)
+    assert (code, closed_form(capsys, tmp_path, command, CI_PROBLEM)) == (0, (0, from_flags))
+
+
+@pytest.mark.parametrize("command", [
+    "cm-check --family ci --c 8 --e 2",
+    "gorenstein --family ci",
+    "gorenstein --family complete-intersection --n 9 --degrees 2,2,2",
+])
+def test_complete_intersection_check_refuses_the_twisted_cubic(capsys, command):
+    # three quadrics of height 2: the criterion once applied and exited 0
+    assert main(["--no-cache", *command.split(), os.path.join(DEMOS, "twisted-cubic.ring")]) == 1
+    assert ("complete-intersection check failed: 3 minimal generators, height 2"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, family, expected", [
+    # d from the generators: equimultiple once asked for --d
+    ("cm-check --family equimultiple --c 5 --e 1", "a_quotient=1",
+     {"c": 5, "e": 1, "d": 2, "height": 2, "a_quotient": 1}),
+    ("cm-check --family equimultiple --c 5 --e 1 --d 4", "d=3 a_quotient=1",
+     {"c": 5, "e": 1, "d": 4, "height": 2, "a_quotient": 1}),
+    ("cm-check --family equimultiple --c 7 --e 1", "d=3 a_quotient=1",
+     {"c": 7, "e": 1, "d": 3, "height": 2, "a_quotient": 1}),
+    ("cm-check --family scm --c 9 --e 1", "height=2",
+     {"c": 9, "e": 1, "degrees": [2, 2, 2], "n": 4, "height": 2}),
+    ("cm-threshold", "a2G=-2", {"d": 2, "n": 4, "a2_form_ring": -2}),
+    ("cm-threshold --n 6", "d=3 a2G=-2", {"d": 3, "n": 6, "a2_form_ring": -2}),
+])
+def test_flag_then_family_line_then_generators(capsys, tmp_path, argv, family, expected):
+    text = TWISTED_CUBIC.replace("family: scm a2G=-2", "family: " + family)
+    code, result = closed_form(capsys, tmp_path, argv, text)
+    assert code == 0
+    assert result["inputs"] == expected
+
+
+def test_gorenstein_general_and_polynomial_ring_read_the_problem_file(capsys, tmp_path):
+    text = TWISTED_CUBIC.replace("family: scm a2G=-2", "family: a=2")
+    code, general = closed_form(capsys, tmp_path, "gorenstein --family general", text)
+    assert code == 0
+    assert [d["inputs"] for d in general["diagonals"]] == [{"n": 4, "a": 2, "d": 2, "c": 4, "e": 1}]
+    _, ring = closed_form(capsys, tmp_path, "gorenstein --family polynomial-ring", text)
+    assert ring == closed_form(capsys, tmp_path, "gorenstein --family polynomial-ring --n 4 --degrees 2,2,2")[1]
+
+
+def test_maximal_minors_take_no_n_from_the_variables(capsys, cubic_file):
+    # the n of an m x n matrix is not the number of variables
+    code, out = run_cli(capsys, "--no-cache", "gorenstein", "--family", "maxminors", "--m", "2", cubic_file)
+    assert (code, json.loads(out)["result"]) == (2, {"missing": ["n"]})
+
+
+@pytest.mark.parametrize("family, message", [
+    ("n(1,2)", "family flag 'n' must be an int"),
+    ("n", "family flag 'n' must be an int"),
+    ("degrees=3", "family flag 'degrees' must be a tuple"),
+    ("degrees()", "family flag 'degrees' must be a tuple"),
+])
+def test_family_line_values_of_the_wrong_type_exit_1(capsys, tmp_path, family, message):
+    path = tmp_path / "problem.ring"
+    path.write_text(TWISTED_CUBIC.replace("family: scm a2G=-2", "family: " + family))
+    assert main(["--no-cache", *"cm-check --family scm --c 9 --e 1 --height 2".split(), str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_gorenstein_general_d_below_one_exits_1(capsys):
+    # --d 0 once printed diagonals whose inputs said d = 1
+    assert main(["--no-cache", "gorenstein", "--family", "general", "--n", "4", "--a", "3", "--d", "0"]) == 1
+    assert "general rule needs d >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("height", ["0", "4"])
+def test_strongly_cm_height_outside_the_generators_exits_1(capsys, height):
+    # --height 0 once gave verdict true
+    argv = "cm-check --family scm --c 9 --e 1 --degrees 3,3,3 --n 3 --height".split() + [height]
+    assert main(["--no-cache", *argv]) == 1
+    assert "strongly-cm criterion needs 1 <= height <= number of generators" in capsys.readouterr().err
+
+
+def test_gorenstein_cites_each_criterion_once(capsys):
+    code, out = run_cli(capsys, "--no-cache", "gorenstein", "--family", "general", "--n", "12", "--a", "7",
+                        "--d", "1")
+    doc = json.loads(out)
+    assert (code, doc["result"]["count"]) == (0, 4)
+    assert doc["criterion_citations"] == ["gorenstein-diagonal:general"]
 
 
 def test_prime_field_problem(capsys, tmp_path):

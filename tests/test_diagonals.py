@@ -167,6 +167,25 @@ def test_gorenstein_empty_for_a_one():
     assert gorenstein_diagonals("general", n=5, a=1, d=2) == []
 
 
+def test_gorenstein_general_refuses_d_below_one():
+    with pytest.raises(DiagonalError, match="d >= 1"):
+        gorenstein_diagonals("general", n=4, a=3, d=0)
+
+
+def test_gorenstein_families_share_one_solver():
+    def pairs(family, **params):
+        return [(r.inputs["c"], r.inputs["e"], r.a_invariant) for r in gorenstein_diagonals(family, **params)]
+
+    for m in range(1, 5):
+        # the principal determinant: the polynomial-ring rule, one generator of degree m in m^2 variables
+        assert pairs("maximal-minors", m=m, n=m) == pairs("polynomial-ring", n=m * m, r=1, degrees=(m,))
+        for n in range(m + 1, 7):
+            assert pairs("maximal-minors", m=m, n=n) == pairs("general", n=m * n, a=n - m + 1, d=m)
+    for n, degrees in ((4, (1, 1, 1)), (6, (2, 2, 3)), (7, (1, 2))):
+        r = len(degrees)
+        assert pairs("complete-intersection", n=n, degrees=degrees) == pairs("general", n=n, a=r, d=max(degrees))
+
+
 def test_gorenstein_sets_respect_finite_bounds():
     for (n, a, d) in ((6, 4, 2), (8, 5, 3), (9, 7, 2)):
         for rep in gorenstein_diagonals("general", n=n, a=a, d=d):
@@ -201,6 +220,14 @@ def test_cm_strongly_cm_twisted_cubic():
             rep = cm_diagonal_test("strongly-cm", params, DiagonalSpec(c, e))
             assert rep.verdict is True
             assert rep.sufficient_only
+
+
+@pytest.mark.parametrize("height", [0, 4, -1])
+def test_cm_strongly_cm_refuses_a_height_outside_the_generators(height):
+    # height 0 once summed no degree and gave verdict true
+    params = {"degrees": (3, 3, 3), "height": height, "n": 3}
+    with pytest.raises(DiagonalError, match="1 <= height <= number of generators"):
+        cm_diagonal_test("strongly-cm", params, DiagonalSpec(9, 1))
 
 
 def test_cm_equimultiple():

@@ -10,7 +10,8 @@ from reeslab.cli import main
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 EXPECTED = DEMOS / "expected"
 
-# pin name (demos/expected/cli_<name>.txt) -> argv after `reeslab --no-cache`
+# pin name (demos/expected/cli_<name>.txt) -> argv after `reeslab --no-cache`;
+# a word ending in .ring names a problem file in demos/
 CLI_PINS = {
     "gin": "gin --seed 7 twisted-cubic.ring",
     "fit_hp": "fit-hp --max-power 3 --predict 4 twisted-cubic.ring",
@@ -32,6 +33,13 @@ CLI_PINS = {
     "gb": "gb twisted-cubic.ring",
     "gb_unequal": "gb unequal-degrees.ring",
     "rees_unequal": "rees unequal-degrees.ring",
+    # closed-form criteria, from flags alone and from a problem file
+    "gorenstein_maxminors": "gorenstein --family maxminors --m 2 --n 3",
+    "quasi_gorenstein": "quasi-gorenstein --a 3 --n 3",
+    "cm_check_ci": "cm-check --family ci --c 8 --e 2 --d 3 --u 6 --n 2",
+    "cm_threshold": "cm-threshold --d 2 --n 4 --a2G -2",
+    "cm_threshold_cubic": "cm-threshold --d 2 --n 4 twisted-cubic.ring",
+    "cm_check_scm_cubic": "cm-check --family scm --c 9 --e 1 --height 2 twisted-cubic.ring",
 }
 
 
@@ -44,8 +52,8 @@ def test_every_pin_file_has_a_command():
 
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_cli_prints_its_pin(capsys, name):
-    *flags, problem = CLI_PINS[name].split()
-    assert main(["--no-cache", *flags, str(DEMOS / problem)]) == 0
+    argv = [str(DEMOS / w) if w.endswith(".ring") else w for w in CLI_PINS[name].split()]
+    assert main(["--no-cache", *argv]) == 0
     assert capsys.readouterr().out == (EXPECTED / ("cli_%s.txt" % name)).read_text()
 
 
