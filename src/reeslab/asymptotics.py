@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from . import _qpoly as qp
+from ._record import record
 from .hilbert import HilbertPolynomial, HilbertSeriesRational
 
 
@@ -17,7 +17,7 @@ class FitError(ValueError):
 # ---------------------------------------------------------------------------
 # Hilbert polynomials of powers
 
-@dataclass(frozen=True)
+@record
 class PowerPolynomialFamily:
     """Integer-valued polynomials e_0(j), ..., e_{n-h-1}(j) describing P_{A/I^j}.
 
@@ -111,7 +111,7 @@ def _fit_and_check(keys, value, js, count, failure):
 # ---------------------------------------------------------------------------
 # mixed multiplicities
 
-@dataclass(frozen=True)
+@record
 class MixedMultiplicities:
     """e_i(R), e_i(G) and totals, from the leading coefficients of the family."""
 
@@ -174,7 +174,7 @@ def mixed_multiplicities(family, d, l):
 # ---------------------------------------------------------------------------
 # Hilbert series of powers (equigenerated template)
 
-@dataclass(frozen=True)
+@record
 class SeriesTemplateFamily:
     """Numerator template: H_{I^j} (1-s)^n = sum_alpha P_alpha(j) s^(alpha + d j) for every j > threshold."""
 
@@ -252,7 +252,7 @@ def fit_hilbert_series(samples, d, l, include_zero=True):
 # ---------------------------------------------------------------------------
 # projective dimension of powers
 
-@dataclass(frozen=True)
+@record
 class ProjDimReport:
     observed: tuple          # ((j, proj dim), ...)
     stable_value: int | None
@@ -303,7 +303,7 @@ def stable_projdim(tables, l, a2_form_ring=None, a_fiber=None):
 # ---------------------------------------------------------------------------
 # resolution templates
 
-@dataclass(frozen=True)
+@record
 class ResolutionTemplate:
     """Per homological index: stable offsets and Betti polynomials in j."""
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
 from ._linalg import VectorSpan
+from ._record import record
 from .groebner import _normal_form_int, _on_basis, groebner_basis, minimal_generators
 from .hilbert import hilbert_series_ideal
 from .rings import MonomialPacking
@@ -16,7 +16,7 @@ class BettiError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BettiTable:
     """Ranks beta_{p, (a,b)} of a minimal free resolution in a window of degrees."""
 
@@ -370,7 +370,7 @@ def bigraded_betti_table(defining_ideal, window, as_module="quotient"):
 # ---------------------------------------------------------------------------
 # invariants from shifts
 
-@dataclass(frozen=True)
+@record
 class InvariantsReport:
     """a*, regularity and projective dimension read off the resolution shifts."""
 

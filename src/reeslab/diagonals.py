@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 
 
 class DiagonalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalSpec:
     """A (c, e)-diagonal; admissible against degree d when c >= d e + 1."""
 
@@ -24,7 +24,7 @@ class DiagonalSpec:
         return self.c >= d * self.e + 1
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalReport:
     """Outcome of one closed-form criterion, with its provenance."""
 
@@ -79,6 +79,13 @@ def diagonal_dimension(P, spec):
 # ---------------------------------------------------------------------------
 # Gorenstein diagonals (closed-form families)
 
+def _require_positive(rule, **values):
+    """Refuse a number of variables or generators, a matrix size or a degree below 1."""
+    for name, value in values.items():
+        if value is not None and any(v < 1 for v in (value if isinstance(value, tuple) else (value,))):
+            raise DiagonalError("%s needs %s >= 1" % (rule, "every degree" if name == "degrees" else name))
+
+
 def _gorenstein_solutions(N, A, d):
     """The (c, e, l0) with c l0 = N, e l0 = A and c >= d e + 1, in increasing l0."""
     return [(N // l0, A // l0, l0) for l0 in range(1, min(N, A) + 1)
@@ -102,12 +109,12 @@ def gorenstein_diagonals(family, **params):
     assumptions, sufficient_only = (), False
     if family == "polynomial-ring":
         n, r, degrees = params["n"], params.get("r", len(params["degrees"])), tuple(params["degrees"])
+        _require_positive("polynomial-ring rule", n=n, r=r, degrees=degrees)
         N, A, d = n + sum(degrees), r, max(degrees)
         inputs = {"n": n, "r": r, "degrees": degrees}
     elif family == "general":
         n, a, d = params["n"], params["a"], params["d"]
-        if d < 1:
-            raise DiagonalError("general rule needs d >= 1")
+        _require_positive("general rule", n=n, d=d)
         N, A = n, a - 1
         inputs = {"n": n, "a": a, "d": d}
         assumptions = ("form ring Gorenstein", "a = -a^2(G) supplied")
@@ -118,6 +125,7 @@ def gorenstein_diagonals(family, **params):
             assumptions += ("outside 1 < ht(I) < n the criterion is sufficient only",)
     elif family == "complete-intersection":
         n, r, degrees = params["n"], params.get("r", len(params["degrees"])), tuple(params["degrees"])
+        _require_positive("complete-intersection rule", n=n, r=r, degrees=degrees)
         if r >= n:
             raise DiagonalError("complete-intersection rule needs r < n")
         N, A, d = n, r - 1, max(degrees)
@@ -143,6 +151,7 @@ def quasi_gorenstein_bounds(a, n, dim_positive=True):
     Empty for a = 1. Candidates satisfy e <= a-1, c <= n and, with positive
     quotient dimension, ceil(a/e) - 1 = n/c as integers.
     """
+    _require_positive("quasi-gorenstein bounds", n=n)
     assumptions = ("Rees algebra Cohen-Macaulay", "a = -a^2(G) supplied")
     if a <= 1:
         return []
@@ -176,6 +185,7 @@ def cm_diagonal_test(family, params, spec):
     need = None
     if family == "complete-intersection":
         d, u = params["d"], params["u"]
+        _require_positive("complete-intersection criterion", d=d, u=u, n=params.get("n"))
         a_base = params.get("a_base", -params["n"] if "n" in params else None)
         if a_base is None:
             need = "missing a(A): pass a_base or n"
@@ -184,6 +194,7 @@ def cm_diagonal_test(family, params, spec):
         assumptions = ("Rees algebra of a complete intersection is Cohen-Macaulay",)
     elif family == "equimultiple":
         d = params["d"]
+        _require_positive("equimultiple criterion", d=d)
         params = dict(params, height=params.get("height", 2))
         if params["height"] <= 1:
             raise DiagonalError("equimultiple criterion needs height > 1")
@@ -195,6 +206,7 @@ def cm_diagonal_test(family, params, spec):
     elif family == "strongly-cm":
         degs = tuple(sorted(params["degrees"], reverse=True))
         h, n = params["height"], params["n"]
+        _require_positive("strongly-cm criterion", n=n, degrees=degs)
         if not 1 <= h <= len(degs):
             raise DiagonalError("strongly-cm criterion needs 1 <= height <= number of generators")
         d, b = degs[0], sum(degs[:h]) - n
@@ -221,6 +233,7 @@ def cm_threshold_alpha(d, n, a2_form_ring=None, a1_shifted_rees=None):
     Route 1 (Gorenstein form ring): alpha = d(-a^2(G) - 1) - n.
     Route 2: alpha = a^1 of the sheared Rees algebra, when supplied.
     """
+    _require_positive("cm-threshold", d=d, n=n)
     if a2_form_ring is not None:
         alpha = d * (-a2_form_ring - 1) - n
         return DiagonalReport(
@@ -245,7 +258,7 @@ def cm_threshold_alpha(d, n, a2_form_ring=None, a1_shifted_rees=None):
 # ---------------------------------------------------------------------------
 # good resolutions
 
-@dataclass(frozen=True)
+@record
 class ShiftVerdict:
     shift: tuple
     good: bool

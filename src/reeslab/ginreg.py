@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
+from ._record import record
 from .groebner import (
     Ideal,
     _sugar_is_degree,
@@ -76,7 +76,7 @@ def apply_coordinate_change(I, blocks, matrices):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GinResult:
     ideal: Ideal
     trials: int
@@ -154,7 +154,7 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
 # ---------------------------------------------------------------------------
 # Borel fixity
 
-@dataclass(frozen=True)
+@record
 class BorelReport:
     is_borel: bool
     char_p: int
@@ -238,7 +238,7 @@ def borel_regularity(J):
 # ---------------------------------------------------------------------------
 # bigraded regularity test via generic linear forms
 
-@dataclass(frozen=True)
+@record
 class RegularityCheck:
     verdict: bool
     first_degree: int

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from . import _qpoly as qp
+from ._record import record
 from .groebner import initial_monomials
 from .rings import MonomialPacking
 
@@ -17,7 +17,7 @@ class SeriesError(ValueError):
 # ---------------------------------------------------------------------------
 # rational Hilbert series
 
-@dataclass(frozen=True)
+@record
 class HilbertSeriesRational:
     """N(s,t) over a product of factors (1 - s^a t^b).
 
@@ -317,7 +317,7 @@ def hilbert_function(series, degree):
 # ---------------------------------------------------------------------------
 # Hilbert polynomials
 
-@dataclass(frozen=True)
+@record
 class HilbertPolynomial:
     """Exact polynomial agreeing with the Hilbert function for large degrees."""
 
@@ -366,7 +366,7 @@ def hilbert_polynomial(series):
     return HilbertPolynomial(poly, threshold, n)
 
 
-@dataclass(frozen=True)
+@record
 class BigradedHilbertPolynomial:
     """P(i, j) = sum c_kl * binom(i - d*j - u0, k) * binom(j - j0, l), with integer c_kl.
 
@@ -439,7 +439,7 @@ def bigraded_hilbert_polynomial(series):
 # ---------------------------------------------------------------------------
 # dimension / multiplicity / relevant dimension
 
-@dataclass(frozen=True)
+@record
 class DimMultReport:
     dimension: int
     multiplicity: Fraction

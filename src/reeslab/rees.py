@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .groebner import (
     Ideal,
     eliminate,
@@ -163,7 +162,7 @@ def form_ring_presentation(P):
     return Ideal(S, minimal_generators(S, gens))
 
 
-@dataclass(frozen=True)
+@record
 class FiberConeData:
     """Presentation of F = R/mR over k[Y] (standard grading) and its dimension."""
 

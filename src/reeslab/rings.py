@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, neg
+from operator import add, mul, neg
+
+from ._record import record
 
 
 class RingError(ValueError):
@@ -24,7 +25,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # coefficient fields
 
-@dataclass(frozen=True)
+@record
 class RationalField:
     """The field Q; elements are Fraction instances in lowest terms."""
 
@@ -73,7 +74,7 @@ def _is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class PrimeField:
     """The field Z/p for a prime p; elements are ints in [0, p)."""
 
@@ -119,7 +120,7 @@ QQ = RationalField()
 _ORDER_TAGS = ("lex", "deglex", "degrevlex", "elim")
 
 
-@dataclass(frozen=True)
+@record
 class TermOrder:
     """Total multiplicative order on monomials.
 
@@ -200,7 +201,7 @@ def elimination_order(block):
 # ---------------------------------------------------------------------------
 # rings
 
-@dataclass(frozen=True)
+@record
 class RingSpec:
     """A polynomial ring over an exact field with Z^2 variable degrees.
 
@@ -570,117 +571,143 @@ class Polynomial:
 # parsing / formatting
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/]))")
+_BLANKS = re.compile(r"\s*")
 
 
 def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.group(1):
+    """(kind, value, position) triples: kind is "int", "name", "end" or the operator itself."""
+    pos, end, out = 0, len(text), []
+    match = _TOKEN.match
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            bad = _BLANKS.match(text, pos).end()
+            if bad == end:  # only blanks are left: the first one is what cannot follow
+                bad = pos
+            raise ParseError("unexpected character %r" % text[bad], bad)
+        group = m.lastindex
+        if group == 1:
             out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
+        elif group == 2:
             out.append(("name", m.group(2), m.start(2)))
         else:
-            out.append(("op", m.group(3), m.start(3)))
+            out.append((m.group(3), m.group(3), m.start(3)))
         pos = m.end()
-    out.append(("end", None, len(text)))
+    out.append(("end", None, end))
     return out
 
 
-class _Parser:
-    def __init__(self, ring, tokens):
-        self.ring = ring
-        self.tokens = tokens
-        self.i = 0
-        self.var_index = {n: i for i, n in enumerate(ring.names)}
+@lru_cache(maxsize=16)
+def _variable_index(names):
+    return {name: i for i, name in enumerate(names)}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r" % op, pos)
-
-    def parse_expr(self):
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.parse_term()
-                result = result - rhs if val == "-" else result + rhs
-            else:
-                return result
-
-    def parse_term(self):
-        result = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self):
-        base = self.parse_base()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.take()
-                kind, exp, pos = self.take()
-                if kind != "int":
-                    raise ParseError("exponent must be a non-negative integer", pos)
-                base = base ** exp
-            else:
-                return base
-
-    def parse_base(self):
-        kind, val, pos = self.take()
-        if kind == "int":
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3, p3 = self.take()
-                if k3 != "int" or v3 == 0:
-                    raise ParseError("malformed rational literal", p3)
-                return self.ring.constant(Fraction(val, v3))
-            return self.ring.constant(val)
-        if kind == "name":
-            idx = self.var_index.get(val)
-            if idx is None:
-                raise ParseError("unknown variable %r" % val, pos)
-            return self.ring.variable(idx)
-        if kind == "op" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("unexpected token", pos)
+def _times(f, g, p):
+    """Product of two {monomial: coefficient} dicts, coefficients reduced mod p when p > 0."""
+    acc = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(map(add, m1, m2))
+            v = acc.get(m, 0) + c1 * c2
+            acc[m] = v % p if p else v
+    return {m: c for m, c in acc.items() if c}
 
 
 def parse_polynomial(text, ring):
-    """Parse an expression with +, -, *, ^, parentheses and rational literals."""
-    parser = _Parser(ring, _tokenize(text))
-    result = parser.parse_expr()
-    kind, _, pos = parser.peek()
+    """Parse a polynomial in the variables of ring.
+
+    The grammar is expr = [+|-] term {(+|-) term}, term = factor {* factor},
+    factor = base {^ int} and base = int [/ int] | name | ( expr ). A term
+    stays a coefficient and an exponent list while its factors are variables
+    and literals; a bracketed factor is a {monomial: coefficient} dict.
+    Literals are coerced into the field as they are read.
+    """
+    tokens = _tokenize(text)
+    field = ring.field
+    p, coerce, one = field.char, field.coerce, field.one
+    index = _variable_index(ring.names)
+    n = len(index)
+    i = 0
+
+    def expr():
+        nonlocal i
+        acc = {}
+        kind = tokens[i][0]
+        minus = kind == "-"
+        if minus or kind == "+":
+            i += 1
+        while True:
+            for m, c in term():
+                if minus:
+                    c = (-c) % p if p else -c
+                v = acc.get(m)
+                if v is None:
+                    acc[m] = c
+                else:
+                    acc[m] = (v + c) % p if p else v + c
+            kind = tokens[i][0]
+            if kind != "+" and kind != "-":
+                return acc
+            minus = kind == "-"
+            i += 1
+
+    def term():
+        nonlocal i
+        coef, exps, poly = one, [0] * n, None
+        while True:
+            kind, val, pos = tokens[i]
+            i += 1
+            if kind == "name":
+                var = index.get(val)
+                if var is None:
+                    raise ParseError("unknown variable %r" % val, pos)
+            elif kind == "int":
+                if tokens[i][0] == "/":
+                    kind_den, den, pos_den = tokens[i + 1]
+                    i += 2
+                    if kind_den != "int" or den == 0:
+                        raise ParseError("malformed rational literal", pos_den)
+                    val = Fraction(val, den)
+                val = coerce(val)
+            elif kind == "(":
+                val = {m: c for m, c in expr().items() if c}
+                if tokens[i][0] != ")":
+                    raise ParseError("expected ')'", tokens[i][2])
+                i += 1
+            else:
+                raise ParseError("unexpected token", pos)
+            e = 1
+            while tokens[i][0] == "^":
+                kind_exp, exp, pos_exp = tokens[i + 1]
+                i += 2
+                if kind_exp != "int":
+                    raise ParseError("exponent must be a non-negative integer", pos_exp)
+                e *= exp
+            if kind == "name":
+                exps[var] += e
+            elif kind == "int":
+                coef = coef * pow(val, e, p) % p if p else coef * val ** e
+            else:
+                power = {(0,) * n: one}
+                while e:
+                    if e & 1:
+                        power = _times(power, val, p)
+                    e >>= 1
+                    if e:
+                        val = _times(val, val, p)
+                poly = power if poly is None else _times(poly, power, p)
+            if tokens[i][0] != "*":
+                break
+            i += 1
+        if poly is None:
+            return ((tuple(exps), coef),)
+        return [(tuple(map(add, m, exps)), c * coef % p if p else c * coef) for m, c in poly.items()]
+
+    result = expr()
+    kind, _, pos = tokens[i]
     if kind != "end":
         raise ParseError("trailing input", pos)
-    return result
+    return Polynomial(ring, result)
 
 
 def format_polynomial(f):

@@ -348,6 +348,25 @@ def test_gorenstein_general_d_below_one_exits_1(capsys):
     assert "general rule needs d >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # each of these once exited 0
+    ("gorenstein --family general --n -3 --a 3 --d 1", "general rule needs n >= 1"),
+    ("cm-threshold --d 2 --n -4 --a2G -2", "cm-threshold needs n >= 1"),
+    ("cm-check --family ci --c 8 --e 2 --n -4 --d 3 --u 6", "complete-intersection criterion needs n >= 1"),
+    ("gorenstein --family polynomial-ring --n 3 --degrees 2,0", "polynomial-ring rule needs every degree >= 1"),
+    ("gorenstein --family ci --n 3 --degrees 2 --r 0", "complete-intersection rule needs r >= 1"),
+    ("cm-check --family scm --c 9 --e 1 --degrees 3,0,3 --n 3 --height 2",
+     "strongly-cm criterion needs every degree >= 1"),
+    ("cm-check --family equimultiple --c 5 --e 1 --d 0 --a-quotient 1", "equimultiple criterion needs d >= 1"),
+    ("quasi-gorenstein --a 3 --n -3", "quasi-gorenstein bounds needs n >= 1"),
+    # this one was refused already
+    ("gorenstein --family maxminors --m 0 --n 3", "need 1 <= m <= n"),
+])
+def test_closed_form_parameter_below_one_exits_1(capsys, argv, message):
+    assert main(["--no-cache", *argv.split()]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
 @pytest.mark.parametrize("height", ["0", "4"])
 def test_strongly_cm_height_outside_the_generators_exits_1(capsys, height):
     # --height 0 once gave verdict true

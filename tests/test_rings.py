@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -216,3 +217,167 @@ def test_monomials_of_degree_against_brute_force(degrees):
     for a in range(A + 1):
         for b in range(B + 1):
             assert ring.monomials_of_degree((a, b)) == expected.get((a, b), [])
+
+
+# ---------------------------------------------------------------------------
+# the parser against Polynomial arithmetic
+
+_EXPR, _TERM, _FACTOR, _BASE = range(4)
+
+
+def _random_tree(rng, depth):
+    """A random expression tree of variables, literals, +, -, unary minus, * and powers."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.55:
+            return ("var", rng.choice("xyz"))
+        num = rng.randint(0, 40)
+        return ("lit", num, rng.choice([None, None, rng.randint(1, 30), 7]))
+    kind = rng.choice(["add", "sub", "mul", "mul", "pow", "neg"])
+    if kind == "neg":
+        return ("neg", _random_tree(rng, depth - 1))
+    if kind == "pow":
+        return ("pow", _random_tree(rng, depth - 1), rng.randint(0, 3))
+    return (kind, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _render(tree, rng):
+    """(text, level): the text of tree with brackets only where the grammar needs them."""
+    def at(sub, level):
+        text, own = _render(sub, rng)
+        return text if own >= level else "(" + text + ")"
+
+    kind = tree[0]
+    if kind == "var":
+        return tree[1], _BASE
+    if kind == "lit":
+        return ("%d" % tree[1] if tree[2] is None else "%d/%d" % tree[1:]), _BASE
+    if kind == "neg":
+        return "-" + at(tree[1], _TERM), _EXPR
+    if kind == "pow":
+        # powers chain to the left: x^2^3 is (x^2)^3
+        base = at(tree[1], _FACTOR if tree[1][0] == "pow" else _BASE)
+        return "%s^%d" % (base, tree[2]), _FACTOR
+    if kind == "mul":
+        return at(tree[1], _TERM) + rng.choice(["*", " * "]) + at(tree[2], _FACTOR), _TERM
+    op = "+" if kind == "add" else "-"
+    return at(tree[1], _EXPR) + rng.choice([op, " %s " % op]) + at(tree[2], _TERM), _EXPR
+
+
+def _evaluate(tree, ring):
+    kind = tree[0]
+    if kind == "var":
+        return ring.variable(ring.names.index(tree[1]))
+    if kind == "lit":
+        return ring.constant(tree[1] if tree[2] is None else Fraction(tree[1], tree[2]))
+    if kind == "neg":
+        return -_evaluate(tree[1], ring)
+    if kind == "pow":
+        return _evaluate(tree[1], ring) ** tree[2]
+    a, b = _evaluate(tree[1], ring), _evaluate(tree[2], ring)
+    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ParseError, RingError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)], ids=repr)
+def test_parser_matches_polynomial_arithmetic(field):
+    ring = graded_ring(["x", "y", "z"], field=field)
+    rng = random.Random("parse:%r" % field)
+    for _ in range(300):
+        tree = _random_tree(rng, rng.randint(1, 5))
+        text = _render(tree, rng)[0]
+        if rng.random() < 0.2:
+            text = " " + text
+        assert _outcome(lambda: parse_polynomial(text, ring)) == _outcome(lambda: _evaluate(tree, ring)), text
+
+
+# (text, characteristic, error type, message), as reported by the earlier
+# parser, which evaluated every factor with Polynomial arithmetic
+MALFORMED = [
+    ("", 0, ParseError, "unexpected token (at position 0)"),
+    ("+", 0, ParseError, "unexpected token (at position 1)"),
+    ("-", 0, ParseError, "unexpected token (at position 1)"),
+    ("x +", 0, ParseError, "unexpected token (at position 3)"),
+    ("x + * y", 0, ParseError, "unexpected token (at position 4)"),
+    ("*x", 0, ParseError, "unexpected token (at position 0)"),
+    ("x*-y", 0, ParseError, "unexpected token (at position 2)"),
+    ("--x", 0, ParseError, "unexpected token (at position 1)"),
+    (")", 0, ParseError, "unexpected token (at position 0)"),
+    ("()", 0, ParseError, "unexpected token (at position 1)"),
+    ("x y", 0, ParseError, "trailing input (at position 2)"),
+    ("x)", 0, ParseError, "trailing input (at position 1)"),
+    ("(x + y", 0, ParseError, "expected ')' (at position 6)"),
+    ("(x + y))", 0, ParseError, "trailing input (at position 7)"),
+    ("((x)", 0, ParseError, "expected ')' (at position 4)"),
+    ("x ", 0, ParseError, "unexpected character ' ' (at position 1)"),
+    ("x\t", 0, ParseError, "unexpected character '\\t' (at position 1)"),
+    ("%x", 0, ParseError, "unexpected character '%' (at position 0)"),
+    ("x+$", 0, ParseError, "unexpected character '$' (at position 2)"),
+    ("x.y", 0, ParseError, "unexpected character '.' (at position 1)"),
+    ("x**2", 0, ParseError, "unexpected token (at position 2)"),
+    ("2^2/3", 0, ParseError, "trailing input (at position 3)"),
+    ("x/2", 0, ParseError, "trailing input (at position 1)"),
+    ("1/", 0, ParseError, "malformed rational literal (at position 2)"),
+    ("1/0", 0, ParseError, "malformed rational literal (at position 2)"),
+    ("1/x", 0, ParseError, "malformed rational literal (at position 2)"),
+    ("3/(2)", 0, ParseError, "malformed rational literal (at position 2)"),
+    ("1/-2", 0, ParseError, "malformed rational literal (at position 2)"),
+    ("x^", 0, ParseError, "exponent must be a non-negative integer (at position 2)"),
+    ("x^-1", 0, ParseError, "exponent must be a non-negative integer (at position 2)"),
+    ("x^y", 0, ParseError, "exponent must be a non-negative integer (at position 2)"),
+    ("x^(2)", 0, ParseError, "exponent must be a non-negative integer (at position 2)"),
+    ("x^2^", 0, ParseError, "exponent must be a non-negative integer (at position 4)"),
+    ("w", 0, ParseError, "unknown variable 'w' (at position 0)"),
+    ("x*Y", 0, ParseError, "unknown variable 'Y' (at position 2)"),
+    ("(x + q)^2", 0, ParseError, "unknown variable 'q' (at position 5)"),
+    ("2 3", 0, ParseError, "trailing input (at position 2)"),
+    ("x^2 3", 0, ParseError, "trailing input (at position 4)"),
+    ("0*1/7", 7, RingError, "denominator divisible by 7"),
+    ("1/14", 7, RingError, "denominator divisible by 7"),
+    ("x + 5/21*y", 7, RingError, "denominator divisible by 7"),
+    ("(y - 1/7)^0", 7, RingError, "denominator divisible by 7"),
+    ("1/32003", 32003, RingError, "denominator divisible by 32003"),
+    ("x + 1/7", 7, RingError, "denominator divisible by 7"),
+    ("2/0", 7, ParseError, "malformed rational literal (at position 2)"),
+]
+
+
+@pytest.mark.parametrize("text, p, error, message", MALFORMED)
+def test_malformed_input_keeps_its_error(text, p, error, message):
+    ring = graded_ring(["x", "y", "z"], field=PrimeField(p) if p else QQ)
+    with pytest.raises(error) as exc:
+        parse_polynomial(text, ring)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, bad, position", [
+    ("x $ y", "$", 2),
+    ("x  \t%", "%", 4),
+    ("x + y .", ".", 6),
+])
+def test_parse_names_the_bad_character_after_blanks(text, bad, position):
+    # the tokenizer once named the blank before the bad character
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, graded_ring(["x", "y"]))
+    assert str(exc.value) == "unexpected character %r (at position %d)" % (bad, position)
+    assert exc.value.position == position
+
+
+def test_literals_are_coerced_as_they_are_read():
+    F7 = graded_ring(["x"], field=PrimeField(7))
+    # the zero factor does not excuse the literal 1/7
+    with pytest.raises(RingError, match="denominator divisible by 7"):
+        parse_polynomial("0*1/7", F7)
+    assert parse_polynomial("7/14*x", F7) == parse_polynomial("4*x", F7)
+
+
+def test_a_literal_power_is_reduced_mod_p():
+    F = graded_ring(["x"], field=PrimeField(32003))
+    f = parse_polynomial("3^1000000*x", F)
+    assert f.terms == (((1,), pow(3, 1000000, 32003)),)
+    assert parse_polynomial("0^0 + (x)^1000000000", F).terms == (((1000000000,), 1), ((0,), 1))

@@ -23,14 +23,14 @@ ideal: X1*X4 - X2*X3; X2^2 - X1*X3; X3^2 - X2*X4
 """
 
 # Runs `reeslab` with the given arguments, then prints the exit code and the
-# reeslab submodules, `dataclasses` and `fractions` if loaded by the time the
-# command returned.
+# reeslab submodules, `dataclasses`, `fractions` and `inspect` if loaded by the
+# time the command returned.
 RUN_AND_LIST_MODULES = """\
 import contextlib, io, sys
 from reeslab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.") or m in ("dataclasses", "fractions")))
+print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.") or m in ("dataclasses", "fractions", "inspect")))
 """
 
 # `sorted(reeslab.__all__)` before `import reeslab` became lazy, and `initial_monomials`, added since.
@@ -79,6 +79,21 @@ def test_startup_imports_only_what_the_command_runs(tmp_path):
     assert "reeslab.hilbert" in loaded
     for layer in ("betti", "ginreg", "asymptotics", "diagonals"):
         assert "reeslab." + layer not in loaded
+
+
+def test_no_layer_imports_dataclasses_or_inspect(tmp_path):
+    layers = sorted(f[:-3] for f in os.listdir(os.path.join(SRC, "reeslab")) if f.endswith(".py"))
+    assert "rings" in layers and "cli" in layers
+    code = "import sys\n" + "".join("import reeslab.%s\n" % m for m in layers if m != "__init__") + (
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules], 'done')")
+    assert loaded_after(tmp_path, code) == ["done"]
+
+    cubic = tmp_path / "twisted-cubic.ring"
+    cubic.write_text(TWISTED_CUBIC)
+    code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "hs", str(cubic))
+    assert code == "0"
+    assert "reeslab.hilbert" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_cache_hit_builds_no_algebra(tmp_path):
