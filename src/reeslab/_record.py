@@ -30,7 +30,8 @@ def record(cls):
     A method the class defines itself is kept. A class that defines
     ``__eq__`` but not ``__hash__`` still gets the field hash.
     """
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    # the type's own annotations (3.10 on), also where they are evaluated lazily
+    names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     width = len(names)

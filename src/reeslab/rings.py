@@ -597,35 +597,19 @@ def _tokenize(text):
     return out
 
 
-@lru_cache(maxsize=16)
-def _variable_index(names):
-    return {name: i for i, name in enumerate(names)}
-
-
-def _times(f, g, p):
-    """Product of two {monomial: coefficient} dicts, coefficients reduced mod p when p > 0."""
-    acc = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(map(add, m1, m2))
-            v = acc.get(m, 0) + c1 * c2
-            acc[m] = v % p if p else v
-    return {m: c for m, c in acc.items() if c}
-
-
 def parse_polynomial(text, ring):
     """Parse a polynomial in the variables of ring.
 
     The grammar is expr = [+|-] term {(+|-) term}, term = factor {* factor},
     factor = base {^ int} and base = int [/ int] | name | ( expr ). A term
     stays a coefficient and an exponent list while its factors are variables
-    and literals; a bracketed factor is a {monomial: coefficient} dict.
+    and literals; a bracketed factor makes it a Polynomial.
     Literals are coerced into the field as they are read.
     """
     tokens = _tokenize(text)
     field = ring.field
     p, coerce, one = field.char, field.coerce, field.one
-    index = _variable_index(ring.names)
+    index = {name: k for k, name in enumerate(ring.names)}
     n = len(index)
     i = 0
 
@@ -670,7 +654,7 @@ def parse_polynomial(text, ring):
                     val = Fraction(val, den)
                 val = coerce(val)
             elif kind == "(":
-                val = {m: c for m, c in expr().items() if c}
+                val = Polynomial(ring, expr())
                 if tokens[i][0] != ")":
                     raise ParseError("expected ')'", tokens[i][2])
                 i += 1
@@ -688,20 +672,14 @@ def parse_polynomial(text, ring):
             elif kind == "int":
                 coef = coef * pow(val, e, p) % p if p else coef * val ** e
             else:
-                power = {(0,) * n: one}
-                while e:
-                    if e & 1:
-                        power = _times(power, val, p)
-                    e >>= 1
-                    if e:
-                        val = _times(val, val, p)
-                poly = power if poly is None else _times(poly, power, p)
+                power = val ** e
+                poly = power if poly is None else poly * power
             if tokens[i][0] != "*":
                 break
             i += 1
         if poly is None:
             return ((tuple(exps), coef),)
-        return [(tuple(map(add, m, exps)), c * coef % p if p else c * coef) for m, c in poly.items()]
+        return [(tuple(map(add, m, exps)), c * coef % p if p else c * coef) for m, c in poly.terms]
 
     result = expr()
     kind, _, pos = tokens[i]
