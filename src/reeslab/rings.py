@@ -582,8 +582,8 @@ def _tokenize(text):
         m = match(text, pos)
         if m is None:
             bad = _BLANKS.match(text, pos).end()
-            if bad == end:  # only blanks are left: the first one is what cannot follow
-                bad = pos
+            if bad == end:  # only blanks are left: the input ends where they start
+                break
             raise ParseError("unexpected character %r" % text[bad], bad)
         group = m.lastindex
         if group == 1:
@@ -593,7 +593,7 @@ def _tokenize(text):
         else:
             out.append((m.group(3), m.group(3), m.start(3)))
         pos = m.end()
-    out.append(("end", None, end))
+    out.append(("end", None, pos))
     return out
 
 

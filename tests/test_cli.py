@@ -213,6 +213,8 @@ def test_gorenstein_general_missing_a_exits_2(capsys):
     ("cm-check --family scm --c 9 --e 1 --degrees 3,3,3 --n 3", ["height"]),
     # --d and --n may come from a problem file, so argparse no longer requires them
     ("cm-threshold --a2G -2", ["d", "n"]),
+    ("quasi-gorenstein --n 3", ["a"]),
+    ("quasi-gorenstein", ["a", "n"]),
 ])
 def test_closed_form_family_without_a_parameter_exits_2(capsys, argv, missing):
     # each of these once printed a Python traceback and exited 1
@@ -238,6 +240,83 @@ def test_malformed_degrees_exit_2_with_the_usage_message(capsys, argv):
         main(["--no-cache", *argv.split()])
     assert exc.value.code == 2
     assert "argument --degrees: expected comma-separated integers" in capsys.readouterr().err
+
+
+COMMANDS = ("{gb,hs,hp,powers,fit-hp,fit-hs,mixed-mult,betti,reg,rees,diag,gorenstein,quasi-gorenstein,"
+            "cm-check,cm-threshold,gin,borel,bayer-stillman}")
+USAGE = "usage: reeslab [-h] [--format {json,text}] [--no-cache]\n               %s\n               ...\n" % COMMANDS
+HS_USAGE = "usage: reeslab hs [-h] [--power POWER] [--module {ideal,quotient}] problem\n"
+DIAG_ERROR = ("usage: reeslab diag [-h] --c C --e E [--s-max S_MAX] problem\n"
+              "reeslab diag: error: the following arguments are required: --c, --e\n")
+
+# argv -> (exit code, stdout, stderr) of the parser with one subparser per command, at 80 columns
+PARSE_EXITS = {
+    "": (2, "", USAGE + "reeslab: error: the following arguments are required: command\n"),
+    "bogus": (2, "", USAGE + "reeslab: error: argument command: invalid choice: 'bogus' (choose from %s)\n"
+              % ", ".join(repr(c) for c in COMMANDS[1:-1].split(","))),
+    "hs --bogus f.ring": (2, "", USAGE + "reeslab: error: unrecognized arguments: --bogus\n"),
+    "--bogus hs f.ring --x": (2, "", USAGE + "reeslab: error: unrecognized arguments: --bogus --x\n"),
+    "diag f.ring": (2, "", DIAG_ERROR),
+    "--bogus diag f.ring": (2, "", DIAG_ERROR),
+    "hs": (2, "", HS_USAGE + "reeslab hs: error: the following arguments are required: problem\n"),
+    "gorenstein --family ci --degrees 2,x --n 3": (2, "", (
+        "usage: reeslab gorenstein [-h] [--n N] [--r R] [--degrees DEGREES] [--m M]\n"
+        "                          [--a A] [--d D] [--height HEIGHT] --family\n"
+        "                          {ci,complete-intersection,maxminors,polynomial-ring,general}\n"
+        "                          [--dim-zero]\n"
+        "                          [problem]\n"
+        "reeslab gorenstein: error: argument --degrees: expected comma-separated integers, got '2,x'\n")),
+    "-h": (0, USAGE + (
+        "\nExact Hilbert data, Rees presentations, Betti tables and diagonal criteria.\n\n"
+        "positional arguments:\n  %s\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}\n"
+        "  --no-cache\n") % COMMANDS, ""),
+    "hs -h": (0, HS_USAGE + (
+        "\npositional arguments:\n"
+        "  problem               problem file (ring + ideal)\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --power POWER\n"
+        "  --module {ideal,quotient}\n"), ""),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSE_EXITS))
+def test_argument_errors_and_help_are_those_of_one_subparser_per_command(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == PARSE_EXITS[argv]
+
+
+def test_a_command_builds_two_parsers(capsys, monkeypatch):
+    # one parser for the options and the command, one for that command's arguments;
+    # one subparser per command once made 19
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["--no-cache", "quasi-gorenstein", "--a", "3", "--n", "3"]) == 0
+    assert built == ["reeslab", "reeslab quasi-gorenstein"]
+
+
+def test_quasi_gorenstein_reads_n_from_the_problem_file(capsys, tmp_path):
+    # the file was once accepted and ignored, and --n was required
+    unequal = os.path.join(DEMOS, "unequal-degrees.ring")  # three variables
+    code, from_file = closed_form(capsys, tmp_path, "quasi-gorenstein --a 3 " + unequal)
+    assert (code, from_file) == (0, closed_form(capsys, tmp_path, "quasi-gorenstein --a 3 --n 3")[1])
+    text = TWISTED_CUBIC.replace("family: scm a2G=-2", "family: a=3")
+    assert closed_form(capsys, tmp_path, "quasi-gorenstein", text)[1] == \
+        closed_form(capsys, tmp_path, "quasi-gorenstein --a 3 --n 4")[1]
 
 
 # A complete intersection of height 2 in four variables, with generator degrees 2 and 3.

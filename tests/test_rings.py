@@ -314,8 +314,6 @@ MALFORMED = [
     ("(x + y", 0, ParseError, "expected ')' (at position 6)"),
     ("(x + y))", 0, ParseError, "trailing input (at position 7)"),
     ("((x)", 0, ParseError, "expected ')' (at position 4)"),
-    ("x ", 0, ParseError, "unexpected character ' ' (at position 1)"),
-    ("x\t", 0, ParseError, "unexpected character '\\t' (at position 1)"),
     ("%x", 0, ParseError, "unexpected character '%' (at position 0)"),
     ("x+$", 0, ParseError, "unexpected character '$' (at position 2)"),
     ("x.y", 0, ParseError, "unexpected character '.' (at position 1)"),
@@ -365,6 +363,20 @@ def test_parse_names_the_bad_character_after_blanks(text, bad, position):
     with pytest.raises(ParseError) as exc:
         parse_polynomial(text, graded_ring(["x", "y"]))
     assert str(exc.value) == "unexpected character %r (at position %d)" % (bad, position)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text", ["x ", "x\t", " x*y \t ", "(x + y)^2  "])
+def test_trailing_blanks_end_the_input(text):
+    # "x " and "x\t" once raised "unexpected character" at the first trailing blank
+    ring = graded_ring(["x", "y"])
+    assert parse_polynomial(text, ring) == parse_polynomial(text.strip(), ring)
+
+
+@pytest.mark.parametrize("text, position", [("", 0), ("  \t", 0), ("x +  ", 3), ("(x + y  ", 6)])
+def test_input_ending_in_blanks_reports_where_the_blanks_start(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, graded_ring(["x", "y"]))
     assert exc.value.position == position
 
 

@@ -5,6 +5,8 @@ and how errors from layers it has not loaded are reported, is observable only
 in a new process.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -63,6 +65,7 @@ def loaded_after(tmp_path, code, *args):
 def test_startup_imports_only_what_the_command_runs(tmp_path):
     listing = "import sys; print(*sorted(m for m in sys.modules if m.startswith('reeslab.')))"
     assert loaded_after(tmp_path, "import reeslab; " + listing) == []
+    # the front end does not load the handlers, reeslab.commands
     assert loaded_after(tmp_path, "import reeslab.cli; " + listing) == ["reeslab.cache", "reeslab.cli"]
 
     code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "--no-cache", "quasi-gorenstein",
@@ -106,6 +109,96 @@ def test_cache_hit_builds_no_algebra(tmp_path):
     code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "hs", str(cubic))
     assert code == "0"
     assert loaded == ["reeslab.cache", "reeslab.cli", "reeslab.problemfile"]
+
+
+# The commands of the benchmark's cli workload (perfbench/corpus.py, cli_commands), with the
+# seeds of one run; {problem} is a problem file, here the twisted cubic.
+CLI_WORKLOAD = [
+    "hs --power 2 {problem}",
+    "rees {problem}",
+    "betti --power 2 {problem}",
+    "reg {problem}",
+    "fit-hp --max-power 3 --predict 4 {problem}",
+    "fit-hs --max-power 2 --predict 3 {problem}",
+    "mixed-mult --max-power 3 {problem}",
+    "diag --c 5 --e 2 {problem}",
+    "gin {problem} --seed 123",
+    "bayer-stillman --first-degree 2 {problem} --seed 456",
+    "gorenstein --family maxminors --m 2 --n 3",
+    "quasi-gorenstein --a 3 --n 3",
+    "cm-check --family ci --c 8 --e 2 --d 3 --u 6 --n 2",
+    "cm-threshold --d 2 --n 4 --a2G -2",
+]
+
+# vars(args) of each workload command and of three that take every default, as the
+# parser with one subparser per command gave them; the cache key is read off these.
+_TOP = {"format": "json", "no_cache": False}
+_FILE = dict(_TOP, problem="{problem}")
+PARSED = {
+    "hs --power 2 {problem}": dict(_FILE, command="hs", power=2, module="ideal"),
+    "rees {problem}": dict(_FILE, command="rees"),
+    "betti --power 2 {problem}": dict(_FILE, command="betti", power=2, degree_cap=None, module="ideal"),
+    "reg {problem}": dict(_FILE, command="reg", power=1, degree_cap=None),
+    "fit-hp --max-power 3 --predict 4 {problem}": dict(_FILE, command="fit-hp", max_power=3, predict=4),
+    "fit-hs --max-power 2 --predict 3 {problem}": dict(_FILE, command="fit-hs", max_power=2, predict=3),
+    "mixed-mult --max-power 3 {problem}": dict(_FILE, command="mixed-mult", max_power=3),
+    "diag --c 5 --e 2 {problem}": dict(_FILE, command="diag", c=5, e=2, s_max=6),
+    "gin {problem} --seed 123": dict(_FILE, command="gin", trials=3, seed=123),
+    "bayer-stillman --first-degree 2 {problem} --seed 456":
+        dict(_FILE, command="bayer-stillman", first_degree=2, q_max=None, seed=456),
+    "gorenstein --family maxminors --m 2 --n 3":
+        dict(_TOP, command="gorenstein", problem=None, n=3, r=None, degrees=None, m=2, a=None, d=None,
+             height=None, family="maxminors", dim_zero=False),
+    "quasi-gorenstein --a 3 --n 3": dict(_TOP, command="quasi-gorenstein", problem=None, a=3, n=3, dim_zero=False),
+    "cm-check --family ci --c 8 --e 2 --d 3 --u 6 --n 2":
+        dict(_TOP, command="cm-check", problem=None, d=3, u=6, n=2, height=None, a_quotient=None, degrees=None,
+             family="ci", c=8, e=2),
+    "cm-threshold --d 2 --n 4 --a2G -2": dict(_TOP, command="cm-threshold", problem=None, d=2, n=4, a2G=-2, a1=None),
+    "hs {problem}": dict(_FILE, command="hs", power=1, module="ideal"),
+    "betti {problem}": dict(_FILE, command="betti", power=1, degree_cap=None, module="ideal"),
+    "gin {problem}": dict(_FILE, command="gin", trials=3, seed=0),
+    "--format text --no-cache hs {problem}": dict(_FILE, format="text", no_cache=True, command="hs", power=1,
+                                                  module="ideal"),
+}
+
+
+def test_parsed_arguments_are_those_of_one_subparser_per_command():
+    from reeslab.cli import _parse_args
+
+    assert set(CLI_WORKLOAD) < set(PARSED)
+    for line, expected in PARSED.items():
+        assert vars(_parse_args(line.split())) == expected, line
+
+
+def test_a_cache_hit_of_each_workload_command_loads_only_the_front_end(tmp_path, monkeypatch):
+    cubic = tmp_path / "twisted-cubic.ring"
+    cubic.write_text(TWISTED_CUBIC)
+    monkeypatch.setenv("REESLAB_CACHE", str(tmp_path / "cache"))
+    from reeslab.cli import main
+
+    argvs = [line.format(problem=cubic).split() for line in CLI_WORKLOAD]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv  # the miss, in this process
+    assert len(list((tmp_path / "cache").glob("*.json"))) == len(CLI_WORKLOAD)
+    for line, argv in zip(CLI_WORKLOAD, argvs):
+        # -S skips the site module and what its .pth files import; reeslab comes from PYTHONPATH
+        hit = fresh_python(tmp_path, "-S", "-c", RUN_AND_LIST_MODULES, *argv)
+        code, *loaded = hit.stdout.split()
+        assert code == "0", (line, hit.stderr)
+        front_end = ["reeslab.cache", "reeslab.cli"] + (["reeslab.problemfile"] if "{problem}" in line else [])
+        assert [m for m in loaded if m.startswith("reeslab.")] == front_end, line
+
+
+def test_a_miss_under_python_m_imports_the_front_end_once(tmp_path):
+    # under -m the front end runs as __main__; importing reeslab.cli as well would compile it twice
+    cubic = tmp_path / "twisted-cubic.ring"
+    cubic.write_text(TWISTED_CUBIC)
+    proc = fresh_python(tmp_path, "-X", "importtime", "-m", "reeslab.cli", "hs", str(cubic))
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "reeslab.commands" in imported and "reeslab.hilbert" in imported
+    assert "reeslab.cli" not in imported
 
 
 def test_public_surface_is_unchanged():
