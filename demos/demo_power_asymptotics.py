@@ -22,6 +22,7 @@ from reeslab.asymptotics import (
     stable_projdim,
 )
 from reeslab.betti import graded_betti_table
+from reeslab.rees import rees_presentation
 
 A = graded_ring(["X1", "X2", "X3", "X4"])
 I = Ideal(A, [parse_polynomial(s, A) for s in
@@ -33,13 +34,13 @@ for j in (1, 2, 3, 5):
     samples[j] = hilbert_polynomial(hilbert_series_ideal(ideal_power(I, j), "quotient"))
     print("    j=%d:  %s" % (j, qp.format_poly(samples[j].coeffs, "s")))
 
-family = fit_hilbert_polynomials(samples, 4, 2)
+family = fit_hilbert_polynomials(samples)
 print("\ninterpolated coefficient polynomials (integer-valued):")
 for i, poly in enumerate(family.polys):
     print("    e_%d(j) = %s" % (i, qp.format_poly(poly)))
 print("predicted P_{A/I^4} =", qp.format_poly(family.hilbert_polynomial(4).coeffs, "s"))
 
-mm = mixed_multiplicities(family, d=2, l=3)
+mm = mixed_multiplicities(rees_presentation(I))
 print("\nmixed multiplicities: e_i(R) =", mm.rees, " total", mm.rees_total)
 print("                      e_i(G) =", mm.form, " total", mm.form_total)
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
 
 from . import _qpoly as qp
 from ._record import record
-from .hilbert import HilbertPolynomial, HilbertSeriesRational
+from .hilbert import HilbertPolynomial, HilbertSeriesRational, bigraded_hilbert_polynomial
 
 
 class FitError(ValueError):
@@ -41,16 +40,6 @@ class PowerPolynomialFamily:
             poly = qp.add(poly, qp.scale(qp.binomial_in_x(k, k), sign * e))
         return HilbertPolynomial(poly, 0, n)
 
-    def leading_coefficients(self):
-        """lambda_{n-k-1}: binomial-basis leading coefficient of e_{n-h-1-k}."""
-        out = {}
-        for i, poly in enumerate(self.polys):
-            # e_i has degree <= h + i; lambda index is h + i
-            k = self.h + i
-            padded = tuple(poly) + (Fraction(0),) * max(0, k + 1 - len(poly))
-            out[k] = padded[k] * factorial(k)
-        return out
-
     def to_json(self):
         return {
             "e": [[str(c) for c in poly] for poly in self.polys],
@@ -61,14 +50,20 @@ class PowerPolynomialFamily:
         }
 
 
-def fit_hilbert_polynomials(samples, n, h):
+def fit_hilbert_polynomials(samples):
     """Fit the power family from Hilbert polynomials of A/I^j.
 
     ``samples`` maps j >= 1 to HilbertPolynomial, at powers where the family
-    holds. No point is added at j = 0, where it need not hold. Each e_i is
-    interpolated on its minimal point count and verified on every remaining
-    sample; the threshold is one below the least sampled power.
+    holds. No point is added at j = 0, where it need not hold. n is each
+    sample's dimension_hint and h = n - 1 - deg P_{A/I^j}; samples that
+    disagree on either raise. Each e_i is interpolated on its minimal point
+    count and verified on every remaining sample; the threshold is one below
+    the least sampled power.
     """
+    shapes = {(p.dimension_hint, p.dimension_hint - 1 - p.degree) for p in samples.values()}
+    if len(shapes) != 1:
+        raise FitError("need samples that agree on (n, h), got %s" % sorted(shapes))
+    (n, h), = shapes
     if h >= n:
         raise FitError("height n case has zero-dimensional quotients; no family")
     count = n - h
@@ -113,7 +108,7 @@ def _fit_and_check(keys, value, js, count, failure):
 
 @record
 class MixedMultiplicities:
-    """e_i(R), e_i(G) and totals, from the leading coefficients of the family."""
+    """e_i(R) for i < n and e_i(G) for i < n - 1, and their totals."""
 
     rees: tuple
     form: tuple
@@ -126,49 +121,42 @@ class MixedMultiplicities:
     def form_total(self):
         return sum(self.form)
 
+    @property
+    def height(self):
+        """h, from the last nonzero e_i(G), which is e_(n-h-1)(G)."""
+        return len(self.form) - max(i for i, e in enumerate(self.form) if e)
+
     def to_json(self):
         return {
-            "e_R": [int(x) for x in self.rees],
-            "e_G": [int(x) for x in self.form],
-            "e_R_total": int(self.rees_total),
-            "e_G_total": int(self.form_total),
+            "e_R": list(self.rees),
+            "e_G": list(self.form),
+            "e_R_total": self.rees_total,
+            "e_G_total": self.form_total,
         }
 
 
-def mixed_multiplicities(family, d, l):
-    """Closed formulas from the leading coefficients (equigenerated, not primary)."""
-    n, h = family.n, family.h
-    if h >= n:
+def mixed_multiplicities(P):
+    """The mixed multiplicities of R = R(I) and of its form ring G, read off H_R.
+
+    P presents R for an ideal I generated in one degree d of a polynomial ring
+    in n variables. R's bigraded Hilbert polynomial has total degree n - 1 in
+    u = s - d*j and j, and its top-degree coefficients on binom(u, k) binom(j, l)
+    are e_i(R) = c_(i, n-1-i) (Herrmann-Hyry-Ribbe-Tang, J. Algebra 197, 1997).
+    Then e_i(G) = d e_(i+1)(R) - e_i(R). For I of height h < n, e_(n-h-1)(G) is
+    h! times the leading coefficient of e(A/I^j) as a polynomial in j, so it is
+    positive, and every later e_i(G) is 0. An m-primary I has e_i(R) = d^(n-1-i),
+    so every e_i(G) is 0; it is refused.
+    """
+    if not P.equigenerated:
+        raise FitError("mixed multiplicities need an equigenerated ideal")
+    P.check_t_slices()
+    c = dict(bigraded_hilbert_polynomial(P.series()).coeffs)
+    n, d = P.x_count, P.max_degree
+    rees = tuple(c.get((i, n - 1 - i), 0) for i in range(n))
+    form = tuple(d * rees[i + 1] - rees[i] for i in range(n - 1))
+    if not any(form):
         raise FitError("maximal-height (primary) ideals have an irrelevant diagonal cone")
-    lam = family.leading_coefficients()
-    rees = []
-    for i in range(n):
-        if i <= n - l - 1:
-            rees.append(Fraction(0))
-        elif i >= n - h:
-            rees.append(Fraction(d ** (n - 1 - i)))
-        else:
-            acc = Fraction(d ** (n - 1 - i))
-            for k in range(i, n - h):
-                sign = 1 if (n - h - 1 - k) % 2 == 0 else -1
-                acc -= sign * lam[n - k - 1] * (d ** (k - i)) * comb(n - 1 - i, k - i)
-            rees.append(acc)
-    form = []
-    for i in range(n - 1):
-        if i >= n - h or i <= n - l - 2:
-            form.append(Fraction(0))
-        else:
-            acc = Fraction(0)
-            for k in range(i, n - h):
-                sign = 1 if (n - h - 1 - k) % 2 == 0 else -1
-                acc += sign * lam[n - k - 1] * (d ** (k - i)) * comb(n - 2 - i, k - i)
-            form.append(acc)
-    for i in range(n - 1):
-        if form[i] != d * rees[i + 1] - rees[i]:
-            raise FitError("mixed multiplicities violate the transfer identity at i=%d" % i)
-    if any(x < 0 for x in rees) or any(x < 0 for x in form):
-        raise FitError("negative mixed multiplicity: wrong l or h supplied")
-    return MixedMultiplicities(tuple(rees), tuple(form))
+    return MixedMultiplicities(rees, form)
 
 
 # ---------------------------------------------------------------------------

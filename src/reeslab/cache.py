@@ -7,7 +7,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 ENV_VAR = "REESLAB_CACHE"
 DEFAULT_DIR = ".reeslab-cache"
@@ -58,6 +57,7 @@ def cache_lookup_store(key, producer, enabled=True, directory=None):
         except (json.JSONDecodeError, OSError) as exc:
             print("warning: corrupt cache entry %s (%s); recomputing" % (path, exc), file=sys.stderr)
     value = producer()
+    import tempfile  # here, so that a hit loads no tempfile (nor its shutil and random)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

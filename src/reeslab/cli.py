@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -110,9 +111,26 @@ _COMMANDS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at `shutil.get_terminal_size`'s width, read without importing shutil:
+    argparse's own lookup imports it, with bz2 and lzma, for every argument a parser adds."""
+
+    def __init__(self, prog):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                pass
+        super().__init__(prog, width=(columns if columns > 0 else 80) - 2)
+
+
 def _command_parser(command):
     """The parser of one command's arguments, as `reeslab <command>`."""
-    parser = argparse.ArgumentParser(prog="reeslab " + command)
+    parser = argparse.ArgumentParser(prog="reeslab " + command, formatter_class=_HelpFormatter)
     if command in _FAMILIES:
         parser.add_argument("problem", nargs="?", default=None)
         for param in dict.fromkeys(x for _, reads, _ in _FAMILIES[command].values() for x in reads):
@@ -129,6 +147,7 @@ def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="reeslab",
         description="Exact Hilbert data, Rees presentations, Betti tables and diagonal criteria.",
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--no-cache", action="store_true")

@@ -121,35 +121,27 @@ def _cmd_powers(args, problem):
     return ({"powers": out}, ["degreewise-minimal-generators"], [])
 
 
-def _power_quotients(problem):
-    """P, the height h of I, the Hilbert polynomials of A/I^j at the n powers from j0, and j -> that polynomial.
+def _cmd_fit_hp(args, problem):
+    """The family fitted to the Hilbert polynomials of A/I^j at the n powers from j0.
 
     Each H_{A/I^j} = H_A - H_{I^j} is a t-slice of the one Rees series. Its bigraded
     Hilbert polynomial is exact from j0 on, so there the e_i are polynomials of degree < n.
     """
-    from .hilbert import bigraded_hilbert_polynomial, dim_mult, hilbert_polynomial, hilbert_series_ring
+    from .asymptotics import fit_hilbert_polynomials
+    from .hilbert import bigraded_hilbert_polynomial, hilbert_polynomial, hilbert_series_ring
     from .rees import rees_presentation
 
     P = rees_presentation(problem.ideal)
     H_A = hilbert_series_ring(problem.ring)
-    n = problem.ring.nvars
-    h = n - dim_mult(H_A - P.power_series(1)).dimension
 
     def quotient_hp(j):
         return hilbert_polynomial(H_A - P.power_series(j))
 
     j0 = max(1, bigraded_hilbert_polynomial(P.series()).origin[1])
-    return P, h, {j: quotient_hp(j) for j in range(j0, j0 + n)}, quotient_hp
-
-
-def _cmd_fit_hp(args, problem):
-    from .asymptotics import fit_hilbert_polynomials
-
-    _, h, samples, quotient_hp = _power_quotients(problem)
-    family = fit_hilbert_polynomials(samples, problem.ring.nvars, h)
+    family = fit_hilbert_polynomials({j: quotient_hp(j) for j in range(j0, j0 + problem.ring.nvars)})
     payload = family.to_json()
-    payload["height"] = h
-    if args.predict:
+    payload["height"] = family.h
+    if args.predict is not None:
         hp = quotient_hp(args.predict)
         payload["predicted"] = {"power": args.predict, "coefficients": [str(c) for c in hp.coeffs]}
     return (payload, ["power-family-interpolation"], [])
@@ -177,26 +169,20 @@ def _cmd_fit_hs(args, problem):
         for (a, b), c in P.series().num:
             slices.setdefault(b, {})[str(a)] = c
         payload = {"slices": [[j, num] for j, num in sorted(slices.items())], "degrees": list(P.degrees)}
-        route = "general-recurrence-window"
-    if args.predict:
+        route = "general-rees-t-slices"
+    if args.predict is not None:
         payload["predicted"] = {"power": args.predict, "series": P.power_series(args.predict).to_json()}
     return (payload, [route], [])
 
 
 def _cmd_mixed_mult(args, problem):
-    from .asymptotics import FitError, fit_hilbert_polynomials, mixed_multiplicities
-    from .rees import fiber_cone
+    from .asymptotics import mixed_multiplicities
+    from .rees import fiber_cone, rees_presentation
 
-    P, h, samples, _ = _power_quotients(problem)
-    degs = {g.multidegree()[0] for g in problem.ideal.gens}
-    if len(degs) != 1:
-        raise FitError("mixed multiplicities need an equigenerated ideal")
-    d = degs.pop()
-    l = fiber_cone(P).spread
-    family = fit_hilbert_polynomials(samples, problem.ring.nvars, h)
-    mm = mixed_multiplicities(family, d, l)
+    P = rees_presentation(problem.ideal)
+    mm = mixed_multiplicities(P)
     payload = mm.to_json()
-    payload.update({"d": d, "l": l, "h": h})
+    payload.update({"d": P.max_degree, "l": fiber_cone(P).spread, "h": mm.height})
     return (payload, ["mixed-multiplicity-transfer"], ["not primary to the irrelevant ideal"])
 
 

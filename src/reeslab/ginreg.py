@@ -113,6 +113,8 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
     """
     if I.ring.field.char != 0:
         raise GinError("generic initial ideals are computed over Q only")
+    if trials < 1:
+        raise GinError("need at least one trial, got %d" % trials)
     if not I.is_homogeneous():
         raise GinError("ideal must be homogeneous")
     order = order or I.ring.order
@@ -286,6 +288,8 @@ def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
         qmax = max((g.multidegree()[1] for g in I.gens), default=0)
         q_window = (0, qmax + sum(1 for d in ring.degrees if d[1] > 0) + 1)
     qs = range(q_window[0], q_window[1] + 1)
+    if not qs:
+        raise GinError("empty q-window %r: no q to certify" % (tuple(q_window),))
     rng = random.Random(seed)
     J = I
     H = hilbert_series_ideal(J)

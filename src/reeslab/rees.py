@@ -79,6 +79,8 @@ class ReesPresentation:
 
     def power_series(self, j):
         """H_{I^j}, the t-slice of H_R, over the base ring's own factors (1-s^a) of its denominator."""
+        if j < 0:
+            raise ReesError("no power I^%d: the exponent must be >= 0" % j)
         self.check_t_slices()
         num = _t_slice(self.degrees, ((b, {a: c}) for (a, b), c in self.series().num), j)
         return HilbertSeriesRational.make({(a, 0): c for a, c in num.items()}, self.base_ring.degrees)

@@ -72,7 +72,7 @@ def test_criterion_02_bigraded_rees_series(twisted_cubic_rees):
     _report(2, 30, t0, "bigraded Rees series (1-2s^3t+s^6t^2)/((1-s)^4(1-s^2t)^3)")
 
 
-def test_criterion_03_power_polynomial_family(twisted_cubic):
+def test_criterion_03_power_polynomial_family(twisted_cubic, twisted_cubic_rees):
     t0 = time.monotonic()
     samples = {
         1: HilbertPolynomial(qp.qpoly(1, 3), 0, 4),
@@ -80,10 +80,11 @@ def test_criterion_03_power_polynomial_family(twisted_cubic):
         3: HilbertPolynomial(qp.qpoly(-34, 18), 0, 4),
         5: HilbertPolynomial(qp.qpoly(-185, 45), 0, 4),
     }
-    family = fit_hilbert_polynomials(samples, 4, 2)
+    family = fit_hilbert_polynomials(samples)
+    assert (family.n, family.h) == (4, 2)
     assert family.polys[0] == qp.qpoly(0, Fraction(3, 2), Fraction(3, 2))
     assert family.polys[1] == qp.qpoly(0, Fraction(-2, 3), 1, Fraction(5, 3))
-    mm = mixed_multiplicities(family, 2, 3)
+    mm = mixed_multiplicities(twisted_cubic_rees)
     assert mm.rees == (0, 1, 2, 1) and mm.rees_total == 4
     assert mm.form == (2, 3, 0) and mm.form_total == 5
     predicted = family.hilbert_polynomial(4)

@@ -488,6 +488,33 @@ def test_bayer_stillman_on_inhomogeneous_input_exits_1(capsys, tmp_path):
     assert capsys.readouterr().err.strip() == "error: ideal must be homogeneous"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit-hs", "--predict", "-1"], "error: no power I^-1: the exponent must be >= 0"),
+    (["fit-hp", "--predict", "-2"], "error: no power I^-2: the exponent must be >= 0"),
+    (["gin", "--trials", "0"], "error: need at least one trial, got 0"),
+    (["gin", "--trials", "-1"], "error: need at least one trial, got -1"),
+    (["bayer-stillman", "--first-degree", "2", "--q-max", "-1"], "error: empty q-window (0, -1): no q to certify"),
+], ids=["fit-hs-predict-negative", "fit-hp-predict-negative", "gin-zero-trials", "gin-negative-trials",
+        "bayer-stillman-empty-window"])
+def test_out_of_range_arguments_exit_1(capsys, cubic_file, argv, message):
+    # each once raised a traceback or printed a vacuous report
+    assert main(["--no-cache", *argv, cubic_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
+@pytest.mark.parametrize("command, key, expected", [
+    ("fit-hs", "series", {"num": [[1, 0, 0]], "den": [[1, 0, 4]]}),
+    ("fit-hp", "coefficients", []),
+])
+def test_predict_zero_is_reported(capsys, cubic_file, command, key, expected):
+    # I^0 = A, so H_{I^0} = H_A and P_{A/I^0} = 0; --predict 0 was once dropped
+    code, out = run_cli(capsys, "--no-cache", command, "--predict", "0", cubic_file)
+    assert code == 0
+    assert json.loads(out)["result"]["predicted"] == {"power": 0, key: expected}
+
+
 def test_determinism_and_cache_hit(capsys, cubic_file, isolated_cache):
     code1, out1 = run_cli(capsys, "gb", cubic_file)
     entries = list(isolated_cache.glob("*.json"))
@@ -670,7 +697,7 @@ def test_weighted_equigenerated_fit_hs_takes_the_general_route(capsys, tmp_path)
     code, out = run_cli(capsys, "--no-cache", "fit-hs", "--predict", "2", str(path))
     assert code == 0
     result = json.loads(out)
-    assert result["criterion_citations"] == ["general-recurrence-window"]
+    assert result["criterion_citations"] == ["general-rees-t-slices"]
     code, out = run_cli(capsys, "--no-cache", "hs", "--power", "2", str(path))
     assert code == 0
     direct = json.loads(out)["result"]["series"]

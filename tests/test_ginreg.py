@@ -252,6 +252,23 @@ def test_bayer_stillman_preconditions(S22):
         bayer_stillman_check(I, 1)  # generator above the degree bound
 
 
+def test_gin_refuses_fewer_than_one_trial():
+    # 0 trials once raised IndexError, and -1 reported "unstable after 3 rounds"
+    A = graded_ring(["x", "y"])
+    for I in (Ideal(A, [parse_polynomial("x^2 + y^2", A)]), Ideal(A, [])):
+        for trials in (0, -1):
+            with pytest.raises(GinError, match="at least one trial"):
+                generic_initial_ideal(I, trials=trials)
+
+
+def test_bayer_stillman_refuses_an_empty_q_window(regular_pair_ideal):
+    # q_max below the first q once certified regularity with 0 forms
+    with pytest.raises(GinError, match="empty q-window"):
+        bayer_stillman_check(regular_pair_ideal, 2, q_window=(0, -1))
+    with pytest.raises(GinError, match="empty q-window"):
+        bayer_stillman_check(regular_pair_ideal, 2, q_window=(3, 2))
+
+
 def test_bayer_stillman_refuses_inhomogeneous_input():
     A = RingSpec(QQ, ("x", "y"), ((1, 0), (1, 0)), DEGREVLEX)
     I = Ideal(A, [parse_polynomial("x^2 - y", A)])

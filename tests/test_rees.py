@@ -5,6 +5,7 @@ from reeslab import (
     dim_mult,
     graded_ring,
     hilbert_series_ideal,
+    hilbert_series_ring,
     ideal_power,
     parse_polynomial,
 )
@@ -227,3 +228,11 @@ def test_unit_ideal_power_slices():
     P = rees_presentation(Ideal(A, [A.one()]))
     for s in range(3):
         assert P.power_series(s) == hilbert_series_ideal(Ideal(A, [A.one()]), "ideal")
+
+
+def test_power_series_refuses_a_negative_exponent(twisted_cubic, twisted_cubic_rees):
+    # I^0 = A; a negative exponent once raised IndexError in the t-slice
+    assert twisted_cubic_rees.power_series(0) == hilbert_series_ring(twisted_cubic.ring)
+    for j in (-1, -2):
+        with pytest.raises(ReesError, match="must be >= 0"):
+            twisted_cubic_rees.power_series(j)

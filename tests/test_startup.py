@@ -25,15 +25,20 @@ ideal: X1*X4 - X2*X3; X2^2 - X1*X3; X3^2 - X2*X4
 """
 
 # Runs `reeslab` with the given arguments, then prints the exit code and the
-# reeslab submodules, `dataclasses`, `fractions` and `inspect` if loaded by the
+# reeslab submodules and the standard modules named in it if loaded by the
 # time the command returned.
-RUN_AND_LIST_MODULES = """\
+_RUN_AND_LIST = """\
 import contextlib, io, sys
 from reeslab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.") or m in ("dataclasses", "fractions", "inspect")))
+print(code, *sorted(m for m in sys.modules if m.startswith("reeslab.") or m in %r))
 """
+RUN_AND_LIST_MODULES = _RUN_AND_LIST % (("dataclasses", "fractions", "inspect"),)
+
+# The standard modules a cache store loads, through tempfile.mkstemp, and a hit must not.
+STORE_MODULES = ("random", "shutil", "tempfile")
+RUN_AND_LIST_STORE_MODULES = _RUN_AND_LIST % (STORE_MODULES,)
 
 # `sorted(reeslab.__all__)` before `import reeslab` became lazy, and `initial_monomials`, added since.
 PUBLIC_NAMES = [
@@ -183,11 +188,23 @@ def test_a_cache_hit_of_each_workload_command_loads_only_the_front_end(tmp_path,
     assert len(list((tmp_path / "cache").glob("*.json"))) == len(CLI_WORKLOAD)
     for line, argv in zip(CLI_WORKLOAD, argvs):
         # -S skips the site module and what its .pth files import; reeslab comes from PYTHONPATH
-        hit = fresh_python(tmp_path, "-S", "-c", RUN_AND_LIST_MODULES, *argv)
+        hit = fresh_python(tmp_path, "-S", "-c", RUN_AND_LIST_STORE_MODULES, *argv)
         code, *loaded = hit.stdout.split()
         assert code == "0", (line, hit.stderr)
         front_end = ["reeslab.cache", "reeslab.cli"] + (["reeslab.problemfile"] if "{problem}" in line else [])
         assert [m for m in loaded if m.startswith("reeslab.")] == front_end, line
+        # only a store makes a temporary file, and argparse's terminal-width lookup is not shutil's
+        assert not set(STORE_MODULES) & set(loaded), line
+
+
+def test_the_cache_loads_tempfile_only_to_store(tmp_path):
+    # -S keeps out what site's .pth files import, tempfile among them in some installs
+    listed = "; import sys; print(0, *sorted(m for m in sys.modules if m in %r))" % (STORE_MODULES,)
+    store = "c.cache_lookup_store('k', lambda: 1, directory='store')"
+    for code, expected in (("import reeslab.cache", []), ("import reeslab.cache as c; " + store, STORE_MODULES)):
+        proc = fresh_python(tmp_path, "-S", "-c", code + listed)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", *expected]
 
 
 def test_a_miss_under_python_m_imports_the_front_end_once(tmp_path):
