@@ -105,7 +105,10 @@ def _cmd_hp(args, problem):
 def _cmd_powers(args, problem):
     from .groebner import ideal_power
     from .hilbert import hilbert_series_ideal
+    from .rings import RingError
 
+    if args.max_power < 1:
+        raise RingError("no powers I^1..I^%d: the max power must be >= 1" % args.max_power)
     out = []
     for j in range(1, args.max_power + 1):
         Ij = ideal_power(problem.ideal, j)

@@ -54,6 +54,8 @@ class DiagonalReport:
 
 def diagonal_hilbert_function(P, spec, s_max):
     """dim_k (I^{e s})_{c s} for s = 0..s_max: the Rees series H_R of P read at (c s, e s)."""
+    if s_max < 0:
+        raise DiagonalError("no values for s = 0..%d: s_max must be >= 0" % s_max)
     if not spec.admissible(P.max_degree):
         raise DiagonalError("inadmissible diagonal: need c >= d e + 1")
     P.check_t_slices()

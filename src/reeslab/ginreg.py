@@ -13,7 +13,7 @@ from .groebner import (
     _to_int_poly,
     packed_basis,
 )
-from .rings import MonomialPacking, Polynomial
+from .rings import MonomialPacking, Polynomial, _is_prime
 
 
 class GinError(ValueError):
@@ -187,7 +187,9 @@ def _dominated_by_p(s, t, p):
 
 
 def borel_fix_check(J, char_p=0):
-    """Exchange-move audit of a monomial ideal: exhaustive, never reasons."""
+    """Exchange-move audit of a monomial ideal in characteristic char_p, 0 or a prime: exhaustive, never reasons."""
+    if char_p and not _is_prime(char_p):
+        raise GinError("characteristic must be 0 or a prime, got %d" % char_p)
     gens = []
     for g in J.gens:
         if len(g.terms) != 1:

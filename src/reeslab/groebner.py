@@ -61,8 +61,19 @@ def _pack_poly(d, P):
 
 
 def _from_int_poly(ring, d, den, P):
-    """The Polynomial of the packed integer dict d divided by den (1 over F_p)."""
+    """The Polynomial of the packed integer dict d divided by den (1 over F_p).
+
+    Where P packs by the ring's order, int order is term order, so the terms
+    are sorted as ints rather than by the order's key function.
+    """
     char = ring.field.char
+    if P.order == ring.order:
+        ms = sorted(d, reverse=True)
+        if char:
+            terms = [(P.unpack(m), d[m] % char) for m in ms if d[m] % char]
+        else:
+            terms = [(P.unpack(m), Fraction(d[m], den)) for m in ms]
+        return Polynomial._from_terms(ring, tuple(terms))
     if char:
         return Polynomial(ring, {P.unpack(m): c % char for m, c in d.items()})
     return Polynomial(ring, {P.unpack(m): Fraction(c, den) for m, c in d.items()})
@@ -80,7 +91,7 @@ def _times(f, g, char):
     return {m: c for m, c in out.items() if c}
 
 
-def _normal_form_int(f, reducers, guard, char):
+def _normal_form_int(f, reducers, guard, char, memo=None):
     """Full normal form of the packed dict-poly f against reducer triples; f is consumed.
 
     Returns (lead, rem, scale) with rem = scale * NF(f) and lead its leading
@@ -88,7 +99,15 @@ def _normal_form_int(f, reducers, guard, char):
     lead, and scale is the product of the factors the reduction multiplied by
     and divided out; over F_p scale is 1. Raises PackingOverflow when a
     product would not fit the fields.
+
+    memo, when given, maps a packed monomial to a triple whose lead divides
+    it, and is consulted before the reducers and filled with each reducer
+    found. Its triples need not be among the reducers, only in the ideal; a
+    term not in it is scanned against the reducers, so every term of rem is
+    irreducible by them.
     """
+    if memo is None:
+        memo = {}
     rem = {}
     lead = None
     num = den = 1
@@ -103,16 +122,19 @@ def _normal_form_int(f, reducers, guard, char):
         c = f.pop(m, 0)
         if not c:
             continue
-        mg = m | guard
-        for hit in reducers:
-            if (mg - hit[0]) & guard == guard:
-                break
-        else:
-            # terms leave f in decreasing order, so the first one kept leads
-            rem[m] = c
-            if lead is None:
-                lead = m
-            continue
+        hit = memo.get(m)
+        if hit is None:
+            mg = m | guard
+            for hit in reducers:
+                if (mg - hit[0]) & guard == guard:
+                    break
+            else:
+                # terms leave f in decreasing order, so the first one kept leads
+                rem[m] = c
+                if lead is None:
+                    lead = m
+                continue
+            memo[m] = hit
         lm, lc, tail = hit
         u = m - lm
         if char:
@@ -225,6 +247,11 @@ def _buchberger(seqs, P, char, missing_leads=None):
     the criteria drop later stays on the heap and is skipped when it comes
     up. Raises PackingOverflow when a monomial does not fit the fields of P.
 
+    Criterion M keeps one pair with h per minimal colon lcm(h, g)/h
+    (_criterion_m). The normal forms of one run share a memo of the reducer
+    found for each monomial: every triple the run accepts lies in the ideal,
+    so it stays a valid reducer after it leaves G.
+
     No pair of two terms (triples with empty tails) is formed: its
     S-polynomial is 0, so it counts as treated, and the chain criterion,
     which drops a pair only when the pairs through a third element are
@@ -272,7 +299,8 @@ def _buchberger(seqs, P, char, missing_leads=None):
         term = not triples[h][2]
         # where h and every element of G are terms, no pair is formed
         C = sorted(G) if tailed or not term else []
-        lcm_h = {g: Q.lcm(ph, plain[g]) for g in C}
+        D = _criterion_m(ph, [(g, plain[g]) for g in C], Q)
+        lcm_h = dict(D)
 
         def lcm_with(k):
             L = lcm_h.get(k)
@@ -280,15 +308,6 @@ def _buchberger(seqs, P, char, missing_leads=None):
                 L = lcm_h[k] = Q.lcm(ph, plain[k])
             return L
 
-        D = []
-        for pos, g in enumerate(C):
-            L_hg = lcm_h[g]
-            Lg = L_hg | qguard
-            if ph + plain[g] == L_hg or (
-                not any((Lg - lcm_h[p]) & qguard == qguard for p in C[pos + 1:])
-                and not any((Lg - lcm_h[p]) & qguard == qguard for p in D)
-            ):
-                D.append(g)
         for (i, j), L in list(B.items()):
             if (
                 ((L | qguard) - ph) & qguard == qguard
@@ -297,8 +316,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
             ):
                 del B[(i, j)]
         degree_h = P.degree(mh)
-        for g in D:
-            L = lcm_h[g]
+        for g, L in D:
             if ph + plain[g] != L and (triples[g][2] or not term):
                 # the product criterion drops the pairs with disjoint leading
                 # monomials, and the S-polynomial of two terms is 0
@@ -316,10 +334,11 @@ def _buchberger(seqs, P, char, missing_leads=None):
         if not term:
             tailed += 1
 
+    memo = {}    # packed monomial -> a triple whose lead divides it
     for f in seqs:
         if not f:
             continue
-        lead, h, _ = _normal_form_int(_content_strip(f, char), [triples[i] for i in G], guard, char)
+        lead, h, _ = _normal_form_int(_content_strip(f, char), [triples[i] for i in G], guard, char, memo)
         if lead is not None:
             update(add_poly(lead, h, max(map(P.degree, h))))
 
@@ -335,7 +354,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
         if missing == 0:
             continue
         s = _spoly(triples[i], triples[j], L, guard, char)
-        lead, h, _ = _normal_form_int(s, [triples[k] for k in G], guard, char)
+        lead, h, _ = _normal_form_int(s, [triples[k] for k in G], guard, char, memo)
         if lead is not None:
             update(add_poly(lead, h, sugar))
             if missing is not None:
@@ -344,6 +363,32 @@ def _buchberger(seqs, P, char, missing_leads=None):
     # each element entered G as a normal form against G, and update drops the
     # elements whose leading monomials it divides
     return sorted((triples[i] for i in G), key=itemgetter(0))
+
+
+def _criterion_m(ph, leads, Q):
+    """(g, lcm(h, g)) for each g whose pair with h survives criterion M.
+
+    leads are the (g, leading monomial) of the update, in its order; h's
+    leading monomial ph and the leads are packed by the plain packing Q.
+    lcm(h, p) divides lcm(h, g) exactly when the colon q_p = lcm(h, p)/h
+    divides q_g, so one g is kept per minimal colon: of equal colons, the
+    last. A divisor is never the larger int, so one pass in increasing order
+    tests each colon against the minimal ones before it.
+    """
+    last = {}
+    for g, pg in leads:
+        L = Q.lcm(ph, pg)
+        last[L - ph] = (g, L)
+    qguard = Q.guard
+    kept = []
+    for q in sorted(last):
+        qg = q | qguard
+        for k in kept:
+            if (qg - k) & qguard == qguard:
+                break
+        else:
+            kept.append(q)
+    return [last[q] for q in kept]
 
 
 def _check_missing(degree, missing):
@@ -376,8 +421,7 @@ def _fitting(nvars, monomials, order):
 
 def _repacked(triples, P, W):
     """Triples packed by P, packed by W instead."""
-    return [(W.pack(P.unpack(lm)), lc, {W.pack(P.unpack(m)): c for m, c in tail.items()})
-            for lm, lc, tail in triples]
+    return [(W.pack(P.unpack(lm)), lc, _repacked_poly(tail, P, W)) for lm, lc, tail in triples]
 
 
 def _on_basis(G, run):
@@ -426,21 +470,40 @@ def packed_basis(ring, order, gens, series=None, homogeneous=False):
     monomials are complete, where homogeneous says that every generator is
     homogeneous.
     """
-    missing_leads = _hilbert_skip(ring, order, series, homogeneous)
     P = _fitting(ring.nvars, (m for d in gens for m in d), order)
+    return _packed_run(ring, P, [_pack_poly(d, P) for d in gens], _hilbert_skip(ring, order, series, homogeneous))
+
+
+def _packed_run(ring, P, packed, missing_leads):
+    """(P, triples) of one Buchberger run on copies of the dicts packed by P; an overflow widens P."""
     while True:
         try:
-            return P, _buchberger([_pack_poly(d, P) for d in gens], P, ring.field.char, missing_leads)
+            return P, _buchberger([dict(d) for d in packed], P, ring.field.char, missing_leads)
         except PackingOverflow:
-            P = P.widened()
+            W = P.widened()
+            packed = [_repacked_poly(d, P, W) for d in packed]
+            P = W
+
+
+def _repacked_poly(d, P, W):
+    return {W.pack(P.unpack(m)): c for m, c in d.items()}
 
 
 def _basis(I, order, series=None):
-    """The GroebnerBasis of I for the order, from the ideal's cache or from packed_basis."""
+    """The GroebnerBasis of I for the order, from the ideal's cache or from a Buchberger run.
+
+    The run takes the ideal's packed generators where ideal_power left them
+    for this order; it packs I.gens otherwise.
+    """
     G = I._bases.get(order)
     if G is None:
-        gens = [_to_int_poly(g)[0] for g in I.gens]
-        P, triples = packed_basis(I.ring, order, gens, series, series is not None and I.is_homogeneous())
+        homogeneous = series is not None and I.is_homogeneous()
+        if I._packed is not None and I._packed[0].order == order:
+            P, packed = I._packed
+            P, triples = _packed_run(I.ring, P, packed, _hilbert_skip(I.ring, order, series, homogeneous))
+            I._packed = None
+        else:
+            P, triples = packed_basis(I.ring, order, [_to_int_poly(g)[0] for g in I.gens], series, homogeneous)
         G = I._bases[order] = GroebnerBasis(I.ring, order, P, triples)
     return G
 
@@ -512,6 +575,7 @@ class Ideal:
             if g.ring != ring:
                 raise RingError("generator not in the ambient ring")
         self._bases = {}    # order -> GroebnerBasis
+        self._packed = None    # (P, integer dicts of gens packed by P for its order), until a basis takes them
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
@@ -607,8 +671,11 @@ def ideal_product(I, J):
 def ideal_power(I, j):
     """I^j, interreduced to a minimal homogeneous generating set when homogeneous.
 
-    The products run on packed integer dicts whose fields hold j times the
-    largest degree of a term, so no product overflows.
+    The products run on integer dicts packed by the ring's order, whose
+    fields hold twice j times the largest degree of a term: no product
+    overflows, and a product of two fits, as a Buchberger run needs. The
+    result keeps them for its first basis in that order, and its gens take
+    their terms in int order, which is the term order.
     """
     if j < 0:
         raise RingError("negative ideal power")
@@ -619,7 +686,7 @@ def ideal_power(I, j):
     ring = I.ring
     char = ring.field.char
     P = MonomialPacking.fitting(
-        ring.nvars, j * max(sum(ring.monomial_degree(m)) for g in I.gens for m, _ in g.terms))
+        ring.nvars, 2 * j * max(sum(ring.monomial_degree(m)) for g in I.gens for m, _ in g.terms), ring.order)
     ints = [_to_int_poly(g) for g in I.gens]
     gens = [_pack_poly(d, P) for d, _ in ints]
     # each combination of generator indices -> its product and denominator;
@@ -633,7 +700,9 @@ def ideal_power(I, j):
     if None not in degrees:
         cands = [(tuple(map(sum, zip(*map(degrees.__getitem__, c)))), f) for c, (f, _) in products]
         products = [products[i] for i in _minimal_indices(ring, P, cands)]
-    return Ideal(ring, [_from_int_poly(ring, f, den, P) for _, (f, den) in products])
+    J = Ideal(ring, [_from_int_poly(ring, f, den, P) for _, (f, den) in products])
+    J._packed = (P, [f for _, (f, _) in products])
+    return J
 
 
 def minimal_generators(ring, polys):

@@ -443,6 +443,13 @@ class Polynomial:
         monos = sorted((m for m, c in coeffs.items() if c), key=ring.key_function(), reverse=True)
         self.terms = tuple([(m, coeffs[m]) for m in monos])
 
+    @classmethod
+    def _from_terms(cls, ring, terms):
+        """The polynomial of a tuple of terms in descending order, none with a zero coefficient."""
+        f = object.__new__(cls)
+        f.ring, f.terms = ring, terms
+        return f
+
     # -- basic protocol ----------------------------------------------------
     def __bool__(self):
         return bool(self.terms)

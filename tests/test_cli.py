@@ -494,14 +494,36 @@ def test_bayer_stillman_on_inhomogeneous_input_exits_1(capsys, tmp_path):
     (["gin", "--trials", "0"], "error: need at least one trial, got 0"),
     (["gin", "--trials", "-1"], "error: need at least one trial, got -1"),
     (["bayer-stillman", "--first-degree", "2", "--q-max", "-1"], "error: empty q-window (0, -1): no q to certify"),
+    (["powers", "--max-power", "0"], "error: no powers I^1..I^0: the max power must be >= 1"),
+    (["powers", "--max-power", "-1"], "error: no powers I^1..I^-1: the max power must be >= 1"),
+    (["diag", "--c", "5", "--e", "2", "--s-max", "-1"], "error: no values for s = 0..-1: s_max must be >= 0"),
 ], ids=["fit-hs-predict-negative", "fit-hp-predict-negative", "gin-zero-trials", "gin-negative-trials",
-        "bayer-stillman-empty-window"])
+        "bayer-stillman-empty-window", "powers-max-power-zero", "powers-max-power-negative", "diag-s-max-negative"])
 def test_out_of_range_arguments_exit_1(capsys, cubic_file, argv, message):
     # each once raised a traceback or printed a vacuous report
     assert main(["--no-cache", *argv, cubic_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == message
+
+
+@pytest.mark.parametrize("char_p, code, message", [
+    ("-1", 1, "error: characteristic must be 0 or a prime, got -1"),
+    ("4", 1, "error: characteristic must be 0 or a prime, got 4"),
+    ("3", 0, ""),
+])
+def test_borel_takes_characteristic_zero_or_a_prime(tmp_path, char_p, code, message):
+    # -1 once looped forever, so the command runs in a child process under a
+    # timeout; 4 was answered by Lucas's rule, which holds only for primes
+    path = tmp_path / "borel.ring"
+    path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x^2; x*y\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "reeslab.cli", "--no-cache", "borel", "--char-p", char_p, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr.strip()) == (code, message)
+    if code == 0:
+        assert json.loads(proc.stdout)["result"] == {"is_borel": True, "char_p": 3, "witness": None, "delta": [2, 0]}
 
 
 @pytest.mark.parametrize("command, key, expected", [

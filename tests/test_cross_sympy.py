@@ -247,3 +247,41 @@ def test_koszul_table_entries_are_sympy_remainders(case, request):
                     assert dict(pairs) == {tuple(e): int(c) for e, c in rem.terms()}
                     checked += 1
     assert checked
+
+
+def test_reducer_memo_keeps_the_reduced_bases_of_sympy(monkeypatch):
+    # on inhomogeneous ideals new leads push old elements out of G while the
+    # memo still hands them to normal forms; the reduced bases must stay
+    # sympy's over Q and over F_32003, with the same leads
+    runs = []    # per Buchberger run: its memo and the basis it returned
+    normal_form_int, buchberger = groebner._normal_form_int, groebner._buchberger
+
+    def captured_nf(f, reducers, guard, char, memo=None):
+        if memo is not None:
+            runs[-1][0] = memo
+        return normal_form_int(f, reducers, guard, char, memo)
+
+    def captured_run(*args):
+        runs.append([None, None])
+        runs[-1][1] = buchberger(*args)
+        return runs[-1][1]
+
+    monkeypatch.setattr(groebner, "_normal_form_int", captured_nf)
+    monkeypatch.setattr(groebner, "_buchberger", captured_run)
+    stale = 0
+    for seed in (4, 7):
+        names = ["x%d" % i for i in range(4 + seed % 2)]
+        symbols = sympy.symbols(names)
+        leads = []
+        for field in _FIELDS:
+            ring = graded_ring(names, field=field)
+            gens = _sample_ideal(random.Random(5100 + seed), ring, 3, 3, 2)
+            gb = groebner_basis(Ideal(ring, gens))
+            ours = {tuple(sorted(g.terms)) for g in gb.polys}
+            assert ours == _sympy_reduced([_to_sympy_any(g, symbols) for g in gens], symbols, "grevlex", field.char)
+            leads.append(gb.leading_monomials)
+            memo, result = runs[-1]
+            stale += sum(all(t is not u for u in result) for t in memo.values())
+        assert leads[0] == leads[1], seed
+    # the memo did hand out reducers outside the returned basis
+    assert stale > 10

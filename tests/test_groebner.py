@@ -385,15 +385,15 @@ def test_rees_presentation_builds_one_basis(monkeypatch, twisted_cubic):
     assert len(runs) == 1
 
 
-def _quartic_square():
-    A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+def _quartic_power(j, field=QQ):
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"], field=field)
     gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
             "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
-    return ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 2)
+    return ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), j)
 
 
 def test_hilbert_skip_gives_the_same_basis_with_fewer_reductions(monkeypatch):
-    I = _quartic_square()
+    I = _quartic_power(2)
     H = hilbert_series_ideal(I)
     calls = _counting(monkeypatch, "_normal_form_int")
     full = _basis(Ideal(I.ring, I.gens), DEGREVLEX)
@@ -691,3 +691,155 @@ def test_minimal_generators_over_a_prime_field_keep_their_order():
     # -6 = 1 mod 7: the second quadric repeats the first
     assert kept[PrimeField(7)] == ["x^2 + x*y", "y^2"]
     assert kept[QQ] == ["x^2 + x*y", "x^2 - 6*x*y", "y^2"]
+
+
+# ---------------------------------------------------------------------------
+# criterion M on the colon monomials, and the reducer memo
+
+def _criterion_m_by_scan(ph, leads, Q):
+    """The g whose pair with h survives the quadratic scan of Gebauer-Moeller's criterion M.
+
+    The scan of Becker-Weispfenning p. 230: g is kept if its leading monomial
+    is disjoint from h's, or if neither a later g nor a kept one has an lcm
+    with h that divides lcm(h, g). A disjoint g forms no pair, so the pairs
+    are the kept g that are not disjoint.
+    """
+    qguard = Q.guard
+    order = [g for g, _ in leads]
+    plain = dict(leads)
+    lcm_h = {g: Q.lcm(ph, pg) for g, pg in leads}
+    kept = []
+    for pos, g in enumerate(order):
+        Lg = lcm_h[g] | qguard
+        if ph + plain[g] == lcm_h[g] or (
+            not any((Lg - lcm_h[p]) & qguard == qguard for p in order[pos + 1:])
+            and not any((Lg - lcm_h[p]) & qguard == qguard for p in kept)
+        ):
+            kept.append(g)
+    return {g for g in kept if ph + plain[g] != lcm_h[g]}
+
+
+def _pairs_of(ph, leads, Q):
+    """The g with a pair after _criterion_m and the product criterion."""
+    plain = dict(leads)
+    kept = groebner._criterion_m(ph, leads, Q)
+    assert all(L == Q.lcm(ph, plain[g]) for g, L in kept)
+    return {g for g, L in kept if ph + plain[g] != L}
+
+
+def _antichain(rng, nvars, size, top):
+    """Up to size exponent tuples, none dividing another."""
+    out = []
+    for _ in range(4 * size):
+        m = tuple(rng.randint(0, top) for _ in range(nvars))
+        if any(m) and not any(mono_divides(a, m) or mono_divides(m, a) for a in out):
+            out.append(m)
+        if len(out) == size:
+            break
+    return out
+
+
+def test_criterion_m_forms_the_pairs_of_the_quadratic_scan():
+    ties = disjoint = 0
+    for seed in range(300):
+        rng = random.Random(12500 + seed)
+        nvars = rng.randint(2, 5)
+        Q = MonomialPacking(nvars, 4)
+        G = _antichain(rng, nvars, rng.randint(1, 14), rng.choice((1, 2, 3)))
+        h = tuple(rng.randint(0, 3) for _ in range(nvars))
+        if not any(h) or any(mono_divides(g, h) for g in G):
+            continue
+        ph = Q.pack(h)
+        leads = [(i, Q.pack(g)) for i, g in sorted(rng.sample(list(enumerate(G)), len(G)))]
+        colons = [Q.lcm(ph, pg) - ph for _, pg in leads]
+        ties += len(set(colons)) < len(colons)
+        disjoint += any(ph + pg == Q.lcm(ph, pg) for _, pg in leads)
+        assert _pairs_of(ph, leads, Q) == _criterion_m_by_scan(ph, leads, Q), seed
+    # the seeds reach equal colons and disjoint leading monomials
+    assert ties > 20 and disjoint > 20
+
+
+def _checking_criterion_m(monkeypatch):
+    """Patch _criterion_m to compare each update's pairs with the quadratic scan; returns each update's |C|."""
+    calls = []
+    inner = groebner._criterion_m
+
+    def checked(ph, leads, Q):
+        calls.append(len(leads))
+        out = inner(ph, leads, Q)
+        plain = dict(leads)
+        assert {g for g, L in out if ph + plain[g] != L} == _criterion_m_by_scan(ph, leads, Q)
+        return out
+
+    monkeypatch.setattr(groebner, "_criterion_m", checked)
+    return calls
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_quartic_power_runs_form_the_pairs_of_the_quadratic_scan(monkeypatch, j):
+    I = _quartic_power(j)
+    calls = _checking_criterion_m(monkeypatch)
+    gb = groebner_basis(I)
+    assert calls and max(calls) > 10
+    assert spairs_reduce_to_zero(gb)
+
+
+def test_twisted_cubic_rees_run_forms_the_pairs_of_the_quadratic_scan(monkeypatch, twisted_cubic, twisted_cubic_rees):
+    from reeslab.rees import rees_presentation
+
+    calls = _checking_criterion_m(monkeypatch)
+    P = rees_presentation(Ideal(twisted_cubic.ring, twisted_cubic.gens))
+    assert calls
+    assert P.defining_ideal.groebner().polys == twisted_cubic_rees.defining_ideal.groebner().polys
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_reducer_memo_changes_no_reduced_basis(monkeypatch, field):
+    # the memo against normal forms that scan G for every term
+    rng = random.Random(12700)
+    A = graded_ring(["x", "y", "z", "w", "v"], field=field)
+    ideals = [_quartic_power(3, field).gens]
+    for _ in range(12):
+        # inhomogeneous, so that new leads push old elements out of G
+        ideals.append([_random_sparse(rng, A, rng.randint(2, 4), 0, 3) for _ in range(rng.randint(2, 4))])
+    with_memo = [groebner_basis(Ideal(gens[0].ring, gens)) for gens in ideals]
+    normal_form_int = groebner._normal_form_int
+    monkeypatch.setattr(groebner, "_normal_form_int",
+                        lambda f, reducers, guard, char, memo=None: normal_form_int(f, reducers, guard, char))
+    for gens, gb in zip(ideals, with_memo):
+        plain = groebner_basis(Ideal(gens[0].ring, gens))
+        assert gb.polys == plain.polys
+        assert gb.leading_monomials == plain.leading_monomials
+
+
+# ---------------------------------------------------------------------------
+# ideal_power hands its packed products to Buchberger
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, elimination_order(2)],
+                         ids=["lex", "deglex", "degrevlex", "elim"])
+def test_power_hands_its_packed_products_to_buchberger(monkeypatch, order, field):
+    A = graded_ring(["x", "y", "z", "w"], field=field, order=order)
+    I = Ideal(A, [parse_polynomial(t, A) for t in ("1/2*x*w - y*z", "y^2 - 3*x*z", "z^2 - y*w + x^2")])
+    J = ideal_power(I, 3)
+    runs = _counting(monkeypatch, "packed_basis")
+    gb = groebner_basis(J)
+    # the run took the products as ideal_power packed them, and let them go
+    assert not runs and J._packed is None
+    assert gb.polys == groebner_basis(Ideal(A, J.gens)).polys
+    assert len(runs) == 1
+    # a basis in another order packs the gens
+    other = DEGLEX if order == LEX else LEX
+    K = ideal_power(I, 2)
+    assert initial_monomials(K, other) == initial_monomials(Ideal(A, K.gens), other)
+    assert len(runs) == 3 and K._packed is not None
+
+
+def test_packed_products_past_their_fields_widen_them(monkeypatch):
+    widths = []
+    widened = MonomialPacking.widened
+    monkeypatch.setattr(MonomialPacking, "widened", lambda P: widths.append(P.width) or widened(P))
+    L = graded_ring(["x", "y", "z", "w"], order=LEX)
+    J = ideal_power(Ideal(L, [parse_polynomial(t, L) for t in ("x - y^3", "y - z^3", "z - w^3")]), 1)
+    assert [repr(g) for g in groebner_basis(J).polys] == ["z - w^3", "y - w^9", "x - w^27"]
+    assert widths
