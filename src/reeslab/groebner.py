@@ -91,8 +91,8 @@ def _times(f, g, char):
     return {m: c for m, c in out.items() if c}
 
 
-def _normal_form_int(f, reducers, guard, char, memo=None):
-    """Full normal form of the packed dict-poly f against reducer triples; f is consumed.
+def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
+    """Normal form of the packed dict-poly f against reducer triples; f is consumed.
 
     Returns (lead, rem, scale) with rem = scale * NF(f) and lead its leading
     monomial (None when rem is zero). Over Q rem is primitive with a positive
@@ -100,11 +100,16 @@ def _normal_form_int(f, reducers, guard, char, memo=None):
     and divided out; over F_p scale is 1. Raises PackingOverflow when a
     product would not fit the fields.
 
+    The normal form is full: no term of rem is divisible by a reducer's
+    lead. With top, the reduction stops at the first term it keeps
+    (top-reduction): rem is scale times that lead and the rest of f as the
+    reduction left it, and only its lead is irreducible.
+
     memo, when given, maps a packed monomial to a triple whose lead divides
     it, and is consulted before the reducers and filled with each reducer
     found. Its triples need not be among the reducers, only in the ideal; a
-    term not in it is scanned against the reducers, so every term of rem is
-    irreducible by them.
+    term not in it is scanned against the reducers, so every term the
+    reduction keeps is irreducible by them.
     """
     if memo is None:
         memo = {}
@@ -130,6 +135,11 @@ def _normal_form_int(f, reducers, guard, char, memo=None):
                     break
             else:
                 # terms leave f in decreasing order, so the first one kept leads
+                if top:
+                    # rem is empty, and every term left in f lies below m
+                    f[m] = c
+                    rem, lead = f, m
+                    break
                 rem[m] = c
                 if lead is None:
                     lead = m
@@ -258,8 +268,15 @@ def _buchberger(seqs, P, char, missing_leads=None):
     treated, stays valid. Where h and every element of G are terms, update
     forms no pair at all and skips the criteria's pair selection.
 
+    Each generator and S-polynomial is only top-reduced: its reduction stops
+    at the first term no lead of G divides, and keeps the rest of its tail
+    unreduced, since the criteria and the leads read only leading monomials
+    (Becker-Weispfenning, Groebner Bases, 1993, 5.5). The triples of G,
+    which the reductions scan, are a list that update keeps beside G.
+
     The leading monomials of the result divide none of each other; the tails
-    are left as the pair loop made them (_autoreduce reduces them).
+    are left as the pair loop made them, and _autoreduce reduces each of
+    them once.
 
     missing_leads(d, leads), when given, counts the leading monomials of
     degree d that the exponent tuples leads lack against the ideal's known
@@ -281,6 +298,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
     plain = []      # the leading monomials packed by Q
     sugars = []
     G = set()
+    reducers = []   # the triples of G
     tailed = 0      # the elements of G with a tail
     B = {}          # pending pair (i, j) -> plain lcm of the leading monomials
     heap = []       # (sugar, lcm, i, j) of every pair formed
@@ -326,11 +344,13 @@ def _buchberger(seqs, P, char, missing_leads=None):
                 degree_L = P.degree(L)
                 sugar = max(sugars[h] + degree_L - degree_h, sugars[g] + degree_L - P.degree(lms[g]))
                 heappush(heap, (sugar, L, h, g))
-        for g in [g for g in G if ((lms[g] | guard) - mh) & guard == guard]:
-            G.discard(g)
-            if triples[g][2]:
-                tailed -= 1
+        dropped = [g for g in G if ((lms[g] | guard) - mh) & guard == guard]
+        if dropped:
+            G.difference_update(dropped)
+            tailed -= sum(1 for g in dropped if triples[g][2])
+            reducers[:] = [triples[g] for g in G]
         G.add(h)
+        reducers.append(triples[h])
         if not term:
             tailed += 1
 
@@ -338,7 +358,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
     for f in seqs:
         if not f:
             continue
-        lead, h, _ = _normal_form_int(_content_strip(f, char), [triples[i] for i in G], guard, char, memo)
+        lead, h, _ = _normal_form_int(_content_strip(f, char), reducers, guard, char, memo, True)
         if lead is not None:
             update(add_poly(lead, h, max(map(P.degree, h))))
 
@@ -354,15 +374,15 @@ def _buchberger(seqs, P, char, missing_leads=None):
         if missing == 0:
             continue
         s = _spoly(triples[i], triples[j], L, guard, char)
-        lead, h, _ = _normal_form_int(s, [triples[k] for k in G], guard, char, memo)
+        lead, h, _ = _normal_form_int(s, reducers, guard, char, memo, True)
         if lead is not None:
             update(add_poly(lead, h, sugar))
             if missing is not None:
                 missing -= 1
     _check_missing(degree, missing)
-    # each element entered G as a normal form against G, and update drops the
-    # elements whose leading monomials it divides
-    return sorted((triples[i] for i in G), key=itemgetter(0))
+    # each element's lead is irreducible by G when it enters, and update
+    # drops the elements whose leading monomials it divides
+    return sorted(reducers, key=itemgetter(0))
 
 
 def _criterion_m(ph, leads, Q):

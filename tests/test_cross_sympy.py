@@ -256,10 +256,10 @@ def test_reducer_memo_keeps_the_reduced_bases_of_sympy(monkeypatch):
     runs = []    # per Buchberger run: its memo and the basis it returned
     normal_form_int, buchberger = groebner._normal_form_int, groebner._buchberger
 
-    def captured_nf(f, reducers, guard, char, memo=None):
+    def captured_nf(f, reducers, guard, char, memo=None, *args):
         if memo is not None:
             runs[-1][0] = memo
-        return normal_form_int(f, reducers, guard, char, memo)
+        return normal_form_int(f, reducers, guard, char, memo, *args)
 
     def captured_run(*args):
         runs.append([None, None])
@@ -285,3 +285,29 @@ def test_reducer_memo_keeps_the_reduced_bases_of_sympy(monkeypatch):
         assert leads[0] == leads[1], seed
     # the memo did hand out reducers outside the returned basis
     assert stale > 10
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "F32003"])
+@pytest.mark.parametrize("seed, order", [(0, "lex"), (1, "grlex")])
+def test_top_reduced_runs_keep_the_reduced_bases_of_sympy(monkeypatch, seed, order, field):
+    # Buchberger's pair loop leaves tails that a lead divides; autoreduction
+    # must still reach sympy's reduced basis
+    raw = []
+    packed_run = groebner._packed_run
+
+    def captured(*args):
+        P, triples = packed_run(*args)
+        raw.append((P, triples))
+        return P, triples
+
+    monkeypatch.setattr(groebner, "_packed_run", captured)
+    names = ["x%d" % i for i in range(4)]
+    symbols = sympy.symbols(names)
+    ring = graded_ring(names, field=field, order=LEX if order == "lex" else DEGLEX)
+    gens = _sample_ideal(random.Random(5300 + seed), ring, 3, 3, 2)
+    gb = groebner_basis(Ideal(ring, gens))
+    assert {tuple(sorted(g.terms)) for g in gb.polys} == _sympy_reduced(
+        [_to_sympy_any(g, symbols) for g in gens], symbols, order, field.char)
+    (P, triples), = raw
+    leads = [lm for lm, _, _ in triples]
+    assert any(P.divides(lm, m) for _, _, tail in triples for m in tail for lm in leads)

@@ -805,11 +805,95 @@ def test_reducer_memo_changes_no_reduced_basis(monkeypatch, field):
     with_memo = [groebner_basis(Ideal(gens[0].ring, gens)) for gens in ideals]
     normal_form_int = groebner._normal_form_int
     monkeypatch.setattr(groebner, "_normal_form_int",
-                        lambda f, reducers, guard, char, memo=None: normal_form_int(f, reducers, guard, char))
+                        lambda f, reducers, guard, char, memo=None, *args:
+                        normal_form_int(f, reducers, guard, char, None, *args))
     for gens, gb in zip(ideals, with_memo):
         plain = groebner_basis(Ideal(gens[0].ring, gens))
         assert gb.polys == plain.polys
         assert gb.leading_monomials == plain.leading_monomials
+
+
+# ---------------------------------------------------------------------------
+# the pair loop top-reduces; autoreduction reduces each tail once
+
+def _raw_runs(monkeypatch):
+    """Patch _packed_run to keep the raw basis of each Buchberger run; returns their list."""
+    runs = []
+    inner = groebner._packed_run
+
+    def captured(ring, P, packed, missing_leads):
+        P, triples = inner(ring, P, packed, missing_leads)
+        runs.append(groebner.GroebnerBasis(ring, P.order, P, list(triples)))
+        return P, triples
+
+    monkeypatch.setattr(groebner, "_packed_run", captured)
+    return runs
+
+
+def _reducible_tail_terms(G):
+    """The tail terms of G's triples that a leading monomial of G divides."""
+    P = G._P
+    leads = [lm for lm, _, _ in G._triples]
+    return sum(any(P.divides(lm, m) for lm in leads) for _, _, tail in G._triples for m in tail)
+
+
+def _top_against_full(monkeypatch, build):
+    """build() on the top-reducing pair loop and on one that reduces fully, the reference.
+
+    Every raw basis of the top-reducing route must pass the S-pair check,
+    and the two routes must give equal results and, run by run, equal polys
+    and leading monomials. Returns the reducible tail terms of each route's
+    raw bases.
+    """
+    outs, bases, reducible = [], [], []
+    for full in (False, True):
+        with monkeypatch.context() as m:
+            runs = _raw_runs(m)
+            if full:
+                inner = groebner._normal_form_int
+                m.setattr(groebner, "_normal_form_int",
+                          lambda f, reducers, guard, char, memo=None, top=False:
+                          inner(f, reducers, guard, char, memo))
+            outs.append(build())
+        assert runs
+        assert full or all(spairs_reduce_to_zero(G) for G in runs)
+        reducible.append(sum(map(_reducible_tail_terms, runs)))
+        bases.append([(G.polys, G.leading_monomials) for G in runs])
+    assert outs[0] == outs[1]
+    assert bases[0] == bases[1]
+    return reducible
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_top_reduced_powers_match_full_reduction(monkeypatch, j):
+    top, full = _top_against_full(monkeypatch, lambda: groebner_basis(_quartic_power(j)).polys)
+    # the top-reduced route left tails for autoreduction
+    assert top > full
+
+
+@pytest.mark.parametrize("name", ["twisted_cubic", "minors_2x4"])
+def test_top_reduced_rees_presentations_match_full_reduction(monkeypatch, name):
+    from reeslab.rees import rees_presentation
+
+    names, texts = _SERIES_REES[name]
+    A = graded_ring(names)
+    gens = [parse_polynomial(g, A) for g in texts]
+    _top_against_full(monkeypatch, lambda: rees_presentation(Ideal(A, gens)).defining_ideal.groebner().polys)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, elimination_order(2)],
+                         ids=["lex", "deglex", "degrevlex", "elim"])
+def test_top_reduced_seeded_ideals_match_full_reduction(monkeypatch, order, field):
+    rng = random.Random(12900)
+    A = graded_ring(["x", "y", "z", "w", "v"], field=field, order=order)
+    ideals = []
+    for _ in range(4):
+        ideals.append([_random_sparse(rng, A, rng.randint(2, 4), 0, 3) for _ in range(rng.randint(2, 4))])
+    for _ in range(2):
+        ideals.append([_random_sparse(rng, A, 3, 2, 2) for _ in range(3)] + [_random_sparse(rng, A, 3, 3, 3)])
+    top, full = _top_against_full(monkeypatch, lambda: [groebner_basis(Ideal(A, gens)).polys for gens in ideals])
+    assert top >= full
 
 
 # ---------------------------------------------------------------------------
