@@ -151,17 +151,63 @@ def _degree_window(caps):
     return [(a, b) for b in range(bmax + 1) for a in range(amax + 1)]
 
 
+def _facet_homology(facets, char):
+    """((p, dim H~_{p-2}), ...) of the complex with these facets, nonzero ranks only, over F_char (Q for 0).
+
+    A facet is a mask of vertices, and the faces are its submasks.
+    """
+    faces = set()
+    for f in facets:
+        s = f
+        while True:
+            faces.add(s)
+            if not s:
+                break
+            s = (s - 1) & f
+    # by_size[k]: the faces of k vertices
+    by_size = [[] for _ in range(max(f.bit_count() for f in facets) + 1)]
+    for s in faces:
+        by_size[s.bit_count()].append(s)
+    # ranks[k] is the rank of the boundary from k-vertex faces to (k-1)-vertex faces
+    ranks = [0] * (len(by_size) + 1)
+    for k in range(1, len(by_size)):
+        span = VectorSpan(char)
+        for tau in by_size[k]:
+            row = {}
+            sign = 1
+            rest = tau
+            while rest:
+                v = rest & -rest
+                row[tau ^ v] = sign
+                sign = -sign
+                rest ^= v
+            span.add(row)
+        ranks[k] = span.rank
+    return tuple((k + 1, h) for k, faces_k in enumerate(by_size)
+                 if (h := len(faces_k) - ranks[k] - ranks[k + 1]))
+
+
 def _monomial_betti(ring, gens):
     """beta(ring/J) as {degree: {p: rank}} for the monomial ideal J minimally generated by gens.
 
     beta_{p,m}(ring/J) = beta_{p-1,m}(J) = dim H~_{p-2}(K^m) for p >= 1, where
     K^m = {squarefree tau : m - tau in J} is the upper Koszul simplicial
     complex (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34),
-    with ranks over the field of the ring. K^m is a cone unless m lies in the
-    lcm lattice of gens, and the full simplex when some generator divides
-    m - supp(m). Such an m is dead, and so is every monomial above it, so
-    every live lattice point is the lcm of a live point and a generator, and
-    the closure expands live points only.
+    with ranks over the field of the ring.
+
+    - Live points. K^m is a cone unless m lies in the lcm lattice of gens,
+      and the full simplex when some generator divides m - supp(m). Such an
+      m is dead, and so is every monomial above it, so every live lattice
+      point is the lcm of a live point and a generator, and the closure
+      expands live points only.
+    - Facets. tau is a face iff some generator g | m has tau inside
+      supp(m - g), so the maximal supports supp(m - g) are the facets of
+      K^m; no subset of supp(m) is tested.
+    - Cones. When every facet holds a common vertex, K^m is a cone and has
+      no reduced homology. A minimal generator's K^m is {empty face}, whose
+      one facet is empty, so it is no cone.
+    - One homology per complex. Live points share complexes, so the
+      homology of each distinct facet set runs once per call.
     """
     if (0,) * ring.nvars in gens:
         return {}  # ring/J = 0
@@ -169,38 +215,47 @@ def _monomial_betti(ring, gens):
     # theirs; the plain packing's int order is the order of the tuples
     P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=0))
     packed = sorted(P.pack(g) for g in gens)
+    guard, support = P.guard, P.support
     shift = P.width - 1
 
     live = list(packed)
     seen = set(packed)
     for m in live:
+        mg = m | guard
         for g in packed:
-            m2 = P.lcm(m, g)
+            # the guard bit of each field where m >= g, as in P.lcm
+            d = (mg - g) & guard
+            if d == guard:
+                continue  # g | m, so lcm(m, g) = m
+            m2 = g ^ ((m ^ g) & (d - (d >> shift)))
             if m2 not in seen:
                 seen.add(m2)
                 # m2 - supp(m2): subtract the unit of every nonzero field
-                if not P.divisible(m2 - (P.support(m2) >> shift), packed):
+                if not P.divisible(m2 - (support(m2) >> shift), packed):
                     live.append(m2)
+    char = ring.field.char
+    homology = {}  # sorted facets -> _facet_homology of them
     out = {(0, 0): {0: 1}}
     for pm in live:
-        m = P.unpack(pm)
-        divisors = [g for g in packed if P.divides(g, pm)]
-        supp = [i for i, e in enumerate(m) if e]
-        faces = [[t for t in combinations(supp, k)
-                  if P.divisible(pm - sum(P.units[i] for i in t), divisors)]
-                 for k in range(len(supp) + 1)]
-        # ranks[k] is the rank of the boundary from k-vertex faces to (k-1)-vertex faces
-        ranks = [0] * (len(faces) + 1)
-        for k in range(1, len(faces)):
-            span = VectorSpan(ring.field.char)
-            for tau in faces[k]:
-                span.add({tau[:j] + tau[j + 1:]: (-1) ** j for j in range(k)})
-            ranks[k] = span.rank
-        for k, faces_k in enumerate(faces):
-            h = len(faces_k) - ranks[k] - ranks[k + 1]
-            if h:
-                row = out.setdefault(ring.monomial_degree(m), {})
-                row[k + 1] = row.get(k + 1, 0) + h
+        pg = pm | guard
+        # supp(m - g) for each generator g | m, as guard bits; a superset is the larger int
+        masks = sorted({support(pm - g) for g in packed if (pg - g) & guard == guard}, reverse=True)
+        facets = []
+        common = guard
+        for s in masks:
+            if all(s & f != s for f in facets):
+                facets.append(s)
+                common &= s
+        if common:
+            continue  # a cone
+        key = tuple(facets)
+        ranks = homology.get(key)
+        if ranks is None:
+            ranks = homology[key] = _facet_homology(key, char)
+        if ranks:
+            row = out.setdefault(ring.monomial_degree(P.unpack(pm)), {})
+            for p, h in ranks:
+                row[p] = row.get(p, 0) + h
     return out
 
 

@@ -196,7 +196,8 @@ def _cmd_betti(args, problem):
     I = ideal_power(problem.ideal, args.power)
     table = graded_betti_table(I, args.degree_cap, args.module)
     payload = dict(table.to_json(), degree_cap=table.window[0], power=args.power)
-    if table.complete:
+    # S/I^0 = 0 has an empty table and no shifts to read invariants from
+    if table.complete and table.entries:
         payload["invariants"] = invariants_from_shifts(table).to_json()
     return (payload, ["koszul-homology-ranks", "shift-reading-of-invariants"], [])
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -270,6 +271,95 @@ def test_monomial_betti_of_small_ideals():
     assert _monomial_betti(A, [(2, 0), (1, 1), (0, 2)]) == {(0, 0): {0: 1}, (2, 0): {1: 3}, (3, 0): {2: 2}}
 
 
+def _seeded_monomial_ideal(seed):
+    # 2-6 variables over Q, F_2 or F_3; even seeds graded, odd ones with
+    # each variable of degree (1, 0) or (0, 1)
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    char = (0, 2, 3)[seed % 3]
+    degrees = tuple((1, 0) if seed % 2 == 0 or rng.random() < 0.5 else (0, 1) for _ in range(n))
+    ring = RingSpec(PrimeField(char) if char else QQ, tuple("x%d" % i for i in range(n)), degrees)
+    count = rng.randint(3, 8)
+    gens = set()
+    while len(gens) < count:
+        exps = [0] * n
+        for _ in range(rng.randint(2, 4)):
+            exps[rng.randrange(n)] += 1
+        gens.add("*".join("x%d^%d" % (i, e) for i, e in enumerate(exps) if e))
+    return Ideal(ring, [parse_polynomial(g, ring) for g in sorted(gens)])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_monomial_betti_matches_koszul_homology(seed, monkeypatch):
+    # beta(S/J) from the upper Koszul complexes against Koszul homology at
+    # every degree up to the top of its support
+    from reeslab import betti
+
+    I = _seeded_monomial_ideal(seed)
+    pieces = _QuotientPieces(I)
+    initial = _monomial_betti(I.ring, pieces._leading)
+    top = (max(d[0] for d in initial), max(d[1] for d in initial))
+    monkeypatch.setattr(betti, "_koszul_degrees", lambda pieces, initial, caps: set(betti._degree_window(caps)))
+    reference = _koszul_betti(pieces, top, dict(hilbert_series_ideal(I).num), initial)
+    entries = sorted(((p, d, r) for d, row in initial.items() for p, r in row.items()),
+                     key=lambda row: (row[0], row[1][1], row[1][0]))
+    assert tuple(entries) == reference
+
+
+def _subset_betti(ring, gens):
+    # the upper Koszul complex at each live lcm-lattice point, found by
+    # testing every subset of supp(m), and each point's homology computed
+    from reeslab._linalg import VectorSpan
+    from reeslab.rings import MonomialPacking
+
+    if (0,) * ring.nvars in gens:
+        return {}
+    P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=0))
+    packed = sorted(P.pack(g) for g in gens)
+    live, seen = list(packed), set(packed)
+    for m in live:
+        for g in packed:
+            m2 = P.lcm(m, g)
+            if m2 not in seen:
+                seen.add(m2)
+                if not P.divisible(m2 - (P.support(m2) >> (P.width - 1)), packed):
+                    live.append(m2)
+    out = {(0, 0): {0: 1}}
+    for pm in live:
+        m = P.unpack(pm)
+        supp = [i for i, e in enumerate(m) if e]
+        faces = [[t for t in combinations(supp, k) if P.divisible(pm - sum(P.units[i] for i in t), packed)]
+                 for k in range(len(supp) + 1)]
+        ranks = [0] * (len(faces) + 1)
+        for k in range(1, len(faces)):
+            span = VectorSpan(ring.field.char)
+            for tau in faces[k]:
+                span.add({tau[:j] + tau[j + 1:]: (-1) ** j for j in range(k)})
+            ranks[k] = span.rank
+        for k, faces_k in enumerate(faces):
+            h = len(faces_k) - ranks[k] - ranks[k + 1]
+            if h:
+                row = out.setdefault(ring.monomial_degree(m), {})
+                row[k + 1] = row.get(k + 1, 0) + h
+    return out
+
+
+@pytest.mark.parametrize("case", ["quartic_cube", "quartic_square_mod_p", "twisted_cubic_rees", "planar_fat_rees"])
+def test_monomial_betti_matches_subset_enumeration(case, request):
+    # the leading monomials of the benchmark's heaviest Betti tables
+    from reeslab.groebner import groebner_basis
+    from reeslab.rees import rees_presentation
+
+    I = {
+        "quartic_cube": lambda: ideal_power(_quartic(QQ), 3),
+        "quartic_square_mod_p": lambda: _quartic_square(PrimeField(32003)),
+        "twisted_cubic_rees": lambda: request.getfixturevalue("twisted_cubic_rees").defining_ideal,
+        "planar_fat_rees": lambda: rees_presentation(request.getfixturevalue("planar_fat_ideal")).defining_ideal,
+    }[case]()
+    leads = groebner_basis(I).leading_monomials
+    assert _monomial_betti(I.ring, leads) == _subset_betti(I.ring, leads)
+
+
 def test_euler_check_covers_skipped_degrees():
     I = _pure_powers()
     euler = dict(hilbert_series_ideal(I).num)
@@ -287,11 +377,7 @@ def _unit_or_zero(gens):
 
 
 def _quartic_square_mod_p():
-    A = graded_ring(["x0", "x1", "x2", "x3", "x4"], field=PrimeField(32003))
-    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
-            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
-    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
-    return graded_betti_table(ideal_power(I, 2), 10, "quotient")
+    return graded_betti_table(_quartic_square(PrimeField(32003)), 10, "quotient")
 
 
 def _rees_table(ideal, window):
@@ -368,11 +454,15 @@ def test_rp2_table_depends_on_the_characteristic(char, monkeypatch):
     assert graded_betti_table(I, 8, "quotient").to_json() == table.to_json()
 
 
-def _quartic_square(field):
+def _quartic(field):
     A = graded_ring(["x0", "x1", "x2", "x3", "x4"], field=field)
     gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
             "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
-    return ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 2)
+    return Ideal(A, [parse_polynomial(g, A) for g in gens])
+
+
+def _quartic_square(field):
+    return ideal_power(_quartic(field), 2)
 
 
 def _rational_coefficients():

@@ -537,6 +537,15 @@ def test_predict_zero_is_reported(capsys, cubic_file, command, key, expected):
     assert json.loads(out)["result"]["predicted"] == {"power": 0, key: expected}
 
 
+def test_betti_of_the_zero_quotient_has_no_invariants(capsys, cubic_file):
+    # S/I^0 = 0: its table is empty and complete, with no shifts to read
+    code, out = run_cli(capsys, "--no-cache", "betti", "--module", "quotient", "--power", "0", cubic_file)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["rows"], result["complete"], result["power"]) == ([], True, 0)
+    assert "invariants" not in result
+
+
 def test_determinism_and_cache_hit(capsys, cubic_file, isolated_cache):
     code1, out1 = run_cli(capsys, "gb", cubic_file)
     entries = list(isolated_cache.glob("*.json"))
