@@ -6,10 +6,6 @@ from fractions import Fraction
 from math import factorial
 
 
-def qpoly(*coeffs):
-    return normalize(tuple(Fraction(c) for c in coeffs))
-
-
 def normalize(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:

@@ -29,14 +29,6 @@ class BettiTable:
     def rows(self):
         return list(self.entries)
 
-    def rank(self, p, degree):
-        if isinstance(degree, int):
-            degree = (degree, 0)
-        for q, d, r in self.entries:
-            if q == p and d == degree:
-                return r
-        return 0
-
     def max_index(self):
         return max((p for p, _, _ in self.entries), default=-1)
 
@@ -433,7 +425,6 @@ class InvariantsReport:
     reg: tuple               # per grading component
     proj_dim: int
     t_values: tuple          # ((p, (t1, t2)), ...) max shift per homological index
-    canonical_twist: tuple   # a^j(S) of the ambient ring
 
     def to_json(self):
         return {
@@ -468,16 +459,4 @@ def invariants_from_shifts(B):
     )
     a_star = (t_star[0] + a_ring[0], t_star[1] + a_ring[1])
     proj = max(t_values)
-    return InvariantsReport(
-        a_star,
-        (reg1, reg2),
-        proj,
-        tuple(sorted(t_values.items())),
-        a_ring,
-    )
-
-
-def proj_dim(B):
-    if not B.complete:
-        raise BettiError("table is truncated; widen the window")
-    return B.max_index()
+    return InvariantsReport(a_star, (reg1, reg2), proj, tuple(sorted(t_values.items())))

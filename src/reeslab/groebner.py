@@ -8,7 +8,6 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .rings import (
-    DEGREVLEX,
     MonomialPacking,
     PackingOverflow,
     Polynomial,
@@ -16,7 +15,6 @@ from .rings import (
     RingSpec,
     TermOrder,
     elimination_order,
-    mono_divides,
 )
 
 # ---------------------------------------------------------------------------
@@ -470,10 +468,10 @@ def _hilbert_skip(ring, order, series, homogeneous):
     """
     if series is None or not homogeneous or not _sugar_is_degree(ring, order):
         return None
-    from .hilbert import HilbertSeriesRational, monomial_quotient_numerator, ring_denominator
+    from .hilbert import HilbertSeriesRational, monomial_quotient_numerator
 
     def missing_leads(d, leads):
-        have = HilbertSeriesRational.make(monomial_quotient_numerator(ring, leads), ring_denominator(ring))
+        have = HilbertSeriesRational.make(monomial_quotient_numerator(ring, leads), ring.degrees)
         return have.coefficient(d) - series.coefficient(d)
 
     return missing_leads
@@ -581,9 +579,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._triples)
 
-    def contains_monomial(self, mono):
-        return any(mono_divides(lm, mono) for lm in self.leading_monomials)
-
 
 class Ideal:
     """An ideal given by generators, with a per-order cache of its Buchberger basis."""
@@ -615,13 +610,6 @@ class Ideal:
 
     def groebner(self, order=None):
         return groebner_basis(self, order)
-
-    def contains(self, f):
-        if f.ring != self.ring:
-            raise RingError("polynomial not in the ambient ring")
-        if not f:
-            return True
-        return not normal_form(f, self.groebner())
 
 
 def groebner_basis(I, order=None):
@@ -659,24 +647,6 @@ def initial_ideal(I, order=None):
     ring = I.ring
     gens = [Polynomial(ring, {lm: ring.field.one}) for lm in sorted(initial_monomials(I, order))]
     return Ideal(ring, gens)
-
-
-def spairs_reduce_to_zero(G):
-    """Certificate check: every S-pair of the GroebnerBasis G reduces to zero, reduced or not."""
-    char = G.ring.field.char
-
-    def check(P, triples):
-        Q = MonomialPacking(P.nvars, P.width)
-        plain = [Q.pack(P.unpack(t[0])) for t in triples]
-        for i in range(len(triples)):
-            for j in range(i + 1, len(triples)):
-                L = P.pack(Q.unpack(Q.lcm(plain[i], plain[j])))
-                s = _spoly(triples[i], triples[j], L, P.guard, char)
-                if _normal_form_int(s, triples, P.guard, char)[0] is not None:
-                    return False
-        return True
-
-    return _on_basis(G, check)[1]
 
 
 def ideal_product(I, J):
@@ -853,13 +823,8 @@ def eliminate(J, block):
     return out
 
 
-def restrict_ring(ring, keep, order=None):
-    return RingSpec(
-        ring.field,
-        tuple(ring.names[i] for i in keep),
-        tuple(ring.degrees[i] for i in keep),
-        order or DEGREVLEX,
-    )
+def restrict_ring(ring, keep):
+    return RingSpec(ring.field, tuple(ring.names[i] for i in keep), tuple(ring.degrees[i] for i in keep))
 
 
 def transport(f, target):

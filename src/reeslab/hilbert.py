@@ -29,15 +29,12 @@ class HilbertSeriesRational:
     den: tuple
 
     @staticmethod
-    def make(num_dict, den_factors):
-        num = tuple(sorted((d, c) for d, c in num_dict.items() if c))
+    def make(num_dict, degrees):
+        """num_dict over one factor (1 - s^a t^b) per variable degree (a, b)."""
         den = {}
-        for f in den_factors:
-            if isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], tuple):
-                den[f[0]] = den.get(f[0], 0) + f[1]
-            else:
-                den[f] = den.get(f, 0) + 1
-        return HilbertSeriesRational(num, tuple(sorted(den.items())))
+        for d in degrees:
+            den[d] = den.get(d, 0) + 1
+        return HilbertSeriesRational(_sorted_num(num_dict), tuple(sorted(den.items())))
 
     # -- arithmetic over a common denominator -------------------------------
     def _require_same_den(self, other):
@@ -49,22 +46,14 @@ class HilbertSeriesRational:
         acc = dict(self.num)
         for d, c in other.num:
             acc[d] = acc.get(d, 0) + c
-        return HilbertSeriesRational.make(acc, self.den)
+        return HilbertSeriesRational(_sorted_num(acc), self.den)
 
     def __sub__(self, other):
         self._require_same_den(other)
         acc = dict(self.num)
         for d, c in other.num:
             acc[d] = acc.get(d, 0) - c
-        return HilbertSeriesRational.make(acc, self.den)
-
-    def shift(self, a, b):
-        return HilbertSeriesRational.make(
-            {(d[0] + a, d[1] + b): c for d, c in self.num}, self.den
-        )
-
-    def num_dict(self):
-        return dict(self.num)
+        return HilbertSeriesRational(_sorted_num(acc), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeriesRational):
@@ -137,6 +126,10 @@ def _t_slice(t_degrees, num_slices, j):
                     key = a + deg
                     out[key] = out.get(key, 0) + c * c2
     return {k: v for k, v in out.items() if v}
+
+
+def _sorted_num(num_dict):
+    return tuple(sorted((d, c) for d, c in num_dict.items() if c))
 
 
 def _den_difference(big, small):
@@ -272,10 +265,6 @@ def monomial_quotient_numerator(ring, gens, _ctx=None):
     return out
 
 
-def ring_denominator(ring):
-    return [d for d in ring.degrees]
-
-
 def hilbert_series_monomial(J):
     """Series of ring/J for a monomial ideal J (pivot recursion, exact)."""
     ring = J.ring
@@ -285,7 +274,7 @@ def hilbert_series_monomial(J):
             raise SeriesError("non-monomial generator %r" % g)
         gens.append(g.terms[0][0])
     num = monomial_quotient_numerator(ring, gens)
-    return HilbertSeriesRational.make(num, ring_denominator(ring))
+    return HilbertSeriesRational.make(num, ring.degrees)
 
 
 def hilbert_series_ideal(I, as_module="quotient", order=None):
@@ -299,14 +288,14 @@ def hilbert_series_ideal(I, as_module="quotient", order=None):
         num = {(0, 0): 1}
     else:
         num = monomial_quotient_numerator(ring, initial_monomials(I, order))
-    quotient = HilbertSeriesRational.make(num, ring_denominator(ring))
+    quotient = HilbertSeriesRational.make(num, ring.degrees)
     if as_module == "quotient":
         return quotient
     return hilbert_series_ring(ring) - quotient
 
 
 def hilbert_series_ring(ring):
-    return HilbertSeriesRational.make({(0, 0): 1}, ring_denominator(ring))
+    return HilbertSeriesRational.make({(0, 0): 1}, ring.degrees)
 
 
 def hilbert_function(series, degree):

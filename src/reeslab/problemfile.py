@@ -156,13 +156,6 @@ def _read_problem(text):
                        tuple(ideal_exprs), tuple(family))
 
 
-def parse_problem(text):
-    """The problem with its ring and ideal built, so every error is raised here."""
-    problem = _read_problem(text)
-    problem.ideal  # builds the ring too
-    return problem
-
-
 def load_problem(path):
     """The problem in a file, from the text pass alone: `ring` and `ideal` are built on first access."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Rees-algebra presentations, form ring, fiber cone, analytic spread, reduction-number bounds."""
+"""Rees-algebra presentations, form ring, fiber cone and analytic spread."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from .groebner import (
     Ideal,
     eliminate,
     groebner_basis,
-    ideal_power,
-    ideal_product,
     minimal_generators,
     transport,
 )
@@ -196,51 +194,6 @@ def fiber_cone(P):
     data = FiberConeData(F_ring, J, spread, series)
     P._fiber = data
     return data
-
-
-def reduction_number_bounds(F, fiber_betti):
-    """Interval [a_l(F) + l, reg(F)] bounding the reduction number.
-
-    The lower end uses the shift formula for the dim-F cohomological index;
-    it is certified when the fiber cone is Cohen-Macaulay or the extremal
-    strictness condition holds, and otherwise falls back to 0. Both ends
-    need the whole table, so a truncated one is refused.
-    """
-    if not fiber_betti.complete:
-        raise ReesError("fiber cone table is truncated; widen the window")
-    r = F.ring.nvars
-    l = F.spread
-    rows = fiber_betti.rows()
-    if not rows:
-        return (0, 0)
-    reg = max(deg[0] - p for p, deg, _ in rows)
-    proj_dim = max(p for p, _, _ in rows)
-    p_star = r - l
-    t_at = {}
-    for p, deg, _ in rows:
-        t_at[p] = max(t_at.get(p, deg[0]), deg[0])
-    lower = 0
-    if p_star in t_at:
-        if proj_dim == p_star:
-            # Cohen-Macaulay fiber cone: the extremal index is the last one
-            certified = True
-        else:
-            # strict drop of the maximal shift certifies the extremal equality
-            certified = t_at[p_star] > t_at.get(p_star + 1, t_at[p_star])
-        if certified:
-            a_l = t_at[p_star] - r
-            lower = max(a_l + l, 0)
-    return (lower, reg)
-
-
-def reduction_number(I, J, max_steps=40):
-    """Brute-force r_J(I): least m with I^{m+1} = J * I^m (J must be a reduction)."""
-    for m in range(max_steps):
-        lhs = ideal_power(I, m + 1)
-        rhs = ideal_product(J, ideal_power(I, m))
-        if all(rhs.contains(g) for g in lhs.gens):
-            return m
-    raise ReesError("no reduction detected within %d steps" % max_steps)
 
 
 def builtin_a2_form_ring(family, **params):

@@ -233,9 +233,6 @@ class RingSpec:
     def key_function(self):
         return self.order.key_function(self.nvars)
 
-    def with_order(self, order):
-        return RingSpec(self.field, self.names, self.degrees, order)
-
     def monomial_degree(self, mono):
         d1 = d2 = 0
         for e, (a, b) in zip(mono, self.degrees):
@@ -248,59 +245,11 @@ class RingSpec:
         mono[i] = 1
         return Polynomial(self, {tuple(mono): self.field.one})
 
-    def gens(self):
-        return [self.variable(i) for i in range(self.nvars)]
-
     def zero(self):
         return Polynomial(self, {})
 
     def one(self):
         return Polynomial(self, {(0,) * self.nvars: self.field.one})
-
-    def constant(self, c):
-        c = self.field.coerce(c)
-        if not c:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
-
-    def monomials_of_degree(self, degree):
-        """All exponent vectors of the given Z^2 degree, as a list of tuples."""
-        out = []
-        n = self.nvars
-        degs = self.degrees
-        # cheapest first-degree cost per unit of second degree over each suffix
-        INF = float("inf")
-        min_ratio = [INF] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            a, b = degs[i]
-            min_ratio[i] = min(min_ratio[i + 1], a / b if b else INF)
-
-        last = n - 1
-
-        def rec(i, rem1, rem2, acc):
-            a, b = degs[i]
-            if i == last:
-                # the last exponent is forced: both remainders are one multiple of its degree
-                e = rem1 // a if a else rem2 // b
-                if e * a == rem1 and e * b == rem2:
-                    acc.append(e)
-                    out.append(tuple(acc))
-                    acc.pop()
-                return
-            if rem2 and rem2 * min_ratio[i] > rem1:
-                return
-            emax1 = rem1 // a if a else None
-            emax2 = rem2 // b if b else None
-            cands = [c for c in (emax1, emax2) if c is not None]
-            emax = min(cands)
-            for e in range(emax + 1):
-                acc.append(e)
-                rec(i + 1, rem1 - e * a, rem2 - e * b, acc)
-                acc.pop()
-
-        if degree[0] >= 0 and degree[1] >= 0:
-            rec(0, degree[0], degree[1], [])
-        return out
 
     def __repr__(self):
         vars_ = ", ".join("%s(%d,%d)" % (n, d[0], d[1]) for n, d in zip(self.names, self.degrees))
@@ -325,11 +274,6 @@ def blowup_ring(x_names, y_names, y_degrees, field=QQ, order=DEGREVLEX):
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 class PackingOverflow(ArithmeticError):
@@ -473,11 +417,6 @@ class Polynomial:
             raise RingError("zero polynomial has no leading monomial")
         return self.terms[0][0]
 
-    def leading_coefficient(self):
-        if not self.terms:
-            raise RingError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
     def _check_same_ring(self, other):
         if self.ring != other.ring:
             raise RingError("polynomials live in different rings")
@@ -542,18 +481,6 @@ class Polynomial:
         if p:
             return Polynomial(self.ring, {m: (v * c) % p for m, v in self.terms})
         return Polynomial(self.ring, {m: v * c for m, v in self.terms})
-
-    def mul_monomial(self, mono, c=1):
-        c = self.ring.field.coerce(c)
-        p = self.ring.field.char
-        acc = {}
-        for m, v in self.terms:
-            w = v * c
-            if p:
-                w %= p
-            if w:
-                acc[mono_mul(m, mono)] = w
-        return Polynomial(self.ring, acc)
 
     # -- grading -------------------------------------------------------------
     def multidegree(self):

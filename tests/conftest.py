@@ -9,15 +9,21 @@ import pytest
 
 from reeslab import (
     Ideal,
+    Polynomial,
     RingSpec,
     QQ,
     graded_ring,
     hilbert_series_ideal,
     ideal_power,
+    ideal_product,
+    normal_form,
     parse_polynomial,
 )
-from reeslab.rees import rees_presentation
-from reeslab.rings import mono_divides
+from reeslab._qpoly import normalize
+from reeslab.groebner import _normal_form_int, _on_basis, _spoly
+from reeslab.problemfile import _read_problem
+from reeslab.rees import ReesError, rees_presentation
+from reeslab.rings import MonomialPacking
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +112,93 @@ TWISTED_CUBIC_TEMPLATE = {
 # ---------------------------------------------------------------------------
 # oracles
 
+def mono_divides(a, b):
+    """a | b componentwise."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomials_of_degree(ring, degree):
+    """All exponent vectors of the given Z^2 degree, as a list of tuples."""
+    out = []
+    n = ring.nvars
+    degs = ring.degrees
+    # cheapest first-degree cost per unit of second degree over each suffix
+    INF = float("inf")
+    min_ratio = [INF] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        a, b = degs[i]
+        min_ratio[i] = min(min_ratio[i + 1], a / b if b else INF)
+
+    last = n - 1
+
+    def rec(i, rem1, rem2, acc):
+        a, b = degs[i]
+        if i == last:
+            # the last exponent is forced: both remainders are one multiple of its degree
+            e = rem1 // a if a else rem2 // b
+            if e * a == rem1 and e * b == rem2:
+                acc.append(e)
+                out.append(tuple(acc))
+                acc.pop()
+            return
+        if rem2 and rem2 * min_ratio[i] > rem1:
+            return
+        emax1 = rem1 // a if a else None
+        emax2 = rem2 // b if b else None
+        cands = [c for c in (emax1, emax2) if c is not None]
+        emax = min(cands)
+        for e in range(emax + 1):
+            acc.append(e)
+            rec(i + 1, rem1 - e * a, rem2 - e * b, acc)
+            acc.pop()
+
+    if degree[0] >= 0 and degree[1] >= 0:
+        rec(0, degree[0], degree[1], [])
+    return out
+
+
+def qpoly(*coeffs):
+    """The polynomial sum_i coeffs[i] j^i over Q, as reeslab._qpoly stores it."""
+    return normalize(tuple(Fraction(c) for c in coeffs))
+
+
+def parse_problem(text):
+    """The problem with its ring and ideal built, so every error is raised here."""
+    problem = _read_problem(text)
+    problem.ideal  # builds the ring too
+    return problem
+
+
+def spairs_reduce_to_zero(G):
+    """Certificate check: every S-pair of the GroebnerBasis G reduces to zero, reduced or not."""
+    char = G.ring.field.char
+
+    def check(P, triples):
+        Q = MonomialPacking(P.nvars, P.width)
+        plain = [Q.pack(P.unpack(t[0])) for t in triples]
+        for i in range(len(triples)):
+            for j in range(i + 1, len(triples)):
+                L = P.pack(Q.unpack(Q.lcm(plain[i], plain[j])))
+                s = _spoly(triples[i], triples[j], L, P.guard, char)
+                if _normal_form_int(s, triples, P.guard, char)[0] is not None:
+                    return False
+        return True
+
+    return _on_basis(G, check)[1]
+
+
+def reduction_number(I, J, max_steps=40):
+    """Brute-force r_J(I): least m with I^{m+1} = J * I^m (J must be a reduction)."""
+    for m in range(max_steps):
+        lhs = ideal_power(I, m + 1)
+        rhs = ideal_product(J, ideal_power(I, m)).groebner()
+        if not any(normal_form(g, rhs) for g in lhs.gens):
+            return m
+    raise ReesError("no reduction detected within %d steps" % max_steps)
+
+
 def naive_multiply(f, g):
     """Schoolbook convolution, independent of Polynomial.__mul__."""
-    from reeslab.rings import Polynomial
-
     acc = {}
     for m1, c1 in f.terms:
         for m2, c2 in g.terms:
@@ -122,7 +211,7 @@ def count_standard_monomials(ring, gens, degree):
     """Brute-force dim of (ring/J)_degree for a monomial ideal J."""
     return sum(
         1
-        for m in ring.monomials_of_degree(degree)
+        for m in monomials_of_degree(ring, degree)
         if not any(mono_divides(g, m) for g in gens)
     )
 
@@ -144,8 +233,6 @@ def monomial_quotient_dimension(nvars, gens):
 
 
 def random_monomial_ideal(rng, ring, max_gens=6, max_exp=4):
-    from reeslab.rings import Polynomial
-
     n = ring.nvars
     gens = []
     for _ in range(rng.randint(1, max_gens)):
@@ -163,7 +250,7 @@ def span_dimension_of_products(I, e, degree):
     from reeslab._linalg import VectorSpan
 
     ring = I.ring
-    monos = ring.monomials_of_degree((degree, 0))
+    monos = monomials_of_degree(ring, (degree, 0))
     index = {m: i for i, m in enumerate(monos)}
     span = VectorSpan(ring.field.char)
     for combo in combinations_with_replacement(I.gens, e):
@@ -174,7 +261,7 @@ def span_dimension_of_products(I, e, degree):
         shift = degree - pdeg[0]
         if shift < 0:
             continue
-        for u in ring.monomials_of_degree((shift, 0)):
-            vec = {index[mm]: c for mm, c in prod.mul_monomial(u).terms}
+        for u in monomials_of_degree(ring, (shift, 0)):
+            vec = {index[mm]: c for mm, c in (prod * Polynomial(ring, {u: ring.field.one})).terms}
             span.add(vec)
     return span.rank

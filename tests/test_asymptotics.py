@@ -22,7 +22,7 @@ from reeslab.asymptotics import (
 )
 from reeslab.betti import graded_betti_table
 from reeslab.rees import fiber_cone, rees_presentation
-from conftest import TWISTED_CUBIC_TEMPLATE
+from conftest import TWISTED_CUBIC_TEMPLATE, qpoly
 
 
 def quotient_hp(I, j):
@@ -85,8 +85,8 @@ def cubic_family(twisted_cubic):
 def test_power_polynomials(cubic_family):
     assert (cubic_family.n, cubic_family.h) == (4, 2)
     # e_0 = 3/2 j (j+1); e_1 = 5/3 j (j+1) (j - 2/5)
-    assert cubic_family.polys[0] == qp.qpoly(0, Fraction(3, 2), Fraction(3, 2))
-    assert cubic_family.polys[1] == qp.qpoly(0, Fraction(-2, 3), 1, Fraction(5, 3))
+    assert cubic_family.polys[0] == qpoly(0, Fraction(3, 2), Fraction(3, 2))
+    assert cubic_family.polys[1] == qpoly(0, Fraction(-2, 3), 1, Fraction(5, 3))
 
 
 def test_power_polynomial_leading_coefficients(cubic_family):
@@ -95,7 +95,7 @@ def test_power_polynomial_leading_coefficients(cubic_family):
 
 def test_predicted_fourth_power(twisted_cubic, cubic_family):
     pred = cubic_family.hilbert_polynomial(4)
-    assert pred.coeffs == qp.qpoly(-90, 30)
+    assert pred.coeffs == qpoly(-90, 30)
     assert pred.coeffs == quotient_hp(twisted_cubic, 4).coeffs
 
 
@@ -103,7 +103,7 @@ def test_inconsistent_samples_rejected(twisted_cubic):
     samples = {j: quotient_hp(twisted_cubic, j) for j in (1, 2, 3)}
     from reeslab.hilbert import HilbertPolynomial
 
-    samples[4] = HilbertPolynomial(qp.qpoly(0, 31), 0, 4)  # wrong on purpose
+    samples[4] = HilbertPolynomial(qpoly(0, 31), 0, 4)  # wrong on purpose
     with pytest.raises(FitError):
         fit_hilbert_polynomials(samples)
 
@@ -115,7 +115,7 @@ def test_fit_reads_n_and_h_off_the_samples(twisted_cubic):
     # a line in four variables: h = 4 - 1 - 1 for every sample
     assert {(p.dimension_hint, p.degree) for p in samples.values()} == {(4, 1)}
     # a quadric's degree gives another h, and five variables another n
-    for wrong in (HilbertPolynomial(qp.qpoly(1, 2, 3), 0, 4), HilbertPolynomial(qp.qpoly(-185, 45), 0, 5)):
+    for wrong in (HilbertPolynomial(qpoly(1, 2, 3), 0, 4), HilbertPolynomial(qpoly(-185, 45), 0, 5)):
         with pytest.raises(FitError, match="agree on"):
             fit_hilbert_polynomials({**samples, 5: wrong})
     with pytest.raises(FitError, match="agree on"):
@@ -221,7 +221,7 @@ def test_series_template(twisted_cubic):
     template = fit_hilbert_series(samples, 2, 3)
     assert template.offsets == (0, 1, 2)
     for alpha, coeffs in TWISTED_CUBIC_TEMPLATE.items():
-        assert template.polys[alpha] == qp.qpoly(*coeffs)
+        assert template.polys[alpha] == qpoly(*coeffs)
     direct = hilbert_series_ideal(ideal_power(twisted_cubic, 3), "ideal")
     assert template.predict(3) == direct
 
@@ -279,9 +279,9 @@ def test_predict_resolutions_twisted_cubic(twisted_cubic):
     assert template.linear
     assert template.offsets == ((0, 0), (1, 1), (2, 2))
     q0, q1, q2 = template.polys
-    assert q0 == qp.qpoly(1, Fraction(3, 2), Fraction(1, 2))
-    assert q1 == qp.qpoly(0, 1, 1)
-    assert q2 == qp.qpoly(0, Fraction(-1, 2), Fraction(1, 2))
+    assert q0 == qpoly(1, Fraction(3, 2), Fraction(1, 2))
+    assert q1 == qpoly(0, 1, 1)
+    assert q2 == qpoly(0, Fraction(-1, 2), Fraction(1, 2))
     assert template.validated_on == (3,)
 
 
@@ -369,7 +369,7 @@ def test_symmetric_minors_power_family(symmetric_minors_rees):
             num[d] = num.get(d, 0) - c
         series = HilbertSeriesRational.make(num, [(1, 0)] * 6)
         samples[j] = hilbert_polynomial(series)
-    assert samples[1].coeffs == qp.qpoly(1, 3, 2)
+    assert samples[1].coeffs == qpoly(1, 3, 2)
     family = fit_hilbert_polynomials(samples)
     assert (family.n, family.h) == (6, 3)
     assert leading_coefficients(family) == {3: 4, 4: 18, 5: 51}

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from reeslab.cli import main
-from reeslab.problemfile import ProblemError, parse_problem
+from reeslab.problemfile import ProblemError
+from conftest import parse_problem
 
 TWISTED_CUBIC = """\
 field: Q

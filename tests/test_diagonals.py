@@ -16,9 +16,8 @@ from reeslab.diagonals import (
     gorenstein_diagonals,
     quasi_gorenstein_bounds,
 )
-from reeslab.problemfile import parse_problem
 from reeslab.rees import rees_presentation
-from conftest import span_dimension_of_products
+from conftest import parse_problem, span_dimension_of_products
 
 
 def test_diagonal_spec_validation():

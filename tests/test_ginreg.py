@@ -25,8 +25,8 @@ from reeslab.ginreg import (
     borel_regularity,
     generic_initial_ideal,
 )
-from reeslab.groebner import spairs_reduce_to_zero
-from reeslab.rings import Polynomial, mono_divides
+from reeslab.rings import Polynomial
+from conftest import mono_divides, monomials_of_degree, spairs_reduce_to_zero
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ def test_degenerate_coordinate_changes_rejected():
 
 
 def _random_forms(rng, ring, degree, count):
-    monos = ring.monomials_of_degree((degree, 0))
+    monos = monomials_of_degree(ring, (degree, 0))
     return [Polynomial(ring, {m: ring.field.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) for m in rng.sample(monos, 3)})
             for _ in range(count)]
 
@@ -286,10 +286,10 @@ def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=1
 
     def piece_dimension(gb, degree):
         lms = gb.leading_monomials if gb is not None else []
-        return sum(1 for mono in ring.monomials_of_degree(degree) if any(mono_divides(g, mono) for g in lms))
+        return sum(1 for mono in monomials_of_degree(ring, degree) if any(mono_divides(g, mono) for g in lms))
 
     def colon_piece_equal(gb, h, q):
-        monos = ring.monomials_of_degree((m, q))
+        monos = monomials_of_degree(ring, (m, q))
         target = {}
         span = VectorSpan(0)
         for mono in monos:
@@ -312,7 +312,7 @@ def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=1
     )
     for step in range(len(x_block) + 1):
         gb = groebner_basis(J) if not J.is_zero() else None
-        if all(piece_dimension(gb, (m, q)) == len(ring.monomials_of_degree((m, q))) for q in qs):
+        if all(piece_dimension(gb, (m, q)) == len(monomials_of_degree(ring, (m, q))) for q in qs):
             return RegularityCheck(True, m, tuple(q_window), forms, seed, note)
         if step == len(x_block):
             break
@@ -327,7 +327,7 @@ def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=1
 
 
 def _random_bihomogeneous(rng, ring, degree):
-    monos = ring.monomials_of_degree(degree)
+    monos = monomials_of_degree(ring, degree)
     return Polynomial(ring, {mm: ring.field.coerce(rng.choice((-2, -1, 1, 2, 3)))
                              for mm in rng.sample(monos, min(rng.randint(1, 3), len(monos)))})
 
@@ -371,7 +371,7 @@ def test_bayer_stillman_matches_the_linear_algebra_route(S22):
 def _substitute_by_polynomials(I, blocks, matrices):
     """apply_coordinate_change through Polynomial arithmetic, one factor at a time."""
     ring = I.ring
-    images = list(ring.gens())
+    images = [ring.variable(i) for i in range(ring.nvars)]
     for indices, g in zip(blocks, matrices):
         for col, j in enumerate(indices):
             acc = ring.zero()
@@ -383,7 +383,7 @@ def _substitute_by_polynomials(I, blocks, matrices):
     for f in I.gens:
         acc = ring.zero()
         for mono, coeff in f.terms:
-            term = ring.constant(coeff)
+            term = ring.one().scale(coeff)
             for idx, e in enumerate(mono):
                 for _ in range(e):
                     term = term * images[idx]

@@ -25,9 +25,10 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab import groebner
-from reeslab.groebner import _basis, spairs_reduce_to_zero, transport
+from reeslab.groebner import _basis, transport
 from reeslab.hilbert import hilbert_series_ring
-from reeslab.rings import MonomialPacking, Polynomial, RingError, RingSpec, TermOrder, mono_divides
+from reeslab.rings import MonomialPacking, Polynomial, RingError, RingSpec, TermOrder
+from conftest import mono_divides, monomials_of_degree, spairs_reduce_to_zero
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -43,12 +44,12 @@ def test_principal_ideal_basis_is_monic_generator():
     I = Ideal(A, [parse_polynomial("2*X^2 - 4*Y^2", A)])
     gb = groebner_basis(I)
     assert len(gb) == 1
-    assert gb.polys[0].leading_coefficient() == 1
+    assert gb.polys[0].terms[0][1] == 1
 
 
 def test_twisted_cubic_series_through_initial_ideal(twisted_cubic):
     H = hilbert_series_ideal(twisted_cubic, "ideal")
-    assert H.num_dict() == {(2, 0): 3, (3, 0): -2}
+    assert dict(H.num) == {(2, 0): 3, (3, 0): -2}
     assert dict(H.den) == {(1, 0): 4}
 
 
@@ -90,7 +91,7 @@ def test_ideal_power_basics():
     I2 = ideal_power(I, 2)
     assert sorted(g.leading_monomial() for g in I2.gens) == [(0, 2), (1, 1), (2, 0)]
     I0 = ideal_power(I, 0)
-    assert I0.contains(A.one())
+    assert not normal_form(A.one(), groebner_basis(I0))
 
 
 def test_twisted_cubic_square_has_six_quartics(twisted_cubic):
@@ -131,7 +132,7 @@ def test_elimination_and_rees_rings_are_degrevlex():
     from reeslab.rees import rees_presentation
 
     A = graded_ring(["X", "Y", "Z"], order=LEX)
-    X, Y, Z = A.gens()
+    X, Y, Z = (A.variable(i) for i in range(3))
     assert eliminate(Ideal(A, [X - Y * Z, Y * Y]), [0]).ring.order == DEGREVLEX
     assert rees_presentation(Ideal(A, [X * X, Y * Y])).defining_ideal.ring.order == DEGREVLEX
 
@@ -212,7 +213,7 @@ def test_colon_by_a_non_monomial_divisor(field):
     I = Ideal(A, [f * parse_polynomial("X - Y", A), parse_polynomial("Z^2", A)])
     C = colon_ideal(I, f)
     assert C == Ideal(A, [parse_polynomial("X - Y", A), parse_polynomial("Z^2", A)])
-    assert all(I.contains(f * g) for g in C.gens)
+    assert not any(normal_form(f * g, groebner_basis(I)) for g in C.gens)
     if not field.char:
         # the intersection's basis is monic, so the quotient (X - Y)/2 is not integral
         assert any(c.denominator != 1 for g in C.gens for _, c in g.terms)
@@ -239,8 +240,8 @@ def test_colon_times_divisor_lies_in_the_ideal(field, seed):
         pytest.skip("zero divisor drawn")
     I = Ideal(A, [f * form(1), form(2), form(3)])
     C = colon_ideal(I, f)
-    assert all(C.contains(g) for g in I.gens)
-    assert all(I.contains(f * g) for g in C.gens)
+    assert not any(normal_form(g, groebner_basis(C)) for g in I.gens)
+    assert not any(normal_form(f * g, groebner_basis(I)) for g in C.gens)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
@@ -249,7 +250,7 @@ def test_colon_of_the_prime_twisted_cubic_is_itself(field, divisor):
     A = graded_ring(["X1", "X2", "X3", "X4"], field=field)
     I = Ideal(A, [parse_polynomial(s, A) for s in ("X1*X4 - X2*X3", "X2^2 - X1*X3", "X3^2 - X2*X4")])
     f = parse_polynomial(divisor, A)
-    assert not I.contains(f)
+    assert normal_form(f, groebner_basis(I))
     assert colon_ideal(I, f) == I
 
 
@@ -319,7 +320,7 @@ def test_basis_is_reduced(seed, order, field):
         gens.append(Polynomial(A, {m: field.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) for m in monos}))
     gb = groebner_basis(Ideal(A, gens))
     leads = [g.leading_monomial() for g in gb.polys]
-    assert all(g.leading_coefficient() == 1 for g in gb.polys)
+    assert all(g.terms[0][1] == 1 for g in gb.polys)
     assert not any(mono_divides(a, b) for a, b in permutations(leads, 2))
     assert not any(mono_divides(a, m) for g in gb.polys for m, _ in g.terms[1:] for a in leads)
     assert spairs_reduce_to_zero(gb)
@@ -553,7 +554,7 @@ def test_random_elimination_stores_the_fresh_basis(seed, field):
 # ideal_power and minimal_generators against the Polynomial product route
 
 def _minimal_generators_by_polynomials(ring, polys):
-    """minimal_generators on Polynomials: rows of g.mul_monomial(u) with field coefficients."""
+    """minimal_generators on Polynomials: rows of g * u, u a monomial, with field coefficients."""
     from reeslab._linalg import VectorSpan
 
     by_degree = {}
@@ -561,15 +562,15 @@ def _minimal_generators_by_polynomials(ring, polys):
         by_degree.setdefault(p.multidegree(), []).append(p)
     kept = []
     for deg in sorted(by_degree, key=lambda d: (d[0] + d[1], d)):
-        index = {m: i for i, m in enumerate(ring.monomials_of_degree(deg))}
+        index = {m: i for i, m in enumerate(monomials_of_degree(ring, deg))}
         span = VectorSpan(ring.field.char)
         for g in kept:
             gdeg = g.multidegree()
             shift = (deg[0] - gdeg[0], deg[1] - gdeg[1])
             if shift[0] < 0 or shift[1] < 0:
                 continue
-            for u in ring.monomials_of_degree(shift):
-                span.add({index[m]: c for m, c in g.mul_monomial(u).terms})
+            for u in monomials_of_degree(ring, shift):
+                span.add({index[m]: c for m, c in (g * Polynomial(ring, {u: ring.field.one})).terms})
         for cand in by_degree[deg]:
             if span.add({index[m]: c for m, c in cand.terms}):
                 kept.append(cand)
@@ -627,7 +628,7 @@ def test_ideal_powers_over_q_reduce_to_the_powers_over_f32003():
         gens = []
         for _ in range(rng.randint(2, 3)):
             d = rng.randint(1, 2)
-            monos = {m for m in Q.monomials_of_degree((d, 0)) if rng.random() < 0.5} or {(d, 0, 0, 0)}
+            monos = {m for m in monomials_of_degree(Q, (d, 0)) if rng.random() < 0.5} or {(d, 0, 0, 0)}
             gens.append(Polynomial(Q, {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for m in monos}))
         I = Ideal(Q, gens)
         Ip = Ideal(F, [transport(g, F) for g in I.gens])
@@ -658,7 +659,7 @@ def test_minimal_generators_match_the_whole_degree_route(field, seed):
     rng = random.Random(1700 + seed)
 
     def form(degree):
-        monos = S.monomials_of_degree(degree)
+        monos = monomials_of_degree(S, degree)
         return Polynomial(S, {m: S.field.coerce(rng.choice((-3, -1, 1, 2, 6))) for m in rng.sample(monos, min(3, len(monos)))})
 
     gens = [form((rng.randint(1, 2), rng.randint(0, 1))) for _ in range(4)]

@@ -25,6 +25,7 @@ from reeslab import _qpoly as qp
 from conftest import (
     count_standard_monomials,
     monomial_quotient_dimension,
+    qpoly,
     random_monomial_ideal,
 )
 
@@ -32,7 +33,7 @@ from conftest import (
 def test_series_of_free_ring():
     A = graded_ring(["X", "Y"])
     H = hilbert_series_monomial(Ideal(A, []))
-    assert H.num_dict() == {(0, 0): 1}
+    assert dict(H.num) == {(0, 0): 1}
     assert dict(H.den) == {(1, 0): 2}
 
 
@@ -41,7 +42,7 @@ def test_series_of_square_of_maximal_ideal():
     J = Ideal(A, [parse_polynomial(s, A) for s in ("X^2", "X*Y", "Y^2")])
     H = hilbert_series_monomial(J)
     # dimensions 1, 2, 0, 0, ... force numerator 1 - 3s^2 + 2s^3
-    assert H.num_dict() == {(0, 0): 1, (2, 0): -3, (3, 0): 2}
+    assert dict(H.num) == {(0, 0): 1, (2, 0): -3, (3, 0): 2}
 
 
 def test_series_of_free_bigraded_algebra():
@@ -57,13 +58,13 @@ def test_series_rejects_non_monomial(twisted_cubic):
 
 def test_symmetric_minors_series(symmetric_minors):
     H = hilbert_series_ideal(symmetric_minors, "ideal")
-    assert H.num_dict() == {(2, 0): 6, (3, 0): -8, (4, 0): 3}
+    assert dict(H.num) == {(2, 0): 6, (3, 0): -8, (4, 0): 3}
 
 
 def test_unit_ideal_quotient_is_zero():
     A = graded_ring(["X", "Y"])
     H = hilbert_series_ideal(Ideal(A, [A.one()]), "quotient")
-    assert H.num_dict() == {}
+    assert dict(H.num) == {}
 
 
 def test_hilbert_function_values(twisted_cubic):
@@ -76,9 +77,9 @@ def test_hilbert_function_values(twisted_cubic):
 
 def test_hilbert_polynomials_of_powers(twisted_cubic):
     P1 = hilbert_polynomial(hilbert_series_ideal(twisted_cubic, "quotient"))
-    assert P1.coeffs == qp.qpoly(1, 3)
+    assert P1.coeffs == qpoly(1, 3)
     P2 = hilbert_polynomial(hilbert_series_ideal(ideal_power(twisted_cubic, 2), "quotient"))
-    assert P2.coeffs == qp.qpoly(-7, 9)
+    assert P2.coeffs == qpoly(-7, 9)
     A = twisted_cubic.ring
     PA = hilbert_polynomial(hilbert_series_ring(A))
     assert PA.coeffs == qp.binomial_in_x(3, 3)
@@ -185,7 +186,7 @@ def test_bigraded_hilbert_polynomial_rejects_other_denominators():
 
 def test_laurent_support_rejected_in_expand():
     H = hilbert_series_ideal(Ideal(graded_ring(["x"]), []), "quotient")
-    shifted = H.shift(-1, 0)
+    shifted = HilbertSeriesRational(tuple(((a - 1, b), c) for (a, b), c in H.num), H.den)
     with pytest.raises(SeriesError):
         shifted.expand(3)
 

@@ -17,7 +17,8 @@ from reeslab import (
     parse_polynomial,
 )
 from reeslab import hilbert
-from reeslab.rings import DEGREVLEX, MonomialPacking, Polynomial, mono_divides
+from reeslab.rings import DEGREVLEX, MonomialPacking, Polynomial
+from conftest import mono_divides
 
 TOP = 8
 BIGRADED_DEGREES = ((1, 0), (1, 1), (2, 1), (0, 1))

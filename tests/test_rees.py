@@ -9,7 +9,6 @@ from reeslab import (
     ideal_power,
     parse_polynomial,
 )
-from reeslab.betti import graded_betti_table
 from reeslab.diagonals import DiagonalSpec, diagonal_hilbert_function
 from reeslab.hilbert import _t_slice
 from reeslab.rees import (
@@ -17,10 +16,9 @@ from reeslab.rees import (
     builtin_a2_form_ring,
     fiber_cone,
     form_ring_presentation,
-    reduction_number,
-    reduction_number_bounds,
     rees_presentation,
 )
+from conftest import monomials_of_degree, parse_problem, reduction_number
 
 
 def test_twisted_cubic_presentation(twisted_cubic_rees):
@@ -31,14 +29,12 @@ def test_twisted_cubic_presentation(twisted_cubic_rees):
 
 def test_twisted_cubic_rees_series(twisted_cubic_rees):
     H = twisted_cubic_rees.series()
-    assert H.num_dict() == {(0, 0): 1, (3, 1): -2, (6, 2): 1}
+    assert dict(H.num) == {(0, 0): 1, (3, 1): -2, (6, 2): 1}
     assert dict(H.den) == {(1, 0): 4, (2, 1): 3}
 
 
 def test_power_series_over_a_weighted_base_ring():
     # H_{I^j} keeps the base ring's factors: 1/((1-s)(1-s^2)) for A = k[x, y], deg y = 2
-    from reeslab.problemfile import parse_problem
-
     P = rees_presentation(parse_problem("field: Q\nvars: x (1,0), y (2,0)\nideal: x; y\n").ideal)
     assert P.power_series(2) == hilbert_series_ideal(ideal_power(P.source, 2), "ideal")
     assert dict(P.power_series(2).den) == {(1, 0): 1, (2, 0): 1}
@@ -103,8 +99,8 @@ def test_form_ring_slices(twisted_cubic, twisted_cubic_rees):
     assert len(t_degrees) == len(twisted_cubic.gens)
     for j in range(4):
         slice_j = _t_slice(t_degrees, ((b, {a: c}) for (a, b), c in HG.num), j)
-        a = twisted_cubic_rees.power_series(j).num_dict()
-        b = twisted_cubic_rees.power_series(j + 1).num_dict()
+        a = dict(twisted_cubic_rees.power_series(j).num)
+        b = dict(twisted_cubic_rees.power_series(j + 1).num)
         expected = {}
         for (deg, _), c in a.items():
             expected[deg] = expected.get(deg, 0) + c
@@ -128,42 +124,17 @@ def test_cm_shift_bound_on_twisted_cubic(twisted_cubic_rees):
         assert b < r
 
 
-def test_reduction_bounds_complete_intersection():
-    A = graded_ring(["X1", "X2"])
-    P = rees_presentation(Ideal(A, [parse_polynomial("X1^3", A), parse_polynomial("X2^3", A)]))
-    F = fiber_cone(P)
-    table = graded_betti_table(F.relations, 4, "quotient")
-    assert reduction_number_bounds(F, table) == (0, 0)
-
-
-def test_reduction_bounds_bracket_brute_force():
+def test_reduction_number_brute_force():
     A = graded_ring(["x", "y"])
     I = Ideal(A, [parse_polynomial(s, A) for s in ("x^2", "x*y", "y^2")])
     J = Ideal(A, [parse_polynomial("x^2", A), parse_polynomial("y^2", A)])
-    r = reduction_number(I, J)
-    assert r == 1
-    P = rees_presentation(I)
-    F = fiber_cone(P)
-    table = graded_betti_table(F.relations, 6, "quotient")
-    lower, upper = reduction_number_bounds(F, table)
-    assert lower <= r <= upper
-    assert (lower, upper) == (1, 1)
+    assert reduction_number(I, J) == 1
 
 
-def test_reduction_bounds_refuse_a_truncated_table():
-    # at cap 1 the fiber table misses the quadric relation, and its bracket (0, 0) excludes r = 1
-    A = graded_ring(["x", "y"])
-    F = fiber_cone(rees_presentation(Ideal(A, [parse_polynomial(s, A) for s in ("x^2", "x*y", "y^2")])))
-    table = graded_betti_table(F.relations, 1, "quotient")
-    assert not table.complete
-    with pytest.raises(ReesError):
-        reduction_number_bounds(F, table)
-
-
-def test_reduction_bounds_six_points_in_the_plane():
+def test_six_points_in_the_plane():
     # six general points in P^2 (none on a conic, no three collinear): the
-    # cubics through them cut out the ideal; the fiber cone is a cubic
-    # hypersurface with a linear resolution, pinning the reduction number at 2
+    # cubics through them cut out the ideal, and the fiber cone is a cubic
+    # hypersurface
     from fractions import Fraction
     from math import gcd
 
@@ -171,7 +142,7 @@ def test_reduction_bounds_six_points_in_the_plane():
 
     A = graded_ring(["x", "y", "z"])
     points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)]
-    monos = A.monomials_of_degree((3, 0))
+    monos = monomials_of_degree(A, (3, 0))
     M = [[Fraction(0)] * len(monos) for _ in points]
     for r_i, pt in enumerate(points):
         for c, m in enumerate(monos):
@@ -211,8 +182,6 @@ def test_reduction_bounds_six_points_in_the_plane():
     F = fiber_cone(P)
     assert F.spread == 3
     assert [g.multidegree() for g in F.relations.gens] == [(3, 0)]
-    table = graded_betti_table(F.relations, 8, "quotient")
-    assert reduction_number_bounds(F, table) == (2, 2)
 
 
 def test_builtin_form_ring_a2_values():
