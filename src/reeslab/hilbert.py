@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from . import _qpoly as qp
 from ._record import record
 from .groebner import initial_monomials
 from .rings import MonomialPacking
@@ -171,8 +170,18 @@ def _num_mul(a, b):
     return out
 
 
-def _one_minus(deg):
-    return {(0, 0): 1, deg: -1} if deg != (0, 0) else {}
+def _times_one_minus(num, deg):
+    """num * (1 - s^a t^b), deg = (a, b), as a new dict."""
+    out = dict(num)
+    a, b = deg
+    for (x, y), c in num.items():
+        k = (x + a, y + b)
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
 
 
 def _minimal(gens, P):
@@ -202,29 +211,56 @@ def monomial_quotient_numerator(ring, gens, _ctx=None):
     Pivot recursion (Bigatti, J. Pure Appl. Algebra 119, 1997) with component
     splitting. The top call packs gens by a plain MonomialPacking, whose
     fields are the exponents; no exponent grows in the recursion, so every
-    node works on those ints, passed on with the packing and the memo in
-    _ctx. A divisor is never a larger int than its multiple, so sorted ints
-    are in divisor-first order and one divisibility pass minimalizes them;
-    the sorted tuple keys the memo. A support is a mask of guard bits, and
-    components merge overlapping masks. The pivot is the variable in the
-    most supports, the lower index on ties. Degrees are unpacked only at the
-    leaves.
+    node works on those ints, passed on with the packing, the memo and a
+    per-call degree table in _ctx. A divisor is never a larger int than its
+    multiple, so sorted ints are in divisor-first order and one divisibility
+    pass minimalizes them. The top call does that pass once; every inner
+    call gets a sorted minimal list, whose tuple keys the memo. Nothing is
+    minimalized twice:
+
+    - The members of a component, and the generators ``rest`` without the
+      pivot x_v, are subsets of a minimal list, so they are minimal; a
+      subset of a sorted list in its order is sorted.
+    - The colon by x_v is D' + rest, where D' divides each generator of D,
+      those with x_v, by x_v. If a/x_v | b/x_v then a | b, so D' is minimal
+      and in D's order. A generator r of rest that divides some a/x_v
+      divides a, so none does. Only an r that some a/x_v divides drops out:
+      one pass of rest against D' minimalizes the colon.
+
+    Some nodes are written down rather than recursed into. A support is a
+    mask of guard bits, and components merge overlapping masks; their
+    numerators multiply. A component with one generator of degree (a, b)
+    is multiplied in as (1 - s^a t^b), and one on two variables takes the
+    staircase closed form. x_v is coprime to every generator of rest, so
+    N(rest + (x_v)) = N(rest) (1 - s^a t^b) with (a, b) = deg x_v, and
+    N = N(rest + (x_v)) + s^a t^b N(colon). The pivot is the variable in
+    the most supports, the lower index on ties, read off the bits of the
+    component's support only. Each monomial's degree is unpacked once per
+    top call. The memo returns the numerator it stored; no caller mutates
+    one it is given.
     """
     if _ctx is None:
         P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=1))
-        gens = [P.pack(m) for m in gens]
-        _ctx = P, {}, lambda m: ring.monomial_degree(P.unpack(m))
+        degrees = {}
+
+        def degree(m):
+            d = degrees.get(m)
+            if d is None:
+                d = degrees[m] = ring.monomial_degree(P.unpack(m))
+            return d
+
+        _ctx = P, {}, degree
+        gens = _minimal([P.pack(m) for m in gens], P)
     P, memo, degree = _ctx
-    minimal = _minimal(gens, P)
-    if not minimal:
+    if not gens:
         return {(0, 0): 1}
-    key = tuple(minimal)
+    key = tuple(gens)
     hit = memo.get(key)
     if hit is not None:
-        return dict(hit)
-    masks = [P.support(m) for m in minimal]
+        return hit
+    masks = [P.support(m) for m in gens]
     comps = []  # [union of the members' masks, members]; the unions are disjoint
-    for m, s in zip(minimal, masks):
+    for m, s in zip(gens, masks):
         merged, rest = [s, [m]], []
         for c in comps:
             if c[0] & s:
@@ -233,35 +269,38 @@ def monomial_quotient_numerator(ring, gens, _ctx=None):
             else:
                 rest.append(c)
         comps = rest + [merged]
-    if len(comps) > 1:
+    if len(comps) > 1 or len(gens) == 1:
         # the numerators of support-disjoint components multiply
         out = {(0, 0): 1}
         for _, members in sorted(comps, key=lambda c: min(c[1])):
-            out = _num_mul(out, monomial_quotient_numerator(ring, members, _ctx))
-    elif len(minimal) == 1:
-        out = _one_minus(degree(minimal[0]))
+            if len(members) == 1:
+                out = _times_one_minus(out, degree(members[0]))
+            else:
+                out = _num_mul(out, monomial_quotient_numerator(ring, sorted(members), _ctx))
     elif comps[0][0].bit_count() == 2:
-        out = _staircase_numerator(degree, P, minimal)
+        out = _staircase_numerator(degree, P, gens)
     else:
-        best = 0
-        for v, u in enumerate(P.units):
-            bit = u << (P.width - 1)
+        best, support = 0, comps[0][0]
+        while support:
+            bit = support & -support
+            support ^= bit
             n = len([s for s in masks if s & bit])
-            if n > best:
-                best, pivot, unit, pbit = n, v, u, bit
-        plus = [m for m, s in zip(minimal, masks) if not s & pbit]
-        plus.append(unit)
-        colon = [m - unit if s & pbit else m for m, s in zip(minimal, masks)]
-        out = dict(monomial_quotient_numerator(ring, plus, _ctx))
-        pdeg = ring.degrees[pivot]
+            if n >= best:  # a higher bit is a lower variable index
+                best, pbit = n, bit
+        unit = pbit >> (P.width - 1)
+        divided = [m - unit for m, s in zip(gens, masks) if s & pbit]
+        rest = [m for m, s in zip(gens, masks) if not s & pbit]
+        pdeg = degree(unit)
+        out = _times_one_minus(monomial_quotient_numerator(ring, rest, _ctx), pdeg)
+        colon = sorted(divided + [m for m in rest if not P.divisible(m, divided)])
         for d, c in monomial_quotient_numerator(ring, colon, _ctx).items():
             sh = (d[0] + pdeg[0], d[1] + pdeg[1])
             v = out.get(sh, 0) + c
             if v:
                 out[sh] = v
             else:
-                out.pop(sh, None)
-    memo[key] = dict(out)
+                del out[sh]
+    memo[key] = out
     return out
 
 
@@ -315,14 +354,17 @@ class HilbertPolynomial:
     dimension_hint: int    # number of standard denominator factors
 
     def __call__(self, x):
+        from . import _qpoly as qp
         return qp.evaluate(self.coeffs, x)
 
     @property
     def degree(self):
+        from . import _qpoly as qp
         return qp.degree(self.coeffs)
 
     def binomial_coefficients(self, count):
         """Coefficients on the basis binom(s + k, k), k = 0..count-1."""
+        from . import _qpoly as qp
         return qp.to_binomial_basis(self.coeffs, count)
 
     def __eq__(self, other):
@@ -334,11 +376,14 @@ class HilbertPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self):
+        from . import _qpoly as qp
         return "HilbertPolynomial(%s; stable from %d)" % (qp.format_poly(self.coeffs, "s"), self.threshold)
 
 
 def hilbert_polynomial(series):
     """Hilbert polynomial of a standard graded series N(s)/(1-s)^n."""
+    from . import _qpoly as qp
+
     n = 0
     for (a, b), mult in series.den:
         if b != 0:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import multiprocessing
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from reeslab import cli
 from reeslab.cli import main
 from reeslab.problemfile import ProblemError
 from conftest import parse_problem
@@ -284,13 +286,46 @@ PARSE_EXITS = {
 }
 
 
+def _eager_parser():
+    """The parser with one subparser per command, built up front on the running Python."""
+    parser = argparse.ArgumentParser(
+        prog="reeslab",
+        description="Exact Hilbert data, Rees presentations, Betti tables and diagonal criteria.",
+        formatter_class=cli._HelpFormatter,
+    )
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--no-cache", action="store_true")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, arguments in cli._COMMANDS.items():
+        sub = subparsers.add_parser(command, formatter_class=cli._HelpFormatter)
+        if command in cli._FAMILIES:
+            sub.add_argument("problem", nargs="?", default=None)
+            reads = (x for _, params, _ in cli._FAMILIES[command].values() for x in params)
+            for param in dict.fromkeys(reads):
+                sub.add_argument("--" + param.replace("_", "-"),
+                                 type=cli._degree_list if param == "degrees" else int)
+        else:
+            sub.add_argument("problem", help="problem file (ring + ideal)")
+        for *names, keywords in arguments:
+            sub.add_argument(*names, **keywords)
+    return parser
+
+
+def _exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("argv", sorted(PARSE_EXITS))
 def test_argument_errors_and_help_are_those_of_one_subparser_per_command(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main(argv.split())
-    captured = capsys.readouterr()
-    assert (exc.value.code, captured.out, captured.err) == PARSE_EXITS[argv]
+    got = _exit_of(capsys, main, argv.split())
+    assert got == _exit_of(capsys, _eager_parser().parse_args, argv.split())
+    # argparse's texts changed in 3.13; these are those of 3.10 to 3.12
+    if sys.version_info < (3, 13):
+        assert got == PARSE_EXITS[argv]
 
 
 def test_a_command_builds_two_parsers(capsys, monkeypatch):

@@ -86,8 +86,14 @@ def test_startup_imports_only_what_the_command_runs(tmp_path):
     code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "--no-cache", "hs", str(cubic))
     assert code == "0"
     assert "reeslab.hilbert" in loaded
-    for layer in ("betti", "ginreg", "asymptotics", "diagonals"):
+    for layer in ("betti", "ginreg", "asymptotics", "diagonals", "_qpoly"):
         assert "reeslab." + layer not in loaded
+
+    # gin loads hilbert for its pair skip, which needs no Hilbert polynomial
+    code, *loaded = loaded_after(tmp_path, RUN_AND_LIST_MODULES, "--no-cache", "gin", str(cubic), "--seed", "7")
+    assert code == "0"
+    assert "reeslab.ginreg" in loaded and "reeslab.hilbert" in loaded
+    assert "reeslab._qpoly" not in loaded
 
 
 def test_no_layer_imports_dataclasses_or_inspect(tmp_path):
