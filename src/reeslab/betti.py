@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -127,12 +128,13 @@ class _QuotientPieces:
         """Table entry of a non-standard monomial: its normal form from the reduction kernel.
 
         The kernel returns rem = scale * NF(mono), with rem primitive over Q
-        and scale a fraction in lowest terms (1 over F_p), so the entry is in
-        lowest terms with a positive denominator.
+        and scale = num/den (1 over F_p), so with scale in lowest terms the
+        entry is in lowest terms with a positive denominator.
         """
         char = self.ring.field.char
-        P, (_, rem, scale) = _on_basis(
+        P, (_, rem, num, den) = _on_basis(
             self.gb, lambda P, triples: _normal_form_int({P.pack(mono): 1}, triples, P.guard, char))
+        scale = Fraction(num, den)
         sign = -1 if scale < 0 else 1
         return (tuple((P.unpack(m), sign * scale.denominator * c) for m, c in rem.items()), abs(scale.numerator))
 

@@ -92,11 +92,12 @@ def _times(f, g, char):
 def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     """Normal form of the packed dict-poly f against reducer triples; f is consumed.
 
-    Returns (lead, rem, scale) with rem = scale * NF(f) and lead its leading
-    monomial (None when rem is zero). Over Q rem is primitive with a positive
-    lead, and scale is the product of the factors the reduction multiplied by
-    and divided out; over F_p scale is 1. Raises PackingOverflow when a
-    product would not fit the fields.
+    Returns (lead, rem, num, den) with rem = (num/den) * NF(f) and lead its
+    leading monomial (None when rem is zero). Over Q rem is primitive with a
+    positive lead, and num/den is the product of the factors the reduction
+    multiplied by and divided out, a pair of ints that a caller needing the
+    scale turns into a Fraction; over F_p num = den = 1. Raises
+    PackingOverflow when a product would not fit the fields.
 
     The normal form is full: no term of rem is divisible by a reducer's
     lead. With top, the reduction stops at the first term it keeps
@@ -108,6 +109,11 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     found. Its triples need not be among the reducers, only in the ideal; a
     term not in it is scanned against the reducers, so every term the
     reduction keeps is irreducible by them.
+
+    VectorSpan runs its row reductions here with no reducers, guard 0 and
+    top: its memo is its pivot table, keyed by negated int columns, so every
+    hit is an exact pivot (u = 0) and the first term the table lacks stops
+    the reduction as the new row's pivot.
     """
     if memo is None:
         memo = {}
@@ -200,7 +206,7 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
                     for k in rem:
                         rem[k] //= g
     if char or lead is None:
-        return lead, rem, 1
+        return lead, rem, 1, 1
     g = 0
     for c in rem.values():
         g = gcd(g, c)
@@ -209,7 +215,7 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     if g != 1:
         for k in rem:
             rem[k] //= g
-    return lead, rem, Fraction(num, den * g)
+    return lead, rem, num, den * g
 
 
 def _spoly(ti, tj, L, guard, char):
@@ -356,7 +362,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
     for f in seqs:
         if not f:
             continue
-        lead, h, _ = _normal_form_int(_content_strip(f, char), reducers, guard, char, memo, True)
+        lead, h, _, _ = _normal_form_int(_content_strip(f, char), reducers, guard, char, memo, True)
         if lead is not None:
             update(add_poly(lead, h, max(map(P.degree, h))))
 
@@ -372,7 +378,7 @@ def _buchberger(seqs, P, char, missing_leads=None):
         if missing == 0:
             continue
         s = _spoly(triples[i], triples[j], L, guard, char)
-        lead, h, _ = _normal_form_int(s, reducers, guard, char, memo, True)
+        lead, h, _, _ = _normal_form_int(s, reducers, guard, char, memo, True)
         if lead is not None:
             update(add_poly(lead, h, sugar))
             if missing is not None:
@@ -427,7 +433,7 @@ def _autoreduce(triples, guard, char):
     for i, (lm, lc, tail) in enumerate(final):
         f = dict(tail)
         f[lm] = lc
-        lead, h, _ = _normal_form_int(f, final[:i], guard, char)
+        lead, h, _, _ = _normal_form_int(f, final[:i], guard, char)
         final[i] = (lead, h.pop(lead), h)
     return final
 
@@ -637,9 +643,9 @@ def normal_form(f, G):
         raise RingError("polynomial and basis live in different rings")
     char = G.ring.field.char
     d, den = _to_int_poly(f)
-    P, (_, rem, scale) = _on_basis(
+    P, (_, rem, num, sden) = _on_basis(
         G, lambda P, triples: _normal_form_int(_pack_poly(d, P), triples, P.guard, char))
-    return _from_int_poly(f.ring, rem, scale * den, P)
+    return _from_int_poly(f.ring, rem, Fraction(num, sden) * den, P)
 
 
 def initial_ideal(I, order=None):

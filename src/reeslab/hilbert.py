@@ -60,9 +60,12 @@ class HilbertSeriesRational:
         if self.den == other.den:
             return self.num == other.num
         # cross-multiply: num1 * den2 == num2 * den1 over the union factors
-        extra_self = _den_difference(other.den, self.den)
-        extra_other = _den_difference(self.den, other.den)
-        return _num_times_factors(self.num, extra_self) == _num_times_factors(other.num, extra_other)
+        lhs, rhs = dict(self.num), dict(other.num)
+        for d in _den_difference(other.den, self.den):
+            lhs = _times_one_minus(lhs, d)
+        for d in _den_difference(self.den, other.den):
+            rhs = _times_one_minus(rhs, d)
+        return _sorted_num(lhs) == _sorted_num(rhs)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -140,18 +143,6 @@ def _den_difference(big, small):
         if extra > 0:
             out.extend([d] * extra)
     return out
-
-
-def _num_times_factors(num, factors):
-    acc = dict(num)
-    for (a, b) in factors:
-        new = {}
-        for d, c in acc.items():
-            new[d] = new.get(d, 0) + c
-            shifted = (d[0] + a, d[1] + b)
-            new[shifted] = new.get(shifted, 0) - c
-        acc = {k: v for k, v in new.items() if v}
-    return tuple(sorted(acc.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -635,11 +635,8 @@ def format_polynomial(f):
                 factors.append(name)
             elif e > 1:
                 factors.append("%s^%d" % (name, e))
-        if isinstance(c, Fraction) and c.denominator != 1:
-            cs = "%d/%d" % (abs(c.numerator), c.denominator)
-        else:
-            cs = str(abs(int(c)) if not isinstance(c, Fraction) else abs(c.numerator))
-        neg = (isinstance(c, Fraction) and c < 0) or (not isinstance(c, Fraction) and c < 0)
+        cs = str(abs(c))
+        neg = c < 0
         body = "*".join(factors) if factors else ""
         if body and cs == "1":
             text = body

@@ -341,7 +341,8 @@ def _subset_betti(ring, gens):
         for k in range(1, len(faces)):
             span = VectorSpan(ring.field.char)
             for tau in faces[k]:
-                span.add({tau[:j] + tau[j + 1:]: (-1) ** j for j in range(k)})
+                mask = sum(1 << i for i in tau)
+                span.add({mask ^ (1 << tau[j]): (-1) ** j for j in range(k)})
             ranks[k] = span.rank
         for k, faces_k in enumerate(faces):
             h = len(faces_k) - ranks[k] - ranks[k + 1]
