@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from ._linalg import VectorSpan
 from ._record import record
-from .groebner import _normal_form_int, _on_basis, groebner_basis, minimal_generators
+from .groebner import _exact_normal_form, groebner_basis, minimal_generators
 from .hilbert import hilbert_series_ideal
 from .rings import MonomialPacking
 
@@ -128,13 +127,10 @@ class _QuotientPieces:
         """Table entry of a non-standard monomial: its normal form from the reduction kernel.
 
         The kernel returns rem = scale * NF(mono), with rem primitive over Q
-        and scale = num/den (1 over F_p), so with scale in lowest terms the
-        entry is in lowest terms with a positive denominator.
+        and scale a Fraction (1 over F_p), in lowest terms, so the entry is
+        in lowest terms with a positive denominator.
         """
-        char = self.ring.field.char
-        P, (_, rem, num, den) = _on_basis(
-            self.gb, lambda P, triples: _normal_form_int({P.pack(mono): 1}, triples, P.guard, char))
-        scale = Fraction(num, den)
+        P, rem, scale = _exact_normal_form(self.gb, {mono: 1})
         sign = -1 if scale < 0 else 1
         return (tuple((P.unpack(m), sign * scale.denominator * c) for m, c in rem.items()), abs(scale.numerator))
 

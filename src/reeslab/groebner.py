@@ -34,11 +34,7 @@ _STRIP_BITS = 512
 def _content_strip(d, char):
     if char or not d:
         return d
-    g = 0
-    for c in d.values():
-        g = gcd(g, c)
-        if g == 1:
-            return d
+    g = gcd(*d.values())
     if g > 1:
         for k in d:
             d[k] //= g
@@ -95,8 +91,8 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     Returns (lead, rem, num, den) with rem = (num/den) * NF(f) and lead its
     leading monomial (None when rem is zero). Over Q rem is primitive with a
     positive lead, and num/den is the product of the factors the reduction
-    multiplied by and divided out, a pair of ints that a caller needing the
-    scale turns into a Fraction; over F_p num = den = 1. Raises
+    multiplied by and divided out, a pair of ints that _exact_normal_form
+    turns into a Fraction; over F_p num = den = 1. Raises
     PackingOverflow when a product would not fit the fields.
 
     The normal form is full: no term of rem is divisible by a reducer's
@@ -194,11 +190,7 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
                         del f[k]
             steps += 1
             if steps % 16 == 0 and f and max(abs(x) for x in f.values()).bit_length() > _STRIP_BITS:
-                g = 0
-                for c2 in f.values():
-                    g = gcd(g, c2)
-                for c2 in rem.values():
-                    g = gcd(g, c2)
+                g = gcd(*f.values(), *rem.values())
                 if g > 1:
                     den *= g
                     for k in f:
@@ -207,9 +199,7 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
                         rem[k] //= g
     if char or lead is None:
         return lead, rem, 1, 1
-    g = 0
-    for c in rem.values():
-        g = gcd(g, c)
+    g = gcd(*rem.values())
     if rem[lead] < 0:
         g = -g
     if g != 1:
@@ -443,23 +433,40 @@ def _fitting(nvars, monomials, order):
     return MonomialPacking.fitting(nvars, 2 * max(map(sum, monomials), default=1), order)
 
 
-def _repacked(triples, P, W):
-    """Triples packed by P, packed by W instead."""
-    return [(W.pack(P.unpack(lm)), lc, _repacked_poly(tail, P, W)) for lm, lc, tail in triples]
+def _repacked_poly(d, P, W):
+    return {W.pack(P.unpack(m)): c for m, c in d.items()}
+
+
+def _repacked_triple(t, P, W):
+    lm, lc, tail = t
+    return W.pack(P.unpack(lm)), lc, _repacked_poly(tail, P, W)
+
+
+def _widening(P, items, repack, run):
+    """(P, items, run(P, items)) on items packed by P; an overflow widens P and repacks each by repack(x, P, W)."""
+    while True:
+        try:
+            return P, items, run(P, items)
+        except PackingOverflow:
+            W = P.widened()
+            P, items = W, [repack(x, P, W) for x in items]
 
 
 def _on_basis(G, run):
-    """(P, run(P, triples)) on the triples of the GroebnerBasis G, packed by P.
+    """(P, run(P, triples)) on the triples of the GroebnerBasis G, packed by P; an overflow widens G for good."""
+    G._P, G._triples, out = _widening(G._P, G._triples, _repacked_triple, run)
+    return G._P, out
 
-    An overflow widens G's fields for good.
+
+def _exact_normal_form(G, d):
+    """(P, rem, scale) with rem = scale * NF(d) packed by P, for an integer dict d of exponent tuples.
+
+    scale is the kernel's num/den as a Fraction, 1 over F_p.
     """
-    while True:
-        P = G._P
-        try:
-            return P, run(P, G._triples)
-        except PackingOverflow:
-            W = P.widened()
-            G._P, G._triples = W, _repacked(G._triples, P, W)
+    char = G.ring.field.char
+    P, (_, rem, num, den) = _on_basis(
+        G, lambda P, triples: _normal_form_int(_pack_poly(d, P), triples, P.guard, char))
+    return P, rem, Fraction(num, den)
 
 
 def _sugar_is_degree(ring, order):
@@ -500,17 +507,10 @@ def packed_basis(ring, order, gens, series=None, homogeneous=False):
 
 def _packed_run(ring, P, packed, missing_leads):
     """(P, triples) of one Buchberger run on copies of the dicts packed by P; an overflow widens P."""
-    while True:
-        try:
-            return P, _buchberger([dict(d) for d in packed], P, ring.field.char, missing_leads)
-        except PackingOverflow:
-            W = P.widened()
-            packed = [_repacked_poly(d, P, W) for d in packed]
-            P = W
-
-
-def _repacked_poly(d, P, W):
-    return {W.pack(P.unpack(m)): c for m, c in d.items()}
+    char = ring.field.char
+    P, _, triples = _widening(
+        P, packed, _repacked_poly, lambda P, packed: _buchberger([dict(d) for d in packed], P, char, missing_leads))
+    return P, triples
 
 
 def _basis(I, order, series=None):
@@ -569,13 +569,11 @@ class GroebnerBasis:
             P, self._triples = _on_basis(self, lambda P, triples: _autoreduce(triples, P.guard, char))
             polys = []
             for lm, lc, tail in self._triples:
-                if char:
-                    inv = pow(lc, -1, char)
-                    monic = {P.unpack(m): c * inv % char for m, c in tail.items()}
-                else:
-                    monic = {P.unpack(m): Fraction(c, lc) for m, c in tail.items()}
-                monic[P.unpack(lm)] = ring.field.one
-                polys.append(Polynomial(ring, monic))
+                # monic: over F_p times the inverse of lc, over Q over lc
+                inv, den = (pow(lc, -1, char), 1) if char else (1, lc)
+                d = {m: c * inv for m, c in tail.items()}
+                d[lm] = lc * inv
+                polys.append(_from_int_poly(ring, d, den, P))
             self._polys = tuple(polys)
         return self._polys
 
@@ -641,11 +639,9 @@ def normal_form(f, G):
     """Remainder of f on division by the basis G; zero iff f lies in the ideal."""
     if f.ring != G.ring:
         raise RingError("polynomial and basis live in different rings")
-    char = G.ring.field.char
     d, den = _to_int_poly(f)
-    P, (_, rem, num, sden) = _on_basis(
-        G, lambda P, triples: _normal_form_int(_pack_poly(d, P), triples, P.guard, char))
-    return _from_int_poly(f.ring, rem, Fraction(num, sden) * den, P)
+    P, rem, scale = _exact_normal_form(G, d)
+    return _from_int_poly(f.ring, rem, scale * den, P)
 
 
 def initial_ideal(I, order=None):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 from ._record import record
 from .groebner import initial_monomials
 from .rings import MonomialPacking
@@ -30,29 +32,22 @@ class HilbertSeriesRational:
     @staticmethod
     def make(num_dict, degrees):
         """num_dict over one factor (1 - s^a t^b) per variable degree (a, b)."""
-        den = {}
-        for d in degrees:
-            den[d] = den.get(d, 0) + 1
-        return HilbertSeriesRational(_sorted_num(num_dict), tuple(sorted(den.items())))
+        return HilbertSeriesRational(_sorted_num(num_dict), tuple(sorted(Counter(degrees).items())))
 
     # -- arithmetic over a common denominator -------------------------------
-    def _require_same_den(self, other):
+    def _plus(self, other, sign):
         if self.den != other.den:
             raise SeriesError("series have different denominators")
+        acc = dict(self.num)
+        for d, c in other.num:
+            acc[d] = acc.get(d, 0) + sign * c
+        return HilbertSeriesRational(_sorted_num(acc), self.den)
 
     def __add__(self, other):
-        self._require_same_den(other)
-        acc = dict(self.num)
-        for d, c in other.num:
-            acc[d] = acc.get(d, 0) + c
-        return HilbertSeriesRational(_sorted_num(acc), self.den)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._require_same_den(other)
-        acc = dict(self.num)
-        for d, c in other.num:
-            acc[d] = acc.get(d, 0) - c
-        return HilbertSeriesRational(_sorted_num(acc), self.den)
+        return self._plus(other, -1)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeriesRational):
@@ -66,9 +61,6 @@ class HilbertSeriesRational:
         for d in _den_difference(self.den, other.den):
             rhs = _times_one_minus(rhs, d)
         return _sorted_num(lhs) == _sorted_num(rhs)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     # -- expansion -----------------------------------------------------------
     def expand(self, imax, jmax=0):
@@ -136,13 +128,7 @@ def _sorted_num(num_dict):
 
 def _den_difference(big, small):
     """Factors of big not accounted for in small (multiset difference)."""
-    small_d = dict(small)
-    out = []
-    for d, m in big:
-        extra = m - small_d.get(d, 0)
-        if extra > 0:
-            out.extend([d] * extra)
-    return out
+    return list((Counter(dict(big)) - Counter(dict(small))).elements())
 
 
 # ---------------------------------------------------------------------------
@@ -479,39 +465,22 @@ def dim_mult(series, with_relevant=True):
     input).
     """
     # specialize s, t -> z with weight a+b per factor; pole order at z = 1
-    weights = []
-    for (a, b), m in series.den:
-        weights.extend([a + b] * m)
-    num_z = {}
+    weights = [a + b for (a, b), m in series.den for _ in range(m)]
+    work = [0] * (max((a + b for (a, b), _ in series.num), default=0) + 1)
     for (a, b), c in series.num:
-        num_z[a + b] = num_z.get(a + b, 0) + c
-    poly = [0] * (max(num_z, default=0) + 1)
-    for k, c in num_z.items():
-        poly[k] = c
+        work[a + b] += c
     order = 0
-    work = [Fraction(x) for x in poly]
-    while work and sum(work) == 0 and any(work):
-        # divide by (1 - z)
-        out = [Fraction(0)] * (len(work) - 1)
-        acc = Fraction(0)
-        # N(z) = (1-z) * Q(z): q_k = sum_{i<=k} n_i
-        for k in range(len(work) - 1):
-            acc += work[k]
-            out[k] = acc
-        work = out
+    while sum(work) == 0 and any(work):
+        # divide by (1 - z): N(z) = (1-z) * Q(z) with q_k = sum_{i<=k} n_i
+        work = list(accumulate(work[:-1]))
         order += 1
     if not any(work):
         # zero module
         return DimMultReport(-1, Fraction(0), None)
     dim = len(weights) - order
     value = sum(work)
-    wprod = 1
-    for w in weights:
-        wprod *= w
-    mult = Fraction(value, wprod)
-    if order == len(weights):
-        # dimension zero: total length
-        mult = Fraction(value)
+    # dimension zero: the total length
+    mult = Fraction(value) if order == len(weights) else Fraction(value, prod(weights))
     bigraded = any(b for (a, b), m in series.den)
     rel = None
     if not bigraded:

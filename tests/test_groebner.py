@@ -264,10 +264,15 @@ def test_exponents_beyond_any_fixed_field_width(monkeypatch):
     assert [repr(g) for g in gb.polys] == ["y^2", "x^70000*y - z^70001", "y*z^70001", "z^140002"]
     assert repr(normal_form(p("x^70001*y + z"), gb)) == "x*z^70001 + z"
     assert not widths
-    # a degree past the fields of the packed basis widens them
+    # a degree past the fields of the packed basis widens them, for good
+    width = gb._P.width
     assert repr(normal_form(p("x^600000 + y^3"), gb)) == "x^600000"
     assert widths
+    assert gb._P.width > width
+    del widths[:]
     assert repr(normal_form(p("x^70001*y + z"), gb)) == "x*z^70001 + z"
+    assert repr(normal_form(p("x^600001 + y^3"), gb)) == "x^600001"
+    assert not widths
     assert spairs_reduce_to_zero(gb)
 
 
@@ -921,10 +926,24 @@ def test_power_hands_its_packed_products_to_buchberger(monkeypatch, order, field
 
 
 def test_packed_products_past_their_fields_widen_them(monkeypatch):
-    widths = []
+    widths, wide = [], []
     widened = MonomialPacking.widened
-    monkeypatch.setattr(MonomialPacking, "widened", lambda P: widths.append(P.width) or widened(P))
+    monkeypatch.setattr(MonomialPacking, "widened",
+                        lambda P: widths.append(P.width) or wide.append(widened(P)) or wide[-1])
     L = graded_ring(["x", "y", "z", "w"], order=LEX)
     J = ideal_power(Ideal(L, [parse_polynomial(t, L) for t in ("x - y^3", "y - z^3", "z - w^3")]), 1)
-    assert [repr(g) for g in groebner_basis(J).polys] == ["z - w^3", "y - w^9", "x - w^27"]
+    gb = groebner_basis(J)
+    assert [repr(g) for g in gb.polys] == ["z - w^3", "y - w^9", "x - w^27"]
     assert widths
+    # the basis is packed by the last widened fields
+    assert gb._P is wide[-1]
+    assert gb.leading_monomials == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}
+    assert {gb._P.unpack(m) for _, _, tail in gb._triples for m in tail} == {(0, 0, 0, 3), (0, 0, 0, 9), (0, 0, 0, 27)}
+    # a Buchberger run whose S-polynomials pass the fields returns its basis packed by the widened ones
+    gens = [parse_polynomial(t, L) for t in ("x^3 - y*z*w", "x^2*y - z^3")]
+    narrow = MonomialPacking.fitting(4, 3, LEX)
+    del wide[:]
+    P, triples = groebner._packed_run(L, narrow, [groebner._pack_poly(groebner._to_int_poly(g)[0], narrow)
+                                                  for g in gens], None)
+    assert wide and P is wide[-1]
+    assert {P.unpack(lm) for lm, _, _ in triples} == initial_monomials(Ideal(L, gens))

@@ -108,6 +108,79 @@ def test_dim_zero_quotient():
     assert report.multiplicity == 4
 
 
+def _dim_mult_by_fractions(series):
+    """(dimension, multiplicity) by the Fraction loop of an earlier dim_mult: divide by (1 - z) while N(1) = 0."""
+    weights = []
+    for (a, b), m in series.den:
+        weights.extend([a + b] * m)
+    poly = [0] * (max((a + b for (a, b), _ in series.num), default=0) + 1)
+    for (a, b), c in series.num:
+        poly[a + b] += c
+    order = 0
+    work = [Fraction(x) for x in poly]
+    while work and sum(work) == 0 and any(work):
+        out = [Fraction(0)] * (len(work) - 1)
+        acc = Fraction(0)
+        for k in range(len(work) - 1):
+            acc += work[k]
+            out[k] = acc
+        work = out
+        order += 1
+    if not any(work):
+        return -1, Fraction(0)
+    wprod = 1
+    for w in weights:
+        wprod *= w
+    if order == len(weights):
+        return 0, Fraction(sum(work))
+    return len(weights) - order, Fraction(sum(work), wprod)
+
+
+def test_dim_mult_matches_the_fraction_pole_loop():
+    rng = random.Random(47)
+    A = graded_ring(["X"])
+    cases = [
+        HilbertSeriesRational.make({}, [(1, 0)] * 3),    # the zero module
+        hilbert_series_ideal(Ideal(A, [parse_polynomial("X^4", A)]), "quotient"),    # dimension 0
+    ]
+    bigraded = [(1, 0), (0, 1), (1, 1), (2, 1)]
+    for trial in range(48):
+        n = rng.randint(1, 5)
+        if trial % 3 == 0:
+            # the series of a monomial quotient over (1 - s)^n
+            cases.append(hilbert_series_monomial(random_monomial_ideal(rng, graded_ring(["v%d" % i for i in range(n)]))))
+            continue
+        degrees = [(1, 0)] * n if trial % 3 == 1 else [rng.choice(bigraded) for _ in range(n)]
+        # a random numerator times some of the denominator's factors, so poles cancel
+        num = {(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))}
+        for d in rng.sample(degrees, rng.randint(0, n)):
+            out = dict(num)
+            for (x, y), c in num.items():
+                out[(x + d[0], y + d[1])] = out.get((x + d[0], y + d[1]), 0) - c
+            num = out
+        cases.append(HilbertSeriesRational.make(num, degrees))
+    orders = set()
+    for series in cases:
+        report = dim_mult(series, with_relevant=False)
+        assert (report.dimension, report.multiplicity) == _dim_mult_by_fractions(series)
+        assert type(report.multiplicity) is Fraction
+        orders.add(sum(m for _, m in series.den) - report.dimension)
+    # the cases cancel poles of several orders, down to the zero module and dimension 0
+    assert len(orders) >= 4
+
+
+def test_equal_series_hash_alike():
+    A = graded_ring(["x", "y", "z"])
+    ring = hilbert_series_ring(A)
+    made = HilbertSeriesRational.make({(0, 0): 1, (2, 0): -1}, [(1, 0)] * 3)
+    quotient = hilbert_series_ideal(Ideal(A, [parse_polynomial("x*y", A)]), "quotient")
+    ideal = HilbertSeriesRational.make({(2, 0): 1}, A.degrees)
+    for series in (quotient, ring - ideal, (ring - ideal) + (ideal - ideal), ring + (made - ring)):
+        assert series == made
+        assert hash(series) == hash(made)
+    assert len({made, quotient, ring - ideal}) == 1
+
+
 def test_series_vs_enumeration_random_monomial_ideals():
     rng = random.Random(23)
     for trial in range(30):
