@@ -7,7 +7,7 @@ from math import lcm
 
 from ._linalg import VectorSpan
 from ._record import record
-from .groebner import _exact_normal_form, groebner_basis, minimal_generators
+from .groebner import _basis, _exact_normal_form, minimal_generators
 from .hilbert import hilbert_series_ideal
 from .rings import MonomialPacking
 
@@ -57,12 +57,14 @@ class _QuotientPieces:
 
     A product x_i * m that is not standard is replaced by its normal form
     modulo the reduced basis, which the reduction kernel of the groebner
-    layer computes and a table keeps, one entry per monomial.
+    layer computes and a table keeps, one entry per monomial. Only the
+    basis's leads and triples are read, so it is autoreduced and no
+    polynomial is built from it.
     """
 
     def __init__(self, I):
         self.ring = I.ring
-        self.gb = groebner_basis(I) if not I.is_zero() else None
+        self.gb = _basis(I, I.ring.order)._reduce() if not I.is_zero() else None
         lms = self.gb.leading_monomials if self.gb is not None else frozenset()
         one = (0,) * self.ring.nvars
         self._leading = lms
@@ -255,9 +257,10 @@ def _koszul_degrees(pieces, initial, caps):
     Lifting the resolution of ring/in(I) along the Groebner degeneration
     gives beta(ring/I) from beta(ring/in I) by cancellations of consecutive
     entries in one degree (Peeva, Proc. AMS 2004), so only these degrees can
-    differ. A monomial reduced basis means I = in(I), and none can.
+    differ. A monomial reduced basis, every triple without a tail, means
+    I = in(I), and none can.
     """
-    if pieces.gb is None or all(len(g.terms) == 1 for g in pieces.gb):
+    if pieces.gb is None or not any(tail for _, _, tail in pieces.gb._triples):
         return set()
     return {
         d for d, row in initial.items()

@@ -481,10 +481,11 @@ def _hilbert_skip(ring, order, series, homogeneous):
     """
     if series is None or not homogeneous or not _sugar_is_degree(ring, order):
         return None
-    from .hilbert import HilbertSeriesRational, monomial_quotient_numerator
+    from .hilbert import HilbertSeriesRational, _minimal_numerator
 
     def missing_leads(d, leads):
-        have = HilbertSeriesRational.make(monomial_quotient_numerator(ring, leads), ring.degrees)
+        # the leads of G divide none of each other: update drops each one a new lead divides
+        have = HilbertSeriesRational.make(_minimal_numerator(ring, leads), ring.degrees)
         return have.coefficient(d) - series.coefficient(d)
 
     return missing_leads
@@ -541,18 +542,20 @@ class GroebnerBasis:
     It holds Buchberger's integer triples (lm, lc, tail), sorted by lm and
     packed by _P, as _on_basis reads them. leading_monomials, the minimal
     generators of the initial ideal as exponent tuples, are read off the
-    leads on first request. polys, the reduced basis as monic polynomials
-    sorted by leading monomial, autoreduces the triples in place on first
-    request: the leads stay, and the triples stay a basis. A basis built
-    with its polys is reduced already.
+    leads on first request. _reduce autoreduces the triples in place on its
+    first call: the leads stay, and the triples stay a basis. polys, the
+    reduced basis as monic polynomials sorted by leading monomial, reduces
+    and converts on first request. A basis built with its polys is reduced
+    already.
     """
 
-    __slots__ = ("ring", "order", "_P", "_triples", "_leads", "_polys")
+    __slots__ = ("ring", "order", "_P", "_triples", "_leads", "_reduced", "_polys")
 
     def __init__(self, ring, order, P, triples, polys=None):
         self.ring, self.order = ring, order
         self._P, self._triples = P, triples
         self._leads = None
+        self._reduced = polys is not None
         self._polys = polys
 
     @property
@@ -561,12 +564,20 @@ class GroebnerBasis:
             self._leads = frozenset(map(self._P.unpack, map(itemgetter(0), self._triples)))
         return self._leads
 
+    def _reduce(self):
+        """Autoreduce the triples in place, once; return the basis."""
+        if not self._reduced:
+            char = self.ring.field.char
+            self._triples = _on_basis(self, lambda P, triples: _autoreduce(triples, P.guard, char))[1]
+            self._reduced = True
+        return self
+
     @property
     def polys(self):
         if self._polys is None:
             ring = self.ring
             char = ring.field.char
-            P, self._triples = _on_basis(self, lambda P, triples: _autoreduce(triples, P.guard, char))
+            P = self._reduce()._P
             polys = []
             for lm, lc, tail in self._triples:
                 # monic: over F_p times the inverse of lc, over Q over lc
@@ -585,7 +596,12 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal given by generators, with a per-order cache of its Buchberger basis."""
+    """An ideal given by generators, with a per-order cache of its Buchberger basis.
+
+    The generators are a tuple that nothing changes, so is_homogeneous checks
+    them once and keeps the answer; ideal_power seeds it from the degrees it
+    reads anyway.
+    """
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -595,6 +611,7 @@ class Ideal:
                 raise RingError("generator not in the ambient ring")
         self._bases = {}    # order -> GroebnerBasis
         self._packed = None    # (P, integer dicts of gens packed by P for its order), until a basis takes them
+        self._homogeneous = None    # is_homogeneous's answer, once known
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
@@ -610,7 +627,9 @@ class Ideal:
         return not self.gens
 
     def is_homogeneous(self):
-        return all(g.is_homogeneous() for g in self.gens)
+        if self._homogeneous is None:
+            self._homogeneous = all(g.is_homogeneous() for g in self.gens)
+        return self._homogeneous
 
     def groebner(self, order=None):
         return groebner_basis(self, order)
@@ -627,7 +646,10 @@ def initial_monomials(I, order=None, series=None):
     """The minimal generators of the initial ideal, as exponent tuples; no autoreduction.
 
     They are the leading monomials of the ideal's Buchberger basis, which
-    groebner_basis reduces, so the ideal runs Buchberger once for both.
+    groebner_basis reduces, so the ideal runs Buchberger once for both. They
+    divide none of each other on every route: Buchberger's minimal leads, and
+    eliminate's cut of a reduced basis. hilbert_series_ideal relies on that
+    and hands them to the pivot recursion without a _minimal pass.
     series, the Hilbert series of ring/I when it is known, lets Buchberger
     skip the pairs of a degree whose leading monomials are complete; it must
     be right.
@@ -689,11 +711,15 @@ def ideal_power(I, j):
                     for c, (f, den) in products.items() for i in range(c[-1] if c else 0, len(gens))}
     degrees = [g.multidegree() for g in I.gens]
     products = list(products.items())
-    if None not in degrees:
+    # over a domain, a product is homogeneous exactly when its factors are, and
+    # the power of an inhomogeneous generator is among the products
+    I._homogeneous = homogeneous = None not in degrees
+    if homogeneous:
         cands = [(tuple(map(sum, zip(*map(degrees.__getitem__, c)))), f) for c, (f, _) in products]
         products = [products[i] for i in _minimal_indices(ring, P, cands)]
     J = Ideal(ring, [_from_int_poly(ring, f, den, P) for _, (f, den) in products])
     J._packed = (P, [f for _, (f, _) in products])
+    J._homogeneous = homogeneous
     return J
 
 

@@ -191,9 +191,14 @@ def monomial_quotient_numerator(ring, gens, _ctx=None):
     node works on those ints, passed on with the packing, the memo and a
     per-call degree table in _ctx. A divisor is never a larger int than its
     multiple, so sorted ints are in divisor-first order and one divisibility
-    pass minimalizes them. The top call does that pass once; every inner
-    call gets a sorted minimal list, whose tuple keys the memo. Nothing is
-    minimalized twice:
+    pass, _minimal, minimalizes them. A top call through this name, as
+    hilbert_series_monomial makes it, runs that pass once, since its gens may
+    be redundant. _minimal_numerator makes the top call on gens that divide
+    none of each other, the leads of a Groebner basis as hilbert_series_ideal
+    and groebner._hilbert_skip hand them over, and skips it. Either way the
+    top call shares _top_call's packing, degree table and sort, and is one
+    node. Every inner call gets a sorted minimal list, whose tuple keys the
+    memo. Nothing is minimalized twice:
 
     - The members of a component, and the generators ``rest`` without the
       pivot x_v, are subsets of a minimal list, so they are minimal; a
@@ -217,17 +222,8 @@ def monomial_quotient_numerator(ring, gens, _ctx=None):
     one it is given.
     """
     if _ctx is None:
-        P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=1))
-        degrees = {}
-
-        def degree(m):
-            d = degrees.get(m)
-            if d is None:
-                d = degrees[m] = ring.monomial_degree(P.unpack(m))
-            return d
-
-        _ctx = P, {}, degree
-        gens = _minimal([P.pack(m) for m in gens], P)
+        gens, _ctx = _top_call(ring, gens)
+        gens = _minimal(gens, _ctx[0])
     P, memo, degree = _ctx
     if not gens:
         return {(0, 0): 1}
@@ -281,8 +277,27 @@ def monomial_quotient_numerator(ring, gens, _ctx=None):
     return out
 
 
+def _top_call(ring, gens):
+    """(packed gens, sorted; _ctx) for the top call of monomial_quotient_numerator on exponent tuples."""
+    P = MonomialPacking.fitting(ring.nvars, max(map(max, gens), default=1))
+    degrees = {}
+
+    def degree(m):
+        d = degrees.get(m)
+        if d is None:
+            d = degrees[m] = ring.monomial_degree(P.unpack(m))
+        return d
+
+    return sorted(map(P.pack, gens)), (P, {}, degree)
+
+
+def _minimal_numerator(ring, gens):
+    """monomial_quotient_numerator for gens that divide none of each other: the top call skips _minimal."""
+    return monomial_quotient_numerator(ring, *_top_call(ring, gens))
+
+
 def hilbert_series_monomial(J):
-    """Series of ring/J for a monomial ideal J (pivot recursion, exact)."""
+    """Series of ring/J for a monomial ideal J (pivot recursion, exact); redundant generators are minimalized."""
     ring = J.ring
     gens = []
     for g in J.gens:
@@ -294,7 +309,13 @@ def hilbert_series_monomial(J):
 
 
 def hilbert_series_ideal(I, as_module="quotient", order=None):
-    """Series of I or ring/I via the initial ideal (series-invariant)."""
+    """Series of I or ring/I via the initial ideal (series-invariant).
+
+    The leading monomials of the ideal's cached basis divide none of each
+    other, so the pivot recursion takes them without a _minimal pass; on a
+    repeated request, with the basis and the ideal's homogeneity known, only
+    the recursion runs.
+    """
     if as_module not in ("quotient", "ideal"):
         raise SeriesError("as_module must be 'ideal' or 'quotient'")
     if not I.is_homogeneous():
@@ -303,7 +324,7 @@ def hilbert_series_ideal(I, as_module="quotient", order=None):
     if I.is_zero():
         num = {(0, 0): 1}
     else:
-        num = monomial_quotient_numerator(ring, initial_monomials(I, order))
+        num = _minimal_numerator(ring, initial_monomials(I, order))
     quotient = HilbertSeriesRational.make(num, ring.degrees)
     if as_module == "quotient":
         return quotient

@@ -16,6 +16,7 @@ from reeslab import (
 from reeslab.betti import (
     BettiError,
     _koszul_betti,
+    _koszul_degrees,
     _monomial_betti,
     _QuotientPieces,
     bigraded_betti_table,
@@ -430,6 +431,26 @@ def test_koszul_degree_counts(request, monkeypatch):
     _quartic_square_mod_p()
     _rees_table(request.getfixturevalue("twisted_cubic"), (15, 15))
     assert counts == [0, 1]
+
+
+
+def test_tables_read_the_reduced_triples_and_build_no_polynomials(planar_fat_ideal):
+    from reeslab.groebner import groebner_basis, initial_ideal
+
+    # beta(S/in I) of the planar fat ideal has entries at p = 1 and 2 in degree 8:
+    # Koszul homology runs there for I, whose basis has tails, but not for in(I)
+    cap = 11
+    for I, koszul in ((initial_ideal(planar_fat_ideal), set()),
+                      (Ideal(planar_fat_ideal.ring, planar_fat_ideal.gens), {(8, 0)})):
+        pieces = _QuotientPieces(I)
+        gb = I._bases[I.ring.order]
+        assert pieces.gb is gb and gb._polys is None
+        assert _koszul_degrees(pieces, _monomial_betti(I.ring, pieces._leading), (cap, 0)) == koszul
+        table = graded_betti_table(I, cap, "quotient")
+        assert gb._polys is None
+        # the triples were reduced in place: they convert to a fresh ideal's reduced basis
+        assert gb.polys == groebner_basis(Ideal(I.ring, I.gens)).polys
+        assert graded_betti_table(Ideal(I.ring, I.gens), cap, "quotient") == table
 
 
 # facets of the 6-vertex triangulation of the real projective plane

@@ -1,22 +1,30 @@
-"""The pivot recursion on plain-packed monomials against brute-force counts, and its node tree."""
+"""The pivot recursion on plain-packed monomials against brute-force counts, its node tree, and its two top calls."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from reeslab import (
+    DEGLEX,
     Ideal,
+    LEX,
+    PrimeField,
     QQ,
     RingSpec,
     SeriesError,
+    eliminate,
     graded_ring,
     groebner_basis,
     hilbert_series_ideal,
     hilbert_series_monomial,
     ideal_power,
+    initial_ideal,
+    initial_monomials,
     parse_polynomial,
 )
 from reeslab import hilbert
+from reeslab.rees import rees_presentation
 from reeslab.rings import DEGREVLEX, MonomialPacking, Polynomial
 from conftest import mono_divides
 
@@ -174,3 +182,150 @@ def test_bad_as_module_raises_before_any_basis(monkeypatch, twisted_cubic):
     monkeypatch.setattr(hilbert, "initial_monomials", no_basis)
     with pytest.raises(SeriesError, match="as_module"):
         hilbert_series_ideal(twisted_cubic, "module")
+
+
+# ---------------------------------------------------------------------------
+# hilbert_series_ideal hands the basis's leads to the recursion without a
+# _minimal pass: they divide none of each other on every basis route, and the
+# series matches the route through hilbert_series_monomial, which keeps it
+
+def _random_homogeneous(rng, ring, count):
+    """count polynomials of two or three terms, each of one random degree from 2 to 3."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(2, 3)
+        coeffs = {}
+        while len(coeffs) < rng.randint(2, 3):
+            m = [0] * ring.nvars
+            for _ in range(d):
+                m[rng.randrange(ring.nvars)] += 1
+            coeffs[tuple(m)] = ring.field.coerce(rng.choice((-3, -2, -1, 1, 2, 3)))
+        out.append(Polynomial(ring, coeffs))
+    return out
+
+
+def _check_minimal_leads(I):
+    leads = initial_monomials(I)
+    assert leads
+    assert not any(mono_divides(a, b) for a, b in permutations(leads, 2))
+    assert hilbert_series_ideal(I) == hilbert_series_monomial(initial_ideal(I))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=["degrevlex", "deglex", "lex"])
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_basis_leads_are_minimal(seed, order, field):
+    # homogeneous input only: lex on inhomogeneous input can run for minutes
+    rng = random.Random(9400 + seed)
+    A = graded_ring(["X", "Y", "Z", "W"], field=field, order=order)
+    _check_minimal_leads(Ideal(A, _random_homogeneous(rng, A, rng.randint(2, 4))))
+
+
+def test_rees_defining_ideal_leads_are_minimal(twisted_cubic, planar_fat_ideal):
+    for I in (twisted_cubic, planar_fat_ideal):
+        K = rees_presentation(Ideal(I.ring, I.gens)).defining_ideal
+        # the leads are eliminate's cut of the block order's reduced basis
+        assert K.ring.order in K._bases
+        _check_minimal_leads(K)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_elimination_leads_are_minimal(field):
+    rng = random.Random(9500)
+    A = graded_ring(["X", "Y", "Z", "W", "V"], field=field)
+    gens = _random_homogeneous(rng, A, 4)
+    for block in ([0], [4], [1, 3]):
+        _check_minimal_leads(eliminate(Ideal(A, gens), block))
+
+
+def test_ideal_power_packed_route_leads_are_minimal(twisted_cubic):
+    J = ideal_power(Ideal(twisted_cubic.ring, twisted_cubic.gens), 3)
+    assert J._packed is not None
+    _check_minimal_leads(J)
+    # the basis ran on the packed products
+    assert J._packed is None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("order, gens", [
+    (DEGREVLEX, ("-x^2*y + 2*z^3", "2*y^2*z + 2*y*z^2")),
+    (LEX, ("-x^3 + 2*y^3", "x*z^2 + 2*y^2*z")),
+], ids=["degrevlex", "lex"])
+def test_leads_stay_minimal_after_the_packing_widens(monkeypatch, order, gens, field):
+    widths = []
+    widened = MonomialPacking.widened
+    monkeypatch.setattr(MonomialPacking, "widened", lambda P: widths.append(P.width) or widened(P))
+    A = graded_ring(["x", "y", "z"], field=field, order=order)
+    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
+    _check_minimal_leads(I)
+    assert widths
+
+
+# ---------------------------------------------------------------------------
+# a repeated series request runs only the pivot recursion
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_repeated_series_request_checks_nothing_again(monkeypatch):
+    A = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+    gens = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+            "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    I = ideal_power(Ideal(A, [parse_polynomial(g, A) for g in gens]), 4)
+    first = hilbert_series_ideal(I)
+    homogeneity = _counting(monkeypatch, Polynomial, "is_homogeneous")
+    minimalized = _counting(monkeypatch, hilbert, "_minimal")
+    assert hilbert_series_ideal(I) == first
+    assert not homogeneity
+    assert not minimalized
+    assert dict(first.num) == {(0, 0): 1, (8, 0): -105, (9, 0): 280, (10, 0): -276, (11, 0): 120, (12, 0): -20}
+
+
+def test_monomial_series_still_minimalizes_redundant_generators(monkeypatch):
+    A = graded_ring(["x", "y", "z", "w"])
+    minimal = ["x^2*y", "y^3", "x*z^2", "z*w^3", "x^4"]
+    redundant = minimal + ["x^3*y", "y^4*z", "x^2*z^2*w", "x^2*y", "z^2*w^3*x"]
+
+    def monomial_ideal(texts):
+        return Ideal(A, [parse_polynomial(t, A) for t in texts])
+
+    expected = hilbert_series_monomial(monomial_ideal(minimal))
+    minimalized = _counting(monkeypatch, hilbert, "_minimal")
+    assert hilbert_series_monomial(monomial_ideal(redundant)) == expected
+    assert minimalized
+    assert hilbert_series_ideal(monomial_ideal(redundant)) == expected
+
+
+def test_inhomogeneous_ideal_and_its_power_raise(twisted_cubic):
+    A = twisted_cubic.ring
+    I = Ideal(A, list(twisted_cubic.gens) + [parse_polynomial("X1^2 + X2", A)])
+    for J in (I, ideal_power(I, 2)):
+        with pytest.raises(SeriesError, match="inhomogeneous"):
+            hilbert_series_ideal(J)
+        # the answer is kept, and still the same
+        with pytest.raises(SeriesError, match="inhomogeneous"):
+            hilbert_series_ideal(J)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kept_homogeneity_matches_the_generators(seed):
+    rng = random.Random(9600 + seed)
+    A = graded_ring(["X", "Y", "Z"])
+    gens = _random_homogeneous(rng, A, rng.randint(1, 3))
+    if seed % 2:
+        gens.append(parse_polynomial(rng.choice(("X^2 + Y", "X*Y*Z - Z", "Y^3 + X^2 + Z")), A))
+    rng.shuffle(gens)
+    I = Ideal(A, gens)
+    power = ideal_power(I, rng.randint(1, 3))
+    # computed, seeded by ideal_power, and computed on the power's generators
+    for J in (Ideal(A, gens), I, power, Ideal(A, power.gens)):
+        assert J.is_homogeneous() == all(g.is_homogeneous() for g in J.gens) == (not seed % 2)
