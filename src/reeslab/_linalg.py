@@ -5,6 +5,7 @@ from __future__ import annotations
 from math import lcm
 
 from .groebner import _normal_form_int
+from .rings import PrimeField
 
 
 class VectorSpan:
@@ -12,13 +13,13 @@ class VectorSpan:
 
     Columns are ints; the pivot of a row is its smallest column. ``add``
     hands the vector to groebner._normal_form_int with no reducers, guard 0
-    and top-reduction, and inserts the result when it is not zero. The memo
-    is the pivot table ``rows``: negated pivot column -> the row's kernel
-    triple (negated pivot, pivot coefficient, tail keyed by negated
-    columns). The kernel takes the largest key, the smallest column, first;
-    with guard 0 a table hit is an exact pivot, and the first key the table
-    lacks is the new row's pivot. Over Q a row is primitive with a positive
-    pivot coefficient.
+    and top-reduction, and files the triple it returns, if any, in the memo:
+    the pivot table ``rows``, negated pivot column -> (negated pivot, pivot
+    coefficient, tail keyed by negated columns). The kernel takes the
+    largest key, the smallest column, first; with guard 0 a table hit is an
+    exact pivot, and the first key the table lacks is the new row's pivot.
+    Over Q a row is primitive with a positive pivot coefficient. Over F_p a
+    Fraction entry is read as PrimeField.coerce reads it.
     """
 
     def __init__(self, char=0):
@@ -33,16 +34,19 @@ class VectorSpan:
         """Insert vec; returns True when it grew the span. Over Q, vec is scaled by the lcm of its denominators."""
         char = self.char
         if char:
-            row = {-k: v for k, c in vec.items() if (v := int(c) % char)}
+            row = {-k: v for k, c in vec.items() if (v := c % char)}
         else:
             row = {-k: c for k, c in vec.items() if c}
-            for c in row.values():
-                if type(c) is not int:
+        for c in row.values():
+            if type(c) is not int:
+                if char:
+                    coerce = PrimeField(char).coerce
+                    row = {k: v for k, c in row.items() if (v := coerce(c))}
+                else:
                     den = lcm(*(c.denominator for c in row.values()))
                     row = {k: int(c * den) for k, c in row.items()}
-                    break
-        lead, row, _, _ = _normal_form_int(row, (), 0, char, self.rows, True)
-        if lead is None:
-            return False
-        self.rows[lead] = (lead, row.pop(lead), row)
-        return True
+                break
+        t = _normal_form_int(row, (), 0, char, self.rows, True)
+        if t is not None:
+            self.rows[t[0]] = t
+        return t is not None

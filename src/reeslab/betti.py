@@ -128,13 +128,13 @@ class _QuotientPieces:
     def _normal_form(self, mono):
         """Table entry of a non-standard monomial: its normal form from the reduction kernel.
 
-        The kernel returns rem = scale * NF(mono), with rem primitive over Q
-        and scale a Fraction (1 over F_p), in lowest terms, so the entry is
-        in lowest terms with a positive denominator.
+        _exact_normal_form reads the scale off its marker term: rem = scale
+        * NF(mono), scale a positive int (1 over F_p) and (scale, rem)
+        primitive over Q, so the entry is in lowest terms with a positive
+        denominator as it comes.
         """
-        P, rem, scale = _exact_normal_form(self.gb, {mono: 1})
-        sign = -1 if scale < 0 else 1
-        return (tuple((P.unpack(m), sign * scale.denominator * c) for m, c in rem.items()), abs(scale.numerator))
+        P, scale, rem = _exact_normal_form(self.gb, {mono: 1})
+        return (tuple((P.unpack(m), c) for m, c in rem.items()), scale)
 
 
 def _degree_window(caps):
@@ -360,6 +360,8 @@ def _betti_table(I, window, as_module, desc):
     """
     if as_module not in ("ideal", "quotient"):
         raise BettiError("as_module must be 'ideal' or 'quotient'")
+    if window is not None and min(window) < 0:
+        raise BettiError("empty window %r: a degree cap must be >= 0" % (window,))
     ring = I.ring
     pieces = _QuotientPieces(I)
     initial = _monomial_betti(ring, pieces._leading)

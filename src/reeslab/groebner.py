@@ -31,16 +31,6 @@ from .rings import (
 _STRIP_BITS = 512
 
 
-def _content_strip(d, char):
-    if char or not d:
-        return d
-    g = gcd(*d.values())
-    if g > 1:
-        for k in d:
-            d[k] //= g
-    return d
-
-
 def _to_int_poly(f):
     """Integer dict of a Polynomial and the integer its coefficients were scaled by."""
     char = f.ring.field.char
@@ -88,17 +78,16 @@ def _times(f, g, char):
 def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     """Normal form of the packed dict-poly f against reducer triples; f is consumed.
 
-    Returns (lead, rem, num, den) with rem = (num/den) * NF(f) and lead its
-    leading monomial (None when rem is zero). Over Q rem is primitive with a
-    positive lead, and num/den is the product of the factors the reduction
-    multiplied by and divided out, a pair of ints that _exact_normal_form
-    turns into a Fraction; over F_p num = den = 1. Raises
-    PackingOverflow when a product would not fit the fields.
+    Returns the triple (lead, lc, tail) of scale * NF(f), the form it takes
+    its reducers in, or None when NF(f) is zero: over Q primitive with lc >
+    0, scale the rational the reduction multiplied by and divided out, and
+    over F_p scale = 1. Only _exact_normal_form reads scale, off a marker
+    term. Raises PackingOverflow when a product would not fit the fields.
 
-    The normal form is full: no term of rem is divisible by a reducer's
-    lead. With top, the reduction stops at the first term it keeps
-    (top-reduction): rem is scale times that lead and the rest of f as the
-    reduction left it, and only its lead is irreducible.
+    The normal form is full: no term of the result is divisible by a
+    reducer's lead. With top, the reduction stops at the first term it keeps
+    (top-reduction): the result is scale times that lead and the rest of f
+    as the reduction left it, and only its lead is irreducible.
 
     memo, when given, maps a packed monomial to a triple whose lead divides
     it, and is consulted before the reducers and filled with each reducer
@@ -115,7 +104,6 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
         memo = {}
     rem = {}
     lead = None
-    num = den = 1
     steps = 0
     # the work terms, negated: the heap pops the largest monomial first. A
     # term enters the heap when it enters f; an entry whose term has left f
@@ -166,10 +154,7 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
         else:
             g = gcd(c, lc)
             a, b = lc // g, c // g
-            if a < 0:
-                a, b = -a, -b
             if a != 1:
-                num *= a
                 for k in f:
                     f[k] *= a
                 for k in rem:
@@ -192,20 +177,20 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
             if steps % 16 == 0 and f and max(abs(x) for x in f.values()).bit_length() > _STRIP_BITS:
                 g = gcd(*f.values(), *rem.values())
                 if g > 1:
-                    den *= g
                     for k in f:
                         f[k] //= g
                     for k in rem:
                         rem[k] //= g
-    if char or lead is None:
-        return lead, rem, 1, 1
-    g = gcd(*rem.values())
-    if rem[lead] < 0:
-        g = -g
-    if g != 1:
-        for k in rem:
-            rem[k] //= g
-    return lead, rem, num, den * g
+    if lead is None:
+        return None
+    if not char:
+        g = gcd(*rem.values())
+        if rem[lead] < 0:
+            g = -g
+        if g != 1:
+            for k in rem:
+                rem[k] //= g
+    return lead, rem.pop(lead), rem
 
 
 def _spoly(ti, tj, L, guard, char):
@@ -234,7 +219,6 @@ def _spoly(ti, tj, L, guard, char):
                 out[k] = v
             else:
                 out.pop(k, None)
-        _content_strip(out, 0)
     if any(k & guard for k in out):
         raise PackingOverflow("a product overflows the packed fields")
     return out
@@ -297,10 +281,10 @@ def _buchberger(seqs, P, char, missing_leads=None):
     B = {}          # pending pair (i, j) -> plain lcm of the leading monomials
     heap = []       # (sugar, lcm, i, j) of every pair formed
 
-    def add_poly(lead, h, sugar):
-        triples.append((lead, h.pop(lead), h))
-        lms.append(lead)
-        plain.append(Q.pack(P.unpack(lead)))
+    def add_poly(t, sugar):
+        triples.append(t)
+        lms.append(t[0])
+        plain.append(Q.pack(P.unpack(t[0])))
         sugars.append(sugar)
         return len(triples) - 1
 
@@ -352,9 +336,9 @@ def _buchberger(seqs, P, char, missing_leads=None):
     for f in seqs:
         if not f:
             continue
-        lead, h, _, _ = _normal_form_int(_content_strip(f, char), reducers, guard, char, memo, True)
-        if lead is not None:
-            update(add_poly(lead, h, max(map(P.degree, h))))
+        t = _normal_form_int(f, reducers, guard, char, memo, True)
+        if t is not None:
+            update(add_poly(t, max(map(P.degree, (t[0], *t[2])))))
 
     degree = missing = None    # the degree of the pairs coming up, and its missing leads
     while heap:
@@ -368,9 +352,9 @@ def _buchberger(seqs, P, char, missing_leads=None):
         if missing == 0:
             continue
         s = _spoly(triples[i], triples[j], L, guard, char)
-        lead, h, _, _ = _normal_form_int(s, reducers, guard, char, memo, True)
-        if lead is not None:
-            update(add_poly(lead, h, sugar))
+        t = _normal_form_int(s, reducers, guard, char, memo, True)
+        if t is not None:
+            update(add_poly(t, sugar))
             if missing is not None:
                 missing -= 1
     _check_missing(degree, missing)
@@ -421,10 +405,7 @@ def _autoreduce(triples, guard, char):
     """
     final = list(triples)
     for i, (lm, lc, tail) in enumerate(final):
-        f = dict(tail)
-        f[lm] = lc
-        lead, h, _, _ = _normal_form_int(f, final[:i], guard, char)
-        final[i] = (lead, h.pop(lead), h)
+        final[i] = _normal_form_int({lm: lc, **tail}, final[:i], guard, char)
     return final
 
 
@@ -459,14 +440,23 @@ def _on_basis(G, run):
 
 
 def _exact_normal_form(G, d):
-    """(P, rem, scale) with rem = scale * NF(d) packed by P, for an integer dict d of exponent tuples.
+    """(P, scale, rem) with rem = scale * NF(d) packed by P, for an integer dict d of exponent tuples.
 
-    scale is the kernel's num/den as a Fraction, 1 over F_p.
+    scale is read off a marker term: the kernel gets d plus 1 at the key
+    1 << P.guard.bit_length(), above every field, which it takes first, which
+    only the unit ideal's lead 0 divides and which no reduction produces. It
+    returns (marker, scale, rem), scale a positive int (1 over F_p); None
+    means the unit ideal, where NF(d) = 0 and scale is 1.
     """
     char = G.ring.field.char
-    P, (_, rem, num, den) = _on_basis(
-        G, lambda P, triples: _normal_form_int(_pack_poly(d, P), triples, P.guard, char))
-    return P, rem, Fraction(num, den)
+
+    def run(P, triples):
+        f = _pack_poly(d, P)
+        f[1 << P.guard.bit_length()] = 1
+        return _normal_form_int(f, triples, P.guard, char)
+
+    P, t = _on_basis(G, run)
+    return (P, 1, {}) if t is None else (P, t[1], t[2])
 
 
 def _sugar_is_degree(ring, order):
@@ -662,7 +652,7 @@ def normal_form(f, G):
     if f.ring != G.ring:
         raise RingError("polynomial and basis live in different rings")
     d, den = _to_int_poly(f)
-    P, rem, scale = _exact_normal_form(G, d)
+    P, scale, rem = _exact_normal_form(G, d)
     return _from_int_poly(f.ring, rem, scale * den, P)
 
 

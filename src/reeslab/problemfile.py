@@ -12,6 +12,7 @@ import hashlib
 import re
 
 _ORDERS = ("degrevlex", "lex", "deglex")
+_PRIME_FIELD = re.compile(r"Fp:\s*(\d+)")
 _VAR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 # A family token is a call, which may hold commas and spaces, or a run of other characters.
 _FAMILY_TOKEN = re.compile(r"[^\s,]+?\([^)]*\)|[^\s,]+")
@@ -125,11 +126,11 @@ def _read_problem(text):
             raise ProblemError("duplicate %r line" % key, lineno)
         seen.add(key)
         if key == "field":
-            if value.startswith("Fp"):
-                try:
-                    field = (int(value.split(":", 1)[1]), lineno, value)
-                except (IndexError, ValueError) as exc:
-                    raise ProblemError("malformed prime field %r" % value, lineno) from exc
+            prime = _PRIME_FIELD.fullmatch(value)
+            if prime:
+                field = (int(prime.group(1)), lineno, value)
+            elif value.startswith("Fp"):
+                raise ProblemError("malformed prime field %r" % value, lineno)
             elif value != "Q":
                 raise ProblemError("unknown field %r" % value, lineno)
         elif key == "vars":

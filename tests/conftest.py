@@ -180,7 +180,7 @@ def spairs_reduce_to_zero(G):
             for j in range(i + 1, len(triples)):
                 L = P.pack(Q.unpack(Q.lcm(plain[i], plain[j])))
                 s = _spoly(triples[i], triples[j], L, P.guard, char)
-                if _normal_form_int(s, triples, P.guard, char)[0] is not None:
+                if _normal_form_int(s, triples, P.guard, char) is not None:
                     return False
         return True
 

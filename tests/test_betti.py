@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -9,8 +11,10 @@ from reeslab import (
     PrimeField,
     RingSpec,
     graded_ring,
+    groebner_basis,
     hilbert_series_ideal,
     ideal_power,
+    normal_form,
     parse_polynomial,
 )
 from reeslab.betti import (
@@ -23,6 +27,7 @@ from reeslab.betti import (
     graded_betti_table,
     invariants_from_shifts,
 )
+from reeslab.rings import Polynomial
 from conftest import mono_divides, monomials_of_degree
 
 
@@ -211,6 +216,39 @@ def test_quotient_table(twisted_cubic):
 def test_cap_below_generators_rejected(twisted_cubic):
     with pytest.raises(BettiError):
         graded_betti_table(twisted_cubic, 1, "ideal")
+
+
+def test_negative_cap_rejected(twisted_cubic):
+    # the quotient route once printed an empty, incomplete table
+    with pytest.raises(BettiError, match=r"empty window \(-1, 0\): a degree cap must be >= 0"):
+        graded_betti_table(twisted_cubic, -1, "quotient")
+    with pytest.raises(BettiError, match="cap -1 below the largest minimal generator degree 2"):
+        graded_betti_table(twisted_cubic, -1, "ideal")
+
+
+@pytest.mark.parametrize("window", [(-1, 3), (3, -1), (-2, -2)])
+@pytest.mark.parametrize("as_module", ["ideal", "quotient"])
+def test_negative_window_rejected(twisted_cubic_rees, window, as_module):
+    with pytest.raises(BettiError, match=r"empty window \(%d, %d\): a degree cap must be >= 0" % window):
+        bigraded_betti_table(twisted_cubic_rees.defining_ideal, window, as_module)
+
+
+def test_quotient_pieces_entries_are_in_lowest_terms(twisted_cubic_rees):
+    # each entry is NF(x_i * m) as numerators over one positive denominator,
+    # read off the marker term of the exact normal form
+    K = twisted_cubic_rees.defining_ideal
+    ring = K.ring
+    pieces = _QuotientPieces(K)
+    gb = groebner_basis(K)
+    for degree in [(a, b) for a in range(5) for b in range(4)]:
+        for m in pieces.basis(degree):
+            for i in range(ring.nvars):
+                pieces.multiply(i, m)
+    assert len(pieces._nf) > 20
+    for mono, (coords, den) in pieces._nf.items():
+        assert den > 0 and gcd(den, *(c for _, c in coords)) == 1
+        nf = normal_form(Polynomial(ring, {mono: QQ.one}), gb)
+        assert dict(nf.terms) == {m: Fraction(c, den) for m, c in coords}
 
 
 def test_cap_below_a_redundant_generator_accepted():

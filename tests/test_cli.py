@@ -10,7 +10,7 @@ import pytest
 
 from reeslab import cli
 from reeslab.cli import main
-from reeslab.problemfile import ProblemError
+from reeslab.problemfile import ProblemError, _read_problem
 from conftest import parse_problem
 
 TWISTED_CUBIC = """\
@@ -127,6 +127,40 @@ def test_malformed_family_flag_exits_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 4: malformed family flag 'a2G=x'")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("field: Q\nvars X1 (1,0)\n", 2, "expected 'key: value'"),
+    (EMPTY + "order: lex\n", 4, "duplicate 'order' line"),
+    (EMPTY.replace("Q", "R", 1), 1, "unknown field 'R'"),
+    (EMPTY.replace("Q", "Fp:x", 1), 1, "malformed prime field 'Fp:x'"),
+    (EMPTY.replace("Q", "Fpxyz:7", 1), 1, "malformed prime field 'Fpxyz:7'"),
+    (EMPTY.replace("Q", "Fp7", 1), 1, "malformed prime field 'Fp7'"),
+    (EMPTY.replace("Q", "Fp", 1), 1, "malformed prime field 'Fp'"),
+    ("vars: X1 1\n", 1, "malformed variable list 'X1 1'"),
+    (EMPTY.replace("degrevlex", "revlex"), 3, "unknown order 'revlex'"),
+    (EMPTY + "degree: 2\n", 4, "unknown key 'degree'"),
+    (EMPTY + "family: a2G=x\n", 4, "malformed family flag 'a2G=x': expected name, name=int or name(int,...)"),
+    (EMPTY + "family: f f(1)\n", 4, "duplicate family flag 'f'"),
+    ("field: Q\norder: lex\n", None, "no variables declared"),
+], ids=["no-colon", "duplicate-key", "unknown-field", "prime-field-not-int", "prime-field-bad-prefix",
+        "prime-field-no-colon", "prime-field-bare", "variable-list", "unknown-order", "unknown-key",
+        "family-flag", "duplicate-family-flag", "no-variables"])
+def test_read_problem_errors(text, line, message):
+    with pytest.raises(ProblemError) as err:
+        _read_problem(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else "line %d: %s" % (line, message))
+
+
+def test_malformed_prime_field_exits_1(capsys, tmp_path):
+    # Fpxyz:7 was once read as F_7
+    path = tmp_path / "fpxyz.ring"
+    path.write_text("field: Fpxyz:7\nvars: x (1,0)\nideal: x^2\n")
+    assert main(["--no-cache", "hs", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: line 1: malformed prime field 'Fpxyz:7'"
 
 
 @pytest.mark.parametrize("twin", [
@@ -533,8 +567,10 @@ def test_bayer_stillman_on_inhomogeneous_input_exits_1(capsys, tmp_path):
     (["powers", "--max-power", "0"], "error: no powers I^1..I^0: the max power must be >= 1"),
     (["powers", "--max-power", "-1"], "error: no powers I^1..I^-1: the max power must be >= 1"),
     (["diag", "--c", "5", "--e", "2", "--s-max", "-1"], "error: no values for s = 0..-1: s_max must be >= 0"),
+    (["betti", "--module", "quotient", "--degree-cap", "-1"], "error: empty window (-1, 0): a degree cap must be >= 0"),
 ], ids=["fit-hs-predict-negative", "fit-hp-predict-negative", "gin-zero-trials", "gin-negative-trials",
-        "bayer-stillman-empty-window", "powers-max-power-zero", "powers-max-power-negative", "diag-s-max-negative"])
+        "bayer-stillman-empty-window", "powers-max-power-zero", "powers-max-power-negative", "diag-s-max-negative",
+        "betti-degree-cap-negative"])
 def test_out_of_range_arguments_exit_1(capsys, cubic_file, argv, message):
     # each once raised a traceback or printed a vacuous report
     assert main(["--no-cache", *argv, cubic_file]) == 1
@@ -625,6 +661,18 @@ def test_text_format(capsys, cubic_file):
     code, out = run_cli(capsys, "--format", "text", "reg", cubic_file)
     assert code == 0
     assert "a_star" in out
+
+
+def test_text_format_prints_each_row_as_one_json_line(capsys, cubic_file):
+    code, out = run_cli(capsys, "--format", "text", "betti", "--power", "2", cubic_file)
+    assert code == 0
+    _, doc = run_cli(capsys, "betti", "--power", "2", cubic_file)
+    rows = json.loads(doc)["result"]["rows"]
+    lines = out.splitlines()
+    start = lines.index("  rows:") + 1
+    assert lines[start:start + len(rows)] == ["    - %s" % json.dumps(row, sort_keys=True) for row in rows]
+    assert [json.loads(line[len("    - "):]) for line in lines[start:start + len(rows)]] == rows
+    assert len(rows) == 3
 
 
 def test_reg_command_matches_shift_invariants(capsys, cubic_file):

@@ -431,3 +431,50 @@ def test_gin_reads_the_initial_ideals_of_the_moved_generators(monkeypatch, seed)
         J = Ideal(A, [Polynomial(A, {m: Fraction(c) for m, c in d.items()}) for d in gens])
         expected = [repr(Polynomial(A, {m: A.field.one})) for m in sorted(initial_monomials(J))]
         assert out.to_json()["generators"] == expected
+
+
+
+def _identity_on_calls(monkeypatch, identity):
+    """Patch _random_upper_unitriangular: call k (from 0) keeps the coordinates where identity(k) holds.
+
+    Returns the list of the entry bounds of the calls. Each call still draws
+    its entries, so the other trials see the rng as they would unpatched.
+    """
+    bounds = []
+    draw = ginreg._random_upper_unitriangular
+
+    def patched(indices, rng, bound):
+        bounds.append(bound)
+        g = draw(indices, rng, bound)
+        if identity(len(bounds) - 1):
+            return [[int(a == b) for b in range(len(indices))] for a in range(len(indices))]
+        return g
+
+    monkeypatch.setattr(ginreg, "_random_upper_unitriangular", patched)
+    return bounds
+
+
+@pytest.fixture
+def squares():
+    # in(x^2, y^2) is (x^2, y^2), not Borel-fixed, so an unchanged trial
+    # disagrees with the generic ones
+    A = graded_ring(["x", "y"])
+    return Ideal(A, [parse_polynomial("x^2", A), parse_polynomial("y^2", A)])
+
+
+def test_a_non_generic_trial_doubles_the_entry_bound(monkeypatch, squares):
+    generic = generic_initial_ideal(squares)
+    assert generic.entry_bound == 100
+    # one block, so call k is trial k % 3 of round k // 3
+    bounds = _identity_on_calls(monkeypatch, lambda k: k == 1)
+    out = generic_initial_ideal(squares)
+    assert bounds == [100] * 3 + [200] * 3
+    assert out.entry_bound == 200 and out.agreement == out.trials == 3
+    assert out.generators() == generic.generators() == [(0, 3), (1, 1), (2, 0)]
+
+
+def test_a_non_generic_trial_in_every_round_is_unstable(monkeypatch, squares):
+    bounds = _identity_on_calls(monkeypatch, lambda k: k % 3 == 1)
+    with pytest.raises(GinError, match="unstable after 3 rounds"):
+        generic_initial_ideal(squares)
+    assert bounds == [100] * 3 + [200] * 3 + [400] * 3

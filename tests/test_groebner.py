@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import permutations
 
 import pytest
@@ -70,6 +71,32 @@ def test_normal_form_single_step():
     gb = groebner_basis(Ideal(A, [parse_polynomial("X^2 - Y", A)]))
     out = normal_form(parse_polynomial("X^3", A), gb)
     assert out == parse_polynomial("X*Y", A)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_normal_form_in_the_unit_ideal_is_zero(field):
+    # only the unit's lead divides the marker term of the exact normal form
+    A = graded_ring(["x", "y"], field=field)
+    gb = groebner_basis(Ideal(A, [parse_polynomial("x*y - 1", A), parse_polynomial("x", A)]))
+    assert [g.leading_monomial() for g in gb.polys] == [(0, 0)]
+    for text in ("1", "x + 1", "3/2*y^2 - x*y + 5"):
+        assert not normal_form(parse_polynomial(text, A), gb)
+    assert groebner._exact_normal_form(gb, {(2, 1): 7, (0, 0): -3})[1:] == (1, {})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_exact_normal_form_reads_its_scale_off_the_marker(field):
+    A = graded_ring(["x", "y", "z"], field=field)
+    gb = groebner_basis(Ideal(A, [parse_polynomial("6*x^2 - 4*y*z", A), parse_polynomial("9*y^3 - z^3", A)]))
+    for d in ({(3, 0, 0): 1}, {(2, 3, 0): 5, (1, 0, 0): 2}, {(0, 4, 1): -3}):
+        P, scale, rem = groebner._exact_normal_form(gb, d)
+        nf = normal_form(Polynomial(A, {m: field.coerce(c) for m, c in d.items()}), gb)
+        assert scale > 0 and all(c for c in rem.values())
+        if field.char:
+            assert scale == 1
+        else:
+            assert gcd(scale, *rem.values()) == 1
+        assert dict(nf.terms) == {P.unpack(m): field.coerce(Fraction(c, scale)) for m, c in rem.items()}
 
 
 def test_initial_ideal_examples():

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from reeslab._linalg import VectorSpan
+from reeslab.rings import RingError
 
 
 class _DenseSpan:
@@ -116,6 +117,24 @@ def test_span_over_f_p_matches_dense_elimination(seed, char):
     ncols = rng.randint(12, 24)
     grew = _check_span(_sparse_rows(rng, 2 * ncols, ncols, 0.2, entry), ncols, char)
     assert 0 < grew <= ncols
+    # Fraction entries, with denominators prime to char, are read as
+    # PrimeField.coerce reads them
+    grew = _check_span(_sparse_rows(rng, 2 * ncols, ncols, 0.2,
+                                    lambda: Fraction(rng.randint(-9, 9), rng.choice((3, 5, 7)))), ncols, char)
+    assert 0 < grew <= ncols
+
+
+def test_span_over_f_p_keeps_the_denominators_of_fraction_entries():
+    # int() once truncated them: 1/2 became 0 and 3/2 became 1
+    span = VectorSpan(7)
+    assert span.add({0: Fraction(1, 2)})
+    assert span.rows == {0: (0, 4, {})}
+    span = VectorSpan(7)
+    assert span.add({0: Fraction(3, 2), 1: 1})
+    assert span.rows == {0: (0, 5, {-1: 1})}
+    assert not span.add({0: 3, 1: 2})
+    with pytest.raises(RingError, match="denominator divisible by 7"):
+        VectorSpan(7).add({0: 1, 1: Fraction(2, 7)})
 
 
 def test_span_over_q_strips_content_on_long_reductions():
