@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _qpoly as qp
 from ._record import record
 from .hilbert import HilbertPolynomial, HilbertSeriesRational, bigraded_hilbert_polynomial
@@ -303,12 +301,6 @@ class ResolutionTemplate:
     linear: bool
     validated_on: tuple
 
-    def betti_number(self, p, alpha, j):
-        for (pp, aa), poly in zip(self.offsets, self.polys):
-            if (pp, aa) == (p, alpha):
-                return qp.evaluate(poly, j)
-        return Fraction(0)
-
     def predict(self, j):
         """Expected table rows [(p, degree, rank)] for I^j."""
         rows = []
@@ -320,9 +312,6 @@ class ResolutionTemplate:
                 rows.append((p, (self.d * j + alpha, 0), int(v)))
         rows.sort()
         return rows
-
-    def matches(self, j, table):
-        return self.predict(j) == sorted((p, d, r) for p, d, r in table.rows())
 
     def to_json(self):
         return {

@@ -357,12 +357,15 @@ def _cmd_gin(args, problem):
 
 
 def _cmd_borel(args, problem):
-    from .ginreg import borel_fix_check, borel_regularity
+    from .ginreg import GinError, borel_fix_check
 
     report = borel_fix_check(problem.ideal, args.char_p)
     payload = report.to_json()
+    # borel_regularity's value, read off this audit rather than a second one
     if report.is_borel and args.char_p == 0 and report.delta is not None:
-        payload["regularity"] = list(borel_regularity(problem.ideal))
+        if problem.ring.field.char:
+            raise GinError("the generator-degree formula needs characteristic 0")
+        payload["regularity"] = list(report.delta)
     return (payload, ["borel-exchange-audit"], [])
 
 

@@ -167,7 +167,7 @@ class BorelReport:
         return {
             "is_borel": self.is_borel,
             "char_p": self.char_p,
-            "witness": list(map(list, self.witness)) if self.witness else None,
+            "witness": [list(self.witness[0]), *self.witness[1:]] if self.witness else None,
             "delta": list(self.delta) if self.delta else None,
         }
 

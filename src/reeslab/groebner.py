@@ -48,7 +48,7 @@ def _from_int_poly(ring, d, den, P):
     """The Polynomial of the packed integer dict d divided by den (1 over F_p).
 
     Where P packs by the ring's order, int order is term order, so the terms
-    are sorted as ints rather than by the order's key function.
+    are sorted as the ints they already are, with no second packing.
     """
     char = ring.field.char
     if P.order == ring.order:

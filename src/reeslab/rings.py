@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, neg
+from operator import add, mul
 
 from ._record import record
 
@@ -51,7 +51,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < _MR_LIMIT."""
+    """Deterministic Miller-Rabin; refuses n >= _MR_LIMIT, where it is not certified."""
+    if n >= _MR_LIMIT:
+        raise RingError("modulus %r is too large: primality is certified only below %d" % (n, _MR_LIMIT))
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -81,9 +83,6 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p >= _MR_LIMIT:
-            raise RingError("modulus %r is too large: primality is certified only below %d"
-                            % (self.p, _MR_LIMIT))
         if not _is_prime(self.p):
             raise RingError("modulus %r is not prime" % (self.p,))
 
@@ -122,11 +121,12 @@ _ORDER_TAGS = ("lex", "deglex", "degrevlex", "elim")
 
 @record
 class TermOrder:
-    """Total multiplicative order on monomials.
+    """Total multiplicative order on monomials, defined by its weight rows alone.
 
     ``elim`` is a block order: the first ``block`` variables (after the
     optional permutation) form an elimination block compared by degrevlex,
-    ties broken by degrevlex on the remaining variables.
+    ties broken by degrevlex on the remaining variables. Its MonomialPacking
+    leads with the weight rows, so packed ints compare as the monomials do.
     """
 
     tag: str = "degrevlex"
@@ -138,32 +138,6 @@ class TermOrder:
             raise RingError("unknown term order %r" % (self.tag,))
         if self.tag == "elim" and self.block <= 0:
             raise RingError("elimination order needs a positive block size")
-
-    @lru_cache(maxsize=64)
-    def key_function(self, nvars):
-        """Sort key: key(m) < key(m') iff m < m' in this order; built once per (order, nvars)."""
-        perm = self.perm if self.perm is not None else tuple(range(nvars))
-        if len(perm) != nvars:
-            raise RingError("permutation length %d != %d variables" % (len(perm), nvars))
-        tag, block = self.tag, self.block
-        rperm = perm[::-1]
-
-        if tag == "lex":
-            return lambda m: tuple(map(m.__getitem__, perm))
-        if tag == "deglex":
-            return lambda m: (sum(m), *map(m.__getitem__, perm))
-        if tag == "degrevlex":
-            # higher monomial == higher (deg, reversed negated exponents)
-            return lambda m: (sum(m), *map(neg, map(m.__getitem__, rperm)))
-
-        def revlex_part(e):
-            return (sum(e),) + tuple(-x for x in reversed(e))
-
-        def elim_key(m):
-            e = tuple(m[i] for i in perm)
-            return revlex_part(e[:block]) + revlex_part(e[block:])
-
-        return elim_key
 
     def weight_rows(self, nvars):
         """The order as weight rows, each a frozenset of variables with weight 1.
@@ -230,9 +204,6 @@ class RingSpec:
     def nvars(self):
         return len(self.names)
 
-    def key_function(self):
-        return self.order.key_function(self.nvars)
-
     def monomial_degree(self, mono):
         d1 = d2 = 0
         for e, (a, b) in zip(mono, self.degrees):
@@ -287,9 +258,10 @@ class MonomialPacking:
     each field holds the sum of the exponents of a set of variables. Without
     an order the fields are the exponents, in variable order. With a term
     order the leading fields are its weight rows, so that int comparison is
-    the term order; the total degree and the exponents not already among
-    them follow. Every field is linear in the exponents, so a product of
-    monomials is the sum of their ints and a quotient their difference.
+    the term order, by which Polynomial and the kernel both sort; the total
+    degree and the exponents not already among them follow. Every field is
+    linear in the exponents, so a product of monomials is the sum of their
+    ints and a quotient their difference.
 
     The top bit of each field is a guard bit, clear in every packed monomial:
 
@@ -377,14 +349,23 @@ class MonomialPacking:
 # ---------------------------------------------------------------------------
 # polynomials
 
+_order_packing = lru_cache(maxsize=64)(MonomialPacking)
+
+
 class Polynomial:
-    """Immutable multivariate polynomial: canonical term list, descending order."""
+    """Immutable multivariate polynomial: canonical term list, descending order.
+
+    The terms are sorted by their packed ints under the ring's order, as in the kernel.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        monos = sorted((m for m, c in coeffs.items() if c), key=ring.key_function(), reverse=True)
+        monos = [m for m, c in coeffs.items() if c]
+        if monos:
+            P = _order_packing(ring.nvars, max(map(sum, monos)).bit_length() + 1, ring.order)
+            monos.sort(key=P.pack, reverse=True)
         self.terms = tuple([(m, coeffs[m]) for m in monos])
 
     @classmethod

@@ -117,6 +117,34 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def order_key(order, nvars):
+    """Sort key on exponent tuples for a TermOrder, written from each order's definition.
+
+    lex compares the exponents in variable order; deglex compares the total
+    degree first. degrevlex compares the total degree, then calls the
+    monomial with the smaller exponent in the last differing variable the
+    larger. elim compares the first ``block`` variables by degrevlex and
+    breaks ties by degrevlex on the rest. Every order first permutes the
+    variables by ``perm`` when it has one.
+    """
+    perm = order.perm if order.perm is not None else tuple(range(nvars))
+
+    def lex(m):
+        return tuple(m[i] for i in perm)
+
+    def revlex(e):
+        return (sum(e), *(-x for x in reversed(e)))
+
+    if order.tag == "lex":
+        return lex
+    if order.tag == "deglex":
+        return lambda m: (sum(m), *lex(m))
+    if order.tag == "degrevlex":
+        return lambda m: revlex(lex(m))
+    assert order.tag == "elim"
+    return lambda m: revlex(lex(m)[:order.block]) + revlex(lex(m)[order.block:])
+
+
 def monomials_of_degree(ring, degree):
     """All exponent vectors of the given Z^2 degree, as a list of tuples."""
     out = []

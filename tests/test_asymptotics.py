@@ -264,10 +264,8 @@ def test_predict_resolutions_planar(planar_tables):
         {j: planar_tables[j] for j in (5, 6)}, l=2, d=7, threshold=6
     )
     assert template.offsets == ((0, 0), (1, 1), (1, 2))
-    assert template.betti_number(0, 0, 9) == 7 * 9 - 14
-    assert template.betti_number(1, 1, 9) == 7 * 9 - 30
-    assert template.betti_number(1, 2, 9) == 15
-    assert template.matches(7, planar_tables[7])
+    assert template.predict(9) == [(0, (63, 0), 7 * 9 - 14), (1, (64, 0), 7 * 9 - 30), (1, (65, 0), 15)]
+    assert template.predict(7) == sorted(planar_tables[7].rows())
 
 
 def test_predict_resolutions_twisted_cubic(twisted_cubic):
@@ -291,9 +289,8 @@ def test_forced_template_for_spread_two():
     I = Ideal(A, [parse_polynomial("x^2", A), parse_polynomial("x*y", A)])
     tables = {j: graded_betti_table(ideal_power(I, j), 2 * j + 4, "ideal") for j in (0, 1, 2, 3)}
     template = predict_resolutions(tables, l=2, d=2, threshold=1)
-    assert template.betti_number(0, 0, 5) == 6
-    assert template.betti_number(1, 1, 5) == 5
-    assert template.matches(3, tables[3])
+    assert template.predict(5) == [(0, (10, 0), 6), (1, (11, 0), 5)]
+    assert template.predict(3) == sorted(tables[3].rows())
 
 
 def test_offset_drift_refused(twisted_cubic, planar_tables):

@@ -153,14 +153,20 @@ def test_read_problem_errors(text, line, message):
     assert str(err.value) == (message if line is None else "line %d: %s" % (line, message))
 
 
+# The least strong pseudoprime to the 13 Miller-Rabin bases, 1287836182261 * 2575672364521:
+# primality is certified only below it.
+MR_LIMIT = "3317044064679887385961981"
+
+
 def test_malformed_prime_field_exits_1(capsys, tmp_path):
     # Fpxyz:7 was once read as F_7
-    path = tmp_path / "fpxyz.ring"
-    path.write_text("field: Fpxyz:7\nvars: x (1,0)\nideal: x^2\n")
-    assert main(["--no-cache", "hs", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip() == "error: line 1: malformed prime field 'Fpxyz:7'"
+    path = tmp_path / "fp.ring"
+    for field in ("Fpxyz:7", "Fp:" + MR_LIMIT):
+        path.write_text("field: %s\nvars: x (1,0)\nideal: x^2\n" % field)
+        assert main(["--no-cache", "hs", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: line 1: malformed prime field '%s'" % field
 
 
 @pytest.mark.parametrize("twin", [
@@ -582,11 +588,13 @@ def test_out_of_range_arguments_exit_1(capsys, cubic_file, argv, message):
 @pytest.mark.parametrize("char_p, code, message", [
     ("-1", 1, "error: characteristic must be 0 or a prime, got -1"),
     ("4", 1, "error: characteristic must be 0 or a prime, got 4"),
+    (MR_LIMIT, 1, "error: modulus %s is too large: primality is certified only below %s" % (MR_LIMIT, MR_LIMIT)),
     ("3", 0, ""),
 ])
 def test_borel_takes_characteristic_zero_or_a_prime(tmp_path, char_p, code, message):
     # -1 once looped forever, so the command runs in a child process under a
-    # timeout; 4 was answered by Lucas's rule, which holds only for primes
+    # timeout; 4 was answered by Lucas's rule, which holds only for primes,
+    # and MR_LIMIT was taken for a prime
     path = tmp_path / "borel.ring"
     path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x^2; x*y\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -596,6 +604,52 @@ def test_borel_takes_characteristic_zero_or_a_prime(tmp_path, char_p, code, mess
     assert (proc.returncode, proc.stderr.strip()) == (code, message)
     if code == 0:
         assert json.loads(proc.stdout)["result"] == {"is_borel": True, "char_p": 3, "witness": None, "delta": [2, 0]}
+
+
+def test_borel_reports_the_witness_of_an_ideal_that_is_not_borel_fixed(capsys, tmp_path):
+    # the witness's three ints were once each passed to list(), a TypeError
+    path = tmp_path / "frobenius.ring"
+    path.write_text("field: Q\nvars: x (1,0), y (1,0)\nideal: x^2; y^2\n")
+    code, out = run_cli(capsys, "--no-cache", "borel", str(path))
+    assert code == 0
+    # y^2 is in the ideal and its move to x*y is not
+    assert json.loads(out)["result"] == {"is_borel": False, "char_p": 0, "witness": [[0, 2], 0, 1, 1], "delta": None}
+
+
+def test_borel_regularity_needs_a_ring_of_characteristic_zero(capsys, tmp_path):
+    path = tmp_path / "borel-f7.ring"
+    path.write_text("field: Fp:7\nvars: x (1,0), y (1,0)\nideal: x^2; x*y\n")
+    assert main(["--no-cache", "borel", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == "error: the generator-degree formula needs characteristic 0"
+
+
+# Tiny problems at the edges of what each command accepts, and the flags each command requires.
+EDGE_PROBLEMS = {
+    "zero-ideal": "field: Q\nvars: x (1,0), y (1,0)\n",
+    "unit-ideal": "field: Q\nvars: x (1,0), y (1,0)\nideal: 1\n",
+    "not-borel-fixed": "field: Q\nvars: x (1,0), y (1,0)\nideal: x^2; y^2\n",
+    "degree-0-1-variable": "field: Q\nvars: x (1,0), t (0,1)\nideal: x*t; x^2\n",
+    "prime-field": "field: Fp:7\nvars: x (1,0), y (1,0)\nideal: x^2 + 3*y^2; x*y\n",
+}
+REQUIRED_FLAGS = {
+    "powers": ["--max-power", "2"],
+    "diag": ["--c", "2", "--e", "1"],
+    "gorenstein": ["--family", "general"],
+    "cm-check": ["--family", "ci", "--c", "2", "--e", "1"],
+    "bayer-stillman": ["--first-degree", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PROBLEMS))
+def test_every_command_on_edge_problems_exits_0_1_or_2(capsys, tmp_path, name):
+    # an uncaught exception fails the test; so does a missing required flag, by argparse's SystemExit
+    path = tmp_path / (name + ".ring")
+    path.write_text(EDGE_PROBLEMS[name])
+    codes = {command: main(["--no-cache", command, *REQUIRED_FLAGS.get(command, ()), str(path)])
+             for command in cli._COMMANDS}
+    capsys.readouterr()
+    assert set(REQUIRED_FLAGS) <= set(codes) and list(codes) == list(cli._COMMANDS)
+    assert {command: code for command, code in codes.items() if code not in (0, 1, 2)} == {}
 
 
 @pytest.mark.parametrize("command, key, expected", [

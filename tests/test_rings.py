@@ -18,8 +18,8 @@ from reeslab import (
     multidegree_of,
     parse_polynomial,
 )
-from reeslab.rings import MonomialPacking, PackingOverflow, TermOrder
-from conftest import monomials_of_degree, naive_multiply
+from reeslab.rings import MonomialPacking, PackingOverflow, Polynomial, TermOrder
+from conftest import monomials_of_degree, naive_multiply, order_key
 
 
 @pytest.fixture
@@ -167,11 +167,15 @@ def test_ring_value_equality():
 def test_packed_monomials_against_exponent_tuples(order):
     n = 5
     rng = random.Random(7)
-    key = order.key_function(n)
+    key = order_key(order, n)
     P = MonomialPacking.fitting(n, 2 * 4 * n, order)
     monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)]
     packed = {m: P.pack(m) for m in monos}
     assert sorted(monos, key=key) == sorted(monos, key=packed.get)
+    # a Polynomial takes its terms in the same order
+    ring = graded_ring(["x%d" % i for i in range(n)], order=order)
+    f = Polynomial(ring, {m: 1 for m in monos})
+    assert [m for m, _ in f.terms] == sorted(set(monos), key=key, reverse=True)
     for a, b in zip(monos, monos[1:] + monos[:1]):
         pa, pb = packed[a], packed[b]
         assert P.unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))

@@ -270,8 +270,6 @@ def test_errors_of_unloaded_layers_exit_1_without_a_traceback(tmp_path):
 WAITING = {
     "form_ring_presentation": "item 10",
     "builtin_a2_form_ring": "item 10",
-    "ResolutionTemplate.betti_number": "item 6",
-    "ResolutionTemplate.matches": "item 6",
 }
 
 
