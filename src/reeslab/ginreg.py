@@ -8,10 +8,12 @@ import random
 from ._record import record
 from .groebner import (
     Ideal,
+    _fitting,
+    _hilbert_skip,
+    _packed_run,
     _sugar_is_degree,
     _times,
     _to_int_poly,
-    packed_basis,
 )
 from .rings import MonomialPacking, Polynomial, _is_prime
 
@@ -39,24 +41,23 @@ def _random_upper_unitriangular(indices, rng, bound):
     return g
 
 
-def apply_coordinate_change(I, blocks, matrices):
+def apply_coordinate_change(I, blocks, matrices, order):
     """Substitute x_j -> sum_i g[i][j] x_i blockwise (a graded automorphism); integer entries g.
 
-    Returns the moved generators of I as integer dicts from exponent tuples
-    to coefficients, as packed_basis takes them: over Q each one is the
-    image of the generator times the lcm of its denominators, over F_p its
-    coefficients lie in [0, p). The expansion runs on packed integer dicts,
-    and the powers of each image are memoised.
+    Returns (P, moved), the moved generators of I as integer dicts packed by
+    P for the order, with room for a product of two: a Buchberger run takes
+    them as they are. Over Q each is the image of the generator times the
+    lcm of its denominators. The powers of each image are memoised.
     """
     ring = I.ring
     char = ring.field.char
-    # an image is linear, so no exponent of the result exceeds a term's degree
-    P = MonomialPacking.fitting(ring.nvars, max((sum(m) for f in I.gens for m, _ in f.terms), default=0))
+    # an image is linear, so the moved terms have the degrees of the generators' terms
+    P = _fitting(ring.nvars, (m for f in I.gens for m, _ in f.terms), order)
     powers = [[{0: 1}, {u: 1}] for u in P.units]    # powers[j][e]: the e-th power of x_j's image
     for indices, g in zip(blocks, matrices):
         for col, j in enumerate(indices):
             powers[j][1] = {P.units[i]: g[row][col] for row, i in enumerate(indices) if g[row][col]}
-    out = []
+    moved = []
     for f in I.gens:
         d = _to_int_poly(f)[0]
         acc = {}
@@ -70,10 +71,10 @@ def apply_coordinate_change(I, blocks, matrices):
             for m, c in term.items():
                 acc[m] = acc.get(m, 0) + c
         if char:
-            out.append({P.unpack(m): c % char for m, c in acc.items() if c % char})
+            moved.append({m: c % char for m, c in acc.items() if c % char})
         else:
-            out.append({P.unpack(m): c for m, c in acc.items() if c})
-    return out
+            moved.append({m: c for m, c in acc.items() if c})
+    return P, moved
 
 
 @record
@@ -121,11 +122,11 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
     if I.is_zero():
         return GinResult(Ideal(I.ring, []), trials, trials, seed, order, entry_bound, "")
     blocks = _degree_blocks(I.ring)
-    series = None
+    skip = None
     if _sugar_is_degree(I.ring, order):
         from .hilbert import hilbert_series_ideal    # here, so that importing ginreg loads no hilbert
 
-        series = hilbert_series_ideal(I)
+        skip = _hilbert_skip(I.ring, order, hilbert_series_ideal(I), True)
     bound = entry_bound
     for round_ in range(max_rounds):
         results = []
@@ -134,7 +135,7 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
             rng = random.Random("%d:%d:%d" % (seed, round_, t))
             mats = [_random_upper_unitriangular(b, rng, bound) for b in blocks]
             hashes.update(repr(mats).encode())
-            P, basis = packed_basis(I.ring, order, apply_coordinate_change(I, blocks, mats), series, True)
+            P, basis = _packed_run(I.ring, *apply_coordinate_change(I, blocks, mats, order), skip)
             results.append(tuple(sorted(P.unpack(t[0]) for t in basis)))
         agreement = sum(1 for rr in results if rr == results[0])
         if agreement == trials:

@@ -481,23 +481,11 @@ def _hilbert_skip(ring, order, series, homogeneous):
     return missing_leads
 
 
-def packed_basis(ring, order, gens, series=None, homogeneous=False):
-    """(P, triples): one Buchberger run on gens, integer dicts from exponent tuples to coefficients.
-
-    The triples are the minimal-lead basis, sorted by lm and packed by P for
-    the order. Coefficients are nonzero, and lie in [0, p) over F_p; over Q
-    a generator may be any integer multiple of the polynomial it stands for,
-    as _to_int_poly makes it. series, the Hilbert series of ring/(gens) when
-    it is known, lets the run skip the pairs of every degree whose leading
-    monomials are complete, where homogeneous says that every generator is
-    homogeneous.
-    """
-    P = _fitting(ring.nvars, (m for d in gens for m in d), order)
-    return _packed_run(ring, P, [_pack_poly(d, P) for d in gens], _hilbert_skip(ring, order, series, homogeneous))
-
-
 def _packed_run(ring, P, packed, missing_leads):
-    """(P, triples) of one Buchberger run on copies of the dicts packed by P; an overflow widens P."""
+    """(P, triples) of one Buchberger run on copies of the dicts packed by P; an overflow widens P.
+
+    The dicts come packed from _basis, as an ideal's gens or power products, or from a gin trial.
+    """
     char = ring.field.char
     P, _, triples = _widening(
         P, packed, _repacked_poly, lambda P, packed: _buchberger([dict(d) for d in packed], P, char, missing_leads))
@@ -505,20 +493,21 @@ def _packed_run(ring, P, packed, missing_leads):
 
 
 def _basis(I, order, series=None):
-    """The GroebnerBasis of I for the order, from the ideal's cache or from a Buchberger run.
+    """The GroebnerBasis of I for the order, from the ideal's cache or from one Buchberger run.
 
-    The run takes the ideal's packed generators where ideal_power left them
-    for this order; it packs I.gens otherwise.
+    The run takes the products ideal_power packed for this order, where there
+    are any, and otherwise I.gens packed by the order, sized by _fitting.
     """
     G = I._bases.get(order)
     if G is None:
-        homogeneous = series is not None and I.is_homogeneous()
         if I._packed is not None and I._packed[0].order == order:
             P, packed = I._packed
-            P, triples = _packed_run(I.ring, P, packed, _hilbert_skip(I.ring, order, series, homogeneous))
             I._packed = None
         else:
-            P, triples = packed_basis(I.ring, order, [_to_int_poly(g)[0] for g in I.gens], series, homogeneous)
+            P = _fitting(I.ring.nvars, (m for g in I.gens for m, _ in g.terms), order)
+            packed = [_pack_poly(_to_int_poly(g)[0], P) for g in I.gens]
+        homogeneous = series is not None and I.is_homogeneous()
+        P, triples = _packed_run(I.ring, P, packed, _hilbert_skip(I.ring, order, series, homogeneous))
         G = I._bases[order] = GroebnerBasis(I.ring, order, P, triples)
     return G
 
@@ -535,18 +524,17 @@ class GroebnerBasis:
     leads on first request. _reduce autoreduces the triples in place on its
     first call: the leads stay, and the triples stay a basis. polys, the
     reduced basis as monic polynomials sorted by leading monomial, reduces
-    and converts on first request. A basis built with its polys is reduced
-    already.
+    and converts on first request, and not before. reduced says that the
+    triples are reduced already, as eliminate's are.
     """
 
     __slots__ = ("ring", "order", "_P", "_triples", "_leads", "_reduced", "_polys")
 
-    def __init__(self, ring, order, P, triples, polys=None):
+    def __init__(self, ring, order, P, triples, reduced=False):
         self.ring, self.order = ring, order
         self._P, self._triples = P, triples
-        self._leads = None
-        self._reduced = polys is not None
-        self._polys = polys
+        self._leads = self._polys = None
+        self._reduced = reduced
 
     @property
     def leading_monomials(self):
@@ -656,10 +644,10 @@ def normal_form(f, G):
     return _from_int_poly(f.ring, rem, scale * den, P)
 
 
-def initial_ideal(I, order=None):
-    """Monomial ideal of leading monomials of the reduced basis."""
+def initial_ideal(I):
+    """Monomial ideal of leading monomials of the reduced basis for the ring's order."""
     ring = I.ring
-    gens = [Polynomial(ring, {lm: ring.field.one}) for lm in sorted(initial_monomials(I, order))]
+    gens = [Polynomial(ring, {lm: ring.field.one}) for lm in sorted(initial_monomials(I))]
     return Ideal(ring, gens)
 
 
@@ -815,29 +803,29 @@ def eliminate(J, block):
     The result lives in the ring of the remaining variables with degrevlex
     order, whatever the order of J's ring. The block order breaks ties by
     that degrevlex, so the elements of J's reduced basis free of the block
-    are the reduced basis of the result (elimination theorem), and the
-    result keeps them, repacked, as its basis for that order.
+    are the reduced basis of the result (elimination theorem). Only their
+    triples are cut to the remaining variables and repacked, to be the
+    result's basis for degrevlex, whose polys are the result's generators.
     """
     ring = J.ring
     block = sorted(set(block))
     rest = [i for i in range(ring.nvars) if i not in block]
     order = TermOrder("elim", block=len(block), perm=tuple(block + rest))
-    gb = groebner_basis(J, order)
-    small = restrict_ring(ring, rest)
+    gb = _basis(J, order)._reduce()
     P = gb._P
 
     def cut(m):
-        return tuple(m[i] for i in rest)
+        return tuple(map(P.unpack(m).__getitem__, rest))
 
     # a monomial with a block variable lies above every one without, so an
-    # element whose lead is free of the block is free of it
-    kept = [(t, g) for t, g in zip(gb._triples, gb.polys) if not any(P.unpack(t[0])[i] for i in block)]
-    gens = tuple(Polynomial(small, {cut(m): c for m, c in g.terms}) for _, g in kept)
-    W = _fitting(small.nvars, (m for g in gens for m, _ in g.terms), small.order)
-    triples = [(W.pack(cut(P.unpack(lm))), lc, {W.pack(cut(P.unpack(m))): c for m, c in tail.items()})
-               for (lm, lc, tail), _ in kept]
-    out = Ideal(small, gens)
-    out._bases[small.order] = GroebnerBasis(small, small.order, W, triples, gens)
+    # element is free of the block when its lead lies below each block variable
+    bar = min(P.units[i] for i in block)
+    cuts = [(cut(lm), lc, {cut(m): c for m, c in tail.items()}) for lm, lc, tail in gb._triples if lm < bar]
+    small = restrict_ring(ring, rest)
+    W = _fitting(small.nvars, (m for lm, _, tail in cuts for m in (lm, *tail)), small.order)
+    G = GroebnerBasis(small, small.order, W, [(W.pack(lm), lc, _pack_poly(tail, W)) for lm, lc, tail in cuts], True)
+    out = Ideal(small, G.polys)
+    out._bases[small.order] = G
     return out
 
 

@@ -308,7 +308,7 @@ def hilbert_series_monomial(J):
     return HilbertSeriesRational.make(num, ring.degrees)
 
 
-def hilbert_series_ideal(I, as_module="quotient", order=None):
+def hilbert_series_ideal(I, as_module="quotient"):
     """Series of I or ring/I via the initial ideal (series-invariant).
 
     The leading monomials of the ideal's cached basis divide none of each
@@ -324,7 +324,7 @@ def hilbert_series_ideal(I, as_module="quotient", order=None):
     if I.is_zero():
         num = {(0, 0): 1}
     else:
-        num = _minimal_numerator(ring, initial_monomials(I, order))
+        num = _minimal_numerator(ring, initial_monomials(I))
     quotient = HilbertSeriesRational.make(num, ring.degrees)
     if as_module == "quotient":
         return quotient

@@ -147,8 +147,8 @@ class TermOrder:
         last variable, less its last two, and so on.
         """
         perm = self.perm if self.perm is not None else tuple(range(nvars))
-        if len(perm) != nvars:
-            raise RingError("permutation length %d != %d variables" % (len(perm), nvars))
+        if sorted(perm) != list(range(nvars)):
+            raise RingError("perm %r is not a permutation of the %d variables" % (tuple(perm), nvars))
 
         def revlex_rows(vs):
             return [frozenset(vs[:k]) for k in range(len(vs), 0, -1)]
@@ -199,6 +199,7 @@ class RingSpec:
         for d in self.degrees:
             if len(d) != 2 or d[0] < 0 or d[1] < 0 or d == (0, 0):
                 raise RingError("variable degrees must be nonzero vectors in N^2")
+        self.order.weight_rows(len(self.names))    # refuses a perm that is not one of the variables
 
     @property
     def nvars(self):

@@ -225,23 +225,25 @@ def test_gin_skips_pairs_by_the_hilbert_series(monkeypatch, seed):
     calls = []
     normal_form_int = groebner._normal_form_int
     monkeypatch.setattr(groebner, "_normal_form_int", lambda *args: calls.append(1) or normal_form_int(*args))
-    trials = []
-    packed_basis = ginreg.packed_basis
+    trials = []    # (raw basis, Hilbert skip) of each trial's run
+    packed_run = ginreg._packed_run
 
-    def captured(ring, order, *args):
-        P, triples = packed_basis(ring, order, *args)
-        trials.append(groebner.GroebnerBasis(ring, order, P, triples))
+    def captured(ring, P, packed, missing_leads):
+        P, triples = packed_run(ring, P, packed, missing_leads)
+        trials.append((groebner.GroebnerBasis(ring, P.order, P, triples), missing_leads))
         return P, triples
 
-    monkeypatch.setattr(ginreg, "packed_basis", captured)
+    monkeypatch.setattr(ginreg, "_packed_run", captured)
     skipped = generic_initial_ideal(I, seed=seed)
     n_skipped = len(calls)
-    # each trial's basis is a Groebner basis, although the skip reduced fewer pairs
-    assert len(trials) == 3
-    assert all(spairs_reduce_to_zero(raw) for raw in trials)
+    # each trial's basis comes from a skipped run, and is a Groebner basis
+    # although the skip reduced fewer pairs
+    assert len(trials) == 3 and all(skip is not None for _, skip in trials)
+    assert all(spairs_reduce_to_zero(raw) for raw, _ in trials)
     calls.clear()
     monkeypatch.setattr(hilbert, "hilbert_series_ideal", lambda I: None)
     full = generic_initial_ideal(I, seed=seed)
+    assert len(trials) == 6 and all(skip is None for _, skip in trials[3:])
     assert full.to_json() == skipped.to_json()
     assert n_skipped < len(calls)
 
@@ -408,12 +410,14 @@ def test_coordinate_change_matches_polynomial_substitution(field):
         I = Ideal(ring, [parse_polynomial(t, ring) for t in texts])
         blocks = _degree_blocks(ring)
         assert len(blocks) == (2 if ring is bigraded else 1)
-        for _ in range(3):
+        for order in (DEGREVLEX, LEX, DEGREVLEX):
             mats = [_random_upper_unitriangular(b, rng, 100) for b in blocks]
+            P, moved = apply_coordinate_change(I, blocks, mats, order)
+            assert P.order == order
             # each moved generator is the image times the lcm of the generator's denominators
-            moved = [Polynomial(ring, {m: ring.field.coerce(c) for m, c in d.items()}).scale(
+            moved = [Polynomial(ring, {P.unpack(m): ring.field.coerce(c) for m, c in d.items()}).scale(
                          Fraction(1, groebner._to_int_poly(f)[1]))
-                     for f, d in zip(I.gens, apply_coordinate_change(I, blocks, mats))]
+                     for f, d in zip(I.gens, moved)]
             assert moved == _substitute_by_polynomials(I, blocks, mats)
 
 
@@ -427,8 +431,8 @@ def test_gin_reads_the_initial_ideals_of_the_moved_generators(monkeypatch, seed)
     monkeypatch.setattr(ginreg, "apply_coordinate_change", lambda *args: moved.append(apply(*args)) or moved[-1])
     out = generic_initial_ideal(I, seed=seed)
     assert len(moved) >= out.trials
-    for gens in moved[-out.trials:]:
-        J = Ideal(A, [Polynomial(A, {m: Fraction(c) for m, c in d.items()}) for d in gens])
+    for P, gens in moved[-out.trials:]:
+        J = Ideal(A, [Polynomial(A, {P.unpack(m): Fraction(c) for m, c in d.items()}) for d in gens])
         expected = [repr(Polynomial(A, {m: A.field.one})) for m in sorted(initial_monomials(J))]
         assert out.to_json()["generators"] == expected
 

@@ -379,11 +379,12 @@ def test_initial_monomials_are_the_reduced_basis_leads(seed, order, field):
 
 
 def _counting(monkeypatch, name):
+    """Patch groebner's name to record the arguments of each call; returns their list."""
     calls = []
     inner = getattr(groebner, name)
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(groebner, name, counted)
@@ -407,7 +408,7 @@ def test_series_and_basis_share_one_buchberger_run(monkeypatch, twisted_cubic):
 def test_rees_presentation_builds_one_basis(monkeypatch, twisted_cubic):
     from reeslab.rees import rees_presentation
 
-    runs = _counting(monkeypatch, "packed_basis")
+    runs = _counting(monkeypatch, "_packed_run")
     P = rees_presentation(Ideal(twisted_cubic.ring, twisted_cubic.gens))
     assert len(runs) == 1
     # the elimination left the defining ideal its reduced basis
@@ -554,8 +555,8 @@ _SERIES_REES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_SERIES_REES))
-def test_rees_elimination_stores_the_fresh_basis(name):
+def _rees_graph_ideal(name):
+    """The ideal (Y_j - f_j t) of the Rees job name in k[X; Y; t]; t is the last variable."""
     names, texts = _SERIES_REES[name]
     A = graded_ring(names)
     fs = [parse_polynomial(g, A) for g in texts]
@@ -563,8 +564,51 @@ def test_rees_elimination_stores_the_fresh_basis(name):
     ext = RingSpec(QQ, tuple(names) + ys + ("t",),
                    A.degrees + tuple((f.multidegree()[0], 1) for f in fs) + ((0, 1),), DEGREVLEX)
     t = ext.variable(ext.nvars - 1)
-    J = Ideal(ext, [ext.variable(len(names) + j) - transport(f, ext) * t for j, f in enumerate(fs)])
-    _check_stored_basis(eliminate(J, [ext.nvars - 1]))
+    return Ideal(ext, [ext.variable(len(names) + j) - transport(f, ext) * t for j, f in enumerate(fs)])
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_REES))
+def test_rees_elimination_stores_the_fresh_basis(name):
+    J = _rees_graph_ideal(name)
+    _check_stored_basis(eliminate(J, [J.ring.nvars - 1]))
+
+
+def _eliminations():
+    """(J, block): seeded ideals over Q and F_32003, and two Rees graph ideals with the block t."""
+    for field in (QQ, PrimeField(32003)):
+        rng = random.Random(9500)
+        A = graded_ring(["X", "Y", "Z", "W"], field=field)
+        for _ in range(3):
+            gens = _random_generators(rng, A, 4)
+            yield Ideal(A, gens), [rng.randrange(A.nvars)]
+            yield Ideal(A, gens), rng.sample(range(A.nvars), 2)
+    for name in ("twisted_cubic", "quartic"):
+        J = _rees_graph_ideal(name)
+        yield J, [J.ring.nvars - 1]
+
+
+def test_eliminate_matches_the_public_block_order_route(monkeypatch):
+    # the route eliminate replaces: the block order's reduced basis as
+    # polynomials, its elements free of the block cut to the small ring
+    built = _counting(monkeypatch, "_from_int_poly")
+    discarded = 0
+    for J, block in _eliminations():
+        rest = [i for i in range(J.ring.nvars) if i not in block]
+        order = TermOrder("elim", block=len(block), perm=tuple(sorted(block) + rest))
+        del built[:]
+        E = eliminate(J, block)
+        # the block-order basis built no polynomials: only the kept elements became ones
+        assert J._bases[order]._polys is None
+        assert len(built) == len(E.gens)
+        full = groebner_basis(Ideal(J.ring, J.gens), order).polys
+        expected = tuple(Polynomial(E.ring, {tuple(m[i] for i in rest): c for m, c in g.terms})
+                         for g in full if not any(m[i] for m, _ in g.terms for i in block))
+        discarded += len(full) - len(expected)
+        assert E.gens == expected
+        kept = E._bases[E.ring.order]
+        assert kept.polys == expected
+        assert kept.leading_monomials == {g.leading_monomial() for g in expected}
+    assert discarded
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
@@ -938,17 +982,19 @@ def test_power_hands_its_packed_products_to_buchberger(monkeypatch, order, field
     A = graded_ring(["x", "y", "z", "w"], field=field, order=order)
     I = Ideal(A, [parse_polynomial(t, A) for t in ("1/2*x*w - y*z", "y^2 - 3*x*z", "z^2 - y*w + x^2")])
     J = ideal_power(I, 3)
-    runs = _counting(monkeypatch, "packed_basis")
+    products = J._packed
+    runs = _counting(monkeypatch, "_packed_run")
     gb = groebner_basis(J)
     # the run took the products as ideal_power packed them, and let them go
-    assert not runs and J._packed is None
+    (_, P, packed, _), = runs
+    assert P is products[0] and packed is products[1] and J._packed is None
     assert gb.polys == groebner_basis(Ideal(A, J.gens)).polys
-    assert len(runs) == 1
+    assert len(runs) == 2 and runs[1][2] is not packed
     # a basis in another order packs the gens
     other = DEGLEX if order == LEX else LEX
     K = ideal_power(I, 2)
     assert initial_monomials(K, other) == initial_monomials(Ideal(A, K.gens), other)
-    assert len(runs) == 3 and K._packed is not None
+    assert len(runs) == 4 and runs[2][1].order == other and K._packed is not None
 
 
 def test_packed_products_past_their_fields_widen_them(monkeypatch):

@@ -397,3 +397,18 @@ def test_a_literal_power_is_reduced_mod_p():
     f = parse_polynomial("3^1000000*x", F)
     assert f.terms == (((1,), pow(3, 1000000, 32003)),)
     assert parse_polynomial("0^0 + (x)^1000000000", F).terms == (((1000000000,), 1), ((0,), 1))
+
+
+def test_an_order_perm_must_permute_the_variables():
+    # out of range, repeated and short perms once built their ring: the first
+    # raised IndexError at the first nonzero polynomial, the second sorted by
+    # another order, the third was refused only there
+    for perm in ((0, 1, 5), (0, 0, 1), (0, 1)):
+        order = TermOrder("lex", perm=perm)
+        with pytest.raises(RingError, match="not a permutation"):
+            graded_ring(["x", "y", "z"], order=order)
+        # a packing built straight from the order, as eliminate's is
+        with pytest.raises(RingError, match="not a permutation"):
+            MonomialPacking(3, 4, order)
+    R = graded_ring(["x", "y", "z"], order=TermOrder("lex", perm=(2, 0, 1)))
+    assert repr(parse_polynomial("x + y + z", R)) == "z + x + y"
