@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
+from math import comb
 
 from ._record import record
-from .groebner import (
-    Ideal,
-    _fitting,
-    _hilbert_skip,
-    _packed_run,
-    _sugar_is_degree,
-    _times,
-    _to_int_poly,
-)
-from .rings import MonomialPacking, Polynomial, _is_prime
+from .groebner import Ideal, _fitting, _hilbert_skip, _packed_run, _sugar_is_degree, _times, _to_int_poly
+from .rings import DEGREVLEX, MonomialPacking, Polynomial, _is_prime
+
+_ENTRY_BOUND = 100    # a drawn change has its entries in [-B, B]
 
 
 class GinError(ValueError):
@@ -31,14 +27,9 @@ def _degree_blocks(ring):
 
 
 def _random_upper_unitriangular(indices, rng, bound):
-    """Entries g[i][j] for i, j in the block, upper triangular, units on the diagonal."""
+    """Entries g[i][j] for i, j in the block, upper triangular, units on the diagonal; drawn row by row."""
     k = len(indices)
-    g = [[0] * k for _ in range(k)]
-    for a in range(k):
-        g[a][a] = 1
-        for b in range(a + 1, k):
-            g[a][b] = rng.randint(-bound, bound)
-    return g
+    return [[rng.randint(-bound, bound) if a < b else int(a == b) for b in range(k)] for a in range(k)]
 
 
 def apply_coordinate_change(I, blocks, matrices, order):
@@ -71,9 +62,8 @@ def apply_coordinate_change(I, blocks, matrices, order):
             for m, c in term.items():
                 acc[m] = acc.get(m, 0) + c
         if char:
-            moved.append({m: c % char for m, c in acc.items() if c % char})
-        else:
-            moved.append({m: c for m, c in acc.items() if c})
+            acc = {m: c % char for m, c in acc.items()}
+        moved.append({m: c for m, c in acc.items() if c})
     return P, moved
 
 
@@ -81,11 +71,11 @@ def apply_coordinate_change(I, blocks, matrices, order):
 class GinResult:
     ideal: Ideal
     trials: int
-    agreement: int
     seed: int
     order: object
     entry_bound: int
     matrix_hash: str
+    error_bound: Fraction | None    # a bound on the chance that ideal is not gin(I), where one is proved
 
     def generators(self):
         return sorted(g.leading_monomial() for g in self.ideal.gens)
@@ -94,23 +84,46 @@ class GinResult:
         return {
             "generators": [repr(g) for g in self.ideal.gens],
             "trials": self.trials,
-            "agreement": self.agreement,
             "seed": self.seed,
             "entry_bound": self.entry_bound,
             "matrix_hash": self.matrix_hash,
+            "error_bound": None if self.error_bound is None else str(self.error_bound),
         }
 
 
-def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_rounds=3):
-    """Common initial ideal of random graded coordinate changes of I.
+def generic_initial_ideal(I, order=None, trials=3, seed=0):
+    """gin(I) for the order over Q: the initial ideal of one random graded change per trial.
 
-    Dense integer upper-triangular changes with unit diagonals act on each
-    same-bidegree block. All trials must agree; a disagreement doubles the
-    entry bound. The stable result is checked to be Borel-fix.
+    Trial t draws from random.Random("seed:0:t") an upper-unitriangular g per
+    block of same-bidegree variables, entries uniform in [-B, B], B =
+    _ENTRY_BOUND, and takes in(g I) under x_j -> sum_i g[i][j] x_i. The trials
+    must agree on a Borel-fixed ideal, as gin(I) is in characteristic 0
+    (Eisenbud, Commutative Algebra, 15.9), or a draw was not generic and
+    GinError names the trials or the Borel witness. g keeps the Hilbert series,
+    so on a standard graded ring each trial's Buchberger skips pairs by it.
 
-    A change keeps the Hilbert series, so where Buchberger can skip pairs by
-    it (a standard graded ring under a degree order), the series of ring/I
-    is computed once and each trial's initial ideal stops at it.
+    error_bound: the result is not gin(I) with probability at most eps^trials,
+    eps = sum_{d <= D} d dim I_d / (2B + 1), D the result's top generator
+    degree. It is proved for degrevlex (x_0 > x_1 > ...) on a standard graded
+    ring, the zero ideal gets 0, and elsewhere, or if eps >= 1, it is None.
+    1. in(g I)_d = gin(I)_d iff g I_d has a nonzero Pluecker coordinate at
+       gin(I)_d, the largest set in(g I)_d over all g (Eisenbud 15.9). g maps
+       a basis of I_d to forms with coefficients of degree d in g, so that
+       coordinate has degree <= d dim I_d in g.
+    2. A generic g is l u, l lower triangular, u upper unitriangular (its
+       leading principal minors are nonzero). l sends x_j to l_jj x_j plus
+       smaller variables, so it keeps leading terms: in(g I) = in(u I). So a
+       drawable u attains gin(I), the coordinate of 1 is nonzero on the drawn
+       family, and a draw is a zero of it with probability at most
+       d dim I_d / (2B + 1) (Schwartz, J. ACM 27, 1980, Corollary 1).
+    3. If in(u I)_d = gin(I)_d up to gin(I)'s top generator degree D_gin, then
+       gin(I) lies in in(u I) with the same Hilbert function, so they are equal.
+       D_gin = reg(gin(I)) = reg(I) by Eliahou-Kervaire (J. Algebra 129, 1990)
+       and Bayer-Stillman (Invent. Math. 87, 1987). The result M is Borel-fixed,
+       so D = reg(M) >= reg(u I) = D_gin, as Betti numbers only grow in the flat
+       Groebner degeneration (upper semicontinuity, Eisenbud 15.8).
+    4. So one trial errs with probability at most eps, and a wrong answer needs
+       every independent trial to err.
     """
     if I.ring.field.char != 0:
         raise GinError("generic initial ideals are computed over Q only")
@@ -118,40 +131,41 @@ def generic_initial_ideal(I, order=None, trials=3, seed=0, entry_bound=100, max_
         raise GinError("need at least one trial, got %d" % trials)
     if not I.is_homogeneous():
         raise GinError("ideal must be homogeneous")
-    order = order or I.ring.order
+    ring = I.ring
+    order = order or ring.order
     if I.is_zero():
-        return GinResult(Ideal(I.ring, []), trials, trials, seed, order, entry_bound, "")
-    blocks = _degree_blocks(I.ring)
-    skip = None
-    if _sugar_is_degree(I.ring, order):
+        return GinResult(Ideal(ring, []), trials, seed, order, _ENTRY_BOUND, "", Fraction(0))
+    blocks = _degree_blocks(ring)
+    series = skip = None
+    if _sugar_is_degree(ring):
         from .hilbert import hilbert_series_ideal    # here, so that importing ginreg loads no hilbert
 
-        skip = _hilbert_skip(I.ring, order, hilbert_series_ideal(I), True)
-    bound = entry_bound
-    for round_ in range(max_rounds):
-        results = []
-        hashes = hashlib.sha256()
-        for t in range(trials):
-            rng = random.Random("%d:%d:%d" % (seed, round_, t))
-            mats = [_random_upper_unitriangular(b, rng, bound) for b in blocks]
-            hashes.update(repr(mats).encode())
-            P, basis = _packed_run(I.ring, *apply_coordinate_change(I, blocks, mats, order), skip)
-            results.append(tuple(sorted(P.unpack(t[0]) for t in basis)))
-        agreement = sum(1 for rr in results if rr == results[0])
-        if agreement == trials:
-            gens = [Polynomial(I.ring, {m: I.ring.field.one}) for m in results[0]]
-            out = Ideal(I.ring, gens)
-            report = borel_fix_check(out)
-            if not report.is_borel:
-                raise GinError(
-                    "stable initial ideal is not Borel-fix (witness %r); "
-                    "this contradicts genericity - raise the entry bound" % (report.witness,)
-                )
-            return GinResult(
-                out, trials, agreement, seed, order, bound, hashes.hexdigest()[:16]
-            )
-        bound *= 2
-    raise GinError("unstable after %d rounds: trials keep disagreeing" % max_rounds)
+        series = hilbert_series_ideal(I)
+        skip = _hilbert_skip(ring, series, True)
+    results = []
+    hashes = hashlib.sha256()
+    for t in range(trials):
+        rng = random.Random("%d:0:%d" % (seed, t))
+        mats = [_random_upper_unitriangular(b, rng, _ENTRY_BOUND) for b in blocks]
+        hashes.update(repr(mats).encode())
+        P, basis = _packed_run(ring, *apply_coordinate_change(I, blocks, mats, order), skip)
+        results.append(tuple(sorted(P.unpack(t[0]) for t in basis)))
+    apart = [t for t, r in enumerate(results) if r != results[0]]
+    if apart:
+        raise GinError("trials %s disagree with trial 0 at seed %d: a draw was not generic"
+                       % (", ".join(map(str, apart)), seed))
+    out = Ideal(ring, [Polynomial(ring, {m: ring.field.one}) for m in results[0]])
+    report = borel_fix_check(out)
+    if not report.is_borel:
+        raise GinError("the trials agree on an initial ideal that is not Borel-fixed (witness %r) "
+                       "at seed %d: the draws were not generic" % (report.witness, seed))
+    bound = None
+    if series is not None and order.weight_rows(ring.nvars) == DEGREVLEX.weight_rows(ring.nvars):
+        n = ring.nvars
+        eps = Fraction(sum(d * (comb(n + d - 1, d) - series.coefficient(d))
+                           for d in range(max(map(sum, results[0])) + 1)), 2 * _ENTRY_BOUND + 1)
+        bound = eps ** trials if eps < 1 else None
+    return GinResult(out, trials, seed, order, _ENTRY_BOUND, hashes.hexdigest()[:16], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +189,8 @@ class BorelReport:
 
 def _dominated_by_p(s, t, p):
     """s <_p t: binom(t, s) != 0 mod p, by Lucas when p > 0; s <= t in char 0."""
-    if s > t:
-        return False
-    if p == 0:
-        return True
+    if s > t or p == 0:
+        return s <= t
     while s or t:
         if s % p > t % p:
             return False
@@ -202,16 +214,10 @@ def borel_fix_check(J, char_p=0):
     # an exchange move keeps the degree, so no exponent exceeds it
     P = MonomialPacking.fitting(ring.nvars, max(map(sum, gens), default=0))
     packed = [P.pack(g) for g in gens]
-
-    def member(mono):
-        return P.divisible(P.pack(mono), packed)
-
     for m in gens:
         for block in blocks:
             for bj, j in enumerate(block):
                 t = m[j]
-                if t == 0:
-                    continue
                 for i in block[:bj]:
                     for s in range(1, t + 1):
                         if not _dominated_by_p(s, t, char_p):
@@ -219,12 +225,10 @@ def borel_fix_check(J, char_p=0):
                         moved = list(m)
                         moved[j] -= s
                         moved[i] += s
-                        if not member(tuple(moved)):
+                        if not P.divisible(P.pack(tuple(moved)), packed):
                             return BorelReport(False, char_p, (m, i, j, s), None)
-    delta = None
-    if gens:
-        degs = [ring.monomial_degree(m) for m in gens]
-        delta = (max(d[0] for d in degs), max(d[1] for d in degs))
+    degs = [ring.monomial_degree(m) for m in gens]
+    delta = (max(d[0] for d in degs), max(d[1] for d in degs)) if degs else None
     return BorelReport(True, char_p, None, delta)
 
 
@@ -263,7 +267,7 @@ class RegularityCheck:
         }
 
 
-def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
+def bayer_stillman_check(I, m, q_window=None, seed=0):
     """(m, .)-regularity by the generic-form colon equalities on graded pieces.
 
     Works through generic linear forms h in the degree-(1,0) block: at each
@@ -297,18 +301,14 @@ def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
     J = I
     H = hilbert_series_ideal(J)
     forms = 0
-    note = (
-        "certificate via the generic-form direction; the number of forms used "
-        "is reported because the cohomological count is not computed"
-    )
+    note = ("certificate via the generic-form direction; the number of forms used "
+            "is reported because the cohomological count is not computed")
     for step in range(len(x_block) + 1):
         if all(H.coefficient((m, q)) == 0 for q in qs):
             return RegularityCheck(True, m, tuple(q_window), forms, seed, note)
         if step == len(x_block):
             break
-        h = ring.zero()
-        for i in x_block:
-            h = h + ring.variable(i).scale(rng.randint(-entry_bound, entry_bound))
+        h = sum((ring.variable(i).scale(rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)) for i in x_block), ring.zero())
         J = Ideal(ring, list(J.gens) + [h])
         forms += 1
         H_next = hilbert_series_ideal(J)
@@ -316,6 +316,4 @@ def bayer_stillman_check(I, m, q_window=None, seed=0, entry_bound=100):
                for q in qs):
             return RegularityCheck(False, m, tuple(q_window), forms, seed, note)
         H = H_next
-    raise GinError(
-        "window %r exhausted without certificate: widen q_window" % (q_window,)
-    )
+    raise GinError("window %r exhausted without certificate: widen q_window" % (q_window,))

@@ -459,17 +459,17 @@ def _exact_normal_form(G, d):
     return (P, 1, {}) if t is None else (P, t[1], t[2])
 
 
-def _sugar_is_degree(ring, order):
-    """A degree order on a standard graded ring: the sugar of a pair of homogeneous polynomials is its degree."""
-    return order.tag in ("degrevlex", "deglex") and all(d == (1, 0) for d in ring.degrees)
+def _sugar_is_degree(ring):
+    """A standard graded ring: under any order, the sugar of a pair of homogeneous polynomials is its degree."""
+    return all(d == (1, 0) for d in ring.degrees)
 
 
-def _hilbert_skip(ring, order, series, homogeneous):
+def _hilbert_skip(ring, series, homogeneous):
     """missing_leads for _buchberger from the series of ring/(generators), or None where it does not apply.
 
     It applies to homogeneous generators where the sugar is the degree.
     """
-    if series is None or not homogeneous or not _sugar_is_degree(ring, order):
+    if series is None or not homogeneous or not _sugar_is_degree(ring):
         return None
     from .hilbert import HilbertSeriesRational, _minimal_numerator
 
@@ -507,7 +507,7 @@ def _basis(I, order, series=None):
             P = _fitting(I.ring.nvars, (m for g in I.gens for m, _ in g.terms), order)
             packed = [_pack_poly(_to_int_poly(g)[0], P) for g in I.gens]
         homogeneous = series is not None and I.is_homogeneous()
-        P, triples = _packed_run(I.ring, P, packed, _hilbert_skip(I.ring, order, series, homogeneous))
+        P, triples = _packed_run(I.ring, P, packed, _hilbert_skip(I.ring, series, homogeneous))
         G = I._bases[order] = GroebnerBasis(I.ring, order, P, triples)
     return G
 
@@ -806,10 +806,19 @@ def eliminate(J, block):
     are the reduced basis of the result (elimination theorem). Only their
     triples are cut to the remaining variables and repacked, to be the
     result's basis for degrevlex, whose polys are the result's generators.
+    An empty block gives J's generators there and runs no Buchberger.
     """
     ring = J.ring
     block = sorted(set(block))
+    for i in block:
+        if not 0 <= i < ring.nvars:
+            raise RingError("no variable %d to eliminate: the indices are range(%d)" % (i, ring.nvars))
+    if len(block) == ring.nvars:
+        raise RingError("cannot eliminate all %d variables: none would remain" % ring.nvars)
     rest = [i for i in range(ring.nvars) if i not in block]
+    small = restrict_ring(ring, rest)
+    if not block:
+        return Ideal(small, [Polynomial(small, dict(g.terms)) for g in J.gens])
     order = TermOrder("elim", block=len(block), perm=tuple(block + rest))
     gb = _basis(J, order)._reduce()
     P = gb._P
@@ -821,7 +830,6 @@ def eliminate(J, block):
     # element is free of the block when its lead lies below each block variable
     bar = min(P.units[i] for i in block)
     cuts = [(cut(lm), lc, {cut(m): c for m, c in tail.items()}) for lm, lc, tail in gb._triples if lm < bar]
-    small = restrict_ring(ring, rest)
     W = _fitting(small.nvars, (m for lm, _, tail in cuts for m in (lm, *tail)), small.order)
     G = GroebnerBasis(small, small.order, W, [(W.pack(lm), lc, _pack_poly(tail, W)) for lm, lc, tail in cuts], True)
     out = Ideal(small, G.polys)

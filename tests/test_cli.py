@@ -103,7 +103,7 @@ def test_content_hash_is_the_ring_based_hash():
         if name.endswith(".ring"):
             with open(os.path.join(DEMOS, name), encoding="utf-8") as fh:
                 texts.append(fh.read())
-    assert len(texts) == len(PROBLEMS) + 2
+    assert len(texts) == len(PROBLEMS) + 3
     for text in texts:
         assert parse_problem(text).content_hash == _ring_canonical_hash(text)
 

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from reeslab import (
+    DEGLEX,
     DEGREVLEX,
     Ideal,
     LEX,
@@ -12,10 +14,11 @@ from reeslab import (
     RingSpec,
     graded_ring,
     hilbert_series_ideal,
+    ideal_power,
     initial_monomials,
     parse_polynomial,
 )
-from reeslab import ginreg, groebner, hilbert
+from reeslab import ginreg, groebner
 from reeslab.betti import bigraded_betti_table, invariants_from_shifts
 from reeslab.ginreg import (
     GinError,
@@ -198,13 +201,15 @@ def test_bayer_stillman_regular_pair(regular_pair_ideal):
     assert check.forms_used <= 2
 
 
-def test_degenerate_coordinate_changes_rejected():
-    # entry bound 0 makes every "generic" change the identity; the stable
+def test_degenerate_coordinate_changes_rejected(monkeypatch):
+    # entry bound 0 makes every "generic" change the identity; the agreed
     # result (X2^2) is not Borel-fix, which the audit must refuse
     A = graded_ring(["X1", "X2"])
     I = Ideal(A, [parse_polynomial("X2^2", A)])
-    with pytest.raises(GinError):
-        generic_initial_ideal(I, entry_bound=0, max_rounds=1)
+    monkeypatch.setattr(ginreg, "_ENTRY_BOUND", 0)
+    with pytest.raises(GinError, match=r"not Borel-fixed \(witness \(\(0, 2\), 0, 1, 1\)\)"):
+        generic_initial_ideal(I)
+    monkeypatch.undo()
     # with honest random changes the result is (X1^2)
     out = generic_initial_ideal(I, seed=1)
     assert [g.leading_monomial() for g in out.ideal.gens] == [(2, 0)]
@@ -241,7 +246,7 @@ def test_gin_skips_pairs_by_the_hilbert_series(monkeypatch, seed):
     assert len(trials) == 3 and all(skip is not None for _, skip in trials)
     assert all(spairs_reduce_to_zero(raw) for raw, _ in trials)
     calls.clear()
-    monkeypatch.setattr(hilbert, "hilbert_series_ideal", lambda I: None)
+    monkeypatch.setattr(ginreg, "_hilbert_skip", lambda *args: None)
     full = generic_initial_ideal(I, seed=seed)
     assert len(trials) == 6 and all(skip is None for _, skip in trials[3:])
     assert full.to_json() == skipped.to_json()
@@ -278,7 +283,7 @@ def test_bayer_stillman_refuses_inhomogeneous_input():
         bayer_stillman_check(I, 2)
 
 
-def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=100):
+def _bayer_stillman_by_linear_algebra(I, m, q_window=None, seed=0, entry_bound=ginreg._ENTRY_BOUND):
     """bayer_stillman_check by ranks on whole graded pieces: J_(m,q) by leading
     monomials, (J : h)_(m,q) as the kernel of h into (S/J)_(m+1,q) by normal forms."""
     from reeslab._linalg import VectorSpan
@@ -466,19 +471,89 @@ def squares():
     return Ideal(A, [parse_polynomial("x^2", A), parse_polynomial("y^2", A)])
 
 
-def test_a_non_generic_trial_doubles_the_entry_bound(monkeypatch, squares):
+def test_one_identity_trial_among_three_raises(monkeypatch, squares):
     generic = generic_initial_ideal(squares)
-    assert generic.entry_bound == 100
-    # one block, so call k is trial k % 3 of round k // 3
+    assert generic.entry_bound == 100 and generic.generators() == [(0, 3), (1, 1), (2, 0)]
+    # one block, so call k is trial k
     bounds = _identity_on_calls(monkeypatch, lambda k: k == 1)
-    out = generic_initial_ideal(squares)
-    assert bounds == [100] * 3 + [200] * 3
-    assert out.entry_bound == 200 and out.agreement == out.trials == 3
-    assert out.generators() == generic.generators() == [(0, 3), (1, 1), (2, 0)]
-
-
-def test_a_non_generic_trial_in_every_round_is_unstable(monkeypatch, squares):
-    bounds = _identity_on_calls(monkeypatch, lambda k: k % 3 == 1)
-    with pytest.raises(GinError, match="unstable after 3 rounds"):
+    with pytest.raises(GinError, match="trials 1 disagree with trial 0 at seed 0"):
         generic_initial_ideal(squares)
-    assert bounds == [100] * 3 + [200] * 3 + [400] * 3
+    assert bounds == [100] * 3
+
+
+def test_error_bound_of_the_twisted_cubic(twisted_cubic):
+    # D = 2 and dim I_2 = 3: eps = 2 * 3 / 201 = 2/67 per trial
+    out = generic_initial_ideal(twisted_cubic, seed=7)
+    assert out.error_bound == Fraction(2, 67) ** 3 and out.to_json()["error_bound"] == "8/300763"
+    assert generic_initial_ideal(twisted_cubic, trials=1, seed=7).error_bound == Fraction(2, 67)
+    # not proved under lex, nor in a bigraded ring; the zero ideal's gin is certain
+    assert generic_initial_ideal(twisted_cubic, order=LEX, seed=7).error_bound is None
+    S = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)), DEGREVLEX)
+    assert generic_initial_ideal(Ideal(S, [parse_polynomial("X1*Y1", S)]), seed=7).error_bound is None
+    assert generic_initial_ideal(Ideal(twisted_cubic.ring, [])).error_bound == 0
+
+
+def _every_draw(k, bound):
+    """Every upper-unitriangular k x k matrix with entries in [-bound, bound]."""
+    cells = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    for entries in itertools.product(range(-bound, bound + 1), repeat=len(cells)):
+        g = [[int(a == b) for b in range(k)] for a in range(k)]
+        for (a, b), e in zip(cells, entries):
+            g[a][b] = e
+        yield g
+
+
+@pytest.mark.parametrize("names, gens, bound", [
+    (["x", "y"], ["x^2", "y^2"], 8),
+    (["x", "y", "z"], ["y*z", "z^2"], 2),
+], ids=["squares", "z(y,z)"])
+def test_bad_draws_are_no_more_than_the_stated_bound(monkeypatch, names, gens, bound):
+    A = graded_ring(names)
+    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
+    gin = generic_initial_ideal(I).generators()
+    monkeypatch.setattr(ginreg, "_ENTRY_BOUND", bound)
+    draws = list(_every_draw(len(names), bound))
+    drawn = []    # (the bound asked for, the draw handed out) of each call
+    feed = iter(draws)
+    monkeypatch.setattr(ginreg, "_random_upper_unitriangular",
+                        lambda indices, rng, b: drawn.append((b, next(feed))) or drawn[-1][1])
+    bad, bounds = 0, set()
+    for g in draws:
+        try:
+            out = generic_initial_ideal(Ideal(A, I.gens), trials=1)
+        except GinError:
+            bad += 1
+            continue
+        if out.generators() == gin:
+            bounds.add(out.error_bound)
+        else:
+            bad += 1
+    assert drawn == [(bound, g) for g in draws]
+    # every draw that attains gin states the one per-trial eps, and eps < 1 here
+    (eps,) = bounds
+    assert 0 < bad and Fraction(bad, len(draws)) <= eps < 1
+
+
+def test_lex_and_deglex_skips_match_the_route_with_no_skip(monkeypatch, twisted_cubic, symmetric_minors):
+    # a standard graded ring has sugar = degree under every order, so the Hilbert skip runs under lex too
+    Q = graded_ring(["x0", "x1", "x2", "x3", "x4"])
+    quartic = Ideal(Q, [parse_polynomial(g, Q) for g in ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3",
+                                                          "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")])
+    cases = [twisted_cubic, ideal_power(twisted_cubic, 2), quartic, symmetric_minors]
+    skips = []
+    packed_run = ginreg._packed_run
+    monkeypatch.setattr(ginreg, "_packed_run", lambda *args: skips.append(args[-1]) or packed_run(*args))
+    for k, I in enumerate(cases):
+        H = hilbert_series_ideal(I)
+        assert groebner._hilbert_skip(I.ring, H, True) is not None
+        for order in (LEX, DEGLEX):
+            skipped = initial_monomials(Ideal(I.ring, I.gens), order, series=H)
+            assert skipped == initial_monomials(Ideal(I.ring, I.gens), order)
+            del skips[:]
+            gin = generic_initial_ideal(I, order=order, seed=9100 + k).to_json()
+            assert len(skips) == 3 and all(skip is not None for skip in skips)
+            with monkeypatch.context() as m:
+                m.setattr(ginreg, "_hilbert_skip", lambda *args: None)
+                del skips[:]
+                assert generic_initial_ideal(I, order=order, seed=9100 + k).to_json() == gin
+                assert skips == [None] * 3

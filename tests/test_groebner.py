@@ -155,6 +155,23 @@ def test_eliminate_examples():
     assert [repr(g) for g in out.gens] == ["X^2"]
 
 
+def test_eliminate_edge_blocks(monkeypatch):
+    R = graded_ring(["x", "y"], order=LEX)
+    J = Ideal(R, [parse_polynomial("x^2 - y", R)])
+    calls = _counting(monkeypatch, "_buchberger")
+    # nothing to eliminate: J's generators in the degrevlex ring on x, y, and no Buchberger run
+    out = eliminate(J, [])
+    assert out.ring == graded_ring(["x", "y"]) and [repr(g) for g in out.gens] == ["x^2 - y"]
+    assert not calls
+    for block, message in (([0, 1], "cannot eliminate all 2 variables"),
+                           ([1, 0, 1], "cannot eliminate all 2 variables"),
+                           ([2], r"no variable 2 to eliminate: the indices are range\(2\)"),
+                           ([0, -1], r"no variable -1 to eliminate")):
+        with pytest.raises(RingError, match=message):
+            eliminate(J, block)
+    assert not calls
+
+
 def test_elimination_and_rees_rings_are_degrevlex():
     from reeslab.rees import rees_presentation
 
@@ -440,19 +457,18 @@ def test_hilbert_skip_gives_the_same_basis_with_fewer_reductions(monkeypatch):
 
 
 def test_hilbert_skip_stays_off_where_sugar_is_not_the_degree(monkeypatch):
+    # a bigraded ring, and inhomogeneous input; a standard graded ring under lex skips (test_ginreg.py)
     p = parse_polynomial
     A = graded_ring(["X", "Y", "Z", "W"])
-    lex = graded_ring(["X", "Y", "Z", "W"], order=LEX)
     B = RingSpec(QQ, ("X1", "X2", "Y1", "Y2"), ((1, 0), (1, 0), (0, 1), (0, 1)), DEGREVLEX)
     cases = [
-        (lex, ("X*W - Y*Z", "Y^2 - X*Z", "Z^2 - Y*W")),
         (B, ("X1*Y2 - X2*Y1", "X1^2*Y1 - X2^2*Y2", "X1*X2*Y1^2 - X2^2*Y2^2")),
         (A, ("X*W - Y*Z + X", "Y^2 - X*Z", "Z^2 - Y*W")),
     ]
     calls = _counting(monkeypatch, "_normal_form_int")
     for ring, gens in cases:
         I = Ideal(ring, [p(g, ring) for g in gens])
-        assert groebner._hilbert_skip(ring, ring.order, hilbert_series_ring(ring), I.is_homogeneous()) is None
+        assert groebner._hilbert_skip(ring, hilbert_series_ring(ring), I.is_homogeneous()) is None
         calls.clear()
         expected = initial_monomials(Ideal(ring, I.gens))
         n = len(calls)

@@ -29,6 +29,7 @@ CLI_PINS = {
     "powers_unequal": "powers --max-power 3 unequal-degrees.ring",
     "bayer_stillman_unequal": "bayer-stillman --first-degree 4 --seed 7 unequal-degrees.ring",
     "gin_unequal": "gin --seed 7 unequal-degrees.ring",
+    "gin_lex": "gin --seed 7 twisted-cubic-lex.ring",
     "hs_power_unequal": "hs --power 2 unequal-degrees.ring",
     "gb": "gb twisted-cubic.ring",
     "gb_unequal": "gb unequal-degrees.ring",

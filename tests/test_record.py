@@ -32,7 +32,7 @@ CASES = [
     (diagonals.DiagonalSpec, (5, 2), None),
     (diagonals.DiagonalReport, ("gorenstein-diagonal:general", {"n": 4}, True, -1, ("a",), True), None),
     (diagonals.ShiftVerdict, ((2, 1), True, 1), None),
-    (ginreg.GinResult, ("I", 3, 3, 7, rings.DEGREVLEX, 10, "abc"), None),
+    (ginreg.GinResult, ("I", 3, 7, rings.DEGREVLEX, 10, "abc", Fraction(8, 300763)), None),
     (ginreg.BorelReport, (True, 0, None, (2, 1)), None),
     (ginreg.RegularityCheck, (True, 2, (0, 4), 2, 7, "ok"), None),
     (rees.FiberConeData, (R, IDEAL, 1, SERIES), None),
