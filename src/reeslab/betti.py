@@ -6,8 +6,8 @@ from itertools import combinations
 from math import lcm
 
 from ._linalg import VectorSpan
-from ._record import record
-from .groebner import _basis, _exact_normal_form, minimal_generators
+from ._record import record, set_field
+from .groebner import _basis, _exact_normal_form, _top_degree, minimal_generators
 from .hilbert import hilbert_series_ideal
 from .rings import MonomialPacking
 
@@ -18,13 +18,23 @@ class BettiError(ValueError):
 
 @record
 class BettiTable:
-    """Ranks beta_{p, (a,b)} of a minimal free resolution in a window of degrees."""
+    """Ranks beta_{p, (a,b)} of a minimal free resolution in a window of degrees.
+
+    module, the human-readable module descriptor that to_json prints, is no
+    field: only a printed report reads it, so _describe formats it on each
+    read (None for a table built without one), and equality ignores it.
+    """
 
     ring: object
     entries: tuple            # ((p, (a, b), rank), ...) sorted
     complete: bool            # the window covers every degree where beta(ring/in I) != 0
     window: tuple             # degree caps that were computed
-    module: str               # human-readable module descriptor
+
+    _describe = None
+
+    @property
+    def module(self):
+        return None if self._describe is None else self._describe()
 
     def rows(self):
         return list(self.entries)
@@ -58,13 +68,16 @@ class _QuotientPieces:
     A product x_i * m that is not standard is replaced by its normal form
     modulo the reduced basis, which the reduction kernel of the groebner
     layer computes and a table keeps, one entry per monomial. Only the
-    basis's leads and triples are read, so it is autoreduced and no
-    polynomial is built from it.
+    basis's leads and triples are read, and no polynomial is built from it.
+    The basis is autoreduced only when it is first read past its leads: by
+    _koszul_degrees where beta(ring/in I) leaves a degree to check, and
+    before the first normal form. So a table copied whole from beta(ring/in
+    I) never autoreduces.
     """
 
     def __init__(self, I):
         self.ring = I.ring
-        self.gb = _basis(I, I.ring.order)._reduce() if not I.is_zero() else None
+        self.gb = _basis(I, I.ring.order) if not I.is_zero() else None
         lms = self.gb.leading_monomials if self.gb is not None else frozenset()
         one = (0,) * self.ring.nvars
         self._leading = lms
@@ -133,7 +146,7 @@ class _QuotientPieces:
         primitive over Q, so the entry is in lowest terms with a positive
         denominator as it comes.
         """
-        P, scale, rem = _exact_normal_form(self.gb, {mono: 1})
+        P, scale, rem = _exact_normal_form(self.gb._reduce(), {mono: 1})
         return (tuple((P.unpack(m), c) for m, c in rem.items()), scale)
 
 
@@ -258,14 +271,16 @@ def _koszul_degrees(pieces, initial, caps):
     gives beta(ring/I) from beta(ring/in I) by cancellations of consecutive
     entries in one degree (Peeva, Proc. AMS 2004), so only these degrees can
     differ. A monomial reduced basis, every triple without a tail, means
-    I = in(I), and none can.
+    I = in(I), and none can; the basis is reduced to tell only when some
+    degree is left.
     """
-    if pieces.gb is None or not any(tail for _, _, tail in pieces.gb._triples):
-        return set()
-    return {
+    degrees = {
         d for d, row in initial.items()
         if d[0] <= caps[0] and d[1] <= caps[1] and any(p + 1 in row for p in row)
     }
+    if degrees and not any(tail for _, _, tail in pieces.gb._reduce()._triples):
+        return set()
+    return degrees
 
 
 def _koszul_betti(pieces, caps, euler_numerator, initial):
@@ -350,13 +365,14 @@ def _koszul_betti(pieces, caps, euler_numerator, initial):
     return tuple(entries)
 
 
-def _betti_table(I, window, as_module, desc):
+def _betti_table(I, window, as_module, describe):
     """Table of I or ring/I in the window, both read off the resolution of ring/I.
 
     Tor_p(k, I) = Tor_{p+1}(k, ring/I) for a proper ideal I; ring/I has no
     beta_0 exactly when I is the unit ideal, which is free on one generator.
     beta(ring/I) is nonzero only where beta(ring/in I) is, so the table is
     complete when the window covers that support; window None is its top.
+    describe() formats the table's module descriptor when something reads it.
     """
     if as_module not in ("ideal", "quotient"):
         raise BettiError("as_module must be 'ideal' or 'quotient'")
@@ -377,7 +393,9 @@ def _betti_table(I, window, as_module, desc):
             entries = tuple((p - 1, d, r) for p, d, r in entries if p)
         else:
             entries = ((0, (0, 0), 1),)
-    return BettiTable(ring, entries, complete, window, desc)
+    table = BettiTable(ring, entries, complete, window)
+    set_field(table, "_describe", describe)
+    return table
 
 
 def graded_betti_table(I, degree_cap=None, as_module="ideal"):
@@ -386,6 +404,10 @@ def graded_betti_table(I, degree_cap=None, as_module="ideal"):
     The table of I is the table of ring/I shifted down one homological
     degree (the unit ideal gives beta_{0,0} = 1). Without a cap the table
     runs to the top degree of beta(ring/in I) and is complete.
+
+    A power from ideal_power builds no generator here: the cap check reads
+    its packed products, and the module descriptor lists the generators
+    only when a report reads it.
     """
     if not I.is_homogeneous():
         raise BettiError("module must be homogeneous")
@@ -396,13 +418,13 @@ def graded_betti_table(I, degree_cap=None, as_module="ideal"):
             raise BettiError("the zero ideal has an empty resolution")
         # the cap must reach every minimal generator; a redundant generator
         # above it is harmless, so the minimal ones are found only then
-        if degree_cap is not None and degree_cap < max(g.multidegree()[0] for g in I.gens):
+        if degree_cap is not None and degree_cap < _top_degree(I):
             gen_max = max(g.multidegree()[0] for g in minimal_generators(I.ring, I.gens))
             if degree_cap < gen_max:
                 raise BettiError("cap %d below the largest minimal generator degree %d"
                                  % (degree_cap, gen_max))
-    desc = "%s(%s)" % (as_module, ", ".join(repr(g) for g in I.gens))
-    return _betti_table(I, None if degree_cap is None else (degree_cap, 0), as_module, desc)
+    return _betti_table(I, None if degree_cap is None else (degree_cap, 0), as_module,
+                        lambda: "%s(%s)" % (as_module, ", ".join(repr(g) for g in I.gens)))
 
 
 def bigraded_betti_table(defining_ideal, window, as_module="quotient"):
@@ -414,7 +436,7 @@ def bigraded_betti_table(defining_ideal, window, as_module="quotient"):
     K = defining_ideal
     if not K.is_homogeneous():
         raise BettiError("module must be bihomogeneous")
-    return _betti_table(K, tuple(window), as_module, "%s over %r" % (as_module, K.ring))
+    return _betti_table(K, tuple(window), as_module, lambda: "%s over %r" % (as_module, K.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,15 @@ def cache_key(problem_hash, command, params, source):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_lookup_store(key, producer, enabled=True, directory=None):
-    """Return the cached JSON value, or run the producer and store atomically.
+_REPORT_KEYS = ("payload", "citations", "assumptions")
 
-    Corrupt entries are recomputed and overwritten with a warning.
+
+def cache_lookup_store(key, producer, enabled=True, directory=None):
+    """Return the cached report, or run the producer and store its report atomically.
+
+    A report is a JSON object with at least the keys of _REPORT_KEYS. An
+    entry that does not parse, or parses as anything else, is corrupt: it is
+    recomputed and overwritten with a warning.
     """
     if not enabled:
         return producer()
@@ -53,9 +58,14 @@ def cache_lookup_store(key, producer, enabled=True, directory=None):
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                value = json.load(fh)
         except (json.JSONDecodeError, OSError) as exc:
-            print("warning: corrupt cache entry %s (%s); recomputing" % (path, exc), file=sys.stderr)
+            problem = exc
+        else:
+            if isinstance(value, dict) and all(k in value for k in _REPORT_KEYS):
+                return value
+            problem = "not a report with %s" % ", ".join(_REPORT_KEYS)
+        print("warning: corrupt cache entry %s (%s); recomputing" % (path, problem), file=sys.stderr)
     value = producer()
     import tempfile  # here, so that a hit loads no tempfile (nor its shutil and random)
     os.makedirs(directory, exist_ok=True)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 from ._record import record
-from .groebner import Ideal, _fitting, _hilbert_skip, _packed_run, _sugar_is_degree, _times, _to_int_poly
+from .groebner import Ideal, _fitting, _hilbert_skip, _int_generators, _packed_run, _sugar_is_degree, _times
 from .rings import DEGREVLEX, MonomialPacking, Polynomial, _is_prime
 
 _ENTRY_BOUND = 100    # a drawn change has its entries in [-B, B]
@@ -37,20 +37,21 @@ def apply_coordinate_change(I, blocks, matrices, order):
 
     Returns (P, moved), the moved generators of I as integer dicts packed by
     P for the order, with room for a product of two: a Buchberger run takes
-    them as they are. Over Q each is the image of the generator times the
-    lcm of its denominators. The powers of each image are memoised.
+    them as they are. Each is the image of a nonzero multiple of the
+    generator, read off _int_generators, so a power's packed products are
+    moved as they are. The powers of each image are memoised.
     """
     ring = I.ring
     char = ring.field.char
+    gens = _int_generators(I)
     # an image is linear, so the moved terms have the degrees of the generators' terms
-    P = _fitting(ring.nvars, (m for f in I.gens for m, _ in f.terms), order)
+    P = _fitting(ring.nvars, (m for d in gens for m in d), order)
     powers = [[{0: 1}, {u: 1}] for u in P.units]    # powers[j][e]: the e-th power of x_j's image
     for indices, g in zip(blocks, matrices):
         for col, j in enumerate(indices):
             powers[j][1] = {P.units[i]: g[row][col] for row, i in enumerate(indices) if g[row][col]}
     moved = []
-    for f in I.gens:
-        d = _to_int_poly(f)[0]
+    for d in gens:
         acc = {}
         for mono, coeff in d.items():
             term = {0: coeff}

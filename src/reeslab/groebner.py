@@ -492,20 +492,37 @@ def _packed_run(ring, P, packed, missing_leads):
     return P, triples
 
 
+def _int_generators(I):
+    """An integer dict of exponent tuples per generator of I, a nonzero multiple of it; a power's off its products."""
+    if I._packed is not None:
+        P, products, _ = I._packed
+        return [{P.unpack(m): c for m, c in d.items()} for d in products]
+    return [_to_int_poly(g)[0] for g in I.gens]
+
+
+def _top_degree(I):
+    """The largest total degree of a term of a generator of I; a power's read off its packed products."""
+    if I._packed is not None:
+        P, products, _ = I._packed
+        return max(P.degree(m) for d in products for m in d)
+    return max(sum(m) for g in I.gens for m, _ in g.terms)
+
+
 def _basis(I, order, series=None):
     """The GroebnerBasis of I for the order, from the ideal's cache or from one Buchberger run.
 
     The run takes the products ideal_power packed for this order, where there
-    are any, and otherwise I.gens packed by the order, sized by _fitting.
+    are any, and otherwise _int_generators(I) packed by the order, sized by
+    _fitting. The run copies what it takes, so the products stay the ideal's.
     """
     G = I._bases.get(order)
     if G is None:
         if I._packed is not None and I._packed[0].order == order:
-            P, packed = I._packed
-            I._packed = None
+            P, packed, _ = I._packed
         else:
-            P = _fitting(I.ring.nvars, (m for g in I.gens for m, _ in g.terms), order)
-            packed = [_pack_poly(_to_int_poly(g)[0], P) for g in I.gens]
+            ints = _int_generators(I)
+            P = _fitting(I.ring.nvars, (m for d in ints for m in d), order)
+            packed = [_pack_poly(d, P) for d in ints]
         homogeneous = series is not None and I.is_homogeneous()
         P, triples = _packed_run(I.ring, P, packed, _hilbert_skip(I.ring, series, homogeneous))
         G = I._bases[order] = GroebnerBasis(I.ring, order, P, triples)
@@ -579,17 +596,32 @@ class Ideal:
     The generators are a tuple that nothing changes, so is_homogeneous checks
     them once and keeps the answer; ideal_power seeds it from the degrees it
     reads anyway.
+
+    An ideal that ideal_power makes keeps its generators only as the integer
+    products it packed for the ring's order, with their denominators, and
+    builds gens from them when gens is first read. is_zero, every basis (in
+    another order through _int_generators) and gin's coordinate change read
+    the products, and is_homogeneous the answer ideal_power seeds, so a Betti
+    table or series of a power builds no generator Polynomial.
     """
 
     def __init__(self, ring, gens):
         self.ring = ring
-        self.gens = tuple(g for g in gens if g)
-        for g in self.gens:
+        self._gens = tuple(g for g in gens if g)
+        for g in self._gens:
             if g.ring != ring:
                 raise RingError("generator not in the ambient ring")
         self._bases = {}    # order -> GroebnerBasis
-        self._packed = None    # (P, integer dicts of gens packed by P for its order), until a basis takes them
+        self._packed = None    # (P, integer dicts packed by P for its order, denominators) of ideal_power's gens
         self._homogeneous = None    # is_homogeneous's answer, once known
+
+    @property
+    def gens(self):
+        """The generators, a tuple; a power's are built from its packed products on first read."""
+        if self._gens is None:
+            P, products, dens = self._packed
+            self._gens = tuple(_from_int_poly(self.ring, d, den, P) for d, den in zip(products, dens))
+        return self._gens
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
@@ -602,7 +634,7 @@ class Ideal:
         return self.groebner().polys == other.groebner().polys
 
     def is_zero(self):
-        return not self.gens
+        return not (self._packed[1] if self._gens is None else self._gens)
 
     def is_homogeneous(self):
         if self._homogeneous is None:
@@ -666,8 +698,10 @@ def ideal_power(I, j):
     The products run on integer dicts packed by the ring's order, whose
     fields hold twice j times the largest degree of a term: no product
     overflows, and a product of two fits, as a Buchberger run needs. The
-    result keeps them for its first basis in that order, and its gens take
-    their terms in int order, which is the term order.
+    result keeps them, with their denominators, as its only copy of its
+    generators: its basis in that order runs on them as they are, and gens
+    is built from them, terms in int order, which is the term order, only
+    when something reads it.
     """
     if j < 0:
         raise RingError("negative ideal power")
@@ -695,8 +729,9 @@ def ideal_power(I, j):
     if homogeneous:
         cands = [(tuple(map(sum, zip(*map(degrees.__getitem__, c)))), f) for c, (f, _) in products]
         products = [products[i] for i in _minimal_indices(ring, P, cands)]
-    J = Ideal(ring, [_from_int_poly(ring, f, den, P) for _, (f, den) in products])
-    J._packed = (P, [f for _, (f, _) in products])
+    J = Ideal(ring, ())
+    J._gens = None
+    J._packed = (P, [f for _, (f, _) in products], [den for _, (_, den) in products])
     J._homogeneous = homogeneous
     return J
 

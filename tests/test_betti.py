@@ -591,3 +591,78 @@ def test_deep_degree_quotient_table():
     I = Ideal(A, [parse_polynomial("x^1100", A), parse_polynomial("y", A)])
     table = graded_betti_table(I, 1101, "quotient")
     assert table.entries == ((0, (0, 0), 1), (1, (1, 0), 1), (1, (1100, 0), 1), (2, (1101, 0), 1))
+
+
+# ---------------------------------------------------------------------------
+# tables and series of a power read its packed products, not its generators
+
+_POWER_CASES = {
+    # name -> (variables, generators, caps of the tables of I, I^2, I^3)
+    "twisted_cubic": (["X1", "X2", "X3", "X4"], ["X1*X4 - X2*X3", "X2^2 - X1*X3", "X3^2 - X2*X4"], (8, 10, 12)),
+    "planar_fat": (["X", "Y"], ["X^7", "Y^7", "X^6*Y + X^2*Y^5"], (11, 18, 25)),
+    "quartic": (["x0", "x1", "x2", "x3", "x4"],
+                ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x0*x4 - x1*x3", "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2"],
+                (6, 10, 13)),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", sorted(_POWER_CASES))
+def test_power_tables_and_series_match_the_ideal_of_its_gens(monkeypatch, name, field):
+    from reeslab import groebner
+
+    built = []
+    from_int_poly = groebner._from_int_poly
+    monkeypatch.setattr(groebner, "_from_int_poly", lambda *args: built.append(args) or from_int_poly(*args))
+    names, gens, caps = _POWER_CASES[name]
+    A = graded_ring(names, field=field)
+    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
+    modules = ("ideal", "quotient")
+    for j, cap in enumerate(caps, 1):
+        J = ideal_power(I, j)
+        tables = [graded_betti_table(J, cap, m) for m in modules]
+        series = [hilbert_series_ideal(J, m) for m in modules]
+        # no generator Polynomial was built, until gens is read
+        assert not built and J._gens is None
+        K = Ideal(A, J.gens)
+        assert len(built) == len(K.gens) == len(J._packed[1])
+        assert [t.to_json() for t in tables] == [graded_betti_table(K, cap, m).to_json() for m in modules]
+        assert tables == [graded_betti_table(K, cap, m) for m in modules]
+        assert series == [hilbert_series_ideal(K, m) for m in modules]
+        assert len(built) == len(K.gens)
+        del built[:]
+
+
+def test_a_table_autoreduces_only_where_a_koszul_degree_is_left(monkeypatch, twisted_cubic, planar_fat_ideal):
+    from reeslab import groebner
+
+    reductions = []
+    autoreduce = groebner._autoreduce
+    monkeypatch.setattr(groebner, "_autoreduce", lambda *args: reductions.append(1) or autoreduce(*args))
+    # every degree of the twisted cubic's I^2 is copied from beta(S/in I^2)
+    J = ideal_power(twisted_cubic, 2)
+    graded_betti_table(J, 10, "ideal")
+    assert not groebner._basis(J, J.ring.order)._reduced and not reductions
+    # planar-fat I^2 runs Koszul homology, and reduces its basis once for it
+    J = ideal_power(planar_fat_ideal, 2)
+    table = graded_betti_table(J, 18, "ideal")
+    assert groebner._basis(J, J.ring.order)._reduced and reductions == [1]
+    assert graded_betti_table(J, 18, "ideal") == table and reductions == [1]
+
+
+@pytest.mark.parametrize("gens, cap", [(("x + y", "y"), 4), (("x^2 + x*y", "x*y", "y^3"), 6)],
+                         ids=["linear", "consecutive_entries"])
+def test_an_ideal_equal_to_its_initial_ideal_gets_no_koszul_degree(gens, cap):
+    A = graded_ring(["x", "y"])
+    I = Ideal(A, [parse_polynomial(g, A) for g in gens])
+    pieces = _QuotientPieces(I)
+    initial = _monomial_betti(A, pieces._leading)
+    # the unreduced basis keeps a tail; the reduced one is monomial
+    assert any(tail for _, _, tail in pieces.gb._triples)
+    assert _koszul_degrees(pieces, initial, (cap, 0)) == set()
+    # beta(S/(x, y)) leaves no degree, so the basis stays unreduced; beta(S/(x^2, xy, y^3))
+    # has entries at p = 1 and 2 in degree 3, so only the reduced basis rules that degree out
+    reduced = pieces.gb._reduced
+    assert reduced is (len(gens) == 3)
+    if reduced:
+        assert not any(tail for _, _, tail in pieces.gb._triples)

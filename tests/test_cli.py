@@ -711,6 +711,22 @@ def test_corrupt_cache_entry_recomputed(capsys, cubic_file, isolated_cache):
     assert json.loads(entry.read_text())
 
 
+@pytest.mark.parametrize("entry", ["{}", "[]"], ids=["empty_object", "array"])
+def test_cache_entry_that_is_no_report_is_recomputed(capsys, isolated_cache, entry):
+    argv = ("quasi-gorenstein", "--a", "3", "--n", "3")
+    _, out1 = run_cli(capsys, *argv)
+    path = next(isolated_cache.glob("*.json"))
+    path.write_text(entry)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == out1
+    assert "warning: corrupt cache entry %s" % path in captured.err
+    assert set(json.loads(path.read_text())) >= {"payload", "citations", "assumptions"}
+    # the rewritten entry is served again with no warning
+    assert main(list(argv)) == 0
+    assert capsys.readouterr() == (out1, "")
+
+
 def test_text_format(capsys, cubic_file):
     code, out = run_cli(capsys, "--format", "text", "reg", cubic_file)
     assert code == 0

@@ -443,6 +443,24 @@ def test_gin_reads_the_initial_ideals_of_the_moved_generators(monkeypatch, seed)
 
 
 
+def test_gin_of_a_power_moves_its_packed_products(twisted_cubic):
+    from reeslab.ginreg import _degree_blocks, _random_upper_unitriangular, apply_coordinate_change
+
+    J = ideal_power(twisted_cubic, 2)
+    out = generic_initial_ideal(J, seed=5)
+    # the trials moved the products, and no generator Polynomial was built
+    assert J._gens is None
+    K = Ideal(J.ring, J.gens)
+    assert out.to_json() == generic_initial_ideal(K, seed=5).to_json()
+    blocks = _degree_blocks(J.ring)
+    mats = [_random_upper_unitriangular(b, random.Random(1), 100) for b in blocks]
+    (P, moved), (Q, expected) = (apply_coordinate_change(X, blocks, mats, DEGREVLEX) for X in (J, K))
+    # each moved product is a nonzero multiple of the moved generator
+    assert P.width == Q.width and len(moved) == len(expected)
+    for d, e in zip(moved, expected):
+        assert d.keys() == e.keys() and len({Fraction(c, e[m]) for m, c in d.items()}) == 1
+
+
 def _identity_on_calls(monkeypatch, identity):
     """Patch _random_upper_unitriangular: call k (from 0) keeps the coordinates where identity(k) holds.
 

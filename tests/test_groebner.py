@@ -1001,16 +1001,21 @@ def test_power_hands_its_packed_products_to_buchberger(monkeypatch, order, field
     products = J._packed
     runs = _counting(monkeypatch, "_packed_run")
     gb = groebner_basis(J)
-    # the run took the products as ideal_power packed them, and let them go
+    # the run took the products as ideal_power packed them, and the ideal keeps them
     (_, P, packed, _), = runs
-    assert P is products[0] and packed is products[1] and J._packed is None
+    assert P is products[0] and packed is products[1] and J._packed is products
     assert gb.polys == groebner_basis(Ideal(A, J.gens)).polys
     assert len(runs) == 2 and runs[1][2] is not packed
-    # a basis in another order packs the gens
+    # a basis in another order repacks the products, builds no gens, and has the leads of the gens' ideal
     other = DEGLEX if order == LEX else LEX
     K = ideal_power(I, 2)
-    assert initial_monomials(K, other) == initial_monomials(Ideal(A, K.gens), other)
-    assert len(runs) == 4 and runs[2][1].order == other and K._packed is not None
+    leads = initial_monomials(K, other)
+    (_, W, repacked, _) = runs[2]
+    Q, dicts, _ = K._packed
+    assert W.order == other and repacked == [groebner._repacked_poly(d, Q, W) for d in dicts]
+    assert K._gens is None
+    assert leads == initial_monomials(Ideal(A, K.gens), other)
+    assert len(runs) == 4
 
 
 def test_packed_products_past_their_fields_widen_them(monkeypatch):

@@ -23,7 +23,7 @@ from reeslab import (
     initial_monomials,
     parse_polynomial,
 )
-from reeslab import hilbert
+from reeslab import groebner, hilbert
 from reeslab.rees import rees_presentation
 from reeslab.rings import DEGREVLEX, MonomialPacking, Polynomial
 from conftest import mono_divides
@@ -238,12 +238,18 @@ def test_elimination_leads_are_minimal(field):
         _check_minimal_leads(eliminate(Ideal(A, gens), block))
 
 
-def test_ideal_power_packed_route_leads_are_minimal(twisted_cubic):
+def test_ideal_power_packed_route_leads_are_minimal(monkeypatch, twisted_cubic):
     J = ideal_power(Ideal(twisted_cubic.ring, twisted_cubic.gens), 3)
-    assert J._packed is not None
+    P, products, _ = J._packed
+    taken = []
+    run = groebner._packed_run
+    monkeypatch.setattr(groebner, "_packed_run", lambda *args: taken.append(args) or run(*args))
     _check_minimal_leads(J)
-    # the basis ran on the packed products
-    assert J._packed is None
+    # the basis ran on the packed products, which the ideal keeps
+    (_, Q, packed, _), = taken
+    assert Q is P and packed is products and J._packed[1] is products
+    # a basis in another order has the leads of the ideal of the gens
+    assert initial_monomials(J, DEGLEX) == initial_monomials(Ideal(J.ring, J.gens), DEGLEX)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])

@@ -27,7 +27,7 @@ CASES = [
     (asymptotics.SeriesTemplateFamily, ((0, 1), ((1,), (2,)), 2, 1, 3, 2, (2, 3)), None),
     (asymptotics.ProjDimReport, (((1, 2), (2, 3)), 3, 2, None, True), None),
     (asymptotics.ResolutionTemplate, (((0, 2),), ((1,),), 2, 1, 1, True, (1, 2)), None),
-    (betti.BettiTable, (R, ((0, (2, 0), 1),), True, (4, 0), "S/I"), "BettiTable(beta_0(2, 0)=1)"),
+    (betti.BettiTable, (R, ((0, (2, 0), 1),), True, (4, 0)), "BettiTable(beta_0(2, 0)=1)"),
     (betti.InvariantsReport, ((-3,), (2,), 2, ((0, (2, 0)),)), None),
     (diagonals.DiagonalSpec, (5, 2), None),
     (diagonals.DiagonalReport, ("gorenstein-diagonal:general", {"n": 4}, True, -1, ("a",), True), None),
