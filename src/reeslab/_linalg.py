@@ -18,8 +18,9 @@ class VectorSpan:
     coefficient, tail keyed by negated columns). The kernel takes the
     largest key, the smallest column, first; with guard 0 a table hit is an
     exact pivot, and the first key the table lacks is the new row's pivot.
-    Over Q a row is primitive with a positive pivot coefficient. Over F_p a
-    Fraction entry is read as PrimeField.coerce reads it.
+    Over Q a row is primitive with a positive pivot coefficient. Over F_p
+    its entries lie in [0, p); an int entry of vec may be any int, which the
+    kernel reduces, and a Fraction entry is read as PrimeField.coerce reads it.
     """
 
     def __init__(self, char=0):
@@ -33,10 +34,7 @@ class VectorSpan:
     def add(self, vec):
         """Insert vec; returns True when it grew the span. Over Q, vec is scaled by the lcm of its denominators."""
         char = self.char
-        if char:
-            row = {-k: v for k, c in vec.items() if (v := c % char)}
-        else:
-            row = {-k: c for k, c in vec.items() if c}
+        row = {-k: c for k, c in vec.items() if c}
         for c in row.values():
             if type(c) is not int:
                 if char:

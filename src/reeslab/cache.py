@@ -44,12 +44,20 @@ def cache_key(problem_hash, command, params, source):
 _REPORT_KEYS = ("payload", "citations", "assumptions")
 
 
+def _is_report(value):
+    """A dict with the keys of _REPORT_KEYS, citations and assumptions lists of strings, and code absent or an int."""
+    return (isinstance(value, dict) and all(k in value for k in _REPORT_KEYS)
+            and type(value.get("code", 0)) is int
+            and all(isinstance(value[k], list) and all(isinstance(s, str) for s in value[k])
+                    for k in ("citations", "assumptions")))
+
+
 def cache_lookup_store(key, producer, enabled=True, directory=None):
     """Return the cached report, or run the producer and store its report atomically.
 
-    A report is a JSON object with at least the keys of _REPORT_KEYS. An
-    entry that does not parse, or parses as anything else, is corrupt: it is
-    recomputed and overwritten with a warning.
+    A report is a JSON object that _is_report accepts. An entry that does not
+    parse, or parses as anything else, is corrupt: it is recomputed and
+    overwritten with a warning.
     """
     if not enabled:
         return producer()
@@ -62,7 +70,7 @@ def cache_lookup_store(key, producer, enabled=True, directory=None):
         except (json.JSONDecodeError, OSError) as exc:
             problem = exc
         else:
-            if isinstance(value, dict) and all(k in value for k in _REPORT_KEYS):
+            if _is_report(value):
                 return value
             problem = "not a report with %s" % ", ".join(_REPORT_KEYS)
         print("warning: corrupt cache entry %s (%s); recomputing" % (path, problem), file=sys.stderr)

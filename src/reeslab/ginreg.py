@@ -37,9 +37,10 @@ def apply_coordinate_change(I, blocks, matrices, order):
 
     Returns (P, moved), the moved generators of I as integer dicts packed by
     P for the order, with room for a product of two: a Buchberger run takes
-    them as they are. Each is the image of a nonzero multiple of the
-    generator, read off _int_generators, so a power's packed products are
-    moved as they are. The powers of each image are memoised.
+    them as they are, and over F_p reduces their coefficients itself. Each
+    is the image of a nonzero multiple of the generator, read off
+    _int_generators, so a power's packed products are moved as they are.
+    The powers of each image are memoised.
     """
     ring = I.ring
     char = ring.field.char
@@ -62,8 +63,6 @@ def apply_coordinate_change(I, blocks, matrices, order):
                     term = _times(term, pw[e], char)
             for m, c in term.items():
                 acc[m] = acc.get(m, 0) + c
-        if char:
-            acc = {m: c % char for m, c in acc.items()}
         moved.append({m: c for m, c in acc.items() if c})
     return P, moved
 

@@ -19,9 +19,10 @@ from .rings import (
 
 # ---------------------------------------------------------------------------
 # internal integer polynomials: dict mono -> int.
-# Over Q the representative is primitive (content 1, positive lead);
-# over F_p coefficients live in [0, p). Inside the kernel every monomial is
-# an int of a MonomialPacking for the term order, so the larger int is the
+# Over Q the representative is primitive (content 1, positive lead); over
+# F_p a stored coefficient lies in [0, p), and _normal_form_int reduces the
+# ints it is handed as it reads them. Inside the kernel every monomial is an
+# int of a MonomialPacking for the term order, so the larger int is the
 # larger monomial, a product is a sum and u | m is one subtraction against
 # the guard bits. A product whose guard bits are not clear overflowed a field
 # and raises PackingOverflow. A polynomial that others are reduced against is
@@ -32,10 +33,7 @@ _STRIP_BITS = 512
 
 
 def _to_int_poly(f):
-    """Integer dict of a Polynomial and the integer its coefficients were scaled by."""
-    char = f.ring.field.char
-    if char:
-        return {m: c % char for m, c in f.terms if c % char}, 1
+    """Integer dict of a Polynomial and the integer its coefficients were scaled by (1 over F_p)."""
     den = lcm(*(c.denominator for _, c in f.terms))
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms}, den
 
@@ -50,17 +48,15 @@ def _from_int_poly(ring, d, den, P):
     Where P packs by the ring's order, int order is term order, so the terms
     are sorted as the ints they already are, with no second packing.
     """
+    if P.order != ring.order:
+        return Polynomial(ring, {P.unpack(m): Fraction(c, den) for m, c in d.items()})
     char = ring.field.char
-    if P.order == ring.order:
-        ms = sorted(d, reverse=True)
-        if char:
-            terms = [(P.unpack(m), d[m] % char) for m in ms if d[m] % char]
-        else:
-            terms = [(P.unpack(m), Fraction(d[m], den)) for m in ms]
-        return Polynomial._from_terms(ring, tuple(terms))
+    ms = sorted(d, reverse=True)
     if char:
-        return Polynomial(ring, {P.unpack(m): c % char for m, c in d.items()})
-    return Polynomial(ring, {P.unpack(m): Fraction(c, den) for m, c in d.items()})
+        terms = [(P.unpack(m), v) for m in ms if (v := d[m] % char)]
+    else:
+        terms = [(P.unpack(m), Fraction(d[m], den)) for m in ms]
+    return Polynomial._from_terms(ring, tuple(terms))
 
 
 def _times(f, g, char):
@@ -83,6 +79,10 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     0, scale the rational the reduction multiplied by and divided out, and
     over F_p scale = 1. Only _exact_normal_form reads scale, off a marker
     term. Raises PackingOverflow when a product would not fit the fields.
+
+    Over F_p f may hold any ints, and the loop subtracts without reducing:
+    a coefficient is reduced mod p when its term leaves f, and the returned
+    tail once, so the triple lies in [0, p), as each reducer's must.
 
     The normal form is full: no term of the result is divisible by a
     reducer's lead. With top, the reduction stops at the first term it keeps
@@ -113,6 +113,8 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
     while heap:
         m = -heappop(heap)
         c = f.pop(m, 0)
+        if char:
+            c %= char
         if not c:
             continue
         hit = memo.get(m)
@@ -135,22 +137,9 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
             memo[m] = hit
         lm, lc, tail = hit
         u = m - lm
+        # f := a*f - b*(m/lm)*hit, which cancels the term m
         if char:
-            factor = (c * pow(lc, -1, char)) % char
-            for mt, ct in tail.items():
-                k = mt + u
-                v = f.get(k)
-                if v is None:
-                    if k & guard:
-                        raise PackingOverflow("a product overflows the packed fields")
-                    f[k] = -factor * ct % char
-                    heappush(heap, -k)
-                else:
-                    v = (v - factor * ct) % char
-                    if v:
-                        f[k] = v
-                    else:
-                        del f[k]
+            b = c * pow(lc, -1, char) % char
         else:
             g = gcd(c, lc)
             a, b = lc // g, c // g
@@ -159,20 +148,21 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
                     f[k] *= a
                 for k in rem:
                     rem[k] *= a
-            for mt, ct in tail.items():
-                k = mt + u
-                v = f.get(k)
-                if v is None:
-                    if k & guard:
-                        raise PackingOverflow("a product overflows the packed fields")
-                    f[k] = -b * ct
-                    heappush(heap, -k)
+        for mt, ct in tail.items():
+            k = mt + u
+            v = f.get(k)
+            if v is None:
+                if k & guard:
+                    raise PackingOverflow("a product overflows the packed fields")
+                f[k] = -b * ct
+                heappush(heap, -k)
+            else:
+                v -= b * ct
+                if v:
+                    f[k] = v
                 else:
-                    v -= b * ct
-                    if v:
-                        f[k] = v
-                    else:
-                        del f[k]
+                    del f[k]
+        if not char:
             steps += 1
             if steps % 16 == 0 and f and max(abs(x) for x in f.values()).bit_length() > _STRIP_BITS:
                 g = gcd(*f.values(), *rem.values())
@@ -183,7 +173,10 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
                         rem[k] //= g
     if lead is None:
         return None
-    if not char:
+    if char:
+        # with top, the tail is what the reduction left of f, unreduced
+        rem = {k: v for k, c in rem.items() if (v := c % char)}
+    else:
         g = gcd(*rem.values())
         if rem[lead] < 0:
             g = -g
@@ -194,31 +187,23 @@ def _normal_form_int(f, reducers, guard, char, memo=None, top=False):
 
 
 def _spoly(ti, tj, L, guard, char):
-    """S-polynomial of two triples whose leading monomials have the lcm L: their leading terms cancel."""
+    """S-polynomial of two triples whose leading monomials have the lcm L; over F_p its coefficients are unreduced."""
     lmi, ci, fi = ti
     lmj, cj, fj = tj
     ui, uj = L - lmi, L - lmj
     if char:
-        ai = (cj * pow(ci, -1, char)) % char
-        out = {m + ui: c * ai % char for m, c in fi.items()}
-        for m, c in fj.items():
-            k = m + uj
-            v = (out.get(k, 0) - c) % char
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+        ai, aj = cj * pow(ci, -1, char) % char, 1
     else:
         g = gcd(ci, cj)
         ai, aj = cj // g, ci // g
-        out = {m + ui: c * ai for m, c in fi.items()}
-        for m, c in fj.items():
-            k = m + uj
-            v = out.get(k, 0) - c * aj
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+    out = {m + ui: c * ai for m, c in fi.items()}
+    for m, c in fj.items():
+        k = m + uj
+        v = out.get(k, 0) - c * aj
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
     if any(k & guard for k in out):
         raise PackingOverflow("a product overflows the packed fields")
     return out
@@ -448,12 +433,10 @@ def _exact_normal_form(G, d):
     returns (marker, scale, rem), scale a positive int (1 over F_p); None
     means the unit ideal, where NF(d) = 0 and scale is 1.
     """
-    char = G.ring.field.char
-
     def run(P, triples):
         f = _pack_poly(d, P)
         f[1 << P.guard.bit_length()] = 1
-        return _normal_form_int(f, triples, P.guard, char)
+        return _normal_form_int(f, triples, P.guard, G.ring.field.char)
 
     P, t = _on_basis(G, run)
     return (P, 1, {}) if t is None else (P, t[1], t[2])

@@ -357,12 +357,18 @@ class Polynomial:
     """Immutable multivariate polynomial: canonical term list, descending order.
 
     The terms are sorted by their packed ints under the ring's order, as in the kernel.
+    Over F_p the constructor reads each coefficient as PrimeField.coerce does,
+    into [0, p), and it drops zero terms, so arithmetic hands it raw sums and
+    products.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
+        if ring.field.char:
+            coerce = ring.field.coerce
+            coeffs = {m: coerce(c) for m, c in coeffs.items()}
         monos = [m for m, c in coeffs.items() if c]
         if monos:
             P = _order_packing(ring.nvars, max(map(sum, monos)).bit_length() + 1, ring.order)
@@ -407,21 +413,11 @@ class Polynomial:
     def __add__(self, other):
         self._check_same_ring(other)
         acc = dict(self.terms)
-        p = self.ring.field.char
         for m, c in other.terms:
-            v = acc.get(m, 0) + c
-            if p:
-                v %= p
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+            acc[m] = acc.get(m, 0) + c
         return Polynomial(self.ring, acc)
 
     def __neg__(self):
-        p = self.ring.field.char
-        if p:
-            return Polynomial(self.ring, {m: (-c) % p for m, c in self.terms})
         return Polynomial(self.ring, {m: -c for m, c in self.terms})
 
     def __sub__(self, other):
@@ -430,17 +426,10 @@ class Polynomial:
     def __mul__(self, other):
         self._check_same_ring(other)
         acc = {}
-        p = self.ring.field.char
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
-                v = acc.get(m, 0) + c1 * c2
-                if p:
-                    v %= p
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
+                acc[m] = acc.get(m, 0) + c1 * c2
         return Polynomial(self.ring, acc)
 
     def __pow__(self, k):
@@ -457,11 +446,6 @@ class Polynomial:
 
     def scale(self, c):
         c = self.ring.field.coerce(c)
-        if not c:
-            return self.ring.zero()
-        p = self.ring.field.char
-        if p:
-            return Polynomial(self.ring, {m: (v * c) % p for m, v in self.terms})
         return Polynomial(self.ring, {m: v * c for m, v in self.terms})
 
     # -- grading -------------------------------------------------------------
@@ -520,7 +504,8 @@ def parse_polynomial(text, ring):
     factor = base {^ int} and base = int [/ int] | name | ( expr ). A term
     stays a coefficient and an exponent list while its factors are variables
     and literals; a bracketed factor makes it a Polynomial.
-    Literals are coerced into the field as they are read.
+    Literals are coerced into the field as they are read; sums and products
+    of them are left to the Polynomial constructor to reduce.
     """
     tokens = _tokenize(text)
     field = ring.field
@@ -537,23 +522,17 @@ def parse_polynomial(text, ring):
         if minus or kind == "+":
             i += 1
         while True:
-            for m, c in term():
-                if minus:
-                    c = (-c) % p if p else -c
-                v = acc.get(m)
-                if v is None:
-                    acc[m] = c
-                else:
-                    acc[m] = (v + c) % p if p else v + c
+            for m, c in term(-one if minus else one):
+                acc[m] = acc[m] + c if m in acc else c
             kind = tokens[i][0]
             if kind != "+" and kind != "-":
                 return acc
             minus = kind == "-"
             i += 1
 
-    def term():
+    def term(coef):
         nonlocal i
-        coef, exps, poly = one, [0] * n, None
+        exps, poly = [0] * n, None
         while True:
             kind, val, pos = tokens[i]
             i += 1
@@ -586,7 +565,8 @@ def parse_polynomial(text, ring):
             if kind == "name":
                 exps[var] += e
             elif kind == "int":
-                coef = coef * pow(val, e, p) % p if p else coef * val ** e
+                # a modular power keeps 3^1000000 small
+                coef *= pow(val, e, p) if p else val ** e
             else:
                 power = val ** e
                 poly = power if poly is None else poly * power
@@ -595,7 +575,7 @@ def parse_polynomial(text, ring):
             i += 1
         if poly is None:
             return ((tuple(exps), coef),)
-        return [(tuple(map(add, m, exps)), c * coef % p if p else c * coef) for m, c in poly.terms]
+        return [(tuple(map(add, m, exps)), c * coef) for m, c in poly.terms]
 
     result = expr()
     kind, _, pos = tokens[i]

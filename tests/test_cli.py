@@ -711,12 +711,21 @@ def test_corrupt_cache_entry_recomputed(capsys, cubic_file, isolated_cache):
     assert json.loads(entry.read_text())
 
 
-@pytest.mark.parametrize("entry", ["{}", "[]"], ids=["empty_object", "array"])
+# each entry is made from the valid one; the last three have the report keys,
+# and once crashed _emit with a TypeError or exited with the code's text
+@pytest.mark.parametrize("entry", [
+    lambda valid: {},
+    lambda valid: [],
+    lambda valid: {"payload": 1, "citations": 2, "assumptions": 3},
+    lambda valid: {**valid, "code": "x"},
+    lambda valid: {**valid, "code": True},
+    lambda valid: {**valid, "citations": [1]},
+], ids=["empty_object", "array", "wrong_types", "code_not_an_int", "code_bool", "citation_not_a_string"])
 def test_cache_entry_that_is_no_report_is_recomputed(capsys, isolated_cache, entry):
     argv = ("quasi-gorenstein", "--a", "3", "--n", "3")
     _, out1 = run_cli(capsys, *argv)
     path = next(isolated_cache.glob("*.json"))
-    path.write_text(entry)
+    path.write_text(json.dumps(entry(json.loads(path.read_text()))))
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 0 and captured.out == out1

@@ -1040,3 +1040,61 @@ def test_packed_products_past_their_fields_widen_them(monkeypatch):
                                                   for g in gens], None)
     assert wide and P is wide[-1]
     assert {P.unpack(lm) for lm, _, _ in triples} == initial_monomials(Ideal(L, gens))
+
+
+# ---------------------------------------------------------------------------
+# over F_p the kernel reduces the ints it is handed; its producers do not
+
+def _fp_kernel_case(char, seed):
+    """(rng, P, reducers, f): triples of three seeded quadrics over F_char and a seeded dense quartic, packed by P."""
+    rng = random.Random("fp-kernel:%d:%d" % (char, seed))
+    ring = graded_ring(["x0", "x1", "x2", "x3"], field=PrimeField(char))
+    P = MonomialPacking.fitting(4, 8, ring.order)
+
+    def form(d):
+        return {P.pack(m): rng.randrange(char) for m in monomials_of_degree(ring, (d, 0))}
+
+    reducers = [groebner._normal_form_int(form(2), (), P.guard, char) for _ in range(3)]
+    return rng, P, reducers, form(4)
+
+
+def _raised(rng, d, char):
+    """d with each coefficient moved by a seeded multiple of char: negative, zero, small or huge."""
+    return {m: c + rng.choice((-1, 1)) * rng.choice((0, 1, 2, 7, 2 ** 70)) * char for m, c in d.items()}
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["no_memo", "memo"])
+@pytest.mark.parametrize("top", [False, True], ids=["full", "top"])
+@pytest.mark.parametrize("char", [5, 32003], ids=["F5", "F32003"])
+def test_normal_form_int_reduces_any_int_coefficients_over_f_p(char, top, memo):
+    for seed in range(6):
+        rng, P, reducers, f = _fp_kernel_case(char, seed)
+        # a memo filled by an earlier reduction, so that hits come before any scan
+        filled = {}
+        if memo:
+            groebner._normal_form_int(_fp_kernel_case(char, seed + 100)[3], reducers, P.guard, char, filled)
+        results = []
+        for d in ({m: c for m, c in f.items() if c}, _raised(rng, f, char)):
+            results.append(groebner._normal_form_int(d, reducers, P.guard, char, dict(filled) if memo else None, top))
+        assert results[0] == results[1] and results[0] is not None
+        lead, lc, tail = results[0]
+        assert 0 < lc < char and all(0 < c < char for c in tail.values())
+
+
+@pytest.mark.parametrize("char", [5, 32003], ids=["F5", "F32003"])
+def test_spoly_over_f_p_is_the_s_polynomial_mod_p(char):
+    for seed in range(6):
+        _, P, reducers, _ = _fp_kernel_case(char, seed)
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            ti, tj = reducers[i], reducers[j]
+            L = P.pack(tuple(map(max, P.unpack(ti[0]), P.unpack(tj[0]))))
+            s = groebner._spoly(ti, tj, L, P.guard, char)
+            # by its definition: (cj / ci) (L / lmi) fi - (L / lmj) fj
+            expected = {}
+            for (lm, lc, tail), factor in ((ti, tj[1] * pow(ti[1], -1, char)), (tj, -1)):
+                for m, c in {lm: lc, **tail}.items():
+                    expected[m + L - lm] = (expected.get(m + L - lm, 0) + factor * c) % char
+            expected = {m: c for m, c in expected.items() if c}
+            assert {m: v for m, c in s.items() if (v := c % char)} == expected
+            assert (groebner._normal_form_int(s, reducers, P.guard, char)
+                    == groebner._normal_form_int(expected, reducers, P.guard, char))

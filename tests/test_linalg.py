@@ -163,3 +163,19 @@ def test_span_over_q_strips_content_on_long_reductions():
         rows += [combination(units), combination(units + extra)]
     rows += [{k: rng.getrandbits(600) for k in range(ncols)} for _ in range(4)]
     assert _check_span(rows, ncols, 0) == ncols
+
+
+@pytest.mark.parametrize("char", [5, 32003], ids=["F5", "F32003"])
+@pytest.mark.parametrize("seed", range(4))
+def test_span_over_f_p_reads_unreduced_rows_as_their_residues(seed, char):
+    # the kernel reduces each entry when it reads it, so a row moved by
+    # multiples of char, negative and huge ones included, is the same row
+    rng = random.Random(3200 + seed)
+    ncols = rng.randint(10, 20)
+    rows = _sparse_rows(rng, 2 * ncols, ncols, 0.3, lambda: rng.randrange(char))
+    reduced, raw = VectorSpan(char), VectorSpan(char)
+    for row in rows:
+        moved = {k: c + rng.choice((-1, 1)) * rng.choice((0, 1, 3, 2 ** 70)) * char for k, c in row.items()}
+        assert raw.add(moved) is reduced.add(row)
+        assert raw.rank == reduced.rank
+    assert raw.rows == reduced.rows

@@ -412,3 +412,35 @@ def test_an_order_perm_must_permute_the_variables():
             MonomialPacking(3, 4, order)
     R = graded_ring(["x", "y", "z"], order=TermOrder("lex", perm=(2, 0, 1)))
     assert repr(parse_polynomial("x + y + z", R)) == "z + x + y"
+
+
+def test_polynomial_reduces_its_coefficients_over_f_p():
+    from reeslab import Ideal, hilbert_series_ideal
+
+    F5 = graded_ring(["x", "y"], field=PrimeField(5))
+    x = (1, 0)
+    # a coefficient is read as PrimeField.coerce reads it, into [0, 5)
+    assert Polynomial(F5, {x: 7}) == Polynomial(F5, {x: 2})
+    assert hash(Polynomial(F5, {x: 7})) == hash(Polynomial(F5, {x: 2}))
+    assert Polynomial(F5, {x: -1}).terms == ((x, 4),)
+    five = Polynomial(F5, {x: 5})
+    assert not five and five == F5.zero()
+    assert Ideal(F5, [five]).is_zero()
+    assert hilbert_series_ideal(Ideal(F5, [five])) == hilbert_series_ideal(Ideal(F5, []))
+    assert Polynomial(F5, {x: Fraction(1, 2)}).terms == ((x, 3),)
+    assert Polynomial(F5, {x: Fraction(1, 2)}) == F5.variable(0).scale(3)
+    with pytest.raises(RingError, match="denominator divisible by 5"):
+        Polynomial(F5, {x: Fraction(1, 5)})
+
+
+def test_arithmetic_over_f_p_leaves_the_reduction_to_the_constructor():
+    F5 = graded_ring(["x", "y"], field=PrimeField(5))
+    f = parse_polynomial("3*x + 4*y", F5)
+    g = parse_polynomial("2*x + y", F5)
+    assert f + g == F5.zero()
+    assert -f == g and f - f == F5.zero()
+    assert (f * g).terms == (((2, 0), 1), ((1, 1), 1), ((0, 2), 4))
+    assert f.scale(5) == F5.zero() and f.scale(-1) == g
+    assert f.scale(Fraction(1, 3)) == f * F5.one().scale(2)
+    with pytest.raises(RingError, match="denominator divisible by 5"):
+        f.scale(Fraction(2, 5))
