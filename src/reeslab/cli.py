@@ -51,17 +51,19 @@ def _print_text(report):
 
 
 # Closed-form commands: each CLI family -> (criterion, parameters it reads, parameters it requires).
-# The parameters read are also the command's flags; a miss hands the command's entry to `commands`.
+# The parameters read are also the command's flags; a required tuple of names needs any one of them.
+# A miss hands the command's entry to `commands`, which reports the required parameters no source gives.
 _CI = ("gorenstein-diagonal:complete-intersection", ("n", "r", "degrees"), ("degrees", "n"))
 _FAMILIES = {
     "gorenstein": {"ci": _CI, "complete-intersection": _CI,
                    "maxminors": ("gorenstein-diagonal:maximal-minors", ("m", "n"), ("m", "n")),
                    "polynomial-ring": ("gorenstein-diagonal:polynomial-ring", ("n", "degrees"), ("n", "degrees")),
                    "general": ("gorenstein-diagonal:general", ("n", "a", "d", "height"), ("a", "n", "d"))},
-    "cm-check": {"ci": ("cm-diagonal:complete-intersection", ("d", "u", "n"), ("d", "u")),
-                 "equimultiple": ("cm-diagonal:equimultiple", ("d", "height", "a_quotient"), ("d",)),
+    "cm-check": {"ci": ("cm-diagonal:complete-intersection", ("d", "u", "n"), ("d", "u", "n")),
+                 "equimultiple": ("cm-diagonal:equimultiple", ("d", "height", "a_quotient"),
+                                  ("d", "height", "a_quotient")),
                  "scm": ("cm-diagonal:strongly-cm", ("degrees", "n", "height"), ("degrees", "n", "height"))},
-    "cm-threshold": {None: ("cm-threshold", ("d", "n", "a2G", "a1"), ("d", "n"))},
+    "cm-threshold": {None: ("cm-threshold", ("d", "n", "a2G", "a1"), ("d", "n", ("a2G", "a1")))},
     "quasi-gorenstein": {None: ("quasi-gorenstein-bounds", ("a", "n"), ("a", "n"))},
 }
 

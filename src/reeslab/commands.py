@@ -37,20 +37,36 @@ def _jsonable(obj):
 def produce(args, problem, families):
     """The cached value of one command: its exact JSON payload, citations, assumptions and exit code.
 
-    The handler of a command is `_cmd_<name>`. families is a closed-form command's
-    entry in the front end's family table, and None for the other commands.
+    The handler of a command is `_cmd_<name>`, and returns (payload, citations, assumptions).
+    families is a closed-form command's entry in the front end's family table, and None for
+    the other commands. A closed-form handler gets its family and the parameters resolved
+    here; a family that lacks a required parameter gets the exit-2 report {"missing": [...]}.
+    With a problem file, a complete intersection must have as many minimal generators as its height.
     """
     if problem is not None:
         problem.ideal  # a miss builds, and so checks, the whole file before anything is stored
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
-    out = handler(args, problem) if families is None else handler(args, problem, families)
-    if isinstance(out, tuple) and len(out) == 2 and isinstance(out[1], int):
-        (payload, citations, assumptions), code = out
+    if families is None:
+        payload, citations, assumptions = handler(args, problem)
     else:
-        payload, citations, assumptions = out
-        code = 0
+        criterion, reads, requires = families[getattr(args, "family", None)]
+        family = criterion.partition(":")[2]
+        # the n of an m x n matrix is not the number of variables
+        params = _family_params(args, problem, reads, generators=family != "maximal-minors")
+        groups = [(need,) if isinstance(need, str) else need for need in requires]
+        missing = ["|".join(group) for group in groups if not any(name in params for name in group)]
+        if missing:
+            return {"payload": {"missing": missing}, "citations": [criterion], "assumptions": [], "code": 2}
+        if problem is not None and family == "complete-intersection":
+            r, height = len(_generator_values(problem).get("degrees", ())), _height(problem)
+            if r != height:
+                from .diagonals import DiagonalError
+
+                raise DiagonalError("complete-intersection check failed: %d minimal generators, height %d"
+                                    % (r, height))
+        payload, citations, assumptions = handler(args, family, params)
     return {"payload": _jsonable(payload), "citations": list(citations), "assumptions": list(assumptions),
-            "code": code}
+            "code": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +264,16 @@ def _generator_values(problem):
     return dict(given, n=problem.ring.nvars)
 
 
+@functools.lru_cache(maxsize=1)
+def _height(problem):
+    """ht I = n - dim A/I, read from the Hilbert series of A/I."""
+    from .hilbert import hilbert_series_ideal, krull_dimension
+
+    return problem.ring.nvars - krull_dimension(hilbert_series_ideal(problem.ideal, "quotient"))
+
+
 def _family_params(args, problem, names, generators=True):
-    """Each of names from its flag, else the problem's family line, else its generators; absent if none does."""
+    """Each of names from its flag, else the family line, else the file's generators or height; absent if none does."""
     line = problem.family_dict() if problem is not None else {}
     values = {}
     for name in names:
@@ -262,89 +286,50 @@ def _family_params(args, problem, names, generators=True):
                 raise ProblemError("family flag %r must be %s"
                                    % (name, "a tuple" if name == "degrees" else "an int"))
         elif value is None and problem is not None and generators:
-            value = _generator_values(problem).get(name)
+            value = _height(problem) if name == "height" else _generator_values(problem).get(name)
         if value is not None:
             values[name] = value
     return values
 
 
-def _missing(values, names, criterion):
-    """The exit-2 report of a closed-form family that lacks the parameters among names in values, or None."""
-    missing = [name for name in names if values.get(name) is None]
-    return (({"missing": missing}, [criterion], []), 2) if missing else None
+def _assumptions(reports, *first):
+    """first, then every assumption the reports carry, each once in first-seen order."""
+    return list(dict.fromkeys([*first, *(a for r in reports for a in r.assumptions)]))
 
 
-def _closed_form(args, problem, families):
-    """A closed-form command's criterion family, its parameters, and the exit-2 report if some are missing.
-
-    families maps the command's --family values to (criterion, parameters read, parameters required).
-    With a problem file, a complete intersection must have as many minimal generators as its height n - dim A/I.
-    """
-    criterion, reads, requires = families[getattr(args, "family", None)]
-    family = criterion.partition(":")[2]
-    # the n of an m x n matrix is not the number of variables
-    params = _family_params(args, problem, reads, generators=family != "maximal-minors")
-    missing = _missing(params, requires, criterion)
-    if problem is not None and family == "complete-intersection" and not missing:
-        from .diagonals import DiagonalError
-        from .hilbert import hilbert_series_ideal, krull_dimension
-
-        r = len(_generator_values(problem).get("degrees", ()))
-        height = problem.ring.nvars - krull_dimension(hilbert_series_ideal(problem.ideal, "quotient"))
-        if r != height:
-            raise DiagonalError("complete-intersection check failed: %d minimal generators, height %d"
-                                % (r, height))
-    return family, params, missing
-
-
-def _cmd_gorenstein(args, problem, families):
+def _cmd_gorenstein(args, family, params):
     from .diagonals import gorenstein_diagonals
 
-    family, params, missing = _closed_form(args, problem, families)
-    if missing:
-        return missing
     if family == "general":
         params["dim_positive"] = not args.dim_zero
     reports = gorenstein_diagonals(family, **params)
     payload = {"diagonals": [r.to_json() for r in reports], "count": len(reports)}
-    return (payload, sorted({r.criterion for r in reports}) or ["gorenstein-diagonal"], [])
+    return (payload, sorted({r.criterion for r in reports}) or ["gorenstein-diagonal"], _assumptions(reports))
 
 
-def _cmd_quasi_gorenstein(args, problem, families):
+def _cmd_quasi_gorenstein(args, family, p):
     from .diagonals import quasi_gorenstein_bounds
 
-    _, p, missing = _closed_form(args, problem, families)
-    if missing:
-        return missing
     reports = quasi_gorenstein_bounds(p["a"], p["n"], not args.dim_zero)
     return (
         {"candidates": [r.to_json() for r in reports], "count": len(reports)},
         ["quasi-gorenstein-bounds"],
-        ["Rees algebra Cohen-Macaulay"],
+        _assumptions(reports, "Rees algebra Cohen-Macaulay"),
     )
 
 
-def _cmd_cm_check(args, problem, families):
+def _cmd_cm_check(args, family, params):
     from .diagonals import DiagonalSpec, cm_diagonal_test
 
-    spec = DiagonalSpec(args.c, args.e)
-    family, params, missing = _closed_form(args, problem, families)
-    if missing:
-        return missing
-    report = cm_diagonal_test(family, params, spec)
-    code = 2 if report.verdict == "needs-input" else 0
-    return (report.to_json(), [report.criterion], list(report.assumptions)), code
+    report = cm_diagonal_test(family, params, DiagonalSpec(args.c, args.e))
+    return (report.to_json(), [report.criterion], report.assumptions)
 
 
-def _cmd_cm_threshold(args, problem, families):
+def _cmd_cm_threshold(args, family, p):
     from .diagonals import cm_threshold_alpha
 
-    _, p, missing = _closed_form(args, problem, families)
-    if missing:
-        return missing
     report = cm_threshold_alpha(p["d"], p["n"], a2_form_ring=p.get("a2G"), a1_shifted_rees=p.get("a1"))
-    code = 2 if report.verdict == "needs-input" else 0
-    return (report.to_json(), [report.criterion], list(report.assumptions)), code
+    return (report.to_json(), [report.criterion], report.assumptions)
 
 
 def _cmd_gin(args, problem):

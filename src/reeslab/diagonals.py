@@ -30,7 +30,7 @@ class DiagonalReport:
 
     criterion: str
     inputs: dict
-    verdict: object            # True / False / "needs-input"
+    verdict: object            # True / False / "not-decided", or an int alpha
     a_invariant: int | None = None
     assumptions: tuple = ()
     sufficient_only: bool = False
@@ -181,29 +181,19 @@ def quasi_gorenstein_bounds(a, n, dim_positive=True):
 def cm_diagonal_test(family, params, spec):
     """Closed-inequality CM verdict for a diagonal of a supported family: c > d (e - 1) + b.
 
-    b is u + a(A) for a complete intersection, a(A/I) for an equimultiple ideal
-    and the sum of the height largest degrees minus n for a strongly CM ideal.
+    b is u + a(A) = u - n for a complete intersection in A = k[X_1..X_n], a(A/I) for an
+    equimultiple ideal and the sum of the height largest degrees minus n for a strongly CM ideal.
     """
-    need = None
     if family == "complete-intersection":
-        d, u = params["d"], params["u"]
-        _require_positive("complete-intersection criterion", d=d, u=u, n=params.get("n"))
-        a_base = params.get("a_base", -params["n"] if "n" in params else None)
-        if a_base is None:
-            need = "missing a(A): pass a_base or n"
-        else:
-            b = u + a_base
+        d, u, n = params["d"], params["u"], params["n"]
+        _require_positive("complete-intersection criterion", d=d, u=u, n=n)
+        b = u - n
         assumptions = ("Rees algebra of a complete intersection is Cohen-Macaulay",)
     elif family == "equimultiple":
-        d = params["d"]
+        d, b = params["d"], params["a_quotient"]
         _require_positive("equimultiple criterion", d=d)
-        params = dict(params, height=params.get("height", 2))
         if params["height"] <= 1:
             raise DiagonalError("equimultiple criterion needs height > 1")
-        if "a_quotient" not in params:
-            need = "missing a(A/I)"
-        else:
-            b = params["a_quotient"]
         assumptions = ("Rees algebra Cohen-Macaulay", "ideal equimultiple")
     elif family == "strongly-cm":
         degs = tuple(sorted(params["degrees"], reverse=True))
@@ -217,8 +207,6 @@ def cm_diagonal_test(family, params, spec):
     else:
         raise DiagonalError("unknown family %r" % family)
     criterion, inputs = "cm-diagonal:" + family, dict(params, c=spec.c, e=spec.e)
-    if need:
-        return DiagonalReport(criterion, inputs, "needs-input", assumptions=(need,))
     if not spec.admissible(d):
         raise DiagonalError("inadmissible diagonal")
     verdict = spec.c > d * (spec.e - 1) + b
@@ -233,7 +221,7 @@ def cm_threshold_alpha(d, n, a2_form_ring=None, a1_shifted_rees=None):
     """Least alpha with: k[(I^e)_c] is CM for every c > d e + alpha.
 
     Route 1 (Gorenstein form ring): alpha = d(-a^2(G) - 1) - n.
-    Route 2: alpha = a^1 of the sheared Rees algebra, when supplied.
+    Route 2: alpha = a^1 of the sheared Rees algebra. One of the two must be supplied.
     """
     _require_positive("cm-threshold", d=d, n=n)
     if a2_form_ring is not None:
@@ -251,10 +239,7 @@ def cm_threshold_alpha(d, n, a2_form_ring=None, a1_shifted_rees=None):
             a1_shifted_rees,
             assumptions=("Rees algebra Cohen-Macaulay",),
         )
-    return DiagonalReport(
-        "cm-threshold", {"d": d, "n": n}, "needs-input",
-        assumptions=("no route to alpha: pass a2_form_ring or a1_shifted_rees",),
-    )
+    raise DiagonalError("no route to alpha: pass a2_form_ring or a1_shifted_rees")
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,8 @@ def fiber_cone(P):
 def builtin_a2_form_ring(family, **params):
     """Known second a-invariants of the form ring for supported families.
 
-    The tool never computes local cohomology: families outside this table
-    must pass an explicit value.
+    No command consults this table yet: `cm-threshold` takes a^2(G) only from
+    its --a2G flag or the problem's family line, and never computes it.
     """
     if family == "complete-intersection":
         return -params["r"]

@@ -245,9 +245,9 @@ def test_gorenstein_general_missing_a_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv, missing", [
-    ("cm-check --family equimultiple --c 5 --e 1 --a-quotient 2", ["d"]),
+    ("cm-check --family equimultiple --c 5 --e 1 --a-quotient 2", ["d", "height"]),
     ("cm-check --family scm --c 5 --e 1 --height 2", ["degrees", "n"]),
-    ("cm-check --family ci --c 5 --e 1 --u 4", ["d"]),
+    ("cm-check --family ci --c 5 --e 1 --u 4", ["d", "n"]),
     ("gorenstein --family general --a 3", ["n", "d"]),
     ("gorenstein --family ci --degrees 2,2", ["n"]),
     ("gorenstein --family maxminors --m 2", ["n"]),
@@ -264,6 +264,66 @@ def test_closed_form_family_without_a_parameter_exits_2(capsys, argv, missing):
     code, out = run_cli(capsys, "--no-cache", *argv.split())
     assert code == 2
     assert json.loads(out)["result"] == {"missing": missing}
+
+
+# a valid flag value for each parameter a closed-form family reads
+FAMILY_VALUES = {"n": "4", "r": "2", "degrees": "2,3", "m": "2", "a": "3", "d": "3", "height": "2",
+                 "a_quotient": "1", "u": "5", "a2G": "-2", "a1": "-3"}
+
+
+@pytest.mark.parametrize("command, family", [(c, f) for c, families in cli._FAMILIES.items() for f in families])
+def test_each_required_input_is_reported_before_any_criterion_runs(capsys, monkeypatch, command, family):
+    from reeslab import diagonals
+
+    class Entered(Exception):
+        pass
+
+    def entered(*args, **kwargs):
+        raise Entered
+
+    for name in ("gorenstein_diagonals", "quasi_gorenstein_bounds", "cm_diagonal_test", "cm_threshold_alpha"):
+        monkeypatch.setattr(diagonals, name, entered)
+    argv = ["--no-cache", command] + (["--family", family] if family else [])
+    argv += ["--c", "9", "--e", "1"] if command == "cm-check" else []
+    groups = [(need,) if isinstance(need, str) else need for need in cli._FAMILIES[command][family][2]]
+
+    def flags(groups):
+        return [w for group in groups for w in ("--" + group[0].replace("_", "-"), FAMILY_VALUES[group[0]])]
+
+    # with every required input the run reaches its criterion
+    with pytest.raises(Entered):
+        main(argv + flags(groups))
+    for lacking in groups:
+        code, out = run_cli(capsys, *argv, *flags([g for g in groups if g != lacking]))
+        assert (code, json.loads(out)["result"]) == (2, {"missing": ["|".join(lacking)]})
+
+
+# ht (x y, x z) = 1 in k[x, y, z]: the file's height was once never read
+HEIGHT_ONE = "vars: x (1,0), y (1,0), z (1,0)\nideal: x*y; x*z\n"
+
+
+def test_equimultiple_reads_the_height_off_the_problem_file(capsys, tmp_path):
+    # this once exited 0 with verdict true and the default height 2
+    path = tmp_path / "height-one.ring"
+    path.write_text(HEIGHT_ONE)
+    assert main(["--no-cache", *"cm-check --family equimultiple --c 5 --e 1 --a-quotient 1".split(), str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: equimultiple criterion needs height > 1\n")
+
+
+def test_gorenstein_general_reads_the_height_off_the_problem_file(capsys, tmp_path):
+    # outside 1 < ht < n the criterion is only sufficient; this once dropped the mark
+    code, general = closed_form(capsys, tmp_path, "gorenstein --family general --a 2", HEIGHT_ONE)
+    assert code == 0
+    assert general == closed_form(capsys, tmp_path, "gorenstein --family general --a 2 --n 3 --d 2 --height 1")[1]
+    assert [d["sufficient_only"] for d in general["diagonals"]] == [True]
+
+
+def test_an_exit_2_report_exits_2_on_a_cache_hit(capsys, isolated_cache):
+    # the miss stores the report with its code, and the hit serves both
+    runs = [run_cli(capsys, "cm-threshold", "--d", "2", "--n", "4") for _ in range(2)]
+    assert len(list(isolated_cache.glob("*.json"))) == 1
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2 and json.loads(runs[0][1])["result"] == {"missing": ["a2G|a1"]}
 
 
 def test_equimultiple_height_zero_is_not_read_as_the_default(capsys):
@@ -512,7 +572,8 @@ def test_gorenstein_general_d_below_one_exits_1(capsys):
     ("gorenstein --family ci --n 3 --degrees 2 --r 0", "complete-intersection rule needs r >= 1"),
     ("cm-check --family scm --c 9 --e 1 --degrees 3,0,3 --n 3 --height 2",
      "strongly-cm criterion needs every degree >= 1"),
-    ("cm-check --family equimultiple --c 5 --e 1 --d 0 --a-quotient 1", "equimultiple criterion needs d >= 1"),
+    ("cm-check --family equimultiple --c 5 --e 1 --d 0 --a-quotient 1 --height 2",
+     "equimultiple criterion needs d >= 1"),
     ("quasi-gorenstein --a 3 --n -3", "quasi-gorenstein bounds needs n >= 1"),
     # this one was refused already
     ("gorenstein --family maxminors --m 0 --n 3", "need 1 <= m <= n"),
@@ -536,6 +597,8 @@ def test_gorenstein_cites_each_criterion_once(capsys):
     doc = json.loads(out)
     assert (code, doc["result"]["count"]) == (0, 4)
     assert doc["criterion_citations"] == ["gorenstein-diagonal:general"]
+    # the top-level list once stayed empty above diagonals that carry these
+    assert doc["assumptions"] == ["form ring Gorenstein", "a = -a^2(G) supplied"]
 
 
 def test_prime_field_problem(capsys, tmp_path):

@@ -238,8 +238,10 @@ def test_cm_equimultiple():
 
 
 def test_cm_needs_input():
-    rep = cm_diagonal_test("equimultiple", {"d": 2, "height": 2}, DiagonalSpec(5, 2))
-    assert rep.verdict == "needs-input"
+    # the caller reports a missing input: the height once defaulted to 2, and a(A/I) gave "needs-input"
+    for params in ({"d": 2, "a_quotient": 1}, {"d": 2, "height": 2}):
+        with pytest.raises(KeyError):
+            cm_diagonal_test("equimultiple", params, DiagonalSpec(5, 2))
 
 
 def test_cm_threshold_values():
@@ -249,8 +251,8 @@ def test_cm_threshold_values():
     assert cubic.verdict == -2
     trivial = cm_threshold_alpha(3, 7, a2_form_ring=-1)
     assert trivial.verdict == -7
-    missing = cm_threshold_alpha(3, 7)
-    assert missing.verdict == "needs-input"
+    with pytest.raises(DiagonalError, match="no route to alpha"):
+        cm_threshold_alpha(3, 7)
     direct = cm_threshold_alpha(3, 7, a1_shifted_rees=-4)
     assert direct.verdict == -4
 

@@ -11,7 +11,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 EXPECTED = DEMOS / "expected"
 
 # pin name (demos/expected/cli_<name>.txt) -> argv after `reeslab --no-cache`;
-# a word ending in .ring names a problem file in demos/
+# a word ending in .ring names a problem file in demos/. Each exits 0 but those in EXIT_CODES.
 CLI_PINS = {
     "gin": "gin --seed 7 twisted-cubic.ring",
     "fit_hp": "fit-hp --max-power 3 --predict 4 twisted-cubic.ring",
@@ -41,7 +41,10 @@ CLI_PINS = {
     "cm_threshold": "cm-threshold --d 2 --n 4 --a2G -2",
     "cm_threshold_cubic": "cm-threshold --d 2 --n 4 twisted-cubic.ring",
     "cm_check_scm_cubic": "cm-check --family scm --c 9 --e 1 --height 2 twisted-cubic.ring",
+    # a closed-form family without one of its required inputs prints what is missing
+    "cm_threshold_missing": "cm-threshold --d 2 --n 4",
 }
+EXIT_CODES = {"cm_threshold_missing": 2}
 
 
 def test_every_pin_file_has_a_command():
@@ -54,7 +57,7 @@ def test_every_pin_file_has_a_command():
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_cli_prints_its_pin(capsys, name):
     argv = [str(DEMOS / w) if w.endswith(".ring") else w for w in CLI_PINS[name].split()]
-    assert main(["--no-cache", *argv]) == 0
+    assert main(["--no-cache", *argv]) == EXIT_CODES.get(name, 0)
     assert capsys.readouterr().out == (EXPECTED / ("cli_%s.txt" % name)).read_text()
 
 
