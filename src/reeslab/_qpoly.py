@@ -53,12 +53,8 @@ def binomial_in_x(shift, k):
     return scale(out, Fraction(1, factorial(k)))
 
 
-def interpolate(points, max_degree=None):
-    """Exact interpolation through (x, y) points; optionally verify a degree cap.
-
-    Returns the coefficient tuple, or raises ValueError when the data is not
-    polynomial of the allowed degree.
-    """
+def interpolate(points):
+    """Exact interpolation through (x, y) points: the coefficient tuple, of degree below their number."""
     pts = sorted(points)
     if not pts:
         return ()
@@ -75,12 +71,10 @@ def interpolate(points, max_degree=None):
     for i in range(n):
         poly = add(poly, scale(basis, coef[i]))
         basis = mul(basis, (-xs[i], Fraction(1)))
-    if max_degree is not None and degree(poly) > max_degree:
-        raise ValueError("interpolant exceeds the allowed degree %d" % max_degree)
     return poly
 
 
-def takes_integer_values(p, window=range(-3, 8)):
+def takes_integer_values(p, window):
     return all(evaluate(p, x).denominator == 1 for x in window)
 
 

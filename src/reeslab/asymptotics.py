@@ -92,7 +92,7 @@ def _fit_and_check(keys, value, js, count, failure):
     checked = set()
     for key in keys:
         k = count(key)
-        poly = qp.interpolate([(j, value(key, j)) for j in js[:k]], max_degree=k - 1)
+        poly = qp.interpolate([(j, value(key, j)) for j in js[:k]])
         for j in js[k:]:
             if qp.evaluate(poly, j) != value(key, j):
                 raise FitError(failure % (key, j))

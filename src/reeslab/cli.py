@@ -53,7 +53,7 @@ def _print_text(report):
 # Closed-form commands: each CLI family -> (criterion, parameters it reads, parameters it requires).
 # The parameters read are also the command's flags; a required tuple of names needs any one of them.
 # A miss hands the command's entry to `commands`, which reports the required parameters no source gives.
-_CI = ("gorenstein-diagonal:complete-intersection", ("n", "r", "degrees"), ("degrees", "n"))
+_CI = ("gorenstein-diagonal:complete-intersection", ("n", "degrees"), ("degrees", "n"))
 _FAMILIES = {
     "gorenstein": {"ci": _CI, "complete-intersection": _CI,
                    "maxminors": ("gorenstein-diagonal:maximal-minors", ("m", "n"), ("m", "n")),
@@ -64,7 +64,7 @@ _FAMILIES = {
                                   ("d", "height", "a_quotient")),
                  "scm": ("cm-diagonal:strongly-cm", ("degrees", "n", "height"), ("degrees", "n", "height"))},
     "cm-threshold": {None: ("cm-threshold", ("d", "n", "a2G", "a1"), ("d", "n", ("a2G", "a1")))},
-    "quasi-gorenstein": {None: ("quasi-gorenstein-bounds", ("a", "n"), ("a", "n"))},
+    "quasi-gorenstein": {None: ("quasi-gorenstein-bounds", ("a", "n", "height"), ("a", "n"))},
 }
 
 
@@ -85,7 +85,6 @@ _DEGREE_CAP = ("--degree-cap", {"type": int, "default": None})
 _C = ("--c", {"type": int, "required": True})
 _E = ("--e", {"type": int, "required": True})
 _SEED = ("--seed", {"type": int, "default": 0})
-_DIM_ZERO = ("--dim-zero", {"action": "store_true"})
 
 # Each command -> its arguments after the problem file, as (option strings..., add_argument keywords).
 # The problem file is optional exactly for the closed-form commands of _FAMILIES,
@@ -102,8 +101,8 @@ _COMMANDS = {
     "reg": (_POWER, _DEGREE_CAP),
     "rees": (),
     "diag": (_C, _E, ("--s-max", {"type": int, "default": 6})),
-    "gorenstein": (("--family", {"required": True, "choices": tuple(_FAMILIES["gorenstein"])}), _DIM_ZERO),
-    "quasi-gorenstein": (_DIM_ZERO,),
+    "gorenstein": (("--family", {"required": True, "choices": tuple(_FAMILIES["gorenstein"])}),),
+    "quasi-gorenstein": (),
     "cm-check": (("--family", {"required": True, "choices": tuple(_FAMILIES["cm-check"])}), _C, _E),
     "cm-threshold": (),
     "gin": (("--trials", {"type": int, "default": 3}), _SEED),

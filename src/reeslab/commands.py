@@ -255,7 +255,7 @@ def _cmd_diag(args, problem):
 def _generator_values(problem):
     """degrees, d = max and u = sum of the minimal generators, and n = number of variables.
 
-    r is not among them: it defaults to len(degrees) wherever degrees come from.
+    r is not among them: the criteria read it as len(degrees).
     """
     from .groebner import minimal_generators
 
@@ -300,8 +300,6 @@ def _assumptions(reports, *first):
 def _cmd_gorenstein(args, family, params):
     from .diagonals import gorenstein_diagonals
 
-    if family == "general":
-        params["dim_positive"] = not args.dim_zero
     reports = gorenstein_diagonals(family, **params)
     payload = {"diagonals": [r.to_json() for r in reports], "count": len(reports)}
     return (payload, sorted({r.criterion for r in reports}) or ["gorenstein-diagonal"], _assumptions(reports))
@@ -310,7 +308,7 @@ def _cmd_gorenstein(args, family, params):
 def _cmd_quasi_gorenstein(args, family, p):
     from .diagonals import quasi_gorenstein_bounds
 
-    reports = quasi_gorenstein_bounds(p["a"], p["n"], not args.dim_zero)
+    reports = quasi_gorenstein_bounds(p["a"], p["n"], p.get("height"))
     return (
         {"candidates": [r.to_json() for r in reports], "count": len(reports)},
         ["quasi-gorenstein-bounds"],

@@ -99,39 +99,40 @@ def gorenstein_diagonals(family, **params):
 
     Returns a list of DiagonalReports, one per diagonal (c, e), each carrying
     a(k[(I^e)_c]) = -l0, where c l0 = N, e l0 = A and c >= d e + 1 for the
-    family's (N, A, d). r defaults to len(degrees). Families:
+    family's (N, A, d). r is len(degrees). Families:
 
-    - ``polynomial-ring``: S itself; needs n, degrees, r; (n + u, r, max deg).
+    - ``polynomial-ring``: S itself; needs n, degrees; (n + u, r, max deg).
     - ``general``: Gorenstein form ring; needs n, a (= -a^2(G)), d >= 1, and
-      reads height, dim_positive; (n, a - 1, d).
+      reads height, with dim A/I > 0 iff ht I < n; (n, a - 1, d).
     - ``complete-intersection``: needs n, degrees, r < n; (n, r - 1, max deg).
     - ``maximal-minors``: generic m x n matrix, m <= n; (mn, n - m, m), and for
       the principal determinant m = n, the polynomial-ring rule (mn + n, 1, m).
     """
     assumptions, sufficient_only = (), False
     if family == "polynomial-ring":
-        n, r, degrees = params["n"], params.get("r", len(params["degrees"])), tuple(params["degrees"])
-        _require_positive("polynomial-ring rule", n=n, r=r, degrees=degrees)
-        N, A, d = n + sum(degrees), r, max(degrees)
-        inputs = {"n": n, "r": r, "degrees": degrees}
+        n, degrees = params["n"], tuple(params["degrees"])
+        _require_positive("polynomial-ring rule", n=n, degrees=degrees)
+        N, A, d = n + sum(degrees), len(degrees), max(degrees)
+        inputs = {"n": n, "r": len(degrees), "degrees": degrees}
     elif family == "general":
-        n, a, d = params["n"], params["a"], params["d"]
+        n, a, d, height = params["n"], params["a"], params["d"], params.get("height")
         _require_positive("general rule", n=n, d=d)
+        if height is not None and not 1 <= height <= n:
+            raise DiagonalError("general rule needs 1 <= height <= n")
         N, A = n, a - 1
         inputs = {"n": n, "a": a, "d": d}
         assumptions = ("form ring Gorenstein", "a = -a^2(G) supplied")
-        height = params.get("height")
-        if height is not None and (height < 2 or not params.get("dim_positive", True)):
+        if height is not None and not 1 < height < n:
             # outside 1 < ht < n the equality is only a sufficient direction
             sufficient_only = True
             assumptions += ("outside 1 < ht(I) < n the criterion is sufficient only",)
     elif family == "complete-intersection":
-        n, r, degrees = params["n"], params.get("r", len(params["degrees"])), tuple(params["degrees"])
-        _require_positive("complete-intersection rule", n=n, r=r, degrees=degrees)
-        if r >= n:
-            raise DiagonalError("complete-intersection rule needs r < n")
-        N, A, d = n, r - 1, max(degrees)
-        inputs = {"n": n, "a": r, "d": d, "degrees": degrees}
+        n, degrees = params["n"], tuple(params["degrees"])
+        _require_positive("complete-intersection rule", n=n, degrees=degrees)
+        if len(degrees) >= n:
+            raise DiagonalError("complete-intersection rule needs fewer than n degrees")
+        N, A, d = n, len(degrees) - 1, max(degrees)
+        inputs = {"n": n, "a": len(degrees), "d": d, "degrees": degrees}
     elif family == "maximal-minors":
         m, n = params["m"], params["n"]
         if not 1 <= m <= n:
@@ -147,13 +148,17 @@ def gorenstein_diagonals(family, **params):
     ]
 
 
-def quasi_gorenstein_bounds(a, n, dim_positive=True):
+def quasi_gorenstein_bounds(a, n, height=None):
     """Finite candidate set for quasi-Gorenstein diagonals when the Rees algebra is CM.
 
     Empty for a = 1. Candidates satisfy e <= a-1, c <= n and, with positive
-    quotient dimension, ceil(a/e) - 1 = n/c as integers.
+    quotient dimension, ceil(a/e) - 1 = n/c as integers. dim A/I > 0 iff
+    ht I < n, and an unknown height counts as positive dimension.
     """
     _require_positive("quasi-gorenstein bounds", n=n)
+    if height is not None and not 1 <= height <= n:
+        raise DiagonalError("quasi-gorenstein bounds needs 1 <= height <= n")
+    dim_positive = height is None or height < n
     assumptions = ("Rees algebra Cohen-Macaulay", "a = -a^2(G) supplied")
     if a <= 1:
         return []

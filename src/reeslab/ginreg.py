@@ -8,7 +8,8 @@ from fractions import Fraction
 from math import comb
 
 from ._record import record
-from .groebner import Ideal, _fitting, _hilbert_skip, _int_generators, _packed_run, _sugar_is_degree, _times
+from .groebner import (Ideal, _fitting, _hilbert_skip, _int_generators, _packed_run, _sugar_is_degree, _times,
+                       minimal_generators)
 from .rings import DEGREVLEX, MonomialPacking, Polynomial, _is_prime
 
 _ENTRY_BOUND = 100    # a drawn change has its entries in [-B, B]
@@ -289,7 +290,9 @@ def bayer_stillman_check(I, m, q_window=None, seed=0):
     x_block = [i for i, d in enumerate(ring.degrees) if d == (1, 0)]
     if not x_block:
         raise GinError("no degree-(1,0) variables to draw generic forms from")
-    if any(g.multidegree()[0] > m for g in I.gens):
+    # a redundant generator above m is harmless, so the minimal ones are found only then
+    if any(g.multidegree()[0] > m for g in I.gens) and any(
+            g.multidegree()[0] > m for g in minimal_generators(ring, I.gens)):
         raise GinError("ideal has a generator of first degree above %d" % m)
     if q_window is None:
         qmax = max((g.multidegree()[1] for g in I.gens), default=0)

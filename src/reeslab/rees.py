@@ -104,20 +104,19 @@ def rees_presentation(I):
     """Kernel of Y_j -> f_j t by eliminating t from (Y_1 - f_1 t, ..., Y_r - f_r t).
 
     The ring S = k[X; Y] of the defining ideal has degrevlex order, whatever
-    the order of I's ring: it is the ring of the elimination.
+    the order of I's ring: it is the ring of the elimination. The Y_j stand
+    for I's minimal generators, in the order I gives them.
     """
     if I.is_zero():
         raise ReesError("the zero ideal has no blow-up presentation")
     if not I.is_homogeneous():
         raise ReesError("generators must be homogeneous")
     A = I.ring
-    degrees = []
-    for f in I.gens:
-        d = f.multidegree()
-        if d[1] != 0:
-            raise ReesError("source ideal must live in the base ring (second degree 0)")
-        degrees.append(d[0])
-    r = len(I.gens)
+    fs = sorted(minimal_generators(A, I.gens), key=I.gens.index)
+    if any(f.multidegree()[1] for f in fs):
+        raise ReesError("source ideal must live in the base ring (second degree 0)")
+    degrees = [f.multidegree()[0] for f in fs]
+    r = len(fs)
     y_names = tuple(_fresh_name("Y%d" % (j + 1), A.names) for j in range(r))
     t_name = _fresh_name("t", A.names + y_names)
     ext = RingSpec(
@@ -129,7 +128,7 @@ def rees_presentation(I):
     nx = A.nvars
     gens = [
         ext.variable(nx + j) - transport(f, ext) * ext.variable(nx + r)
-        for j, f in enumerate(I.gens)
+        for j, f in enumerate(fs)
     ]
     K_raw = eliminate(Ideal(ext, gens), [nx + r])
     S = K_raw.ring

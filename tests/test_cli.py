@@ -267,7 +267,7 @@ def test_closed_form_family_without_a_parameter_exits_2(capsys, argv, missing):
 
 
 # a valid flag value for each parameter a closed-form family reads
-FAMILY_VALUES = {"n": "4", "r": "2", "degrees": "2,3", "m": "2", "a": "3", "d": "3", "height": "2",
+FAMILY_VALUES = {"n": "4", "degrees": "2,3", "m": "2", "a": "3", "d": "3", "height": "2",
                  "a_quotient": "1", "u": "5", "a2G": "-2", "a1": "-3"}
 
 
@@ -318,6 +318,66 @@ def test_gorenstein_general_reads_the_height_off_the_problem_file(capsys, tmp_pa
     assert [d["sufficient_only"] for d in general["diagonals"]] == [True]
 
 
+# ht (x^2, y^2, z^2) = 3 = n in k[x, y, z], so dim A/I = 0
+DIM_ZERO = "vars: x (1,0), y (1,0), z (1,0)\nideal: x^2; y^2; z^2\n"
+
+
+def test_a_zero_dimensional_quotient_is_read_off_the_problem_file(capsys, tmp_path):
+    # without a --dim-zero flag both of these once took dim A/I > 0
+    code, general = closed_form(capsys, tmp_path, "gorenstein --family general --a 2", DIM_ZERO)
+    assert code == 0
+    assert general == closed_form(capsys, tmp_path, "gorenstein --family general --a 2 --n 3 --d 2 --height 3")[1]
+    assert [d["sufficient_only"] for d in general["diagonals"]] == [True]
+    code, quasi = closed_form(capsys, tmp_path, "quasi-gorenstein --a 3", DIM_ZERO)
+    assert code == 0
+    assert quasi == closed_form(capsys, tmp_path, "quasi-gorenstein --a 3 --n 3 --height 3")[1]
+    assert quasi["count"] == 6
+    assert {d["inputs"]["dim_positive"] for d in quasi["candidates"]} == {False}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gorenstein --family general --n 3 --a 3 --d 1 --height 0", "general rule needs 1 <= height <= n"),
+    ("gorenstein --family general --n 3 --a 3 --d 1 --height 4", "general rule needs 1 <= height <= n"),
+    ("quasi-gorenstein --a 3 --n 3 --height 0", "quasi-gorenstein bounds needs 1 <= height <= n"),
+    ("quasi-gorenstein --a 3 --n 3 --height 4", "quasi-gorenstein bounds needs 1 <= height <= n"),
+])
+def test_a_height_outside_one_to_n_exits_1(capsys, argv, message):
+    assert main(["--no-cache", *argv.split()]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("gorenstein --family general --n 3 --a 2 --d 2 --dim-zero", "--dim-zero"),
+    ("quasi-gorenstein --a 3 --n 3 --dim-zero", "--dim-zero"),
+    ("gorenstein --family ci --n 3 --degrees 2 --r 2", "--r"),
+])
+def test_flags_the_criteria_work_out_are_unrecognized(capsys, argv, flag):
+    # dim A/I > 0 is read as ht I < n, and r is the number of degrees
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", *argv.split()])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("reeslab: error: unrecognized arguments: %s\n" % flag)
+
+
+# x^2 y lies in (x^2, y^2)
+REDUNDANT = "vars: x (1,0), y (1,0), z (1,0)\nideal: x^2; y^2; x^2*y\n"
+
+
+@pytest.mark.parametrize("command", ["rees", "diag --c 5 --e 2", "mixed-mult", "fit-hs",
+                                     "bayer-stillman --first-degree 2"])
+def test_a_redundant_generator_changes_no_report(capsys, tmp_path, command):
+    # rees once gave d 3 and u 7, diag and mixed-mult exited 1, fit-hs took the general
+    # route and bayer-stillman refused x^2 y as a generator above degree 2
+    code, redundant = closed_form(capsys, tmp_path, command, REDUNDANT)
+    assert code == 0
+    assert redundant == closed_form(capsys, tmp_path, command, REDUNDANT.replace("; x^2*y", ""))[1]
+
+
+def test_bayer_stillman_refuses_a_minimal_generator_above_the_first_degree(capsys, cubic_file):
+    assert main(["--no-cache", "bayer-stillman", "--first-degree", "1", cubic_file]) == 1
+    assert capsys.readouterr().err == "error: ideal has a generator of first degree above 1\n"
+
+
 def test_an_exit_2_report_exits_2_on_a_cache_hit(capsys, isolated_cache):
     # the miss stores the report with its code, and the hit serves both
     runs = [run_cli(capsys, "cm-threshold", "--d", "2", "--n", "4") for _ in range(2)]
@@ -363,10 +423,9 @@ PARSE_EXITS = {
     "--bogus diag f.ring": (2, "", DIAG_ERROR),
     "hs": (2, "", HS_USAGE + "reeslab hs: error: the following arguments are required: problem\n"),
     "gorenstein --family ci --degrees 2,x --n 3": (2, "", (
-        "usage: reeslab gorenstein [-h] [--n N] [--r R] [--degrees DEGREES] [--m M]\n"
-        "                          [--a A] [--d D] [--height HEIGHT] --family\n"
+        "usage: reeslab gorenstein [-h] [--n N] [--degrees DEGREES] [--m M] [--a A]\n"
+        "                          [--d D] [--height HEIGHT] --family\n"
         "                          {ci,complete-intersection,maxminors,polynomial-ring,general}\n"
-        "                          [--dim-zero]\n"
         "                          [problem]\n"
         "reeslab gorenstein: error: argument --degrees: expected comma-separated integers, got '2,x'\n")),
     "-h": (0, USAGE + (
@@ -569,7 +628,7 @@ def test_gorenstein_general_d_below_one_exits_1(capsys):
     ("cm-threshold --d 2 --n -4 --a2G -2", "cm-threshold needs n >= 1"),
     ("cm-check --family ci --c 8 --e 2 --n -4 --d 3 --u 6", "complete-intersection criterion needs n >= 1"),
     ("gorenstein --family polynomial-ring --n 3 --degrees 2,0", "polynomial-ring rule needs every degree >= 1"),
-    ("gorenstein --family ci --n 3 --degrees 2 --r 0", "complete-intersection rule needs r >= 1"),
+    ("gorenstein --family ci --n 3 --degrees 2,0", "complete-intersection rule needs every degree >= 1"),
     ("cm-check --family scm --c 9 --e 1 --degrees 3,0,3 --n 3 --height 2",
      "strongly-cm criterion needs every degree >= 1"),
     ("cm-check --family equimultiple --c 5 --e 1 --d 0 --a-quotient 1 --height 2",

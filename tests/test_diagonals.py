@@ -149,7 +149,7 @@ def test_gorenstein_del_pezzo():
 
 def test_gorenstein_complete_intersection():
     reports = gorenstein_diagonals(
-        "complete-intersection", n=4, r=3, degrees=(1, 1, 1)
+        "complete-intersection", n=4, degrees=(1, 1, 1)
     )
     found = {(r.inputs["c"], r.inputs["e"]): r.a_invariant for r in reports}
     assert found == {(4, 2): -1, (2, 1): -2}
@@ -157,7 +157,7 @@ def test_gorenstein_complete_intersection():
 
 def test_gorenstein_polynomial_ring():
     # one blow-up variable of degree d: only (n + d, 1)
-    reports = gorenstein_diagonals("polynomial-ring", n=3, r=1, degrees=(2,))
+    reports = gorenstein_diagonals("polynomial-ring", n=3, degrees=(2,))
     assert [(r.inputs["c"], r.inputs["e"]) for r in reports] == [(5, 1)]
     assert reports[0].a_invariant == -1
 
@@ -177,7 +177,7 @@ def test_gorenstein_families_share_one_solver():
 
     for m in range(1, 5):
         # the principal determinant: the polynomial-ring rule, one generator of degree m in m^2 variables
-        assert pairs("maximal-minors", m=m, n=m) == pairs("polynomial-ring", n=m * m, r=1, degrees=(m,))
+        assert pairs("maximal-minors", m=m, n=m) == pairs("polynomial-ring", n=m * m, degrees=(m,))
         for n in range(m + 1, 7):
             assert pairs("maximal-minors", m=m, n=n) == pairs("general", n=m * n, a=n - m + 1, d=m)
     for n, degrees in ((4, (1, 1, 1)), (6, (2, 2, 3)), (7, (1, 2))):
@@ -297,9 +297,9 @@ def test_bad_shift_detected():
 
 def test_gorenstein_implies_cm_for_complete_intersections():
     # every diagonal passing the Gorenstein rule passes the CM inequality
-    for (n, r, degrees) in ((4, 3, (1, 1, 1)), (6, 3, (2, 2, 2)), (5, 2, (3, 3))):
+    for (n, degrees) in ((4, (1, 1, 1)), (6, (2, 2, 2)), (5, (3, 3))):
         d, u = max(degrees), sum(degrees)
-        for rep in gorenstein_diagonals("complete-intersection", n=n, r=r, degrees=degrees):
+        for rep in gorenstein_diagonals("complete-intersection", n=n, degrees=degrees):
             spec = DiagonalSpec(rep.inputs["c"], rep.inputs["e"])
             cm = cm_diagonal_test(
                 "complete-intersection", {"d": d, "u": u, "n": n}, spec

@@ -159,9 +159,9 @@ PARSED = {
     "bayer-stillman --first-degree 2 {problem} --seed 456":
         dict(_FILE, command="bayer-stillman", first_degree=2, q_max=None, seed=456),
     "gorenstein --family maxminors --m 2 --n 3":
-        dict(_TOP, command="gorenstein", problem=None, n=3, r=None, degrees=None, m=2, a=None, d=None,
-             height=None, family="maxminors", dim_zero=False),
-    "quasi-gorenstein --a 3 --n 3": dict(_TOP, command="quasi-gorenstein", problem=None, a=3, n=3, dim_zero=False),
+        dict(_TOP, command="gorenstein", problem=None, n=3, degrees=None, m=2, a=None, d=None,
+             height=None, family="maxminors"),
+    "quasi-gorenstein --a 3 --n 3": dict(_TOP, command="quasi-gorenstein", problem=None, a=3, n=3, height=None),
     "cm-check --family ci --c 8 --e 2 --d 3 --u 6 --n 2":
         dict(_TOP, command="cm-check", problem=None, d=3, u=6, n=2, height=None, a_quotient=None, degrees=None,
              family="ci", c=8, e=2),
